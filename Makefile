@@ -51,7 +51,7 @@ ci-faultgate: build
 	@rm -f _ci_faultgate.jsonl
 
 # Sharded-engine gate: the whole corpus bit-identical between
-# --engine fast and --engine sharded at 1 and 4 shards, traced and
+# --engine fast and --engine sharded at 3 and 4 shards, traced and
 # untraced (rows compared minus digest/engine labels and wall-clock
 # provenance; output, simulated seconds and all deterministic metrics
 # must agree byte for byte).

@@ -614,15 +614,66 @@ let bechamel_bench () =
       | _ -> Printf.printf "%-32s %12s\n" name "n/a")
     (List.sort compare rows)
 
-(* ---------------- S2: sharded-engine scaling ---------------- *)
+(* ---------------- S2 + N1: the wall-clock engine ladder ---------------- *)
 
-(* The multicore engine measured as wall-clock: the three figure
-   programs at their largest sweep size, executed once per engine
-   configuration on a pre-compiled program (compile time excluded — the
-   engine only changes execution).  Rows are wall-clock, so they carry
-   section "scaling" and compare.ml reports them like bechamel/serve
-   rows instead of requiring identity; the simulated results themselves
-   are engine-identical (ci-sharded enforces that bit for bit). *)
+(* The three figure programs at their largest sweep size, compiled once:
+   the workload of both wall-clock engine sections.  Their rows carry
+   section "scaling" or "native", and compare.ml reports them like
+   bechamel/serve rows instead of requiring identity; the simulated
+   results themselves are engine-identical (make ci-sharded and
+   ci-native enforce that bit for bit). *)
+let ladder_programs =
+  lazy
+    (List.map
+       (fun (name, src) -> (name, Uc.Compile.compile_source src))
+       [
+         ( "fig6:uc-n2 N=64",
+           Uc_programs.Programs.shortest_path_n2 ~deterministic:false ~n:64 ()
+         );
+         ( "fig7:uc-n3 N=25",
+           Uc_programs.Programs.shortest_path_n3 ~deterministic:false ~n:25 ()
+         );
+         ("fig8:uc-obstacle N=120", Uc_programs.Programs.obstacle_grid ~n:120);
+       ])
+
+(* Wall seconds per run of one (program, engine) pair on the pre-compiled
+   program (compile time excluded — the engine only changes execution),
+   best of 3: scheduling noise dominates a mean at these run times.
+   Memoized, so the two sections time each pair once and share the
+   reference and fast baselines. *)
+let ladder_times = Hashtbl.create 32
+
+let ladder_time (name, compiled) engine =
+  match Hashtbl.find_opt ladder_times (name, engine) with
+  | Some t -> t
+  | None ->
+      let best = ref infinity in
+      for _ = 1 to 3 do
+        let t0 = Unix.gettimeofday () in
+        ignore (Uc.Compile.run_compiled ~seed ~engine compiled);
+        best := Float.min !best (Unix.gettimeofday () -. t0)
+      done;
+      Hashtbl.add ladder_times (name, engine) !best;
+      !best
+
+let ladder_header () =
+  Printf.printf "%-26s %-12s %12s %9s\n" "program" "engine" "ms/run" "vs fast"
+
+(* One ladder line and its row, as a speedup over the program's fast run. *)
+let ladder_line sec prog engine =
+  let t = ladder_time prog engine and fast = ladder_time prog `Fast in
+  let name = fst prog and label = Ucd.Job.engine_string engine in
+  Printf.printf "%-26s %-12s %12.3f %8.2fx\n" name label (1000. *. t)
+    (fast /. t);
+  emit_row sec
+    [
+      ("test", Ucd.Jsonu.Str (name ^ " " ^ label));
+      ("ms_per_run", Ucd.Jsonu.Float (1000. *. t));
+      ("speedup_vs_fast", Ucd.Jsonu.Float (fast /. t));
+    ]
+
+(* S2: the reference → fast → sharded ladder, then the shard-count
+   sweep. *)
 let scaling_shards = [ 1; 2; 4; 8 ]
 
 let s2_scaling () =
@@ -640,64 +691,19 @@ let s2_scaling () =
        "  (single core: worker borrows are denied, chunks run inline;\n\
        \   expect engine overhead, not parallel speedup)"
      else "");
-  let time f =
-    (* best of 3: scheduling noise dominates a mean at these run times *)
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      f ();
-      best := Float.min !best (Unix.gettimeofday () -. t0)
-    done;
-    !best
-  in
-  let progs =
-    [
-      ( "fig6:uc-n2 N=64",
-        Uc_programs.Programs.shortest_path_n2 ~deterministic:false ~n:64 () );
-      ( "fig7:uc-n3 N=25",
-        Uc_programs.Programs.shortest_path_n3 ~deterministic:false ~n:25 () );
-      ("fig8:uc-obstacle N=120", Uc_programs.Programs.obstacle_grid ~n:120);
-    ]
-  in
-  Printf.printf "%-26s %-12s %12s %9s\n" "program" "engine" "ms/run"
-    "vs fast";
+  ladder_header ();
   List.iter
-    (fun (name, src) ->
-      let compiled = Uc.Compile.compile_source src in
-      let run engine =
-        time (fun () ->
-            ignore (Uc.Compile.run_compiled ~seed ~engine compiled))
-      in
-      let fast = run `Fast in
-      let line engine t =
-        let label = Ucd.Job.engine_string engine in
-        Printf.printf "%-26s %-12s %12.3f %8.2fx\n" name label (1000. *. t)
-          (fast /. t);
-        emit_row "scaling"
-          [
-            ("test", Ucd.Jsonu.Str (name ^ " " ^ label));
-            ("ms_per_run", Ucd.Jsonu.Float (1000. *. t));
-            ("speedup_vs_fast", Ucd.Jsonu.Float (fast /. t));
-          ]
-      in
-      (* the reference→fast→sharded ladder, then the shard-count sweep *)
-      line `Reference (run `Reference);
-      line `Fast fast;
-      List.iter (fun s -> line (`Sharded s) (run (`Sharded s))) scaling_shards;
+    (fun prog ->
+      List.iter (ladder_line "scaling" prog)
+        ([ `Reference; `Fast ] @ List.map (fun s -> `Sharded s) scaling_shards);
       print_newline ())
-    progs
+    (Lazy.force ladder_programs)
 
-(* ---------------- N1: native-engine wall-clock ---------------- *)
-
-(* The native backend measured as wall-clock: the three figure programs
-   at their largest sweep size on the reference → fast → native ladder,
-   per-run times with a warm in-process code cache (a Dynlink'd module
-   cannot be unloaded, so steady state is what any long-lived process
-   sees), plus each program's one-time codegen/build cost and the
-   code-cache hit rate of a second sweep over it.  Rows are wall-clock,
-   so they carry section "native" and compare.ml reports them like
-   bechamel/scaling rows; the simulated results are engine-identical
-   (make ci-native enforces that bit for bit, cold and warm). *)
+(* N1: the native rung on the same ladder, per-run times with a warm
+   in-process code cache (a Dynlink'd module cannot be unloaded, so
+   steady state is what any long-lived process sees), plus each
+   program's one-time codegen/build cost and the code-cache hit rate of
+   the timed sweep over it. *)
 let n1_native () =
   section "N1"
     "Native codegen: wall-clock on the reference/fast/native ladder (per run)";
@@ -710,33 +716,9 @@ let n1_native () =
       emit_row "native" [ ("available", Ucd.Jsonu.Bool false) ]
   | Ok () ->
       emit_row "native" [ ("available", Ucd.Jsonu.Bool true) ];
-      let time f =
-        (* best of 3, like the shard sweep: scheduling noise dominates a
-           mean at these run times *)
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          f ();
-          best := Float.min !best (Unix.gettimeofday () -. t0)
-        done;
-        !best
-      in
-      let progs =
-        [
-          ( "fig6:uc-n2 N=64",
-            Uc_programs.Programs.shortest_path_n2 ~deterministic:false ~n:64 ()
-          );
-          ( "fig7:uc-n3 N=25",
-            Uc_programs.Programs.shortest_path_n3 ~deterministic:false ~n:25 ()
-          );
-          ("fig8:uc-obstacle N=120", Uc_programs.Programs.obstacle_grid ~n:120);
-        ]
-      in
-      Printf.printf "%-26s %-12s %12s %9s\n" "program" "engine" "ms/run"
-        "vs fast";
+      ladder_header ();
       List.iter
-        (fun (name, src) ->
-          let compiled = Uc.Compile.compile_source src in
+        (fun ((name, compiled) as prog) ->
           (* pay the one-shot codegen+build outside the timed region and
              price it from the process-wide counter deltas *)
           let s0 = Cm.Codegen.stats () in
@@ -745,26 +727,8 @@ let n1_native () =
           | Ok () -> ()
           | Error why -> Printf.printf "  (%s: fell back: %s)\n" name why);
           let s1 = Cm.Codegen.stats () in
-          let run engine =
-            time (fun () ->
-                ignore (Uc.Compile.run_compiled ~seed ~engine compiled))
-          in
-          let fast = run `Fast in
-          let line engine t =
-            let label = Ucd.Job.engine_string engine in
-            Printf.printf "%-26s %-12s %12.3f %8.2fx\n" name label
-              (1000. *. t) (fast /. t);
-            emit_row "native"
-              [
-                ("test", Ucd.Jsonu.Str (name ^ " " ^ label));
-                ("ms_per_run", Ucd.Jsonu.Float (1000. *. t));
-                ("speedup_vs_fast", Ucd.Jsonu.Float (fast /. t));
-              ]
-          in
-          line `Reference (run `Reference);
-          line `Fast fast;
-          line `Native (run `Native);
-          (* a second sweep over the same program must be all cache
+          ladder_line "native" prog `Native;
+          (* the timed sweep over the same program must be all cache
              hits: every machine after the first resolves its entry
              from the per-process memo (or the disk store, in a
              cache-dir'd batch) without emitting a line of source *)
@@ -791,7 +755,7 @@ let n1_native () =
               ("warm_hit_rate", Ucd.Jsonu.Float hit_rate);
             ];
           print_newline ())
-        progs
+        (Lazy.force ladder_programs)
 
 (* ---------------- parallel prefetch ---------------- *)
 

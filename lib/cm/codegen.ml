@@ -93,26 +93,6 @@ let spf = Printf.sprintf
 let float_lit f = spf "(Int64.float_of_bits 0x%LxL)" (Int64.bits_of_float f)
 let int_lit i = spf "(%d)" i
 
-(* Local copies of the fast engine's static operator predicates.
-   Machine depends on this module, so they cannot be imported; the
-   differential fuzzer keeps them honest. *)
-let is_cmp = function Eq | Ne | Lt | Le | Gt | Ge -> true | _ -> false
-
-(* Whether an int Pbin can never fault mid-loop (mirrors
-   [Machine.int_op_total]): division, modulo and shifts are total only
-   when the right operand is an immediate that provably never faults. *)
-let int_op_total op b =
-  match op with
-  | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor | Bxor | Eq | Ne
-  | Lt | Le | Gt | Ge ->
-      true
-  | Div | Mod -> ( match b with Imm (SInt k) -> k <> 0 | _ -> false)
-  | Shl | Shr -> (
-      match b with
-      | Imm (SInt k) -> k >= 0 && k < Sys.int_size
-      | _ -> false)
-  | Any -> false
-
 let binop_ctor = function
   | Add -> "Add" | Sub -> "Sub" | Mul -> "Mul" | Div -> "Div" | Mod -> "Mod"
   | Min -> "Min" | Max -> "Max"

@@ -115,7 +115,6 @@ let to_int2 = function SInt i -> i | SFloat _ -> raise Would_fault
 let to_float2 = function SInt i -> float_of_int i | SFloat f -> f
 let truthy2 = function SInt i -> i <> 0 | SFloat f -> f <> 0.0
 let is_float_s = function SFloat _ -> true | SInt _ -> false
-let is_cmp = function Eq | Ne | Lt | Le | Gt | Ge -> true | _ -> false
 
 let float_cmp op a b =
   match op with

@@ -51,10 +51,9 @@ type t = {
   mutable region_acc : float ref;
   mutable region_name : string;  (* name region_acc accumulates into *)
   regions : (string, float ref) Hashtbl.t;  (* region -> elapsed ns *)
-  mutable kernels : (unit -> unit) array option;  (* fast engine, lazy *)
-  mutable skernels : (unit -> unit) array option;  (* sharded engine, lazy *)
+  mutable kernels : (unit -> unit) array option;  (* decoded, lazy *)
   mutable native : native_code;  (* native engine, lazy *)
-  mutable steam : Shard.team option;  (* borrowed for the current exec *)
+  mutable steam : Shard.team option;  (* borrowed for a sharded exec *)
   mutable icount : int;  (* executed instruction serial, both engines *)
   fstate : fstate option;
   mutable fault_log : string list;  (* reversed, like output *)
@@ -132,7 +131,6 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     region_name = "(startup)";
     regions;
     kernels = None;
-    skernels = None;
     native = NUnknown;
     steam = None;
     icount = 0;
@@ -232,8 +230,6 @@ let float_binop = function
   | Min -> Float.min
   | Max -> Float.max
   | op -> error "operator %s is not valid on floats" (Paris.binop_name op)
-
-let is_cmp = function Eq | Ne | Lt | Le | Gt | Ge -> true | _ -> false
 
 let float_cmp = function
   | Eq -> ( = )
@@ -926,12 +922,14 @@ let run_reference ?steps m =
     if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
   done
 
-(* ---- fast engine: pre-decoded instruction kernels ---- *)
+(* ---- fast and sharded engines: pre-decoded instruction kernels ---- *)
 
 (* [compile] translates the program once into an array of closures, one
    per instruction, with operand shapes, field kinds, VP-set ids, label
-   targets and geometry constants resolved at decode time.  The run loop
-   is then [kernels.(pc) ()] over monomorphic int/float array loops.
+   targets, geometry constants and chunk layouts resolved at decode time.
+   The run loop is then [kernels.(pc) ()] over monomorphic int/float
+   array loops.  The fast engine is the one-chunk case of the sharded
+   engine's kernels.
 
    The invariant (enforced by test/test_engine.ml) is bit-identical
    observable behaviour with [run_reference]: same register, field and
@@ -959,9 +957,10 @@ let fget r p =
 (* Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
    hi <= nv where nv is the VP-set size, and decode only admits field
    arrays of exactly that length, so the unsafe accesses are in bounds
-   by construction.  The fast engine passes the whole range [0, nv);
-   the sharded engine passes one chunk per call, with disjoint chunks
-   covering [0, nv), so the union of the writes is identical. *)
+   by construction.  Each call covers one chunk of the VP set's layout
+   (the whole range [0, nv) on the fast engine); the chunks are disjoint
+   and cover [0, nv), so the union of the writes is the same at every
+   chunk count. *)
 
 let mov_int ctx lo hi (out : int array) r =
   if Context.all_active ctx then
@@ -1119,8 +1118,7 @@ let sel_float ctx lo hi (out : float array) rc ra rb =
         Array.unsafe_set out p (if sel_test rc p then fget ra p else fget rb p)
     done
 
-(* Ranged coordinate fill (Pcoord's loop body, shared with the sharded
-   engine). *)
+(* Ranged coordinate fill (Pcoord's loop body). *)
 let coord_loop ctx lo hi (out : int array) ~stride ~extent =
   if Context.all_active ctx then
     for p = lo to hi - 1 do
@@ -1205,9 +1203,52 @@ let kpfield m f =
   let vp = field_vpset m f in
   (vp, Geometry.size m.prog.geoms.(vp), m.contexts.(vp), field_data m f)
 
-let decode m code_len instr : unit -> unit =
+(* VP sets at least this large fan their chunks out to the worker team;
+   smaller sets run the same chunks inline on the main domain.  Either
+   way the chunk layout alone determines the results (see Shard), so the
+   threshold is a pure scheduling knob. *)
+let shard_fanout_threshold = 2048
+
+(* Int reductions whose (operator, identity) pair is an exact monoid on
+   OCaml ints: per-chunk partial folds combined in ascending chunk order
+   reproduce the serial left fold bit-for-bit (63-bit wraparound
+   arithmetic is exactly associative; min/max are idempotent, so the
+   extra per-chunk identity seeds are absorbed; land/lor collapse to the
+   same all/any-nonzero answer under any bracketing).  Floats are NOT
+   here: float addition is not associative, so float reductions stay
+   whole-range. *)
+let int_reduce_exact = function
+  | Add | Mul | Min | Max | Band | Bor | Bxor | Land | Lor -> true
+  | _ -> false
+
+(* Decode one instruction into its kernel.  [layouts.(vp)] splits VP set
+   [vp]'s element range into contiguous chunks (see Shard.layout): one
+   chunk for the fast engine and native's fallback kernels, [n] for
+   [`Sharded n].  Elementwise kernels resolve operands and take their
+   checks, charges and faults on the main domain in the reference's
+   order, then run the write loop once per chunk, fanned out to the
+   machine's worker team when the set is large enough; NEWS shifts
+   between distinct fields write per-chunk destination segments, and
+   exact int reductions fold per chunk and combine in ascending chunk
+   order.  Everything order-sensitive (faultable int operators, router
+   traffic, scans, the random stream, float and [Any] reductions,
+   in-place NEWS, kind and axis errors) is one whole-range kernel on the
+   main domain, between fan-outs — the barrier the CM's global ops
+   imply. *)
+let decode m layouts code_len instr : unit -> unit =
   let meter = m.meter in
   let check_cur vp what f = kcheck_cur m vp what f in
+  let chunked vp nv =
+    let layout = layouts.(vp) in
+    let nch = Array.length layout in
+    let fan_out = nv >= shard_fanout_threshold in
+    let run body =
+      if fan_out then Shard.run m.steam nch body
+      else for c = 0 to nch - 1 do body c done
+    in
+    (layout, run)
+  in
+  let whole nv = ([| (0, nv) |], fun body -> body 0) in
   let pfield f = kpfield m f in
   let dec_fe op =
     match op with
@@ -1322,21 +1363,29 @@ let decode m code_len instr : unit -> unit =
         end
   | Pmov (dst, a) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let layout, run = chunked vp nv in
       match fd with
       | FInt out ->
           let ga = dec_int m vp a in
           fun () ->
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
-            mov_int ctx 0 nv out (ga ())
+            let r = ga () in
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                mov_int ctx lo hi out r)
       | FFloat out ->
           let ga = dec_float m vp a in
           fun () ->
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
-            mov_float ctx 0 nv out (ga ()))
+            let r = ga () in
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                mov_float ctx lo hi out r))
   | Pbin (op, dst, a, b) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let layout, run = chunked vp nv in
       match fd with
       | FFloat out ->
           let lop = lazy (float_binop op) in
@@ -1347,7 +1396,9 @@ let decode m code_len instr : unit -> unit =
             let f = Lazy.force lop in
             let ra = ga () in
             let rb = gb () in
-            bin_float ctx 0 nv out f ra rb
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                bin_float ctx lo hi out f ra rb)
       | FInt out ->
           if is_cmp op then begin
             (* float compare if either operand is float-kinded; decided
@@ -1368,33 +1419,48 @@ let decode m code_len instr : unit -> unit =
               if floatness () then begin
                 let ra = fa () in
                 let rb = fb () in
-                cmp_float ctx 0 nv out cmp ra rb
+                run (fun c ->
+                    let lo, hi = layout.(c) in
+                    cmp_float ctx lo hi out cmp ra rb)
               end
               else begin
                 let ra = ia () in
                 let rb = ib () in
-                bin_int ctx 0 nv out iop ra rb
+                run (fun c ->
+                    let lo, hi = layout.(c) in
+                    bin_int ctx lo hi out iop ra rb)
               end
           end
           else
             let lop = lazy (int_binop op) in
             let ia = dec_int m vp a and ib = dec_int m vp b in
+            (* a faulting element must leave exactly the writes before it,
+               which only one ascending whole-range sweep reproduces *)
+            let layout, run =
+              if int_op_total op b then (layout, run) else whole nv
+            in
             fun () ->
               check_cur vp "pbin" dst;
               Cost.charge_pe meter ~size:nv;
               let f = Lazy.force lop in
               let ra = ia () in
               let rb = ib () in
-              bin_int ctx 0 nv out f ra rb)
+              run (fun c ->
+                  let lo, hi = layout.(c) in
+                  bin_int ctx lo hi out f ra rb))
   | Punop (op, dst, a) -> (
       let vp, nv, ctx, fd = pfield dst in
+      let layout, run = chunked vp nv in
       match fd, op with
       | FInt out, ToInt ->
           let ga = dec_float m vp a in
           fun () ->
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
-            toint_loop ctx 0 nv out (ga ())
+            let r = ga () in
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                toint_loop ctx lo hi out r)
       | FInt out, _ ->
           let ga = dec_int m vp a in
           let lop =
@@ -1413,7 +1479,9 @@ let decode m code_len instr : unit -> unit =
             (* reference order: operand first, then the operator check *)
             let ra = ga () in
             let f = Lazy.force lop in
-            un_int ctx 0 nv out f ra
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                un_int ctx lo hi out f ra)
       | FFloat out, _ ->
           let ga = dec_float m vp a in
           let lop =
@@ -1429,20 +1497,25 @@ let decode m code_len instr : unit -> unit =
             Cost.charge_pe meter ~size:nv;
             let ra = ga () in
             let f = Lazy.force lop in
-            un_float ctx 0 nv out f ra)
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                un_float ctx lo hi out f ra))
   | Pcoord (dst, axis) -> (
       let vp, nv, ctx, fd = pfield dst in
       let g = m.prog.geoms.(vp) in
       let axis_ok = axis >= 0 && axis < Geometry.rank g in
       let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
       let extent = if axis_ok then Geometry.dim g axis else 1 in
+      let layout, run = chunked vp nv in
       match fd with
       | FInt out ->
           fun () ->
             check_cur vp "pcoord" dst;
             if not axis_ok then error "pcoord: bad axis %d" axis;
             Cost.charge_pe meter ~size:nv;
-            coord_loop ctx 0 nv out ~stride ~extent
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                coord_loop ctx lo hi out ~stride ~extent)
       | FFloat _ ->
           fun () ->
             check_cur vp "pcoord" dst;
@@ -1492,9 +1565,10 @@ let decode m code_len instr : unit -> unit =
             let _ = to_int (gm ()) in
             Cost.charge_pe meter ~size:nv;
             error "prand into a float field")
-  | Psel (dst, c, a, b) -> (
+  | Psel (dst, cnd, a, b) -> (
       let vp, nv, ctx, fd = pfield dst in
-      let gc = dec_float m vp c in
+      let layout, run = chunked vp nv in
+      let gc = dec_float m vp cnd in
       match fd with
       | FInt out ->
           let ga = dec_int m vp a and gb = dec_int m vp b in
@@ -1504,7 +1578,9 @@ let decode m code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            sel_int ctx 0 nv out rc ra rb
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                sel_int ctx lo hi out rc ra rb)
       | FFloat out ->
           let ga = dec_float m vp a and gb = dec_float m vp b in
           fun () ->
@@ -1513,7 +1589,9 @@ let decode m code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            sel_float ctx 0 nv out rc ra rb)
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                sel_float ctx lo hi out rc ra rb))
   | Pget (dst, src, addr) ->
       let vp, nv, ctx, fd_dst = pfield dst in
       let fd_src = field_data m src in
@@ -1571,25 +1649,32 @@ let decode m code_len instr : unit -> unit =
       let vp_src = field_vpset m src in
       let fd_src = field_data m src in
       let g = m.prog.geoms.(vp) in
+      let axis_ok = axis >= 0 && axis < Geometry.rank g in
+      (* distinct field ids are distinct arrays, so per-chunk destination
+         writes never race with the shared reads; an in-place shift reads
+         what it writes, so it (like a bad axis, which raises) is one
+         whole-range call *)
+      let layout, run =
+        if dst = src || not axis_ok then whole nv else chunked vp nv
+      in
+      let shift s d =
+        if Context.all_active ctx then
+          run (fun c ->
+              let lo, hi = layout.(c) in
+              ignore (News.shift_sub g ~axis ~delta ~lo ~hi s d))
+        else
+          let mask = Context.active ctx in
+          run (fun c ->
+              let lo, hi = layout.(c) in
+              ignore (News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d))
+      in
       fun () ->
         check_cur vp "pnews" dst;
         check_cur vp_src "pnews" src;
         (try
            match fd_dst, fd_src with
-           | FInt d, FInt s ->
-               if Context.all_active ctx then
-                 ignore (News.shift g ~axis ~delta s d)
-               else
-                 ignore
-                   (News.shift_masked g ~axis ~delta
-                      ~mask:(Context.active ctx) s d)
-           | FFloat d, FFloat s ->
-               if Context.all_active ctx then
-                 ignore (News.shift g ~axis ~delta s d)
-               else
-                 ignore
-                   (News.shift_masked g ~axis ~delta
-                      ~mask:(Context.active ctx) s d)
+           | FInt d, FInt s -> shift s d
+           | FFloat d, FFloat s -> shift s d
            | _ -> error "pnews: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "pnews: %s" msg);
         Cost.charge_news meter ~size:nv
@@ -1613,22 +1698,43 @@ let decode m code_len instr : unit -> unit =
                (right-to-left application), so keep that fault order *)
             let lident = lazy (to_int (identity op KInt)) in
             let lop = lazy (int_binop op) in
+            (* an exact monoid folds per chunk; any other operator is one
+               whole-range left fold *)
+            let layout, run =
+              if int_reduce_exact op then chunked vp nv else whole nv
+            in
+            let nch = Array.length layout in
+            (* reused across executions; the join edge orders the worker
+               writes before the main-domain combine *)
+            let partials = Array.make nch 0 in
             fun () ->
               check_cur vp "preduce" fld;
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
               let f = Lazy.force lop in
-              let v =
-                if Context.all_active ctx then begin
-                  let acc = ref ident in
-                  for p = 0 to nv - 1 do
-                    acc := f !acc (Array.unsafe_get a p)
-                  done;
-                  !acc
-                end
-                else Scan.masked_reduce f ident (Context.active ctx) a
-              in
-              m.regs.(r) <- SInt v
+              (if Context.all_active ctx then
+                 run (fun c ->
+                     let lo, hi = layout.(c) in
+                     let acc = ref ident in
+                     for p = lo to hi - 1 do
+                       acc := f !acc (Array.unsafe_get a p)
+                     done;
+                     Array.unsafe_set partials c !acc)
+               else
+                 let mask = Context.active ctx in
+                 run (fun c ->
+                     let lo, hi = layout.(c) in
+                     let acc = ref ident in
+                     for p = lo to hi - 1 do
+                       if Array.unsafe_get mask p then
+                         acc := f !acc (Array.unsafe_get a p)
+                     done;
+                     Array.unsafe_set partials c !acc));
+              let acc = ref (Array.unsafe_get partials 0) in
+              for c = 1 to nch - 1 do
+                acc := f !acc (Array.unsafe_get partials c)
+              done;
+              m.regs.(r) <- SInt !acc
       | FFloat a ->
           if op = Any then
             fun () ->
@@ -1752,384 +1858,28 @@ let decode m code_len instr : unit -> unit =
         Context.reset (cur_ctx m)
   | Cread fld -> (
       let vp, nv, ctx, fd = pfield fld in
+      let layout, run = chunked vp nv in
       match fd with
       | FInt out ->
           fun () ->
             check_cur vp "cread" fld;
             Cost.charge_context meter ~size:nv;
-            cread_loop ctx 0 nv out
+            run (fun c ->
+                let lo, hi = layout.(c) in
+                cread_loop ctx lo hi out)
       | FFloat _ ->
           fun () ->
             check_cur vp "cread" fld;
             Cost.charge_context meter ~size:nv;
             error "cread into a float field")
 
+(* Decode the program once, for the chunk count the engine runs at; a
+   no-op on the reference engine, which has no kernels. *)
 let compile m =
-  match m.kernels with
-  | Some _ -> ()
-  | None ->
-      Obs.with_span m.obs "cm.decode" (fun () ->
-          let code = m.prog.code in
-          let n = Array.length code in
-          m.kernels <-
-            Some
-              (Array.init n (fun i ->
-                   (* a decode-time fault (e.g. an out-of-range field id in a
-                      malformed program) becomes a kernel that re-raises it
-                      when that instruction is reached *)
-                   try decode m n code.(i)
-                   with e -> fun () -> raise e)))
-
-let run_fast ?steps m =
-  compile m;
-  let kernels = match m.kernels with Some k -> k | None -> assert false in
-  let n = Array.length kernels in
-  let meter = m.meter in
-  let code = m.prog.code in
-  let budget = ref (match steps with None -> max_int | Some s -> s) in
-  while m.pc < n && !budget > 0 do
-    if m.fuel <= 0 then error "fuel exhausted (non-terminating program?)";
-    let i = m.pc in
-    inject m (Array.unsafe_get code i);
-    m.fuel <- m.fuel - 1;
-    m.icount <- m.icount + 1;
-    m.pc <- m.pc + 1;
-    decr budget;
-    let t0 = meter.Cost.elapsed_ns in
-    (Array.unsafe_get kernels i) ();
-    let dt = meter.Cost.elapsed_ns -. t0 in
-    if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
-  done
-
-(* ---- sharded engine: SPMD execution of the pre-decoded stream ---- *)
-
-(* VP sets at least this large fan their chunks out to the worker team;
-   smaller sets run the same chunks inline on the main domain.  Either
-   way the chunk layout alone determines the results (see Shard), so the
-   threshold is a pure scheduling knob. *)
-let shard_fanout_threshold = 2048
-
-(* Whether an int Pbin can fault mid-loop.  The reference semantics
-   leave the partial writes of every element before the faulting one in
-   place, which only a serial ascending sweep reproduces — so division,
-   modulo and shifts stay serial unless the right operand is an
-   immediate that provably never faults. *)
-let int_op_total op b =
-  match op with
-  | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor | Bxor | Eq | Ne
-  | Lt | Le | Gt | Ge ->
-      true
-  | Div | Mod -> ( match b with Imm (SInt k) -> k <> 0 | _ -> false)
-  | Shl | Shr -> (
-      match b with
-      | Imm (SInt k) -> k >= 0 && k < Sys.int_size
-      | _ -> false)
-  | Any -> false
-
-(* Int reductions whose (operator, identity) pair is an exact monoid on
-   OCaml ints: per-chunk partial folds combined in ascending chunk order
-   reproduce the serial left fold bit-for-bit (63-bit wraparound
-   arithmetic is exactly associative; min/max are idempotent, so the
-   extra per-chunk identity seeds are absorbed; land/lor collapse to the
-   same all/any-nonzero answer under any bracketing).  Floats are NOT
-   here: float addition is not associative, so float reductions stay
-   serial. *)
-let int_reduce_exact = function
-  | Add | Mul | Min | Max | Band | Bor | Bxor | Land | Lor -> true
-  | _ -> false
-
-(* Decode one instruction for the sharded engine.  Local (elementwise)
-   kernels resolve operands and take their checks, charges and faults on
-   the main domain in exactly the fast engine's order, then fan the
-   write loop out over the VP set's chunks; edge kernels (NEWS) fan out
-   per-chunk destination segments; everything order-sensitive falls back
-   to the fast engine's serial kernel ([decode]), executed wholly on the
-   main domain between fan-outs — the barrier the CM's global ops imply. *)
-let decode_sharded m layouts code_len instr : unit -> unit =
-  let meter = m.meter in
-  let serial () = decode m code_len instr in
-  let chunked vp nv =
-    let layout = layouts.(vp) in
-    let nch = Array.length layout in
-    let fan_out = nv >= shard_fanout_threshold in
-    let run body =
-      if fan_out then Shard.run m.steam nch body
-      else for c = 0 to nch - 1 do body c done
-    in
-    (layout, nch, run)
-  in
-  match instr with
-  | Pmov (dst, a) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          let ga = dec_int m vp a in
-          fun () ->
-            kcheck_cur m vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_int ctx lo hi out r)
-      | FFloat out ->
-          let ga = dec_float m vp a in
-          fun () ->
-            kcheck_cur m vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_float ctx lo hi out r))
-  | Pbin (op, dst, a, b) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FFloat out ->
-          let lop = lazy (float_binop op) in
-          let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            kcheck_cur m vp "pbin" dst;
-            Cost.charge_pe meter ~size:nv;
-            let f = Lazy.force lop in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                bin_float ctx lo hi out f ra rb)
-      | FInt out ->
-          if is_cmp op then begin
-            let cmp = float_cmp op in
-            let iop = int_binop op in
-            let fa = dec_float m vp a and fb = dec_float m vp b in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            let floatness =
-              match static_is_float m a, static_is_float m b with
-              | Some true, _ | _, Some true -> fun () -> true
-              | Some false, Some false -> fun () -> false
-              | _ -> fun () -> operand_is_float m a || operand_is_float m b
-            in
-            fun () ->
-              kcheck_cur m vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
-              if floatness () then begin
-                let ra = fa () in
-                let rb = fb () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    cmp_float ctx lo hi out cmp ra rb)
-              end
-              else begin
-                let ra = ia () in
-                let rb = ib () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    bin_int ctx lo hi out iop ra rb)
-              end
-          end
-          else if int_op_total op b then
-            let lop = lazy (int_binop op) in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            fun () ->
-              kcheck_cur m vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
-              let f = Lazy.force lop in
-              let ra = ia () in
-              let rb = ib () in
-              run (fun c ->
-                  let lo, hi = layout.(c) in
-                  bin_int ctx lo hi out f ra rb)
-          else serial ())
-  | Punop (op, dst, a) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      match fd, op with
-      | FInt out, ToInt ->
-          let ga = dec_float m vp a in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                toint_loop ctx lo hi out r)
-      | FInt out, _ ->
-          let ga = dec_int m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> fun x -> -x
-              | Lnot -> fun x -> if x = 0 then 1 else 0
-              | Bnot -> lnot
-              | Abs -> abs
-              | ToInt -> assert false
-              | ToFloat -> error "tofloat into an int field")
-          in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_int ctx lo hi out f ra)
-      | FFloat out, _ ->
-          let ga = dec_float m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> ( ~-. )
-              | Abs -> Float.abs
-              | ToFloat -> fun x -> x
-              | Lnot | Bnot | ToInt -> error "integer unop into a float field")
-          in
-          fun () ->
-            kcheck_cur m vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_float ctx lo hi out f ra))
-  | Pcoord (dst, axis) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let g = m.prog.geoms.(vp) in
-      let axis_ok = axis >= 0 && axis < Geometry.rank g in
-      let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
-      let extent = if axis_ok then Geometry.dim g axis else 1 in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            kcheck_cur m vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                coord_loop ctx lo hi out ~stride ~extent)
-      | FFloat _ -> serial ())
-  | Psel (dst, cnd, a, b) -> (
-      let vp, nv, ctx, fd = kpfield m dst in
-      let layout, _, run = chunked vp nv in
-      let gc = dec_float m vp cnd in
-      match fd with
-      | FInt out ->
-          let ga = dec_int m vp a and gb = dec_int m vp b in
-          fun () ->
-            kcheck_cur m vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_int ctx lo hi out rc ra rb)
-      | FFloat out ->
-          let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            kcheck_cur m vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_float ctx lo hi out rc ra rb))
-  | Pnews (dst, src, axis, delta) when dst <> src -> (
-      let vp, nv, ctx, fd_dst = kpfield m dst in
-      let vp_src = field_vpset m src in
-      let fd_src = field_data m src in
-      let g = m.prog.geoms.(vp) in
-      let axis_ok = axis >= 0 && axis < Geometry.rank g in
-      let layout, _, run = chunked vp nv in
-      let kinds_ok =
-        match fd_dst, fd_src with
-        | FInt _, FInt _ | FFloat _, FFloat _ -> true
-        | _ -> false
-      in
-      if vp_src = vp && axis_ok && kinds_ok then
-        fun () ->
-          kcheck_cur m vp "pnews" dst;
-          kcheck_cur m vp "pnews" src;
-          (* distinct field ids are distinct arrays, so per-chunk
-             destination writes never race with the shared reads *)
-          (if Context.all_active ctx then
-             run (fun c ->
-                 let lo, hi = layout.(c) in
-                 match fd_dst, fd_src with
-                 | FInt d, FInt s -> News.shift_sub g ~axis ~delta ~lo ~hi s d
-                 | FFloat d, FFloat s ->
-                     News.shift_sub g ~axis ~delta ~lo ~hi s d
-                 | _ -> assert false)
-           else
-             let mask = Context.active ctx in
-             run (fun c ->
-                 let lo, hi = layout.(c) in
-                 match fd_dst, fd_src with
-                 | FInt d, FInt s ->
-                     News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d
-                 | FFloat d, FFloat s ->
-                     News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d
-                 | _ -> assert false));
-          Cost.charge_news meter ~size:nv
-      else serial ())
-  | Preduce (op, r, fld) when int_reduce_exact op -> (
-      let vp, nv, ctx, fd = kpfield m fld in
-      match fd with
-      | FInt a ->
-          let layout, nch, run = chunked vp nv in
-          let lident = lazy (to_int (identity op KInt)) in
-          let lop = lazy (int_binop op) in
-          (* reused across executions; the join edge orders the worker
-             writes before the main-domain combine *)
-          let partials = Array.make nch 0 in
-          fun () ->
-            kcheck_cur m vp "preduce" fld;
-            Cost.charge_reduce meter ~size:nv;
-            let ident = Lazy.force lident in
-            let f = Lazy.force lop in
-            (if Context.all_active ctx then
-               run (fun c ->
-                   let lo, hi = layout.(c) in
-                   let acc = ref ident in
-                   for p = lo to hi - 1 do
-                     acc := f !acc (Array.unsafe_get a p)
-                   done;
-                   Array.unsafe_set partials c !acc)
-             else
-               let mask = Context.active ctx in
-               run (fun c ->
-                   let lo, hi = layout.(c) in
-                   let acc = ref ident in
-                   for p = lo to hi - 1 do
-                     if Array.unsafe_get mask p then
-                       acc := f !acc (Array.unsafe_get a p)
-                   done;
-                   Array.unsafe_set partials c !acc));
-            let acc = ref ident in
-            for c = 0 to nch - 1 do
-              acc := f !acc (Array.unsafe_get partials c)
-            done;
-            m.regs.(r) <- SInt !acc
-      | FFloat _ -> serial ())
-  | Cread fld -> (
-      let vp, nv, ctx, fd = kpfield m fld in
-      let layout, _, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            kcheck_cur m vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                cread_loop ctx lo hi out)
-      | FFloat _ -> serial ())
-  | _ -> serial ()
-
-let compile_sharded m shards =
-  match m.skernels with
-  | Some _ -> ()
-  | None ->
+  match m.engine, m.kernels with
+  | `Reference, _ | _, Some _ -> ()
+  | _, None ->
+      let shards = match m.engine with `Sharded s -> s | _ -> 1 in
       Obs.with_span m.obs "cm.decode" (fun () ->
           let code = m.prog.code in
           let n = Array.length code in
@@ -2138,14 +1888,20 @@ let compile_sharded m shards =
               (fun g -> Shard.layout ~shards (Geometry.size g))
               m.prog.geoms
           in
-          m.skernels <-
+          m.kernels <-
             Some
               (Array.init n (fun i ->
-                   try decode_sharded m layouts n code.(i)
+                   (* a decode-time fault (e.g. an out-of-range field id in a
+                      malformed program) becomes a kernel that re-raises it
+                      when that instruction is reached *)
+                   try decode m layouts n code.(i)
                    with e -> fun () -> raise e)))
 
-let run_sharded ?steps m =
-  let kernels = match m.skernels with Some k -> k | None -> assert false in
+(* The dispatch loop of the fast and sharded engines and of native's
+   fallback path. *)
+let run_kernels ?steps m =
+  compile m;
+  let kernels = match m.kernels with Some k -> k | None -> assert false in
   let n = Array.length kernels in
   let meter = m.meter in
   let code = m.prog.code in
@@ -2209,8 +1965,9 @@ let effective_engine m =
   | e -> e
 
 let run_native ?steps m entry =
-  (* the fast kernels back every instruction the generated code does not
-     open-code, and bottle up decode-time errors exactly like run_fast *)
+  (* the one-chunk kernels back every instruction the generated code
+     does not open-code, and bottle up decode-time errors exactly like
+     run_kernels *)
   compile m;
   let kernels = match m.kernels with Some k -> k | None -> assert false in
   let ctx =
@@ -2272,22 +2029,21 @@ let run_native ?steps m entry =
 let exec ?steps m =
   match m.engine with
   | `Reference -> run_reference ?steps m
-  | `Fast -> run_fast ?steps m
+  | `Fast -> run_kernels ?steps m
   | `Native -> (
       match compile_native m with
       | Ok () -> (
           match m.native with
           | NReady e -> run_native ?steps m e
           | NUnknown | NFallback _ -> assert false)
-      | Error _ -> run_fast ?steps m)
+      | Error _ -> run_kernels ?steps m)
   | `Sharded shards ->
-      compile_sharded m shards;
       m.steam <- Shard.Pool.borrow ~want:(shards - 1) ();
       Fun.protect
         ~finally:(fun () ->
           Shard.Pool.release m.steam;
           m.steam <- None)
-        (fun () -> run_sharded ?steps m)
+        (fun () -> run_kernels ?steps m)
 
 let run m = exec m
 
@@ -2478,7 +2234,6 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     region_name = ck.ck_region;
     regions;
     kernels = None;
-    skernels = None;
     native = NUnknown;
     steam = None;
     icount = ck.ck_icount;

@@ -8,28 +8,27 @@
 
     Four engines execute the same program:
 
-    - [`Fast] (the default) pre-decodes the program once ({!compile})
-      into an array of specialized instruction kernels — operand shapes,
-      field kinds, VP-set checks, label targets and geometry constants
-      resolved at decode time — and runs monomorphic int/float array
-      loops, with branch-free fast paths when the activity context is
-      fully active.
-    - [`Sharded n] partitions each VP set's element range into [n]
-      contiguous chunks and executes the fast engine's kernels SPMD
-      across a team of worker domains (see {!Shard}): elementwise
-      kernels fan out with zero synchronization, NEWS shifts exchange
-      only per-chunk destination segments, and everything
-      order-sensitive (router traffic, scans, float reductions, the
-      random stream, faults) runs serially on the main domain between
-      fan-outs.  Results depend only on the logical chunk count, never
-      on how many worker domains happen to be available.
+    - [`Sharded n] pre-decodes the program once ({!compile}) into an
+      array of specialized instruction kernels — operand shapes, field
+      kinds, VP-set checks, label targets, geometry constants and a
+      partition of each VP set's element range into [n] contiguous
+      chunks resolved at decode time.  Elementwise kernels run
+      monomorphic int/float loops once per chunk, fanned out across a
+      team of worker domains (see {!Shard}); NEWS shifts write per-chunk
+      destination segments; everything order-sensitive (router traffic,
+      scans, float reductions, the random stream, faults) is one
+      whole-range kernel on the main domain between fan-outs.  Results
+      depend only on the logical chunk count, never on how many worker
+      domains happen to be available.
+    - [`Fast] (the default) runs the same kernels with one chunk per VP
+      set, on the main domain.
     - [`Native] compiles the program further: {!Codegen} emits a
       self-contained OCaml module from the IR — monomorphic loops over
       the field arrays, activity checks specialized per instruction,
       labels a tail-call state machine, constants baked in — builds it
       with [ocamlfind ocamlopt -shared] and [Dynlink]s the [.cmxs]
       (content-addressed-cached, see {!Codegen.key}).  Can-fault and
-      order-sensitive instructions call back into the fast engine's
+      order-sensitive instructions call back into the one-chunk
       kernels.  If native compilation is unavailable for any reason
       (bytecode host, no toolchain, build or Dynlink failure, fault
       injection requested), the machine warns once on stderr and runs
@@ -83,9 +82,10 @@ val create :
 val program : t -> Paris.program
 val engine : t -> engine
 
-(** Pre-decode the program into instruction kernels (a no-op if already
-    compiled, or for the reference engine — [`Fast] {!run} compiles on
-    first use; calling [compile] beforehand just front-loads the work). *)
+(** Pre-decode the program into the instruction kernels {!run} executes,
+    at the engine's chunk count (a no-op if already compiled, or for the
+    reference engine — {!run} compiles on first use; calling [compile]
+    beforehand just front-loads the work). *)
 val compile : t -> unit
 
 (** Attempt native compilation for this machine (a no-op unless it is

@@ -14,76 +14,21 @@ let check g ~axis src dst =
 let bounds ~delta ~extent =
   (max 0 (-delta), min (extent - 1) (extent - 1 - delta))
 
-let shift g ~axis ~delta src dst =
-  check g ~axis src dst;
-  let stride = (Geometry.strides g).(axis) in
-  let extent = Geometry.dim g axis in
-  let total = Geometry.size g in
-  let lo_c, hi_c = bounds ~delta ~extent in
-  if lo_c > hi_c then 0
-  else begin
-    let block = stride * extent in
-    let off = delta * stride in
-    let seg = (hi_c - lo_c + 1) * stride in
-    let nblocks = total / block in
-    if src != dst || delta >= 0 then
-      (* Array.blit has copy (memmove) semantics; the ascending
-         reference loop shares them whenever it never reads a position
-         it already overwrote, i.e. for distinct arrays or a
-         non-negative delta. *)
-      for b = 0 to nblocks - 1 do
-        let start = (b * block) + (lo_c * stride) in
-        Array.blit src (start + off) dst start seg
-      done
-    else
-      (* src == dst with delta < 0: the reference loop reads positions
-         it has already written; keep its exact ascending order. *)
-      for b = 0 to nblocks - 1 do
-        let start = (b * block) + (lo_c * stride) in
-        for p = start to start + seg - 1 do
-          dst.(p) <- src.(p + off)
-        done
-      done;
-    nblocks * seg
-  end
-
-let shift_masked g ~axis ~delta ~mask src dst =
-  if Array.length mask <> Geometry.size g then
-    invalid_arg "News.shift_masked: mask size mismatch";
-  check g ~axis src dst;
-  let stride = (Geometry.strides g).(axis) in
-  let extent = Geometry.dim g axis in
-  let total = Geometry.size g in
-  let lo_c, hi_c = bounds ~delta ~extent in
-  if lo_c > hi_c then 0
-  else begin
-    let block = stride * extent in
-    let off = delta * stride in
-    let seg = (hi_c - lo_c + 1) * stride in
-    let updated = ref 0 in
-    for b = 0 to (total / block) - 1 do
-      let start = (b * block) + (lo_c * stride) in
-      for p = start to start + seg - 1 do
-        if mask.(p) then begin
-          dst.(p) <- src.(p + off);
-          incr updated
-        end
-      done
-    done;
-    !updated
-  end
-
-(* Range-restricted variants for the sharded engine: write only the
-   destination positions in [lo, hi).  The caller guarantees [src] and
-   [dst] are distinct arrays (the in-place descending case stays on the
-   serial path), so per-chunk writes are disjoint and blit copy
-   semantics are safe at any delta. *)
+(* Both shifts write only the destination positions in [lo, hi) and
+   return how many they wrote; the whole-grid shifts below are the
+   [0, total) case.  Per-chunk calls on distinct arrays write disjoint
+   ranges, so they may run concurrently.  In place ([src == dst]) the
+   ascending reference loop reads positions it already overwrote when
+   [delta < 0], so that case keeps its exact element order; in-place
+   calls must therefore run in ascending range order, never
+   concurrently. *)
 
 let shift_sub g ~axis ~delta ~lo ~hi src dst =
   check g ~axis src dst;
   let stride = (Geometry.strides g).(axis) in
   let extent = Geometry.dim g axis in
   let lo_c, hi_c = bounds ~delta ~extent in
+  let updated = ref 0 in
   if lo_c <= hi_c && lo < hi then begin
     let block = stride * extent in
     let off = delta * stride in
@@ -91,9 +36,21 @@ let shift_sub g ~axis ~delta ~lo ~hi src dst =
     for b = lo / block to (hi - 1) / block do
       let start = (b * block) + (lo_c * stride) in
       let s = max start lo and e = min (start + seg) hi in
-      if s < e then Array.blit src (s + off) dst s (e - s)
+      if s < e then begin
+        (* Array.blit has copy (memmove) semantics, which the ascending
+           loop shares whenever it never reads a position it already
+           overwrote *)
+        if src != dst || delta >= 0 then
+          Array.blit src (s + off) dst s (e - s)
+        else
+          for p = s to e - 1 do
+            dst.(p) <- src.(p + off)
+          done;
+        updated := !updated + (e - s)
+      end
     done
-  end
+  end;
+  !updated
 
 let shift_masked_sub g ~axis ~delta ~mask ~lo ~hi src dst =
   if Array.length mask <> Geometry.size g then
@@ -102,6 +59,7 @@ let shift_masked_sub g ~axis ~delta ~mask ~lo ~hi src dst =
   let stride = (Geometry.strides g).(axis) in
   let extent = Geometry.dim g axis in
   let lo_c, hi_c = bounds ~delta ~extent in
+  let updated = ref 0 in
   if lo_c <= hi_c && lo < hi then begin
     let block = stride * extent in
     let off = delta * stride in
@@ -110,7 +68,17 @@ let shift_masked_sub g ~axis ~delta ~mask ~lo ~hi src dst =
       let start = (b * block) + (lo_c * stride) in
       let s = max start lo and e = min (start + seg) hi in
       for p = s to e - 1 do
-        if mask.(p) then dst.(p) <- src.(p + off)
+        if mask.(p) then begin
+          dst.(p) <- src.(p + off);
+          incr updated
+        end
       done
     done
-  end
+  end;
+  !updated
+
+let shift g ~axis ~delta src dst =
+  shift_sub g ~axis ~delta ~lo:0 ~hi:(Geometry.size g) src dst
+
+let shift_masked g ~axis ~delta ~mask src dst =
+  shift_masked_sub g ~axis ~delta ~mask ~lo:0 ~hi:(Geometry.size g) src dst

@@ -27,8 +27,10 @@ val shift_masked :
   int
 
 (** [shift_sub] is {!shift} restricted to destination positions in
-    [\[lo, hi)], for the sharded engine's per-chunk execution.  [src]
-    and [dst] must be distinct arrays. *)
+    [\[lo, hi)]; {!shift} is its [\[0, size)] case.  Calls over disjoint
+    ranges of distinct arrays may run concurrently.  With [src == dst]
+    the ranges must run one after another in ascending order, which
+    reproduces the whole-grid in-place shift. *)
 val shift_sub :
   Geometry.t ->
   axis:int ->
@@ -37,10 +39,10 @@ val shift_sub :
   hi:int ->
   'a array ->
   'a array ->
-  unit
+  int
 
 (** [shift_masked_sub] is {!shift_masked} restricted to destination
-    positions in [\[lo, hi)].  [src] and [dst] must be distinct. *)
+    positions in [\[lo, hi)], under the same rules as {!shift_sub}. *)
 val shift_masked_sub :
   Geometry.t ->
   axis:int ->
@@ -50,4 +52,4 @@ val shift_masked_sub :
   hi:int ->
   'a array ->
   'a array ->
-  unit
+  int

@@ -82,6 +82,20 @@ let identity op kind =
   | Any, KFloat -> SFloat infinity
   | _ -> invalid_arg "Paris.identity: operator is not reducible at this kind"
 
+let is_cmp = function Eq | Ne | Lt | Le | Gt | Ge -> true | _ -> false
+
+let int_op_total op b =
+  match op with
+  | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor | Bxor | Eq | Ne
+  | Lt | Le | Gt | Ge ->
+      true
+  | Div | Mod -> ( match b with Imm (SInt k) -> k <> 0 | _ -> false)
+  | Shl | Shr -> (
+      match b with
+      | Imm (SInt k) -> k >= 0 && k < Sys.int_size
+      | _ -> false)
+  | Any -> false
+
 let binop_name = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Div -> "div" | Mod -> "mod"
   | Min -> "min" | Max -> "max"

@@ -98,6 +98,14 @@ val identity : binop -> kind -> scalar
 (** The UC predefined constant INF, as an int (floats use [infinity]). *)
 val inf_int : int
 
+(** Whether the operator is a comparison (result 0 or 1). *)
+val is_cmp : binop -> bool
+
+(** [int_op_total op b]: whether an int [op] with right operand [b] can
+    never fault.  Division, modulo and shifts are total only when [b] is
+    an immediate that provably never faults; [Any] never is. *)
+val int_op_total : binop -> operand -> bool
+
 val binop_name : binop -> string
 val pp_binop : Format.formatter -> binop -> unit
 val pp_instr : Format.formatter -> instr -> unit

@@ -899,16 +899,31 @@ let test_shift_range () =
         (Cm.Machine.field_ints m 0))
     [ `Fast; `Reference; `Sharded 3 ]
 
-(* Pre-compiling is idempotent and does not perturb results. *)
+(* Pre-compiling is idempotent, does not perturb results, and decodes
+   exactly the kernels the engine runs: once on every decoding engine
+   (native's fallback kernels included), never on the reference. *)
 let test_compile_idempotent () =
   let prog = shift_prog Shl 2 in
-  let m = Cm.Machine.create ~engine:`Fast prog in
-  Alcotest.check Alcotest.bool "engine" true (Cm.Machine.engine m = `Fast);
-  Cm.Machine.compile m;
-  Cm.Machine.compile m;
-  Cm.Machine.run m;
-  Alcotest.(check (array int)) "result" [| 16; 16; 16; 16 |]
-    (Cm.Machine.field_ints m 0)
+  List.iter
+    (fun (engine, decodes) ->
+      let name = Ucd.Job.engine_string engine in
+      let obs = Obs.create () in
+      let m = Cm.Machine.create ~engine ~obs prog in
+      Alcotest.check Alcotest.bool (name ^ ": engine") true
+        (Cm.Machine.engine m = engine);
+      Cm.Machine.compile m;
+      Cm.Machine.compile m;
+      Cm.Machine.run m;
+      Alcotest.(check (array int)) (name ^ ": result") [| 16; 16; 16; 16 |]
+        (Cm.Machine.field_ints m 0);
+      let spans =
+        List.length
+          (List.filter
+             (fun (e : Obs.event) -> e.name = "cm.decode" && e.phase = Obs.Begin)
+             (Obs.events obs))
+      in
+      Alcotest.(check int) (name ^ ": cm.decode spans") decodes spans)
+    [ (`Fast, 1); (`Sharded 3, 1); (`Native, 1); (`Reference, 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Sharded engine specifics                                           *)
