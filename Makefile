@@ -77,7 +77,9 @@ ci-tune: build
 
 # Serve gate: boot the daemon, push the whole corpus from two
 # concurrent clients, require their rows bit-identical to `ucc batch`,
-# shed load through a typed `overloaded` rejection, and drain cleanly;
+# repeat under six non-default knob settings (`ucc submit` flags vs
+# `ucc batch` manifest columns, byte-identical rows), shed load through
+# a typed `overloaded` rejection, and drain cleanly;
 # the timeout bounds the gate, so a hang is a failure, not a wait.
 ci-serve: build
 	timeout 300 bash test/ci_serve.sh

@@ -877,7 +877,7 @@ let s1_serve () =
                      ~name:(Printf.sprintf "slow%d" k)
                      ~source:(Ucd.Proto.Inline slow_source))
                   with
-                  Ucd.Proto.deadline = Some 0.25;
+                  Ucd.Proto.spec = [ ("deadline", Ucd.Jsonu.Float 0.25) ];
                   (* distinct digests: identical content would dedup
                      onto the first job in flight instead of queueing *)
                   Ucd.Proto.seed = Some k;

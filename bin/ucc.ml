@@ -51,70 +51,71 @@ let with_source path f =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"UC source file")
 
-let seed_arg =
-  Arg.(value & opt int 12345 & info [ "seed" ] ~docv:"N" ~doc:"Seed for rand()")
+(* ---- job knobs (Ucd.Job.knobs) ---- *)
 
-let options_args =
-  let no_news =
-    Arg.(value & flag & info [ "no-news" ] ~doc:"Disable the NEWS-grid optimization")
+let knob key = Option.get (Ucd.Job.find key)
+let blank_job = Ucd.Job.make ~name:"" ~source:"" ()
+
+let value_text = function Ucd.Jsonu.Str s -> s | v -> Ucd.Jsonu.to_string v
+
+(* Command-line flags for [knobs], folded from the table: --KEY for a
+   flag knob, --KEY VALUE (parsed by its kind) for the rest, plus each
+   knob's alias flag.  The term's value is the spec of the flags given;
+   resolving it checks the values. *)
+let spec_term knobs =
+  (* --SWITCH binds [key] to [v] *)
+  let switch sw key v doc =
+    Term.(
+      const (fun on -> if on then [ (key, v) ] else [])
+      $ Arg.(value & flag & info [ sw ] ~doc))
   in
-  let no_procopt =
-    Arg.(value & flag & info [ "no-procopt" ] ~doc:"Disable the processor optimization")
-  in
-  let no_maps =
-    Arg.(value & flag & info [ "no-mappings" ] ~doc:"Ignore map sections")
-  in
-  let no_cse =
-    Arg.(value & flag & info [ "no-cse" ] ~doc:"Disable common sub-expression elimination")
-  in
-  let iropt_conv =
-    let parse s =
-      match Cm.Iropt.config_of_string s with
-      | Ok c -> Ok c
-      | Error msg -> Error (`Msg msg)
+  let args (k : Ucd.Job.knob) =
+    let main =
+      if k.kind = Ucd.Job.Flag then switch k.key k.key (Ucd.Jsonu.Bool true) k.doc
+      else
+        let parse =
+          Arg.conv'
+            ( Ucd.Job.value_of_string k,
+              fun ppf v -> Format.pp_print_string ppf (value_text v) )
+        in
+        Term.(
+          const (Option.fold ~none:[] ~some:(fun v -> [ (k.key, v) ]))
+          $ Arg.(
+              value
+              & opt (some parse) None
+              & info [ k.key ] ~docv:k.docv ~doc:k.doc
+                  ?absent:(Option.map value_text k.default)))
     in
-    let print fmt c = Format.pp_print_string fmt (Cm.Iropt.config_summary c) in
-    Arg.conv (parse, print)
+    main :: List.map (fun (a, v, doc) -> switch a k.key v doc) (Option.to_list k.alias)
   in
-  let ir_opt =
-    Arg.(
-      value
-      & opt iropt_conv Cm.Iropt.default
-      & info [ "ir-opt" ] ~docv:"PASSES"
-          ~doc:
-            "Paris-IR optimizer passes: $(b,on)/$(b,off) or a \
-             comma-separated subset of \
-             $(b,constprop),$(b,dce),$(b,peephole),$(b,getsend)")
-  in
-  let no_ir_opt =
-    Arg.(
-      value & flag
-      & info [ "no-ir-opt" ]
-          ~doc:"Disable the Paris-IR optimizer (same as --ir-opt off)")
-  in
-  let combine no_news no_procopt no_maps no_cse ir_opt no_ir_opt =
-    {
-      Uc.Codegen.news_opt = not no_news;
-      procopt = not no_procopt;
-      use_mappings = not no_maps;
-      cse = not no_cse;
-      ir_opt = (if no_ir_opt then Cm.Iropt.off else ir_opt);
-    }
-  in
-  Term.(
-    const combine $ no_news $ no_procopt $ no_maps $ no_cse $ ir_opt
-    $ no_ir_opt)
+  List.fold_left
+    (fun acc t -> Term.(const ( @ ) $ acc $ t))
+    (Term.const []) (List.concat_map args knobs)
+
+(* the codegen knobs (those with a word in the options stamp), plus [keys] *)
+let codegen_and keys =
+  List.filter
+    (fun (k : Ucd.Job.knob) -> k.label <> None || List.mem k.key keys)
+    Ucd.Job.knobs
+
+(* a spec that does not resolve is a one-line rejection, exit 1 *)
+let with_job spec k =
+  match Ucd.Job.apply spec blank_job with
+  | Ok job -> k job
+  | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      1
+
+(* `--retries N` is also the retry policy of `ucc batch`; N = 0 (the
+   default) leaves each job on the policy instead of pinning it *)
+let cli_retries spec =
+  match Ucd.Job.lookup "retries" spec with
+  | Some (Ucd.Jsonu.Int 0) -> (0, List.remove_assoc "retries" spec)
+  | Some (Ucd.Jsonu.Int n) -> (n, spec)
+  | _ -> (0, spec)
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print machine statistics")
-
-let tune_flag =
-  Arg.(
-    value & flag
-    & info [ "tune" ]
-        ~doc:
-          "Auto-tune the data layout before lowering (see $(b,ucc tune)); \
-           the synthesized map section replaces any in the source")
 
 let ir_opt_stats_arg =
   Arg.(
@@ -193,54 +194,11 @@ let profile_arg =
           "Print simulated time per region (the compiler emits one region \
            marker per source line)")
 
-(* The engine name list lives in Ucd.Job (it also keys digests and
-   reports), so the help text, the validator and the error message can
-   never drift apart. *)
-let engine_doc =
-  Printf.sprintf
-    "Execution engine: %s.  $(b,fast) (the default) runs pre-decoded \
-     instruction kernels; $(b,sharded) fans the kernels out across \
-     $(b,--shards) worker domains; $(b,native) compiles the Paris IR to \
-     machine code via $(b,ocamlopt) (content-addressed-cached; falls back \
-     to $(b,fast) with a one-line warning when no native toolchain is \
-     available); $(b,reference) is the tree-walking interpreter.  All \
-     engines produce bit-identical results, statistics and simulated \
-     time; only wall-clock speed differs."
-    (String.concat ", "
-       (List.map (Printf.sprintf "$(b,%s)") Ucd.Job.engine_names))
-
-let engine_name_arg =
-  Arg.(value & opt string "fast" & info [ "engine" ] ~docv:"ENGINE" ~doc:engine_doc)
-
-let default_shards = max 1 (Domain.recommended_domain_count ())
-
-let shards_arg =
-  Arg.(
-    value & opt int default_shards
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Chunk count for $(b,--engine sharded) (default: this host's \
-           recommended domain count).  Results depend only on N, never on \
-           how many worker domains are actually available.")
-
-(* one-line rejection, exit 1, naming the valid engines *)
-let resolve_engine ~shards name k =
-  match Ucd.Job.engine_of_name ~shards name with
-  | Ok engine -> k engine
-  | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
-
 let faults_arg =
   Arg.(
     value
     & opt (some string) None
-    & info [ "faults" ] ~docv:"PLAN"
-        ~doc:
-          "Fault-injection plan, e.g. \
-           $(b,seed=7;horizon=20000;router=2;flip@100:0.3.5).  Transient \
-           router/NEWS/chip faults abort the run (retryable); bit flips \
-           silently corrupt memory.  See the README for the grammar.")
+    & info [ "faults" ] ~docv:"PLAN" ~doc:(knob "faults").Ucd.Job.doc)
 
 let retries_arg =
   Arg.(
@@ -315,7 +273,8 @@ let ast_cmd =
 (* ---- paris ---- *)
 
 let paris_cmd =
-  let run path options ir_opt_stats =
+  let run path spec ir_opt_stats =
+    with_job spec @@ fun { Ucd.Job.options; _ } ->
     with_source path (fun src ->
         let obs, finish = make_obs ~trace:None ~metrics:false ~ir_opt_stats in
         let compiled = Uc.Compile.compile_source ~options ~obs src in
@@ -349,7 +308,7 @@ let paris_cmd =
         0)
   in
   Cmd.v (Cmd.info "paris" ~doc:"Dump the generated Paris IR")
-    Term.(const run $ file_arg $ options_args $ ir_opt_stats_arg)
+    Term.(const run $ file_arg $ spec_term (codegen_and []) $ ir_opt_stats_arg)
 
 (* ---- cstar ---- *)
 
@@ -380,10 +339,13 @@ let print_int_array name dims a =
       Array.iter (Printf.printf " %d") a;
       print_newline ())
 
+(* `ucc run` takes the codegen knobs and seed/engine/shards from the
+   job-spec table; its fault plan and retries stay its own (they drive
+   the attempt loop below, not a Job) *)
 let run_cmd =
-  let run path options seed stats profile engine_name shards arrays scalars
-      faults retries fuel_slice ir_opt_stats trace metrics =
-    resolve_engine ~shards engine_name @@ fun engine ->
+  let run path spec stats profile arrays scalars faults retries fuel_slice
+      ir_opt_stats trace metrics =
+    with_job spec @@ fun { Ucd.Job.options; seed; engine; _ } ->
     with_source path (fun src ->
         let fspec = parse_faults_opt faults in
         let obs, finish_obs = make_obs ~trace ~metrics ~ir_opt_stats in
@@ -446,15 +408,17 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Compile and execute on the simulated Connection Machine")
     Term.(
-      const run $ file_arg $ options_args $ seed_arg $ stats_arg $ profile_arg
-      $ engine_name_arg $ shards_arg $ arrays_arg $ scalars_arg $ faults_arg
+      const run $ file_arg
+      $ spec_term (codegen_and [ "seed"; "engine"; "shards" ])
+      $ stats_arg $ profile_arg $ arrays_arg $ scalars_arg $ faults_arg
       $ retries_arg $ fuel_slice_arg $ ir_opt_stats_arg $ trace_arg
       $ metrics_arg)
 
 (* ---- interp ---- *)
 
 let interp_cmd =
-  let run path seed arrays scalars =
+  let run path spec arrays scalars =
+    with_job spec @@ fun { Ucd.Job.seed; _ } ->
     with_source path (fun src ->
         let prog = Uc.Parser.parse_program src in
         ignore (Uc.Sema.check prog);
@@ -474,7 +438,7 @@ let interp_cmd =
   in
   Cmd.v
     (Cmd.info "interp" ~doc:"Execute with the reference interpreter")
-    Term.(const run $ file_arg $ seed_arg $ arrays_arg $ scalars_arg)
+    Term.(const run $ file_arg $ spec_term [ knob "seed" ] $ arrays_arg $ scalars_arg)
 
 (* ---- corpus ---- *)
 
@@ -507,142 +471,10 @@ let show_cmd =
 
 (* ---- batch ---- *)
 
-(* Manifest format, one job per line (# starts a comment):
-
-     <corpus-name-or-path.uc> [seed=N] [fuel=N] [deadline=SECS]
-                              [retries=N] [faults=PLAN] [ir-opt=PASSES]
-                              [engine=fast|reference|sharded] [shards=N]
-                              [no-news] [no-procopt] [no-mappings] [no-cse]
-                              [no-ir-opt] [tune | tune=BOOL]
-
-   A bare name is looked up in the built-in corpus; anything containing
-   a '/' or ending in .uc is read as a file.  The engine participates in
-   the job digest, so rows that differ only in engine= never share a
-   cache entry. *)
-
-let parse_manifest_line ~defaults lineno line =
-  match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-  | [] -> None
-  | target :: opts ->
-      if String.length target > 0 && target.[0] = '#' then None
-      else
-        let ( seed,
-              fuel,
-              deadline,
-              faults,
-              retries,
-              options,
-              engine_name,
-              shards,
-              tune ) =
-          defaults
-        in
-        let seed = ref seed
-        and fuel = ref fuel
-        and deadline = ref deadline
-        and faults = ref faults
-        and retries = ref retries
-        and options = ref options
-        and engine_name = ref engine_name
-        and shards = ref shards
-        and tune = ref tune in
-        List.iter
-          (fun tok ->
-            let intval key v =
-              match int_of_string_opt v with
-              | Some n -> n
-              | None ->
-                  failwith
-                    (Printf.sprintf "manifest line %d: bad %s value %S" lineno
-                       key v)
-            in
-            match String.index_opt tok '=' with
-            | Some i -> (
-                let key = String.sub tok 0 i
-                and v = String.sub tok (i + 1) (String.length tok - i - 1) in
-                match key with
-                | "seed" -> seed := intval "seed" v
-                | "fuel" -> fuel := Some (intval "fuel" v)
-                | "engine" -> engine_name := v
-                | "tune" -> (
-                    match v with
-                    | "true" | "1" | "on" -> tune := true
-                    | "false" | "0" | "off" -> tune := false
-                    | _ ->
-                        failwith
-                          (Printf.sprintf
-                             "manifest line %d: bad tune value %S (use \
-                              true/false)"
-                             lineno v))
-                | "shards" -> shards := intval "shards" v
-                | "deadline" -> (
-                    match float_of_string_opt v with
-                    | Some f -> deadline := Some f
-                    | None ->
-                        failwith
-                          (Printf.sprintf
-                             "manifest line %d: bad deadline value %S" lineno v))
-                | "retries" -> retries := Some (intval "retries" v)
-                | "faults" -> (
-                    match Cm.Fault.parse v with
-                    | Ok spec -> faults := Some spec
-                    | Error msg ->
-                        failwith
-                          (Printf.sprintf
-                             "manifest line %d: bad faults value %S (%s)" lineno
-                             v msg))
-                | "ir-opt" -> (
-                    match Cm.Iropt.config_of_string v with
-                    | Ok c ->
-                        options := { !options with Uc.Codegen.ir_opt = c }
-                    | Error msg ->
-                        failwith
-                          (Printf.sprintf
-                             "manifest line %d: bad ir-opt value %S (%s)"
-                             lineno v msg))
-                | _ ->
-                    failwith
-                      (Printf.sprintf "manifest line %d: unknown key %S" lineno
-                         key))
-            | None -> (
-                match tok with
-                | "no-news" -> options := { !options with Uc.Codegen.news_opt = false }
-                | "no-procopt" -> options := { !options with Uc.Codegen.procopt = false }
-                | "no-mappings" ->
-                    options := { !options with Uc.Codegen.use_mappings = false }
-                | "no-cse" -> options := { !options with Uc.Codegen.cse = false }
-                | "no-ir-opt" ->
-                    options :=
-                      { !options with Uc.Codegen.ir_opt = Cm.Iropt.off }
-                | "tune" -> tune := true
-                | _ ->
-                    failwith
-                      (Printf.sprintf "manifest line %d: unknown flag %S" lineno
-                         tok)))
-          opts;
-        let source =
-          match List.assoc_opt target Uc_programs.Programs.all_named with
-          | Some src -> src
-          | None -> (
-              match read_source target with
-              | Ok src -> src
-              | Error msg ->
-                  failwith
-                    (Printf.sprintf
-                       "manifest line %d: %s is neither a corpus program nor a \
-                        readable file (%s)"
-                       lineno target msg))
-        in
-        let engine =
-          match Ucd.Job.engine_of_name ~shards:!shards !engine_name with
-          | Ok e -> e
-          | Error msg ->
-              failwith (Printf.sprintf "manifest line %d: %s" lineno msg)
-        in
-        Some
-          (Ucd.Job.make ~options:!options ~seed:!seed ?fuel:!fuel
-             ?deadline:!deadline ?faults:!faults ?retries:!retries ~engine
-             ~tune:!tune ~name:target ~source ())
+(* Manifest format, one job per line (# starts a comment): a corpus
+   name or a file path, then [key=value] columns and bare flags, one per
+   row of Ucd.Job.knobs (see Ucd.Job.of_manifest_line), applied over
+   the command-line flags. *)
 
 let batch_cmd =
   let manifest_arg =
@@ -665,19 +497,6 @@ let batch_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:"On-disk artifact cache ('none' disables persistence)")
   in
-  let fuel_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "fuel" ] ~docv:"N" ~doc:"Default instruction bound per job")
-  in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "deadline" ] ~docv:"SECS"
-          ~doc:"Default wall-clock deadline per job")
-  in
   let report_arg =
     Arg.(
       value
@@ -685,33 +504,30 @@ let batch_cmd =
       & info [ "report" ] ~docv:"FILE"
           ~doc:"Write the JSON-lines report here instead of stdout")
   in
-  let run manifest jobs cache_dir options seed fuel deadline report stats faults
-      retries fuel_slice engine_name shards trace metrics tune =
-    resolve_engine ~shards engine_name @@ fun engine ->
+  let run manifest jobs cache_dir spec report stats fuel_slice trace metrics =
     try
       let obs, finish_obs =
         make_obs ~trace ~metrics ~ir_opt_stats:false
       in
       Fun.protect ~finally:finish_obs @@ fun () ->
-      let fspec = parse_faults_opt faults in
-      let defaults =
-        (seed, fuel, deadline, fspec, (if retries = 0 then None else Some retries),
-         options, engine_name, shards, tune)
-      in
-      let job_list =
+      let retries, spec = cli_retries spec in
+      (* the flags alone must resolve, even when no line uses them all *)
+      Result.iter_error failwith (Ucd.Job.apply spec blank_job);
+      let lines =
         match manifest with
-        | None ->
-            Ucd.Runner.corpus_jobs ~options ~seed ?fuel ?deadline ?faults:fspec
-              ?retries:(if retries = 0 then None else Some retries) ~engine
-              ~tune ()
+        | None -> List.map fst Uc_programs.Programs.all_named
         | Some path -> (
             match read_source path with
             | Error msg -> failwith msg
-            | Ok text ->
-                String.split_on_char '\n' text
-                |> List.mapi (fun i l -> (i + 1, String.trim l))
-                |> List.filter_map (fun (i, l) ->
-                       parse_manifest_line ~defaults i l))
+            | Ok text -> String.split_on_char '\n' text)
+      in
+      let job_list =
+        List.mapi (fun i l -> (i + 1, String.trim l)) lines
+        |> List.filter_map (fun (i, l) ->
+               match Ucd.Job.of_manifest_line ~defaults:spec l with
+               | Ok job -> job
+               | Error msg ->
+                   failwith (Printf.sprintf "manifest line %d: %s" i msg))
       in
       let cache =
         if cache_dir = "none" then Ucd.Cache.create ()
@@ -758,10 +574,9 @@ let batch_cmd =
          "Run many compile/run jobs concurrently with a content-addressed \
           artifact cache")
     Term.(
-      const run $ manifest_arg $ jobs_arg $ cache_dir_arg $ options_args
-      $ seed_arg $ fuel_arg $ deadline_arg $ report_arg $ stats_arg
-      $ faults_arg $ retries_arg $ fuel_slice_arg $ engine_name_arg
-      $ shards_arg $ trace_arg $ metrics_arg $ tune_flag)
+      const run $ manifest_arg $ jobs_arg $ cache_dir_arg
+      $ spec_term Ucd.Job.knobs $ report_arg $ stats_arg $ fuel_slice_arg
+      $ trace_arg $ metrics_arg)
 
 (* ---- serve / submit ---- *)
 
@@ -966,18 +781,6 @@ let serve_cmd =
       $ cache_dir_arg $ no_journal_arg $ journal_fsync_arg $ chaos_arg
       $ retries_arg $ fuel_slice_arg $ trace_arg $ metrics_arg)
 
-let fuel_arg_submit =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fuel" ] ~docv:"N" ~doc:"Instruction bound per job")
-
-let deadline_arg_submit =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "deadline" ] ~docv:"SECS" ~doc:"Wall-clock deadline per job")
-
 let submit_cmd =
   let file_arg =
     Arg.(
@@ -1058,8 +861,7 @@ let submit_cmd =
              runs twice)")
   in
   let run file socket tcp corpus name wait_for_reports trace tenant priority
-      want_stats want_drain reconnect options seed fuel deadline faults retries
-      tune =
+      want_stats want_drain reconnect spec =
     let addr =
       match tcp with
       | Some port -> Ucd.Client.Tcp ("127.0.0.1", port)
@@ -1069,31 +871,19 @@ let submit_cmd =
       Printf.eprintf "ucc submit: error: %s\n" msg;
       1
     in
-    (* job option surface → wire fields (ir_opt travels as its summary
-       string, which config_of_string round-trips) *)
-    let submit_of ~name ~source =
-      let base = Ucd.Proto.submit_defaults ~name ~source in
-      {
-        base with
-        Ucd.Proto.seed = Some seed;
-        fuel;
-        deadline;
-        faults;
-        retries = (if retries = 0 then None else Some retries);
-        no_news = not options.Uc.Codegen.news_opt;
-        no_procopt = not options.Uc.Codegen.procopt;
-        no_mappings = not options.Uc.Codegen.use_mappings;
-        no_cse = not options.Uc.Codegen.cse;
-        ir_opt =
-          (if options.Uc.Codegen.ir_opt = Cm.Iropt.default then None
-           else Some (Cm.Iropt.config_summary options.Uc.Codegen.ir_opt));
-        tune;
-      }
+    (* resolved here, so a bad flag fails before any frame is sent and
+       the wire carries the canonical spec (engine as sharded:N) *)
+    let spec =
+      Result.map Ucd.Job.to_spec (Ucd.Job.apply (snd (cli_retries spec)) blank_job)
+    in
+    let submit_of spec ~name ~source =
+      { (Ucd.Proto.submit_defaults ~name ~source) with Ucd.Proto.spec }
     in
     let submits =
-      match (file, corpus) with
-      | Some _, true -> Error "pass either FILE or --corpus, not both"
-      | Some path, false -> (
+      match (file, corpus, spec) with
+      | _, _, Error msg -> Error msg
+      | Some _, true, _ -> Error "pass either FILE or --corpus, not both"
+      | Some path, false, Ok spec -> (
           match read_source path with
           | Error msg -> Error msg
           | Ok source ->
@@ -1103,13 +893,13 @@ let submit_cmd =
                 | None ->
                     Filename.remove_extension (Filename.basename path)
               in
-              Ok [ submit_of ~name ~source:(Ucd.Proto.Inline source) ])
-      | None, true ->
+              Ok [ submit_of spec ~name ~source:(Ucd.Proto.Inline source) ])
+      | None, true, Ok spec ->
           Ok
             (List.map
-               (fun (n, _) -> submit_of ~name:n ~source:(Ucd.Proto.Corpus n))
+               (fun (n, _) -> submit_of spec ~name:n ~source:(Ucd.Proto.Corpus n))
                Uc_programs.Programs.all_named)
-      | None, false ->
+      | None, false, _ ->
           if want_stats || want_drain then Ok []
           else Error "nothing to do: pass FILE, --corpus, --stats or --drain"
     in
@@ -1341,8 +1131,7 @@ let submit_cmd =
       $ tcp_port_arg ~doc:"Connect to loopback TCP port $(docv) instead"
       $ corpus_arg $ name_arg $ wait_arg $ trace_flag $ tenant_arg
       $ priority_arg $ server_stats_flag $ drain_flag $ reconnect_flag
-      $ options_args $ seed_arg $ fuel_arg_submit $ deadline_arg_submit
-      $ faults_arg $ retries_arg $ tune_flag)
+      $ spec_term Ucd.Job.knobs)
 
 (* ---- tune ---- *)
 
@@ -1408,7 +1197,8 @@ let tune_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output")
   in
-  let run path options apply json =
+  let run path spec apply json =
+    with_job spec @@ fun { Ucd.Job.options; _ } ->
     with_source path (fun src ->
         let r = Uc.Layoutsel.search_source ~options src in
         let raw_prog = Uc.Compile.parse_source src in
@@ -1542,7 +1332,7 @@ let tune_cmd =
          "Infer a data layout: analyze every parallel access statically, \
           search candidate layouts per array against the calibrated cost \
           model, and print the best map section with a predicted-cost table")
-    Term.(const run $ file_arg $ options_args $ apply_arg $ json_arg)
+    Term.(const run $ file_arg $ spec_term (codegen_and []) $ apply_arg $ json_arg)
 
 let status_cmd =
   let digest_arg =

@@ -63,44 +63,22 @@ let priority_of_string = function
   | "high" -> Some High
   | _ -> None
 
-type source = Inline of string | Corpus of string
+type source = Job.source = Inline of string | Corpus of string
 
-(* The full Job option surface, flags spelled like the batch manifest;
-   the server resolves them against its compile-option defaults. *)
+(* The job knobs travel as a Job.spec (keyed like the manifest, one
+   wire field per Job.knobs row); [seed] and [tune] keep record fields
+   of their own for callers that set them directly. *)
 type submit = {
   client_ref : string option;  (* echoed back in accepted/rejected *)
   name : string;
   source : source;
   seed : int option;
-  fuel : int option;
-  deadline : float option;
-  faults : string option;  (* fault-plan text; parsed server-side *)
-  retries : int option;
-  no_news : bool;
-  no_procopt : bool;
-  no_mappings : bool;
-  no_cse : bool;
-  ir_opt : string option;  (* pass subset, e.g. "constprop,dce"; "off" disables *)
-  tune : bool;  (* auto-tune the data layout before lowering *)
+  tune : bool;
+  spec : Job.spec;  (* every other knob *)
 }
 
 let submit_defaults ~name ~source =
-  {
-    client_ref = None;
-    name;
-    source;
-    seed = None;
-    fuel = None;
-    deadline = None;
-    faults = None;
-    retries = None;
-    no_news = false;
-    no_procopt = false;
-    no_mappings = false;
-    no_cse = false;
-    ir_opt = None;
-    tune = false;
-  }
+  { client_ref = None; name; source; seed = None; tune = false; spec = [] }
 
 type client_msg =
   | Hello of { version : int; tenant : string; priority : priority }
@@ -139,7 +117,15 @@ type server_msg =
 let opt_field k f = function None -> [] | Some v -> [ (k, f v) ]
 let flag_field k b = if b then [ (k, Jsonu.Bool true) ] else []
 
+let wire_key = String.map (function '-' -> '_' | c -> c)
+
+let spec_of_submit s =
+  s.spec
+  @ opt_field "seed" (fun v -> Jsonu.Int v) s.seed
+  @ flag_field "tune" s.tune
+
 let submit_obj s =
+  let spec = spec_of_submit s in
   Jsonu.Obj
     ([ ("type", Jsonu.Str "submit") ]
     @ opt_field "ref" (fun r -> Jsonu.Str r) s.client_ref
@@ -147,17 +133,14 @@ let submit_obj s =
     @ (match s.source with
       | Inline text -> [ ("source", Jsonu.Str text) ]
       | Corpus n -> [ ("corpus", Jsonu.Str n) ])
-    @ opt_field "seed" (fun v -> Jsonu.Int v) s.seed
-    @ opt_field "fuel" (fun v -> Jsonu.Int v) s.fuel
-    @ opt_field "deadline" (fun v -> Jsonu.Float v) s.deadline
-    @ opt_field "faults" (fun v -> Jsonu.Str v) s.faults
-    @ opt_field "retries" (fun v -> Jsonu.Int v) s.retries
-    @ flag_field "no_news" s.no_news
-    @ flag_field "no_procopt" s.no_procopt
-    @ flag_field "no_mappings" s.no_mappings
-    @ flag_field "no_cse" s.no_cse
-    @ opt_field "ir_opt" (fun v -> Jsonu.Str v) s.ir_opt
-    @ flag_field "tune" s.tune)
+    (* bindings go out as given, in table order; a false flag is its
+       default and stays off the wire *)
+    @ List.filter_map
+        (fun (k : Job.knob) ->
+          match Job.lookup k.key spec with
+          | Some v when v <> Jsonu.Bool false -> Some (wire_key k.key, v)
+          | _ -> None)
+        Job.knobs)
 
 let client_json = function
   | Hello { version; tenant; priority } ->
@@ -278,12 +261,6 @@ let str_field kvs k =
 let int_field kvs k =
   match field kvs k with Some (Jsonu.Int i) -> Some i | _ -> None
 
-let num_field kvs k =
-  match field kvs k with
-  | Some (Jsonu.Float f) -> Some f
-  | Some (Jsonu.Int i) -> Some (float_of_int i)
-  | _ -> None
-
 let bool_field kvs k =
   match field kvs k with Some (Jsonu.Bool b) -> Some b | _ -> None
 
@@ -320,22 +297,31 @@ let submit_of_fields kvs =
     | None, None ->
         Stdlib.Error (Bad_request, "submit needs \"source\" or \"corpus\"")
   in
+  (* a known knob of the wrong kind is a typed error naming the field,
+     never a silent default *)
+  let* spec =
+    List.fold_left
+      (fun acc (k : Job.knob) ->
+        let* spec = acc in
+        match field kvs (wire_key k.key) with
+        | None -> Ok spec
+        | Some j -> (
+            match Job.value_of_json k j with
+            | Ok v -> Ok ((k.key, v) :: spec)
+            | Stdlib.Error msg ->
+                Stdlib.Error
+                  (Bad_request, Printf.sprintf "bad %S: %s" (wire_key k.key) msg)))
+      (Ok []) Job.knobs
+  in
   Ok
     {
       client_ref = str_field kvs "ref";
       name;
       source;
-      seed = int_field kvs "seed";
-      fuel = int_field kvs "fuel";
-      deadline = num_field kvs "deadline";
-      faults = str_field kvs "faults";
-      retries = int_field kvs "retries";
-      no_news = Option.value (bool_field kvs "no_news") ~default:false;
-      no_procopt = Option.value (bool_field kvs "no_procopt") ~default:false;
-      no_mappings = Option.value (bool_field kvs "no_mappings") ~default:false;
-      no_cse = Option.value (bool_field kvs "no_cse") ~default:false;
-      ir_opt = str_field kvs "ir_opt";
-      tune = Option.value (bool_field kvs "tune") ~default:false;
+      seed =
+        (match Job.lookup "seed" spec with Some (Jsonu.Int n) -> Some n | _ -> None);
+      tune = Job.lookup "tune" spec = Some (Jsonu.Bool true);
+      spec = List.filter (fun (k, _) -> k <> "seed" && k <> "tune") spec;
     }
 
 let submit_of_json = function
@@ -380,6 +366,13 @@ let client_of_line line =
   | "drain" -> Ok Drain
   | "bye" -> Ok Bye
   | ty -> Stdlib.Error (Protocol, "unknown message type " ^ ty)
+
+(* A refused submit is refused per submission, carrying its ref like
+   any other rejected job; anything else is a connection-level error. *)
+let bad_frame_reply line (code, msg) =
+  match obj_of_line line with
+  | Ok ("submit", kvs) -> Rejected { client_ref = str_field kvs "ref"; code; msg }
+  | _ -> Error { code; msg }
 
 let server_of_line line =
   match obj_of_line line with

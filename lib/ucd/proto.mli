@@ -39,29 +39,25 @@ type priority = Low | Normal | High
 val priority_string : priority -> string
 val priority_of_string : string -> priority option
 
-type source = Inline of string | Corpus of string
+type source = Job.source = Inline of string | Corpus of string
 
-(** The full [Job] option surface, flags spelled like the batch
-    manifest; the server resolves them against its compile-option
-    defaults. *)
+(** A job submission.  The job knobs travel as a {!Job.spec}, one wire
+    field per {!Job.knobs} row in table order (the row key with [-]
+    spelled [_], e.g. [no_news]; a false flag is not sent).  The daemon
+    resolves the spec with {!Job.resolve}, like [ucc batch]. *)
 type submit = {
   client_ref : string option;  (** echoed back in accepted/rejected *)
   name : string;
   source : source;
-  seed : int option;
-  fuel : int option;
-  deadline : float option;
-  faults : string option;  (** fault-plan text; parsed server-side *)
-  retries : int option;
-  no_news : bool;
-  no_procopt : bool;
-  no_mappings : bool;
-  no_cse : bool;
-  ir_opt : string option;  (** pass subset, e.g. ["constprop,dce"]; ["off"] disables *)
-  tune : bool;  (** auto-tune the data layout before lowering *)
+  seed : int option;  (** the [seed] knob, overriding [spec]'s *)
+  tune : bool;  (** the [tune] knob: auto-tune the data layout *)
+  spec : Job.spec;  (** every other knob *)
 }
 
 val submit_defaults : name:string -> source:source -> submit
+
+(** The whole spec of a submit: [spec] plus the [seed]/[tune] fields. *)
+val spec_of_submit : submit -> Job.spec
 
 val submit_of_json : Jsonu.t -> (submit, string) result
 (** Decode a stored {!submit_obj} rendering (the journal keeps accepted
@@ -126,7 +122,14 @@ val server_line : server_msg -> string
 val client_of_line : string -> (client_msg, error_code * string) result
 (** Decode one frame from a client.  The error carries the typed code
     the server should answer with ([Protocol] for malformed frames,
-    [Bad_request] for missing/mistyped required fields). *)
+    [Bad_request] for missing or mistyped required fields, and for a
+    known job knob whose value has the wrong kind or does not validate:
+    [{"seed":"7"}], [{"no_news":"yes"}], an unknown engine).  Unknown
+    fields are ignored. *)
+
+val bad_frame_reply : string -> error_code * string -> server_msg
+(** The reply to a frame {!client_of_line} refused: [Rejected] (with the
+    frame's ref) for a submit, a connection-level [Error] otherwise. *)
 
 val server_of_line : string -> (server_msg, string) result
 

@@ -11,7 +11,7 @@ type status =
 type result = {
   job_name : string;
   digest : string;
-  options : string;  (** {!Job.options_summary} of the job's options *)
+  options : string;  (** {!Job.options_stamp} of the job *)
   engine : string;  (** {!Job.engine_string} of the job's engine *)
   engine_effective : string;
       (** the engine that actually executed ({!Cm.Machine.effective_engine}):

@@ -33,12 +33,7 @@ let backoff_delay policy ~seed ~attempt =
 
 let compute ~policy ~t0 ~obs ?ckpt ?on_checkpoint cache (job : Job.t) digest =
   let source_digest = Digest.to_hex (Digest.string job.Job.source) in
-  (* tuned and untuned lowerings of the same source+options emit
-     different Paris programs: they must not share a memo entry *)
-  let options_key =
-    Job.options_summary job.Job.options
-    ^ if job.Job.tune then " tune" else ""
-  in
+  let options_key = Job.options_stamp job in
   let finish ?(attempts = 1) ?(trace = []) ?(metrics = []) ?(effective = "")
       status simulated output =
     {
@@ -267,7 +262,7 @@ let crash_result (job : Job.t) exn =
   {
     Report.job_name = job.Job.name;
     digest = Job.digest job;
-    options = Job.options_summary job.Job.options;
+    options = Job.options_stamp job;
     engine = Job.engine_string job.Job.engine;
     engine_effective = "";
     seed = job.Job.seed;
@@ -292,11 +287,3 @@ let run_jobs ?domains ?queue_bound ?policy ?obs ~cache jobs =
     (Pool.map ?domains ?queue_bound ?obs
        (fun job -> run_job ?policy ?obs ~cache job)
        jobs)
-
-let corpus_jobs ?options ?seed ?fuel ?deadline ?faults ?retries ?engine ?tune ()
-    =
-  List.map
-    (fun (name, source) ->
-      Job.make ?options ?seed ?fuel ?deadline ?faults ?retries ?engine ?tune
-        ~name ~source ())
-    Uc_programs.Programs.all_named

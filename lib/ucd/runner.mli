@@ -82,17 +82,3 @@ val run_jobs :
   cache:Cache.t ->
   Job.t list ->
   Report.result list
-
-(** The whole built-in corpus ({!Uc_programs.Programs.all_named}) as
-    jobs. *)
-val corpus_jobs :
-  ?options:Uc.Codegen.options ->
-  ?seed:int ->
-  ?fuel:int ->
-  ?deadline:float ->
-  ?faults:Cm.Fault.spec ->
-  ?retries:int ->
-  ?engine:Cm.Machine.engine ->
-  ?tune:bool ->
-  unit ->
-  Job.t list

@@ -302,45 +302,7 @@ let rec job_task t (entry : job_entry) () =
 (* ---- submission ---- *)
 
 let job_of_submit (s : Proto.submit) =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
-  let* source =
-    match s.Proto.source with
-    | Proto.Inline text -> Ok text
-    | Proto.Corpus n -> (
-        match List.assoc_opt n Uc_programs.Programs.all_named with
-        | Some src -> Ok src
-        | None -> Error (Printf.sprintf "unknown corpus program %S" n))
-  in
-  let* faults =
-    match s.Proto.faults with
-    | None -> Ok None
-    | Some plan -> (
-        match Cm.Fault.parse plan with
-        | Ok spec -> Ok (Some spec)
-        | Error msg -> Error (Printf.sprintf "bad fault plan %S: %s" plan msg))
-  in
-  let* ir_opt =
-    match s.Proto.ir_opt with
-    | None -> Ok Cm.Iropt.default
-    | Some passes -> (
-        match Cm.Iropt.config_of_string passes with
-        | Ok c -> Ok c
-        | Error msg -> Error (Printf.sprintf "bad ir_opt %S: %s" passes msg))
-  in
-  let options =
-    {
-      Uc.Codegen.news_opt = not s.Proto.no_news;
-      procopt = not s.Proto.no_procopt;
-      use_mappings = not s.Proto.no_mappings;
-      cse = not s.Proto.no_cse;
-      ir_opt;
-    }
-  in
-  Ok
-    (Job.make ~options
-       ?seed:s.Proto.seed ?fuel:s.Proto.fuel ?deadline:s.Proto.deadline
-       ?faults ?retries:s.Proto.retries ~tune:s.Proto.tune ~name:s.Proto.name
-       ~source ())
+  Job.resolve ~name:s.Proto.name ~source:s.Proto.source (Proto.spec_of_submit s)
 
 let reject t sess ~client_ref code msg =
   Session.note_rejected sess;
@@ -846,8 +808,11 @@ let reader_thread t conn =
               | Ok msg ->
                   dispatch t sess msg;
                   loop ()
-              | Error (code, msg) ->
-                  ignore (Session.send sess (Proto.Error { code; msg }));
+              | Error e ->
+                  (match Proto.bad_frame_reply line e with
+                  | Proto.Rejected { client_ref; code; msg } ->
+                      reject t sess ~client_ref code msg
+                  | reply -> ignore (Session.send sess reply));
                   loop ())
       in
       loop ();

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # `make ci-serve` gate: boot the daemon, push the whole corpus from two
 # concurrent clients, require their rows bit-identical to `ucc batch`,
-# shed load through a typed `overloaded` rejection, and drain cleanly.
+# push the corpus again under non-default job knobs (as `ucc submit`
+# flags) and require those rows bit-identical to the same knobs given
+# as `ucc batch` manifest columns, shed load through a typed
+# `overloaded` rejection, and drain cleanly.
 # Run from the repository root (the Makefile does).
 set -euo pipefail
 trap 'echo "ci_serve.sh: FAILED at line $LINENO: $BASH_COMMAND" >&2' ERR
@@ -43,6 +46,34 @@ $UCC batch --cache-dir none > "$WORK/batch.jsonl" 2>/dev/null
 [ "$(strip "$WORK/batch.jsonl")" = "$(strip "$WORK/alpha.jsonl")" ]
 [ "$(strip "$WORK/batch.jsonl")" = "$(strip "$WORK/beta.jsonl")" ]
 
+# non-default knobs, spelled two ways: manifest columns for `ucc batch`
+# and flags for `ucc submit`; both resolve through the one job-spec
+# table, so the rows (digests included) must agree byte for byte
+KNOBS=(
+  "seed=7|--seed 7"
+  "no-news no-cse|--no-news --no-cse"
+  "ir-opt=constprop,dce|--ir-opt constprop,dce"
+  "tune|--tune"
+  "fuel=200000|--fuel 200000"
+  "engine=sharded shards=3|--engine sharded --shards 3"
+)
+mapfile -t NAMES < <($UCC examples | awk '{print $1}')
+: > "$WORK/knobs.manifest"
+: > "$WORK/knobs_submit.jsonl"
+for entry in "${KNOBS[@]}"; do
+  columns=${entry%%|*}
+  read -r -a flags <<< "${entry#*|}"
+  for name in "${NAMES[@]}"; do
+    echo "$name $columns" >> "$WORK/knobs.manifest"
+  done
+  $UCC submit --socket "$SOCK" --corpus --wait "${flags[@]}" \
+    >> "$WORK/knobs_submit.jsonl" 2>/dev/null || [ "$?" = 2 ]
+done
+$UCC batch "$WORK/knobs.manifest" --cache-dir none \
+  > "$WORK/knobs_batch.jsonl" 2>/dev/null || [ "$?" = 2 ]
+[ "$(strip "$WORK/knobs_batch.jsonl" | wc -l)" = $(( ${#KNOBS[@]} * ${#NAMES[@]} )) ]
+[ "$(strip "$WORK/knobs_batch.jsonl")" = "$(strip "$WORK/knobs_submit.jsonl")" ]
+
 # SIGTERM drains and exits 0, removing the socket
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
@@ -71,4 +102,4 @@ wait "$SERVE2_PID"
 SERVE2_PID=
 grep -q "drained cleanly" "$WORK/serve2.log"
 
-echo "serve gate: corpus identical over the wire, overload shed, drains clean"
+echo "serve gate: corpus identical over the wire (default and ${#KNOBS[@]} knob settings), overload shed, drains clean"

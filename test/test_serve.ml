@@ -26,13 +26,17 @@ let test_client_round_trip () =
           with
           Ucd.Proto.client_ref = Some "r-1";
           seed = Some 7;
-          fuel = Some 1000;
-          deadline = Some 0.25;
-          faults = Some "seed=7;horizon=100;router=2";
-          retries = Some 3;
-          no_news = true;
-          no_cse = true;
-          ir_opt = Some "constprop,dce";
+          spec =
+            [
+              ("fuel", Ucd.Jsonu.Int 1000);
+              ("deadline", Ucd.Jsonu.Float 0.25);
+              ("faults", Ucd.Jsonu.Str "seed=7;horizon=100;router=2");
+              ("retries", Ucd.Jsonu.Int 3);
+              ("no-news", Ucd.Jsonu.Bool true);
+              ("no-cse", Ucd.Jsonu.Bool true);
+              ("ir-opt", Ucd.Jsonu.Str "constprop,dce");
+              ("engine", Ucd.Jsonu.Str "sharded:3");
+            ];
         };
       Ucd.Proto.Submit
         (Ucd.Proto.submit_defaults ~name:"matmul"
@@ -124,6 +128,32 @@ let test_malformed_frames () =
     (proto_err
        (Ucd.Proto.client_of_line
           "{\"type\":\"hello\",\"version\":1,\"priority\":\"urgent\"}"));
+  (* a known job knob of the wrong kind (or an unusable value) is a
+     typed error naming the field, never a silent default *)
+  List.iter
+    (fun (field, value) ->
+      let frame =
+        Printf.sprintf "{\"type\":\"submit\",\"name\":\"x\",\"corpus\":\"quickstart\",\"%s\":%s}"
+          field value
+      in
+      match Ucd.Proto.client_of_line frame with
+      | Error (Ucd.Proto.Bad_request, msg) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s=%s: message names the field" field value)
+            true
+            (Astring.String.is_infix ~affix:(Printf.sprintf "%S" field) msg)
+      | Error (code, _) ->
+          Alcotest.failf "%s=%s: %s, not bad_request" field value
+            (Ucd.Proto.code_string code)
+      | Ok _ -> Alcotest.failf "%s=%s: accepted" field value)
+    [
+      ("seed", "\"7\"");
+      ("fuel", "5.5");
+      ("no_news", "\"yes\"");
+      ("engine", "\"warp\"");
+      ("deadline", "\"soon\"");
+      ("faults", "\"zorp@1\"");
+    ];
   (* unknown fields are ignored: additive protocol evolution *)
   (match
      Ucd.Proto.client_of_line
@@ -356,8 +386,8 @@ let slow_submit ?(deadline = 0.5) name =
   {
     (Ucd.Proto.submit_defaults ~name ~source:(Ucd.Proto.Inline slow_source))
     with
-    Ucd.Proto.deadline = Some deadline;
-    Ucd.Proto.seed = Some (Hashtbl.hash name);
+    Ucd.Proto.spec = [ ("deadline", Ucd.Jsonu.Float deadline) ];
+    seed = Some (Hashtbl.hash name);
   }
 
 let connect_exn ?tenant ?priority socket =
@@ -423,7 +453,9 @@ let test_loopback_corpus_identical () =
      path — cold, then warm from the server's cache *)
   let reference =
     let cache = Ucd.Cache.create () in
-    Ucd.Runner.run_jobs ~domains:2 ~cache (Ucd.Runner.corpus_jobs ())
+    Ucd.Runner.run_jobs ~domains:2 ~cache (List.map
+         (fun (name, source) -> Ucd.Job.make ~name ~source ())
+         Uc_programs.Programs.all_named)
   in
   let socket = next_sock () in
   let srv = Ucd.Server.start (base_cfg socket) in
@@ -547,6 +579,37 @@ let test_overload_rejection () =
       Alcotest.failf "expected accept then overloaded, got %s / %s"
         (Ucd.Proto.server_line a) (Ucd.Proto.server_line b)
   | _ -> Alcotest.fail "expected two replies")
+
+(* a mistyped knob is refused per submission, with the submit's ref,
+   and the session carries on *)
+let test_mistyped_submit_rejection () =
+  let socket = next_sock () in
+  let srv = Ucd.Server.start (base_cfg socket) in
+  Fun.protect ~finally:(fun () -> ignore (Ucd.Server.stop srv)) @@ fun () ->
+  let c = connect_exn socket in
+  Fun.protect ~finally:(fun () -> Ucd.Client.close c) @@ fun () ->
+  let bad =
+    {
+      (Ucd.Proto.submit_defaults ~name:"q" ~source:(Ucd.Proto.Corpus "quickstart"))
+      with
+      Ucd.Proto.client_ref = Some "r-bad";
+      spec = [ ("fuel", Ucd.Jsonu.Float 5.5) ];
+    }
+  in
+  (match Ucd.Client.send c (Ucd.Proto.Submit bad) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "send: %s" e);
+  (match recv_replies c ~n:1 with
+  | [ Ucd.Proto.Rejected { client_ref = Some "r-bad"; code = Ucd.Proto.Bad_request; msg } ]
+    ->
+      check Alcotest.bool "names the field" true
+        (Astring.String.is_infix ~affix:"\"fuel\"" msg)
+  | replies ->
+      Alcotest.failf "expected one bad_request rejection, got %s"
+        (String.concat " / " (List.map Ucd.Proto.server_line replies)));
+  match Ucd.Client.stats c with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "session did not survive: %s" e
 
 let test_quota_rejection () =
   let socket = next_sock () in
@@ -1347,6 +1410,8 @@ let () =
           Alcotest.test_case "overloaded rejection" `Quick
             test_overload_rejection;
           Alcotest.test_case "quota rejection" `Quick test_quota_rejection;
+          Alcotest.test_case "mistyped submit rejected" `Quick
+            test_mistyped_submit_rejection;
           Alcotest.test_case "live trace streaming" `Quick
             test_trace_streaming;
           Alcotest.test_case "drain flushes reports" `Quick
