@@ -294,31 +294,16 @@ SERVE2_PID=
 grep -q "drained cleanly" serve2.log
 trap - EXIT
 
-# ---- bench snapshot comparison ----
+# ---- bench command line ----
 
-COMPARE=../bench/compare.exe
-cat > old.json <<'EOF'
-{"section":"fig6","n":8,"uc":2.0,"cstar":1.0}
-EOF
-cat > new.json <<'EOF'
-{"section":"fig6","n":8,"uc":1.5,"cstar":1.0,"router_ops":7.0}
-EOF
-# strict mode: any difference fails
-if $COMPARE old.json new.json > /dev/null; then exit 1; fi
-# --allow-faster: a drop plus new metrics columns passes, listing both
-$COMPARE --allow-faster old.json new.json > cmp.txt
-grep -q "+router_ops=7" cmp.txt
-grep -q "none regressed" cmp.txt
-# a measured quantity that rose still fails
-cat > slower.json <<'EOF'
-{"section":"fig6","n":8,"uc":2.5,"cstar":1.0,"router_ops":7.0}
-EOF
-if $COMPARE --allow-faster old.json slower.json > /dev/null; then exit 1; fi
-# and so does a column that disappeared
-cat > gone.json <<'EOF'
-{"section":"fig6","n":8,"uc":1.5}
-EOF
-if $COMPARE --allow-faster old.json gone.json > cmp.txt; then exit 1; fi
-grep -q "disappeared" cmp.txt
+# a bad section name or a --json without its FILE is a usage error
+# (exit 2) before any section runs
+BENCH=../bench/main.exe
+if $BENCH ablation-mapping > bench.out 2> bench.err; then exit 1; else [ "$?" = 2 ]; fi
+grep -q "unknown section or option ablation-mapping" bench.err
+if grep -q "===" bench.out; then exit 1; fi
+if $BENCH a6 --json > bench.out 2> bench.err; then exit 1; else [ "$?" = 2 ]; fi
+grep -q -- "--json needs a FILE" bench.err
+if grep -q "===" bench.out; then exit 1; fi
 
 echo "cli ok"
