@@ -72,7 +72,7 @@ type entry = ctx -> int -> unit
 let pending : entry option ref = ref None
 let register e = pending := Some e
 
-let version = 1
+let version = 2
 
 let key prog =
   let ir =
@@ -263,8 +263,9 @@ let rfloat env vp tmp op =
       { pre = [ spf "let %s = to_float (Array.get regs %d) in" tmp r ];
         shape = Ok (Vf tmp) }
   | Imm s ->
+      (* bound once, outside the loop: [float_lit] is a call *)
       let v = match s with SInt i -> float_of_int i | SFloat f -> f in
-      { pre = []; shape = Ok (Vf (float_lit v)) }
+      { pre = [ spf "let %s = %s in" tmp (float_lit v) ]; shape = Ok (Vf tmp) }
   | Fld f ->
       if fvp env f <> vp then
         { pre = [];
@@ -303,13 +304,31 @@ let rec bind_ops rs k =
 
 let indent = List.map (fun s -> "  " ^ s)
 
+(* The field arrays an arm's loops touch.  Each loop rebinds them as
+   locals right before it starts: every value live across a call is
+   spilled, so arrays bound earlier (or read from the step closure)
+   would be reloaded from memory on every element. *)
+let loop_fields prog instr =
+  let op = function Fld f -> [ f ] | Reg _ | Imm _ -> [] in
+  let fs =
+    match instr with
+    | Pmov (d, a) | Punop (_, d, a) -> d :: op a
+    | Pbin (_, d, a, b) -> (d :: op a) @ op b
+    | Psel (d, c, a, b) -> (d :: op c) @ op a @ op b
+    | Pcoord (d, _) | Prand (d, _) | Preduce (_, _, d) | Cread d -> [ d ]
+    | _ -> []
+  in
+  List.sort_uniq compare
+    (List.filter (fun f -> f >= 0 && f < Array.length prog.fields) fs)
+
 (* Dense/masked split on the destination's context, mirroring the
-   [Context.all_active] specialization of every fast kernel. *)
-let dm x dense masked =
+   [Context.all_active] specialization of every fast kernel.  [pre]
+   binds the loop's arrays after the last call. *)
+let dm ?(pre = []) x dense masked =
   [ spf "(if Cm.Context.all_active %s then begin" x ]
-  @ indent dense
+  @ indent (pre @ dense)
   @ [ "end"; "else begin"; spf "  let mask = Cm.Context.active %s in" x ]
-  @ indent masked
+  @ indent (pre @ masked)
   @ [ "end);" ]
 
 let loop out nv rhs =
@@ -318,8 +337,6 @@ let loop out nv rhs =
 let loop_m out nv rhs =
   [ spf "for p = 0 to %d do if Array.unsafe_get mask p then Array.unsafe_set %s p %s done;"
       (nv - 1) out rhs ]
-
-let elem_loops x out nv rhs = dm x (loop out nv rhs) (loop_m out nv rhs)
 
 let chk vp what f = spf "if !cur <> %d then raise (not_cur %S %d !cur);" vp what f
 let charge_pe nv = spf "Cm.Cost.charge_pe meter ~size:%d;" nv
@@ -344,6 +361,27 @@ let isf_expr env = function
    started the region timer, exactly like a fast kernel does. *)
 let arm env instr : string list option =
   let seq lines = Some lines in
+  let locals =
+    List.map
+      (fun f -> spf "let f%d = Sys.opaque_identity f%d in" f f)
+      (loop_fields env.e_prog instr)
+  in
+  let dm x dense masked = dm ~pre:locals x dense masked in
+  let elem_loops x out nv rhs = dm x (loop out nv rhs) (loop_m out nv rhs) in
+  (* [v] := the left fold of [step] (over [!acc] and element [p]) across
+     the active elements, from [init] *)
+  let fold x nv ~init ~step =
+    let branch test =
+      [ spf "let acc = ref %s in" init ]
+      @ locals
+      @ [ spf "for p = 0 to %d do %sacc := %s done;" (nv - 1) test step; "!acc" ]
+    in
+    [ spf "let v = if Cm.Context.all_active %s then begin" x ]
+    @ indent (branch "")
+    @ [ "end else begin"; spf "  let mask = Cm.Context.active %s in" x ]
+    @ indent (branch "if Array.unsafe_get mask p then ")
+    @ [ "end in" ]
+  in
   try
     match instr with
     | Label _ | Comment _ -> seq [ "();" ]
@@ -466,7 +504,7 @@ let arm env instr : string list option =
             seq
               ([ chk vp "cread" f; charge_ctx nv ]
               @ dm (xctx vp)
-                  [ spf "Array.fill %s 0 %d 1;" (fld f) nv ]
+                  (loop (fld f) nv "1")
                   [ spf
                       "for p = 0 to %d do Array.unsafe_set %s p (if Array.unsafe_get mask p then 1 else 0) done;"
                       (nv - 1) (fld f) ]))
@@ -484,8 +522,7 @@ let arm env instr : string list option =
                     | [ s ] ->
                         dm x
                           (match s with
-                          | Ai v -> [ spf "Array.blit %s 0 %s 0 %d;" v out nv ]
-                          | Vi e -> [ spf "Array.fill %s 0 %d %s;" out nv e ]
+                          | Ai _ | Vi _ -> loop out nv (ig s)
                           | _ -> assert false)
                           (loop_m out nv (ig s))
                     | _ -> assert false))
@@ -499,8 +536,7 @@ let arm env instr : string list option =
                         dm x
                           (match s with
                           | Af v -> [ spf "Array.blit %s 0 %s 0 %d;" v out nv ]
-                          | Vf e -> [ spf "Array.fill %s 0 %d %s;" out nv e ]
-                          | Afi _ -> loop out nv (fg s)
+                          | Vf _ | Afi _ -> loop out nv (fg s)
                           | _ -> assert false)
                           (loop_m out nv (fg s))
                     | _ -> assert false)))
@@ -615,9 +651,21 @@ let arm env instr : string list option =
           let extent = Geometry.dim g axis in
           match kind with
           | KInt ->
+              (* the coordinate is constant on each run of [stride]
+                 positions: fill runs, no division per element *)
+              let run body =
+                [ spf "for r = 0 to %d do" ((nv / stride) - 1);
+                  spf "  let v = r mod %d and s = r * %d in" extent stride;
+                  spf "  for p = s to s + %d do %s done" (stride - 1) body;
+                  "done;" ]
+              in
               seq
                 ([ chk vp "pcoord" dst; charge_pe nv ]
-                @ elem_loops (xctx vp) (fld dst) nv (spf "(p / %d mod %d)" stride extent))
+                @ dm (xctx vp)
+                    (run (spf "Array.unsafe_set %s p v" (fld dst)))
+                    (run
+                       (spf "if Array.unsafe_get mask p then Array.unsafe_set %s p v"
+                          (fld dst))))
           | KFloat ->
               seq
                 [ chk vp "pcoord" dst; charge_pe nv;
@@ -702,14 +750,9 @@ let arm env instr : string list option =
                 let ident = int_lit iv in
                 seq
                   (pre
-                  @ [ spf "let v = if Cm.Context.all_active %s then begin" x;
-                      spf "    let acc = ref %s in" ident;
-                      spf "    for p = 0 to %d do acc := %s done;" (nv - 1)
-                        (int_expr op "!acc" (spf "(Array.unsafe_get %s p)" src));
-                      "    !acc end";
-                      spf "  else Cm.Scan.masked_reduce (fun a b -> %s) %s (Cm.Context.active %s) %s in"
-                        (int_expr op "a" "b") ident x src;
-                      spf "Array.set regs %d (SInt v);" r ]))
+                  @ fold x nv ~init:ident
+                      ~step:(int_expr op "!acc" (spf "(Array.unsafe_get %s p)" src))
+                  @ [ spf "Array.set regs %d (SInt v);" r ]))
         | KFloat -> (
             match (try Ok (identity op KFloat) with Invalid_argument msg -> Error msg) with
             | Error msg -> seq (pre @ [ spf "raise (Invalid_argument %S);" msg ])
@@ -721,15 +764,9 @@ let arm env instr : string list option =
                     let ident = float_lit fv in
                     seq
                       (pre
-                      @ [ spf "let v = if Cm.Context.all_active %s then begin" x;
-                          spf "    let acc = ref %s in" ident;
-                          spf "    for p = 0 to %d do acc := %s done;" (nv - 1)
-                            (fexp "!acc" (spf "(Array.unsafe_get %s p)" src));
-                          "    !acc end";
-                          spf
-                            "  else Cm.Scan.masked_reduce (fun a b -> %s) %s (Cm.Context.active %s) %s in"
-                            (fexp "a" "b") ident x src;
-                          spf "Array.set regs %d (SFloat v);" r ]))))
+                      @ fold x nv ~init:ident
+                          ~step:(fexp "!acc" (spf "(Array.unsafe_get %s p)" src))
+                      @ [ spf "Array.set regs %d (SFloat v);" r ]))))
     | Pcount r ->
         seq
           [ "let sz = cur_size () in";

@@ -7,7 +7,9 @@
 
     Each frame caches its active count, so {!count_active}, {!depth} and
     {!all_active} are O(1): execution engines use [all_active] to select
-    branch-free loops over fully-active VP sets. *)
+    branch-free loops over fully-active VP sets.  Frames are preallocated
+    and reused, so {!push}, {!pop} and {!reset} allocate nothing once the
+    stack has reached its deepest nesting. *)
 
 type t
 
@@ -16,7 +18,9 @@ val create : int -> t
 
 val size : t -> int
 
-(** Current activity vector (not a copy; callers must not mutate). *)
+(** Current activity vector (not a copy; callers must not mutate, and
+    its contents are only meaningful until the next stack operation,
+    which may reuse the array). *)
 val active : t -> bool array
 
 (** [is_active c p] tests VP [p] under the current context. *)
@@ -61,5 +65,6 @@ val frames : t -> bool array list
     @raise Invalid_argument on an empty stack or mismatched sizes. *)
 val of_frames : bool array list -> t
 
-(** Reset to a single all-active context. *)
+(** Reset to a single all-active context.  Refills the base flags only
+    when a [land_*] narrowed them without a {!push}. *)
 val reset : t -> unit

@@ -9,6 +9,14 @@ type fdata = FInt of int array | FFloat of float array
 
 type engine = [ `Fast | `Reference | `Sharded of int | `Native ]
 
+(* Unchecked element access.  These are the array primitives themselves,
+   so the element type at each use picks the access: on an [int array]
+   or a [bool array] a plain load or store with no write barrier, on a
+   [float array] an unboxed one.  Every kernel annotates its
+   arrays, so no access in them is polymorphic. *)
+external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
 (* Outcome of the one native-compilation attempt a machine makes: the
    Dynlink'd entry point, or the typed reason we fell back to the fast
    kernels (reported as [engine_effective] upstream). *)
@@ -39,6 +47,7 @@ type t = {
   labels : int array;  (* label id -> code index *)
   engine : engine;
   scratch : Router.scratch;  (* shared fan-in counters, both engines *)
+  mutable scan_tmp : int array;  (* Pscan scratch for faultable operators *)
   mutable cur : int;   (* current VP set, -1 before the first Cwith *)
   mutable rand_state : int;
   mutable fuel : int;
@@ -122,6 +131,7 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     labels = resolve_labels prog;
     engine;
     scratch = Router.scratch ();
+    scan_tmp = [||];
     cur = -1;
     rand_state = seed land 0x3FFFFFFF;
     fuel;
@@ -204,8 +214,8 @@ let int_binop = function
   | Mul -> ( * )
   | Div -> fun a b -> if b = 0 then error "division by zero" else a / b
   | Mod -> fun a b -> if b = 0 then error "modulo by zero" else a mod b
-  | Min -> min
-  | Max -> max
+  | Min -> Int.min
+  | Max -> Int.max
   | Land -> fun a b -> if a <> 0 && b <> 0 then 1 else 0
   | Lor -> fun a b -> if a <> 0 || b <> 0 then 1 else 0
   | Band -> ( land )
@@ -494,32 +504,18 @@ let exec_pget m dst src addr =
     try
       match field_data m dst, field_data m src with
       | FInt d, FInt s ->
-          Router.get ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
+          Router.get EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
       | FFloat d, FFloat s ->
-          Router.get ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
+          Router.get EFloat ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
       | _ -> error "pget: kind mismatch between f%d and f%d" dst src
     with Invalid_argument msg -> error "pget: %s" msg
   in
   Cost.charge_router m.meter ~size:(cur_size m) ~messages:stats.messages
     ~max_fanin:stats.max_fanin
 
-let int_combine = function
-  | Ccheck -> Router.Overwrite_check ( = )
-  | Cover -> Router.Combine (fun a _ -> a)
-  | Cadd -> Router.Combine ( + )
-  | Cmin -> Router.Combine min
-  | Cmax -> Router.Combine max
-  | Cor -> Router.Combine ( lor )
-  | Cand -> Router.Combine ( land )
-  | Cxor -> Router.Combine ( lxor )
-
-let float_combine = function
-  | Ccheck -> Router.Overwrite_check ( = )
-  | Cover -> Router.Combine (fun a _ -> a)
-  | Cadd -> Router.Combine ( +. )
-  | Cmin -> Router.Combine Float.min
-  | Cmax -> Router.Combine Float.max
+let check_float_combine = function
   | Cor | Cand | Cxor -> error "bitwise combine on a float field"
+  | Ccheck | Cover | Cadd | Cmin | Cmax -> ()
 
 let exec_psend m dst src addr combine =
   check_on_current m src "psend";
@@ -529,11 +525,12 @@ let exec_psend m dst src addr combine =
     try
       match field_data m dst, field_data m src with
       | FInt d, FInt s ->
-          Router.send ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-            ~combine:(int_combine combine) ()
+          Router.send EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
+            ~combine ()
       | FFloat d, FFloat s ->
-          Router.send ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-            ~combine:(float_combine combine) ()
+          check_float_combine combine;
+          Router.send EFloat ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
+            ~combine ()
       | _ -> error "psend: kind mismatch between f%d and f%d" dst src
     with
     | Invalid_argument msg -> error "psend: %s" msg
@@ -556,8 +553,8 @@ let exec_pnews m dst src axis delta =
   let mask = Context.active (cur_ctx m) in
   (try
      match field_data m dst, field_data m src with
-     | FInt d, FInt s -> ignore (News.shift_masked g ~axis ~delta ~mask s d)
-     | FFloat d, FFloat s -> ignore (News.shift_masked g ~axis ~delta ~mask s d)
+     | FInt d, FInt s -> ignore (News.shift EInt ~mask g ~axis ~delta s d)
+     | FFloat d, FFloat s -> ignore (News.shift EFloat ~mask g ~axis ~delta s d)
      | _ -> error "pnews: kind mismatch between f%d and f%d" dst src
    with Invalid_argument msg -> error "pnews: %s" msg);
   Cost.charge_news m.meter ~size:(cur_size m)
@@ -608,21 +605,30 @@ let exec_preduce_axis m op dst src =
   (try
      match field_data m dst, field_data m src with
      | FInt d, FInt s ->
-         let r =
-           Scan.reduce_trailing_axes whole ~outer_size (int_binop op)
-             (to_int (identity op KInt))
-             mask s
-         in
-         Array.blit r 0 d 0 outer_size
+         Scan.reduce_trailing_axes whole ~outer_size (int_binop op)
+           (to_int (identity op KInt))
+           mask s d
      | FFloat d, FFloat s ->
-         let r =
-           Scan.reduce_trailing_axes whole ~outer_size (float_binop op)
-             (to_float (identity op KFloat))
-             mask s
-         in
-         Array.blit r 0 d 0 outer_size
+         Scan.reduce_trailing_axes whole ~outer_size (float_binop op)
+           (to_float (identity op KFloat))
+           mask s d
      | _ -> error "preduce-axis: kind mismatch between f%d and f%d" dst src
    with Invalid_argument msg -> error "preduce-axis: %s" msg)
+
+(* Scans write [d] directly, in place when [d == s] (see Scan.scan_axis).
+   A faultable int operator scans into the machine's scratch first, so a
+   fault mid-scan leaves [d] untouched.  Both engines use this. *)
+let scan_ints m g axis op (s : int array) (d : int array) =
+  let f = int_binop op in
+  (* total whatever the right operand *)
+  if int_op_total op (Fld 0) then Scan.scan_axis g axis f s d
+  else begin
+    if Array.length m.scan_tmp <> Array.length s then
+      m.scan_tmp <- Array.make (Array.length s) 0;
+    let t = m.scan_tmp in
+    Scan.scan_axis g axis f s t;
+    for p = 0 to Array.length d - 1 do d.%(p) <- t.%(p) done
+  end
 
 let exec_pscan m op dst src axis =
   check_on_current m dst "pscan";
@@ -631,12 +637,8 @@ let exec_pscan m op dst src axis =
   Cost.charge_scan m.meter ~size:(cur_size m);
   try
     match field_data m dst, field_data m src with
-    | FInt d, FInt s ->
-        let r = Scan.scan_axis g axis (int_binop op) s in
-        Array.blit r 0 d 0 (Array.length d)
-    | FFloat d, FFloat s ->
-        let r = Scan.scan_axis g axis (float_binop op) s in
-        Array.blit r 0 d 0 (Array.length d)
+    | FInt d, FInt s -> scan_ints m g axis op s d
+    | FFloat d, FFloat s -> Scan.scan_axis g axis (float_binop op) s d
     | _ -> error "pscan: kind mismatch between f%d and f%d" dst src
   with Invalid_argument msg -> error "pscan: %s" msg
 
@@ -946,200 +948,491 @@ let run_reference ?steps m =
 type ires = IArr of int array | IVal of int
 type fres = FArr of float array | FIArr of int array | FVal of float
 
-let iget r p = match r with IArr a -> Array.unsafe_get a p | IVal v -> v
+let[@inline] iget r p = match r with IArr a -> a.%(p) | IVal v -> v
 
-let fget r p =
+let[@inline] fget r p =
   match r with
-  | FArr a -> Array.unsafe_get a p
-  | FIArr a -> float_of_int (Array.unsafe_get a p)
+  | FArr a -> a.%(p)
+  | FIArr a -> float_of_int a.%(p)
   | FVal v -> v
 
-(* Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
-   hi <= nv where nv is the VP-set size, and decode only admits field
-   arrays of exactly that length, so the unsafe accesses are in bounds
-   by construction.  Each call covers one chunk of the VP set's layout
+(* Kernel rules (DESIGN §8).  An elementwise kernel matches on the
+   operator and the operand shapes once, outside its loop, and then runs
+   a loop that only loads, computes and stores: no closure call per
+   element, no polymorphic array access, no allocation that grows with
+   the VP count.  Operators and shapes outside the typed loops (the
+   faultable int operators, a scalar-scalar operand pair, int fields
+   read as floats) fall back to a generic loop that keeps the same
+   properties for floats and calls the operator table for ints.
+
+   Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
+   hi <= nv where nv is the VP-set size.  Decode only admits field
+   arrays of exactly that length, and the activity flags of a VP set
+   have that length too, so the unchecked accesses are in bounds by
+   construction.  Each call covers one chunk of the VP set's layout
    (the whole range [0, nv) on the fast engine); the chunks are disjoint
    and cover [0, nv), so the union of the writes is the same at every
    chunk count. *)
 
-let mov_int ctx lo hi (out : int array) r =
-  if Context.all_active ctx then
+let mov_int all (m : bool array) lo hi (o : int array) r =
+  if all then
     match r with
-    | IArr a -> Array.blit a lo out lo (hi - lo)
-    | IVal v -> Array.fill out lo (hi - lo) v
+    | IArr a -> for p = lo to hi - 1 do o.%(p) <- a.%(p) done
+    | IVal v -> for p = lo to hi - 1 do o.%(p) <- v done
   else
-    let mask = Context.active ctx in
     match r with
-    | IArr a ->
-        for p = lo to hi - 1 do
-          if Array.unsafe_get mask p then
-            Array.unsafe_set out p (Array.unsafe_get a p)
-        done
-    | IVal v ->
-        for p = lo to hi - 1 do
-          if Array.unsafe_get mask p then Array.unsafe_set out p v
-        done
+    | IArr a -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
+    | IVal v -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
 
-let mov_float ctx lo hi (out : float array) r =
-  if Context.all_active ctx then
+let mov_float all (m : bool array) lo hi (o : float array) r =
+  if all then
     match r with
-    | FArr a -> Array.blit a lo out lo (hi - lo)
-    | FVal v -> Array.fill out lo (hi - lo) v
+    | FArr a -> Array.blit a lo o lo (hi - lo) (* a float blit is a memmove *)
+    | FVal v -> for p = lo to hi - 1 do o.%(p) <- v done
+    | FIArr a -> for p = lo to hi - 1 do o.%(p) <- float_of_int a.%(p) done
+  else
+    match r with
+    | FArr a -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
+    | FVal v -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
     | FIArr a ->
         for p = lo to hi - 1 do
-          Array.unsafe_set out p (float_of_int (Array.unsafe_get a p))
+          if m.%(p) then o.%(p) <- float_of_int a.%(p)
         done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then Array.unsafe_set out p (fget r p)
-    done
 
-let bin_int ctx lo hi (out : int array) (f : int -> int -> int) ra rb =
-  if Context.all_active ctx then
-    match ra, rb with
-    | IArr a, IArr b ->
+(* Int operators with typed loops.  They never fault, so they also run
+   chunked; Band/Bor/Bxor and the faultable operators take the operator
+   table's closure. *)
+let int_typed = function
+  | Add | Sub | Mul | Min | Max | Land | Lor | Eq | Ne | Lt | Le | Gt | Ge ->
+      true
+  | _ -> false
+
+(* [k op b] as [b op' k]: every typed operator but Sub commutes, up to
+   mirroring the order comparisons. *)
+let int_mirror = function Lt -> Gt | Gt -> Lt | Le -> Ge | Ge -> Le | op -> op
+
+let b2i = Bool.to_int
+
+(* [o.(p) <- a.(p) op b.(p)] *)
+let bin_ii all (m : bool array) lo hi (o : int array) op (a : int array)
+    (b : int array) =
+  match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) + b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + b.%(p) done
+  | Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) - b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - b.%(p) done
+  | Mul ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) * b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * b.%(p) done
+  | Min ->
+      if all then for p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) b.%(p) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p
-            (f (Array.unsafe_get a p) (Array.unsafe_get b p))
+          if m.%(p) then o.%(p) <- Int.min a.%(p) b.%(p)
         done
-    | IArr a, IVal k ->
+  | Max ->
+      if all then for p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) b.%(p) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p (f (Array.unsafe_get a p) k)
+          if m.%(p) then o.%(p) <- Int.max a.%(p) b.%(p)
         done
-    | IVal k, IArr b ->
+  | Land ->
+      if all then
+        for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p (f k (Array.unsafe_get b p))
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0)
         done
-    | IVal x, IVal y ->
-        for p = lo to hi - 1 do Array.unsafe_set out p (f x y) done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (f (iget ra p) (iget rb p))
-    done
-
-let bin_float ctx lo hi (out : float array) (f : float -> float -> float) ra rb
-    =
-  if Context.all_active ctx then
-    match ra, rb with
-    | FArr a, FArr b ->
+  | Lor ->
+      if all then
+        for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p
-            (f (Array.unsafe_get a p) (Array.unsafe_get b p))
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0)
         done
-    | _ ->
+  | Eq ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = b.%(p)) done
+      else
+        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p)) done
+  | Ne ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> b.%(p)) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p (f (fget ra p) (fget rb p))
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <> b.%(p))
         done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (f (fget ra p) (fget rb p))
-    done
-
-let cmp_float ctx lo hi (out : int array) (cmp : float -> float -> bool) ra rb
-    =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (if cmp (fget ra p) (fget rb p) then 1 else 0)
-    done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (if cmp (fget ra p) (fget rb p) then 1 else 0)
-    done
-
-let un_int ctx lo hi (out : int array) (f : int -> int) r =
-  if Context.all_active ctx then
-    match r with
-    | IArr a ->
+  | Lt ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < b.%(p)) done
+      else
+        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p)) done
+  | Le ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= b.%(p)) done
+      else
         for p = lo to hi - 1 do
-          Array.unsafe_set out p (f (Array.unsafe_get a p))
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <= b.%(p))
         done
-    | IVal v -> for p = lo to hi - 1 do Array.unsafe_set out p (f v) done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then Array.unsafe_set out p (f (iget r p))
-    done
+  | Gt ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > b.%(p)) done
+      else
+        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p)) done
+  | Ge ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= b.%(p)) done
+      else
+        for p = lo to hi - 1 do
+          if m.%(p) then o.%(p) <- b2i (a.%(p) >= b.%(p))
+        done
+  | _ -> assert false
 
-let un_float ctx lo hi (out : float array) (f : float -> float) r =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do Array.unsafe_set out p (f (fget r p)) done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then Array.unsafe_set out p (f (fget r p))
-    done
+(* [o.(p) <- a.(p) op k] *)
+let bin_ik all (m : bool array) lo hi (o : int array) op (a : int array) k =
+  match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) + k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + k done
+  | Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) - k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - k done
+  | Mul ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) * k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * k done
+  | Min ->
+      if all then for p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.min a.%(p) k done
+  | Max ->
+      if all then for p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.max a.%(p) k done
+  | Land ->
+      let k = b2i (k <> 0) in
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) land k done
+      else
+        for p = lo to hi - 1 do
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) land k
+        done
+  | Lor ->
+      let k = b2i (k <> 0) in
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) lor k done
+      else
+        for p = lo to hi - 1 do
+          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) lor k
+        done
+  | Eq ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = k) done
+  | Ne ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <> k) done
+  | Lt ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < k) done
+  | Le ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <= k) done
+  | Gt ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > k) done
+  | Ge ->
+      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= k) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) >= k) done
+  | _ -> assert false
 
-let toint_loop ctx lo hi (out : int array) r =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (int_of_float (fget r p))
-    done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (int_of_float (fget r p))
-    done
+(* [f] is the operator table's closure for [op]: the loop of every
+   operator without a typed one.  A faultable operator raises at the
+   first faulting active element, after the writes before it. *)
+let bin_int all (m : bool array) lo hi (o : int array) op (f : int -> int -> int) ra rb =
+  match ra, rb with
+  | IArr a, IArr b when int_typed op -> bin_ii all m lo hi o op a b
+  | IArr a, IVal k when int_typed op -> bin_ik all m lo hi o op a k
+  | IVal k, IArr b when int_typed op && op <> Sub ->
+      bin_ik all m lo hi o (int_mirror op) b k
+  | IVal k, IArr b when op = Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- k - b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k - b.%(p) done
+  | _ ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- f (iget ra p) (iget rb p)
+      done
 
-let sel_test rc p =
+(* Float operators with typed loops per operand shape; a float operator
+   never faults.  Operands are never swapped: with two NaN operands the
+   result's payload depends on their order. *)
+let bin_ff all (m : bool array) lo hi (o : float array) op (a : float array)
+    (b : float array) =
+  match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) +. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. b.%(p) done
+  | Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) -. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. b.%(p) done
+  | Mul ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) *. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. b.%(p) done
+  | Div ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) /. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. b.%(p) done
+  | _ -> assert false
+
+let bin_fk all (m : bool array) lo hi (o : float array) op (a : float array)
+    (k : float) =
+  match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) +. k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. k done
+  | Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) -. k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. k done
+  | Mul ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) *. k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. k done
+  | Div ->
+      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) /. k done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. k done
+  | _ -> assert false
+
+let bin_kf all (m : bool array) lo hi (o : float array) op (k : float)
+    (b : float array) =
+  match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do o.%(p) <- k +. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k +. b.%(p) done
+  | Sub ->
+      if all then for p = lo to hi - 1 do o.%(p) <- k -. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k -. b.%(p) done
+  | Mul ->
+      if all then for p = lo to hi - 1 do o.%(p) <- k *. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k *. b.%(p) done
+  | Div ->
+      if all then for p = lo to hi - 1 do o.%(p) <- k /. b.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k /. b.%(p) done
+  | _ -> assert false
+
+(* [op] must be valid on floats (the caller forced [float_binop op]). *)
+let bin_float all (m : bool array) lo hi (o : float array) op ra rb =
+  let arith = match op with Add | Sub | Mul | Div -> true | _ -> false in
+  match ra, rb with
+  | FArr a, FArr b when arith -> bin_ff all m lo hi o op a b
+  | FArr a, FVal k when arith -> bin_fk all m lo hi o op a k
+  | FVal k, FArr b when arith -> bin_kf all m lo hi o op k b
+  | _ -> (
+      match op with
+      | Add ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- fget ra p +. fget rb p
+          done
+      | Sub ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- fget ra p -. fget rb p
+          done
+      | Mul ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- fget ra p *. fget rb p
+          done
+      | Div ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- fget ra p /. fget rb p
+          done
+      | Mod ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- Float.rem (fget ra p) (fget rb p)
+          done
+      (* Float.min/max box operands that are not let-bound *)
+      | Min ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then begin
+              let x = fget ra p and y = fget rb p in
+              o.%(p) <- Float.min x y
+            end
+          done
+      | Max ->
+          for p = lo to hi - 1 do
+            if all || m.%(p) then begin
+              let x = fget ra p and y = fget rb p in
+              o.%(p) <- Float.max x y
+            end
+          done
+      | _ -> assert false)
+
+(* Float comparison into an int field (IEEE: NaN compares unequal). *)
+let cmp_float all (m : bool array) lo hi (o : int array) op ra rb =
+  match op with
+  | Eq ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p = fget rb p)
+      done
+  | Ne ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p <> fget rb p)
+      done
+  | Lt ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p < fget rb p)
+      done
+  | Le ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p <= fget rb p)
+      done
+  | Gt ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p > fget rb p)
+      done
+  | Ge ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (fget ra p >= fget rb p)
+      done
+  | _ -> assert false
+
+(* Int unary operators; none faults, so a scalar operand is one value
+   broadcast. *)
+let un_int all (m : bool array) lo hi (o : int array) op r =
+  match r, op with
+  | IArr a, Neg -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- - a.%(p) done
+  | IArr a, Lnot ->
+      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- b2i (a.%(p) = 0) done
+  | IArr a, Bnot ->
+      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- lnot a.%(p) done
+  | IArr a, Abs -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- abs a.%(p) done
+  | IVal v, _ ->
+      let v =
+        match op with
+        | Neg -> -v
+        | Lnot -> b2i (v = 0)
+        | Bnot -> lnot v
+        | Abs -> abs v
+        | ToInt | ToFloat -> assert false
+      in
+      mov_int all m lo hi o (IVal v)
+  | IArr _, (ToInt | ToFloat) -> assert false
+
+let un_float all (m : bool array) lo hi (o : float array) op r =
+  match op with
+  | Neg -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- -.fget r p done
+  | Abs ->
+      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- Float.abs (fget r p) done
+  | ToFloat -> mov_float all m lo hi o r
+  | Lnot | Bnot | ToInt -> assert false
+
+let toint_loop all (m : bool array) lo hi (o : int array) r =
+  for p = lo to hi - 1 do
+    if all || m.%(p) then o.%(p) <- int_of_float (fget r p)
+  done
+
+let[@inline] sel_test rc p =
   match rc with
-  | FArr c -> Array.unsafe_get c p <> 0.0
-  | FIArr c -> Array.unsafe_get c p <> 0
+  | FArr c -> c.%(p) <> 0.0
+  | FIArr c -> c.%(p) <> 0
   | FVal v -> v <> 0.0
 
-let sel_int ctx lo hi (out : int array) rc ra rb =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (if sel_test rc p then iget ra p else iget rb p)
-    done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (if sel_test rc p then iget ra p else iget rb p)
-    done
+let sel_int all (m : bool array) lo hi (o : int array) rc ra rb =
+  match rc with
+  | FIArr c ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then
+          o.%(p) <- (if c.%(p) <> 0 then iget ra p else iget rb p)
+      done
+  | _ ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then
+          o.%(p) <- (if sel_test rc p then iget ra p else iget rb p)
+      done
 
-let sel_float ctx lo hi (out : float array) rc ra rb =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (if sel_test rc p then fget ra p else fget rb p)
-    done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (if sel_test rc p then fget ra p else fget rb p)
-    done
+let sel_float all (m : bool array) lo hi (o : float array) rc ra rb =
+  for p = lo to hi - 1 do
+    if all || m.%(p) then
+      o.%(p) <- (if sel_test rc p then fget ra p else fget rb p)
+  done
 
-(* Ranged coordinate fill (Pcoord's loop body). *)
-let coord_loop ctx lo hi (out : int array) ~stride ~extent =
-  if Context.all_active ctx then
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (p / stride mod extent)
-    done
-  else
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      if Array.unsafe_get mask p then
-        Array.unsafe_set out p (p / stride mod extent)
-    done
+(* Ranged coordinate fill (Pcoord's loop body): [p / stride mod extent]
+   is constant on each run of [stride] positions, so the loop fills runs
+   and steps the coordinate between them. *)
+let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
+  let c = ref (lo / stride mod extent) in
+  let s = ref lo in
+  while !s < hi do
+    let e = Int.min hi (!s - (!s mod stride) + stride) and v = !c in
+    if all then for p = !s to e - 1 do o.%(p) <- v done
+    else for p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
+    s := e;
+    c := if v + 1 = extent then 0 else v + 1
+  done
 
 (* Ranged context read (Cread's loop body). *)
-let cread_loop ctx lo hi (out : int array) =
-  if Context.all_active ctx then Array.fill out lo (hi - lo) 1
-  else begin
-    let mask = Context.active ctx in
-    for p = lo to hi - 1 do
-      Array.unsafe_set out p (if Array.unsafe_get mask p then 1 else 0)
-    done
-  end
+let cread_loop all (m : bool array) lo hi (o : int array) =
+  if all then for p = lo to hi - 1 do o.%(p) <- 1 done
+  else
+    for p = lo to hi - 1 do o.%(p) <- b2i m.%(p) done
+
+(* Masked folds of [a.(lo .. hi - 1)] starting from [acc], for every
+   operator with an identity: a sequential left fold, as the operator
+   table's closure would compute it. *)
+let ired all (m : bool array) lo hi op acc (a : int array) =
+  let acc = ref acc in
+  (match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do acc := !acc + a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc + a.%(p) done
+  | Mul ->
+      if all then for p = lo to hi - 1 do acc := !acc * a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc * a.%(p) done
+  | Min ->
+      if all then for p = lo to hi - 1 do acc := Int.min !acc a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := Int.min !acc a.%(p) done
+  | Max ->
+      if all then for p = lo to hi - 1 do acc := Int.max !acc a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := Int.max !acc a.%(p) done
+  | Band ->
+      if all then for p = lo to hi - 1 do acc := !acc land a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc land a.%(p) done
+  | Bor ->
+      if all then for p = lo to hi - 1 do acc := !acc lor a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc lor a.%(p) done
+  | Bxor ->
+      if all then for p = lo to hi - 1 do acc := !acc lxor a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc lxor a.%(p) done
+  | Land ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then acc := b2i (!acc <> 0 && a.%(p) <> 0)
+      done
+  | Lor ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then acc := b2i (!acc <> 0 || a.%(p) <> 0)
+      done
+  | _ -> assert false);
+  !acc
+
+(* The float fold stores its result into [out.(i)]: a returned float
+   would be boxed, once per call. *)
+let fred all (m : bool array) lo hi op acc (a : float array) (out : float array)
+    i =
+  let acc = ref acc in
+  (match op with
+  | Add ->
+      if all then for p = lo to hi - 1 do acc := !acc +. a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc +. a.%(p) done
+  | Mul ->
+      if all then for p = lo to hi - 1 do acc := !acc *. a.%(p) done
+      else for p = lo to hi - 1 do if m.%(p) then acc := !acc *. a.%(p) done
+  | Min ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then acc := Float.min !acc a.%(p)
+      done
+  | Max ->
+      for p = lo to hi - 1 do
+        if all || m.%(p) then acc := Float.max !acc a.%(p)
+      done
+  | _ -> assert false);
+  out.%(i) <- !acc
+
+(* [Any]: the first active element, or the identity when none is. *)
+let iany (m : bool array) nv (a : int array) =
+  let p = ref 0 in
+  while !p < nv && not m.%(!p) do incr p done;
+  if !p < nv then a.%(!p) else Paris.inf_int
+
+let fany (m : bool array) nv (a : float array) =
+  let p = ref 0 in
+  while !p < nv && not m.%(!p) do incr p done;
+  if !p < nv then a.%(!p) else infinity
 
 (* Resolvers for parallel operands.  Decode-time facts (field identity,
    kind, VP set) are burned in; register contents are read per execution.
@@ -1249,6 +1542,13 @@ let decode m layouts code_len instr : unit -> unit =
     (layout, run)
   in
   let whole nv = ([| (0, nv) |], fun body -> body 0) in
+  (* [body all mask lo hi] on every chunk, the context read once *)
+  let sweep layout run ctx body =
+    let all = Context.all_active ctx and mask = Context.active ctx in
+    run (fun c ->
+        let lo, hi = layout.(c) in
+        body all mask lo hi)
+  in
   let pfield f = kpfield m f in
   let dec_fe op =
     match op with
@@ -1371,18 +1671,16 @@ let decode m layouts code_len instr : unit -> unit =
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
             let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_int ctx lo hi out r)
+            sweep layout run ctx (fun all mk lo hi ->
+                mov_int all mk lo hi out r)
       | FFloat out ->
           let ga = dec_float m vp a in
           fun () ->
             check_cur vp "pmov" dst;
             Cost.charge_pe meter ~size:nv;
             let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                mov_float ctx lo hi out r))
+            sweep layout run ctx (fun all mk lo hi ->
+                mov_float all mk lo hi out r))
   | Pbin (op, dst, a, b) -> (
       let vp, nv, ctx, fd = pfield dst in
       let layout, run = chunked vp nv in
@@ -1393,17 +1691,15 @@ let decode m layouts code_len instr : unit -> unit =
           fun () ->
             check_cur vp "pbin" dst;
             Cost.charge_pe meter ~size:nv;
-            let f = Lazy.force lop in
+            let (_ : float -> float -> float) = Lazy.force lop in
             let ra = ga () in
             let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                bin_float ctx lo hi out f ra rb)
+            sweep layout run ctx (fun all mk lo hi ->
+                bin_float all mk lo hi out op ra rb)
       | FInt out ->
           if is_cmp op then begin
             (* float compare if either operand is float-kinded; decided
                statically unless a register is involved *)
-            let cmp = float_cmp op in
             let iop = int_binop op in
             let fa = dec_float m vp a and fb = dec_float m vp b in
             let ia = dec_int m vp a and ib = dec_int m vp b in
@@ -1419,16 +1715,14 @@ let decode m layouts code_len instr : unit -> unit =
               if floatness () then begin
                 let ra = fa () in
                 let rb = fb () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    cmp_float ctx lo hi out cmp ra rb)
+                sweep layout run ctx (fun all mk lo hi ->
+                    cmp_float all mk lo hi out op ra rb)
               end
               else begin
                 let ra = ia () in
                 let rb = ib () in
-                run (fun c ->
-                    let lo, hi = layout.(c) in
-                    bin_int ctx lo hi out iop ra rb)
+                sweep layout run ctx (fun all mk lo hi ->
+                    bin_int all mk lo hi out op iop ra rb)
               end
           end
           else
@@ -1445,9 +1739,8 @@ let decode m layouts code_len instr : unit -> unit =
               let f = Lazy.force lop in
               let ra = ia () in
               let rb = ib () in
-              run (fun c ->
-                  let lo, hi = layout.(c) in
-                  bin_int ctx lo hi out f ra rb))
+              sweep layout run ctx (fun all mk lo hi ->
+                  bin_int all mk lo hi out op f ra rb))
   | Punop (op, dst, a) -> (
       let vp, nv, ctx, fd = pfield dst in
       let layout, run = chunked vp nv in
@@ -1458,48 +1751,28 @@ let decode m layouts code_len instr : unit -> unit =
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
             let r = ga () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                toint_loop ctx lo hi out r)
+            sweep layout run ctx (fun all mk lo hi ->
+                toint_loop all mk lo hi out r)
       | FInt out, _ ->
           let ga = dec_int m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> fun x -> -x
-              | Lnot -> fun x -> if x = 0 then 1 else 0
-              | Bnot -> lnot
-              | Abs -> abs
-              | ToInt -> assert false
-              | ToFloat -> error "tofloat into an int field")
-          in
           fun () ->
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
             (* reference order: operand first, then the operator check *)
             let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_int ctx lo hi out f ra)
+            if op = ToFloat then error "tofloat into an int field";
+            sweep layout run ctx (fun all mk lo hi ->
+                un_int all mk lo hi out op ra)
       | FFloat out, _ ->
           let ga = dec_float m vp a in
-          let lop =
-            lazy
-              (match op with
-              | Neg -> ( ~-. )
-              | Abs -> Float.abs
-              | ToFloat -> fun x -> x
-              | Lnot | Bnot | ToInt -> error "integer unop into a float field")
-          in
+          let int_op = match op with Lnot | Bnot | ToInt -> true | _ -> false in
           fun () ->
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
             let ra = ga () in
-            let f = Lazy.force lop in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                un_float ctx lo hi out f ra))
+            if int_op then error "integer unop into a float field";
+            sweep layout run ctx (fun all mk lo hi ->
+                un_float all mk lo hi out op ra))
   | Pcoord (dst, axis) -> (
       let vp, nv, ctx, fd = pfield dst in
       let g = m.prog.geoms.(vp) in
@@ -1513,9 +1786,8 @@ let decode m layouts code_len instr : unit -> unit =
             check_cur vp "pcoord" dst;
             if not axis_ok then error "pcoord: bad axis %d" axis;
             Cost.charge_pe meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                coord_loop ctx lo hi out ~stride ~extent)
+            sweep layout run ctx (fun all mk lo hi ->
+                coord_loop all mk lo hi out ~stride ~extent)
       | FFloat _ ->
           fun () ->
             check_cur vp "pcoord" dst;
@@ -1532,7 +1804,7 @@ let decode m layouts code_len instr : unit -> unit =
             if not len_ok then
               error "ptable: table length does not match the VP set";
             Cost.charge_pe meter ~size:nv;
-            Array.blit table 0 out 0 nv
+            for p = 0 to nv - 1 do out.%(p) <- table.%(p) done
       | FFloat _ ->
           fun () ->
             check_cur vp "ptable" dst;
@@ -1550,14 +1822,11 @@ let decode m layouts code_len instr : unit -> unit =
             let modv = to_int (gm ()) in
             Cost.charge_pe meter ~size:nv;
             if Context.all_active ctx then
-              for p = 0 to nv - 1 do
-                Array.unsafe_set out p (rand_mod m modv)
-              done
+              for p = 0 to nv - 1 do out.%(p) <- rand_mod m modv done
             else
               let mask = Context.active ctx in
               for p = 0 to nv - 1 do
-                if Array.unsafe_get mask p then
-                  Array.unsafe_set out p (rand_mod m modv)
+                if mask.%(p) then out.%(p) <- rand_mod m modv
               done
       | FFloat _ ->
           fun () ->
@@ -1578,9 +1847,8 @@ let decode m layouts code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_int ctx lo hi out rc ra rb)
+            sweep layout run ctx (fun all mk lo hi ->
+                sel_int all mk lo hi out rc ra rb)
       | FFloat out ->
           let ga = dec_float m vp a and gb = dec_float m vp b in
           fun () ->
@@ -1589,9 +1857,8 @@ let decode m layouts code_len instr : unit -> unit =
             let rc = gc () in
             let ra = ga () in
             let rb = gb () in
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                sel_float ctx lo hi out rc ra rb))
+            sweep layout run ctx (fun all mk lo hi ->
+                sel_float all mk lo hi out rc ra rb))
   | Pget (dst, src, addr) ->
       let vp, nv, ctx, fd_dst = pfield dst in
       let fd_src = field_data m src in
@@ -1604,9 +1871,10 @@ let decode m layouts code_len instr : unit -> unit =
           try
             match fd_dst, fd_src with
             | FInt d, FInt s ->
-                Router.get ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
+                Router.get EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
             | FFloat d, FFloat s ->
-                Router.get ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
+                Router.get EFloat ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
+                  ()
             | _ -> error "pget: kind mismatch between f%d and f%d" dst src
           with Invalid_argument msg -> error "pget: %s" msg
         in
@@ -1616,8 +1884,6 @@ let decode m layouts code_len instr : unit -> unit =
       let vp, nv, ctx, fd_src = pfield src in
       let fd_dst = field_data m dst in
       let gaddr = dec_addr vp addr in
-      let lcomb_i = lazy (int_combine combine) in
-      let lcomb_f = lazy (float_combine combine) in
       let checking = combine = Ccheck in
       fun () ->
         check_cur vp "psend" src;
@@ -1627,11 +1893,12 @@ let decode m layouts code_len instr : unit -> unit =
           try
             match fd_dst, fd_src with
             | FInt d, FInt s ->
-                Router.send ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-                  ~combine:(Lazy.force lcomb_i) ()
+                Router.send EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
+                  ~combine ()
             | FFloat d, FFloat s ->
-                Router.send ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-                  ~combine:(Lazy.force lcomb_f) ()
+                check_float_combine combine;
+                Router.send EFloat ~scratch:m.scratch ~mask ~addr ~src:s
+                  ~dst:d ~combine ()
             | _ -> error "psend: kind mismatch between f%d and f%d" dst src
           with
           | Invalid_argument msg -> error "psend: %s" msg
@@ -1657,24 +1924,22 @@ let decode m layouts code_len instr : unit -> unit =
       let layout, run =
         if dst = src || not axis_ok then whole nv else chunked vp nv
       in
-      let shift s d =
-        if Context.all_active ctx then
-          run (fun c ->
-              let lo, hi = layout.(c) in
-              ignore (News.shift_sub g ~axis ~delta ~lo ~hi s d))
-        else
-          let mask = Context.active ctx in
-          run (fun c ->
-              let lo, hi = layout.(c) in
-              ignore (News.shift_masked_sub g ~axis ~delta ~mask ~lo ~hi s d))
+      let shift : type a. a elt -> a array -> a array -> unit =
+       fun k s d ->
+        let mask =
+          if Context.all_active ctx then None else Some (Context.active ctx)
+        in
+        run (fun c ->
+            let lo, hi = layout.(c) in
+            ignore (News.shift_sub k ?mask g ~axis ~delta ~lo ~hi s d))
       in
       fun () ->
         check_cur vp "pnews" dst;
         check_cur vp_src "pnews" src;
         (try
            match fd_dst, fd_src with
-           | FInt d, FInt s -> shift s d
-           | FFloat d, FFloat s -> shift s d
+           | FInt d, FInt s -> shift EInt s d
+           | FFloat d, FFloat s -> shift EFloat s d
            | _ -> error "pnews: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "pnews: %s" msg);
         Cost.charge_news meter ~size:nv
@@ -1684,15 +1949,13 @@ let decode m layouts code_len instr : unit -> unit =
       | FInt a ->
           if op = Any then
             fun () ->
-              begin
-                check_cur vp "preduce" fld;
-                Cost.charge_reduce meter ~size:nv;
-                let v =
-                  if Context.all_active ctx && nv > 0 then a.(0)
-                  else reduce_any (Context.active ctx) (Array.get a) nv Paris.inf_int
-                in
-                m.regs.(r) <- SInt v
-              end
+              check_cur vp "preduce" fld;
+              Cost.charge_reduce meter ~size:nv;
+              let v =
+                if Context.all_active ctx then a.(0)
+                else iany (Context.active ctx) nv a
+              in
+              m.regs.(r) <- SInt v
           else
             (* the reference evaluates the identity before the operator
                (right-to-left application), so keep that fault order *)
@@ -1712,60 +1975,36 @@ let decode m layouts code_len instr : unit -> unit =
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
               let f = Lazy.force lop in
-              (if Context.all_active ctx then
-                 run (fun c ->
-                     let lo, hi = layout.(c) in
-                     let acc = ref ident in
-                     for p = lo to hi - 1 do
-                       acc := f !acc (Array.unsafe_get a p)
-                     done;
-                     Array.unsafe_set partials c !acc)
-               else
-                 let mask = Context.active ctx in
-                 run (fun c ->
-                     let lo, hi = layout.(c) in
-                     let acc = ref ident in
-                     for p = lo to hi - 1 do
-                       if Array.unsafe_get mask p then
-                         acc := f !acc (Array.unsafe_get a p)
-                     done;
-                     Array.unsafe_set partials c !acc));
-              let acc = ref (Array.unsafe_get partials 0) in
+              let all = Context.all_active ctx and mask = Context.active ctx in
+              run (fun c ->
+                  let lo, hi = layout.(c) in
+                  partials.%(c) <- ired all mask lo hi op ident a);
+              let acc = ref partials.%(0) in
               for c = 1 to nch - 1 do
-                acc := f !acc (Array.unsafe_get partials c)
+                acc := f !acc partials.%(c)
               done;
               m.regs.(r) <- SInt !acc
       | FFloat a ->
           if op = Any then
             fun () ->
-              begin
-                check_cur vp "preduce" fld;
-                Cost.charge_reduce meter ~size:nv;
-                let v =
-                  if Context.all_active ctx && nv > 0 then a.(0)
-                  else reduce_any (Context.active ctx) (Array.get a) nv infinity
-                in
-                m.regs.(r) <- SFloat v
-              end
+              check_cur vp "preduce" fld;
+              Cost.charge_reduce meter ~size:nv;
+              let v =
+                if Context.all_active ctx then a.(0)
+                else fany (Context.active ctx) nv a
+              in
+              m.regs.(r) <- SFloat v
           else
+            (* float addition is not associative: one whole-range fold *)
             let lident = lazy (to_float (identity op KFloat)) in
-            let lop = lazy (float_binop op) in
+            let cell = [| 0.0 |] in
             fun () ->
               check_cur vp "preduce" fld;
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
-              let f = Lazy.force lop in
-              let v =
-                if Context.all_active ctx then begin
-                  let acc = ref ident in
-                  for p = 0 to nv - 1 do
-                    acc := f !acc (Array.unsafe_get a p)
-                  done;
-                  !acc
-                end
-                else Scan.masked_reduce f ident (Context.active ctx) a
-              in
-              m.regs.(r) <- SFloat v)
+              let all = Context.all_active ctx and mask = Context.active ctx in
+              fred all mask 0 nv op ident a cell 0;
+              m.regs.(r) <- SFloat cell.(0))
   | Pcount r ->
       fun () ->
         Cost.charge_reduce meter ~size:(cur_size m);
@@ -1775,9 +2014,9 @@ let decode m layouts code_len instr : unit -> unit =
       let dst_vp = field_vpset m dst in
       let fd_dst = field_data m dst in
       let outer = m.prog.geoms.(dst_vp) in
-      let whole = m.prog.geoms.(vp) in
-      let prefix_ok = Geometry.is_prefix_of outer whole in
+      let prefix_ok = Geometry.is_prefix_of outer m.prog.geoms.(vp) in
       let outer_size = Geometry.size outer in
+      let inner = nv / outer_size in
       let lident_i = lazy (to_int (identity op KInt)) in
       let lident_f = lazy (to_float (identity op KFloat)) in
       fun () ->
@@ -1787,22 +2026,23 @@ let decode m layouts code_len instr : unit -> unit =
             dst;
         let mask = Context.active ctx in
         Cost.charge_reduce meter ~size:nv;
+        (* one masked fold per outer position, written straight into the
+           destination (Scan.reduce_trailing_axes's order and results) *)
         (try
            match fd_dst, fd_src with
            | FInt d, FInt s ->
                let ident = Lazy.force lident_i in
-               let r =
-                 Scan.reduce_trailing_axes whole ~outer_size (int_binop op)
-                   ident mask s
-               in
-               Array.blit r 0 d 0 outer_size
+               (* 'any' faults here, after the identity, as in the reference *)
+               let (_ : int -> int -> int) = int_binop op in
+               for o = 0 to outer_size - 1 do
+                 d.(o) <- ired false mask (o * inner) ((o + 1) * inner) op ident s
+               done
            | FFloat d, FFloat s ->
                let ident = Lazy.force lident_f in
-               let r =
-                 Scan.reduce_trailing_axes whole ~outer_size (float_binop op)
-                   ident mask s
-               in
-               Array.blit r 0 d 0 outer_size
+               let (_ : float -> float -> float) = float_binop op in
+               for o = 0 to outer_size - 1 do
+                 fred false mask (o * inner) ((o + 1) * inner) op ident s d o
+               done
            | _ -> error "preduce-axis: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "preduce-axis: %s" msg)
   | Pscan (op, dst, src, axis) ->
@@ -1816,12 +2056,8 @@ let decode m layouts code_len instr : unit -> unit =
         Cost.charge_scan meter ~size:nv;
         (try
            match fd_dst, fd_src with
-           | FInt d, FInt s ->
-               let r = Scan.scan_axis g axis (int_binop op) s in
-               Array.blit r 0 d 0 (Array.length d)
-           | FFloat d, FFloat s ->
-               let r = Scan.scan_axis g axis (float_binop op) s in
-               Array.blit r 0 d 0 (Array.length d)
+           | FInt d, FInt s -> scan_ints m g axis op s d
+           | FFloat d, FFloat s -> Scan.scan_axis g axis (float_binop op) s d
            | _ -> error "pscan: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "pscan: %s" msg)
   | Cwith vp ->
@@ -1864,9 +2100,8 @@ let decode m layouts code_len instr : unit -> unit =
           fun () ->
             check_cur vp "cread" fld;
             Cost.charge_context meter ~size:nv;
-            run (fun c ->
-                let lo, hi = layout.(c) in
-                cread_loop ctx lo hi out)
+            sweep layout run ctx (fun all mk lo hi ->
+                cread_loop all mk lo hi out)
       | FFloat _ ->
           fun () ->
             check_cur vp "cread" fld;
@@ -2225,6 +2460,7 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     labels = resolve_labels prog;
     engine;
     scratch = Router.scratch ();
+    scan_tmp = [||];
     cur = ck.ck_cur;
     rand_state = ck.ck_rand;
     fuel = ck.ck_fuel;

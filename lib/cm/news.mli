@@ -8,20 +8,18 @@
     value (the code generator only emits NEWS ops under a context that
     masks such border positions). *)
 
-(** [shift g ~axis ~delta src dst] writes [dst.(p) <- src.(p with
-    coordinate[axis] incremented by delta)] for every in-range position.
-    Returns the number of positions updated.
+(** [shift k g ~axis ~delta src dst] writes [dst.(p) <- src.(p with
+    coordinate[axis] incremented by delta)] for every in-range position,
+    restricted to positions where [mask] is true when one is given.
+    [k] names the element kind, so the copies are monomorphic.  Returns
+    the number of positions updated.
     @raise Invalid_argument on size/axis errors. *)
 val shift :
-  Geometry.t -> axis:int -> delta:int -> 'a array -> 'a array -> int
-
-(** [shift_masked] is {!shift} restricted to positions where the
-    destination mask is true. *)
-val shift_masked :
+  'a Paris.elt ->
+  ?mask:bool array ->
   Geometry.t ->
   axis:int ->
   delta:int ->
-  mask:bool array ->
   'a array ->
   'a array ->
   int
@@ -32,22 +30,11 @@ val shift_masked :
     the ranges must run one after another in ascending order, which
     reproduces the whole-grid in-place shift. *)
 val shift_sub :
+  'a Paris.elt ->
+  ?mask:bool array ->
   Geometry.t ->
   axis:int ->
   delta:int ->
-  lo:int ->
-  hi:int ->
-  'a array ->
-  'a array ->
-  int
-
-(** [shift_masked_sub] is {!shift_masked} restricted to destination
-    positions in [\[lo, hi)], under the same rules as {!shift_sub}. *)
-val shift_masked_sub :
-  Geometry.t ->
-  axis:int ->
-  delta:int ->
-  mask:bool array ->
   lo:int ->
   hi:int ->
   'a array ->

@@ -1,5 +1,7 @@
 type kind = KInt | KFloat
 
+type _ elt = EInt : int elt | EFloat : float elt
+
 type binop =
   | Add | Sub | Mul | Div | Mod
   | Min | Max

@@ -13,6 +13,12 @@
 (** Element kind of a field or scalar. *)
 type kind = KInt | KFloat
 
+(** Typed witness of a field's element array.  Kernels that serve both
+    kinds ({!News}, {!Router}) match on it once per call, so each branch
+    accesses an [int array] or a [float array] monomorphically: no float
+    boxing and no write barrier per element. *)
+type _ elt = EInt : int elt | EFloat : float elt
+
 type binop =
   | Add | Sub | Mul | Div | Mod
   | Min | Max

@@ -1,90 +1,129 @@
+open Paris
+
 type stats = { messages : int; max_fanin : int }
 
 exception Conflict of int
 
-type 'a combine =
-  | Overwrite_check of ('a -> 'a -> bool)
-  | Combine of ('a -> 'a -> 'a)
+(* Fan-in counting scratch: one word per address, [epoch lsl 31 lor
+   count].  A count is valid only when its epoch is the current one;
+   bumping the epoch invalidates every slot at once, so repeated routing
+   operations are allocation-free once the array has grown to the
+   largest field routed through it.  Counts stay below 2^31 (a field is
+   far smaller); the epoch restarts, with the slots cleared, before it
+   reaches 2^31, so a tag always fits a 63-bit int. *)
+type scratch = { mutable tags : int array; mutable epoch : int }
 
-(* Fan-in counting scratch.  [count.(a)] is valid only when
-   [stamp.(a) = epoch]; bumping the epoch invalidates every slot at
-   once, so repeated routing operations are allocation-free once the
-   arrays have grown to the largest field routed through them. *)
-type scratch = {
-  mutable stamp : int array;
-  mutable count : int array;
-  mutable epoch : int;
-}
+let scratch () = { tags = [||]; epoch = 0 }
 
-let scratch () = { stamp = [||]; count = [||]; epoch = 0 }
+let count_bits = 31
+let count_mask = (1 lsl count_bits) - 1
 
 let prepare sc n =
-  if Array.length sc.stamp < n then begin
-    sc.stamp <- Array.make n 0;
-    sc.count <- Array.make n 0;
+  if Array.length sc.tags < n then begin
+    sc.tags <- Array.make n 0;
+    sc.epoch <- 0
+  end;
+  if sc.epoch = count_mask then begin
+    Array.fill sc.tags 0 (Array.length sc.tags) 0;
     sc.epoch <- 0
   end;
   sc.epoch <- sc.epoch + 1;
   sc.epoch
 
 (* [bump sc e a] counts one more delivery to address [a] in the routing
-   operation stamped [e] and returns the fan-in so far. *)
+   operation stamped [e] and returns the fan-in so far.  [a] is in
+   bounds: callers range-check it against a field no longer than the
+   tag array. *)
 let bump sc e a =
-  let f = (if sc.stamp.(a) = e then sc.count.(a) else 0) + 1 in
-  sc.stamp.(a) <- e;
-  sc.count.(a) <- f;
+  let w = Array.unsafe_get sc.tags a in
+  let f = (if w lsr count_bits = e then w land count_mask else 0) + 1 in
+  Array.unsafe_set sc.tags a ((e lsl count_bits) lor f);
   f
 
-let check_lengths name mask addr src_or_dst_len =
-  ignore src_or_dst_len;
+let check_lengths name mask addr =
   if Array.length mask <> Array.length addr then
     invalid_arg (name ^ ": mask/addr length mismatch")
 
-let get ?scratch:sc ~mask ~addr ~src ~dst () =
-  check_lengths "Router.get" mask addr (Array.length src);
+(* Both operations walk the active positions in ascending order and
+   stop at the first out-of-range address, after the deliveries before
+   it.  The element moves match on the kind witness per element (a
+   predictable branch), so each one is a typed load and store. *)
+
+let get (type a) (k : a elt) ?scratch:sc ~mask ~addr ~(src : a array)
+    ~(dst : a array) () =
+  check_lengths "Router.get" mask addr;
   if Array.length dst <> Array.length addr then
     invalid_arg "Router.get: dst/addr length mismatch";
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let e = prepare sc (Array.length src) in
+  let len = Array.length src in
+  let e = prepare sc len in
   let messages = ref 0 in
   let max_fanin = ref 0 in
-  Array.iteri
-    (fun p m ->
-      if m then begin
-        let a = addr.(p) in
-        if a < 0 || a >= Array.length src then
-          invalid_arg "Router.get: address out of range";
-        dst.(p) <- src.(a);
-        incr messages;
-        let f = bump sc e a in
-        if f > !max_fanin then max_fanin := f
-      end)
-    mask;
+  for p = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask p then begin
+      let a = Array.unsafe_get addr p in
+      if a < 0 || a >= len then invalid_arg "Router.get: address out of range";
+      (match k with
+      | EInt -> Array.unsafe_set dst p (Array.unsafe_get src a)
+      | EFloat -> Array.unsafe_set dst p (Array.unsafe_get src a));
+      incr messages;
+      let f = bump sc e a in
+      if f > !max_fanin then max_fanin := f
+    end
+  done;
   { messages = !messages; max_fanin = max !max_fanin 1 }
 
-let send ?scratch:sc ~mask ~addr ~src ~dst ~combine () =
-  check_lengths "Router.send" mask addr (Array.length dst);
+(* The first value to reach a destination overwrites it; later ones
+   merge with [combine] (the checking combine raises {!Conflict} on a
+   distinct value instead). *)
+let send (type a) (k : a elt) ?scratch:sc ~mask ~addr ~(src : a array)
+    ~(dst : a array) ~combine () =
+  check_lengths "Router.send" mask addr;
   if Array.length src <> Array.length addr then
     invalid_arg "Router.send: src/addr length mismatch";
+  (match k, combine with
+  | EFloat, (Cor | Cand | Cxor) ->
+      invalid_arg "Router.send: bitwise combine on floats"
+  | _ -> ());
   let sc = match sc with Some sc -> sc | None -> scratch () in
-  let e = prepare sc (Array.length dst) in
+  let len = Array.length dst in
+  let e = prepare sc len in
   let messages = ref 0 in
   let max_fanin = ref 0 in
-  Array.iteri
-    (fun p m ->
-      if m then begin
-        let a = addr.(p) in
-        if a < 0 || a >= Array.length dst then
-          invalid_arg "Router.send: address out of range";
-        let v = src.(p) in
-        incr messages;
-        let f = bump sc e a in
-        if f > !max_fanin then max_fanin := f;
-        (match combine with
-        | Overwrite_check eq ->
-            if f = 1 then dst.(a) <- v
-            else if not (eq dst.(a) v) then raise (Conflict a)
-        | Combine merge -> if f = 1 then dst.(a) <- v else dst.(a) <- merge dst.(a) v)
-      end)
-    mask;
+  for p = 0 to Array.length mask - 1 do
+    if Array.unsafe_get mask p then begin
+      let a = Array.unsafe_get addr p in
+      if a < 0 || a >= len then invalid_arg "Router.send: address out of range";
+      incr messages;
+      let f = bump sc e a in
+      if f > !max_fanin then max_fanin := f;
+      match k with
+      | EInt ->
+          let v = Array.unsafe_get src p in
+          if f = 1 then Array.unsafe_set dst a v
+          else
+            let d = Array.unsafe_get dst a in
+            (match combine with
+            | Ccheck -> if d <> v then raise (Conflict a)
+            | Cover -> ()
+            | Cadd -> Array.unsafe_set dst a (d + v)
+            | Cmin -> Array.unsafe_set dst a (Int.min d v)
+            | Cmax -> Array.unsafe_set dst a (Int.max d v)
+            | Cor -> Array.unsafe_set dst a (d lor v)
+            | Cand -> Array.unsafe_set dst a (d land v)
+            | Cxor -> Array.unsafe_set dst a (d lxor v))
+      | EFloat ->
+          let v = Array.unsafe_get src p in
+          if f = 1 then Array.unsafe_set dst a v
+          else
+            let d = Array.unsafe_get dst a in
+            (match combine with
+            | Ccheck -> if not (d = v) then raise (Conflict a)
+            | Cover -> ()
+            | Cadd -> Array.unsafe_set dst a (d +. v)
+            | Cmin -> Array.unsafe_set dst a (Float.min d v)
+            | Cmax -> Array.unsafe_set dst a (Float.max d v)
+            | Cor | Cand | Cxor -> ())
+    end
+  done;
   { messages = !messages; max_fanin = max !max_fanin 1 }

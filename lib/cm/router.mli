@@ -15,12 +15,6 @@ type stats = { messages : int; max_fanin : int }
     destination address. *)
 exception Conflict of int
 
-(** How concurrent writes to one destination are merged. *)
-type 'a combine =
-  | Overwrite_check of ('a -> 'a -> bool)
-      (** all values must satisfy the given equality; raises {!Conflict} *)
-  | Combine of ('a -> 'a -> 'a)  (** associative-commutative combining *)
-
 (** Reusable fan-in counting state.  Per-address counters are tagged
     with an epoch that is bumped on every routing call, so a scratch can
     be shared by all [get]/[send] operations of one machine and makes
@@ -31,11 +25,15 @@ type scratch
 
 val scratch : unit -> scratch
 
-(** [get ~mask ~addr ~src ~dst ()] performs [dst.(p) <- src.(addr.(p))]
-    for every [p] with [mask.(p)].  [?scratch] supplies reusable fan-in
-    counters; omitted, a fresh one is allocated for the call.
-    @raise Invalid_argument if an address is outside [src]. *)
+(** [get k ~mask ~addr ~src ~dst ()] performs [dst.(p) <- src.(addr.(p))]
+    for every [p] with [mask.(p)], in ascending [p] order; [k] names the
+    element kind, so the moves are monomorphic.  [?scratch] supplies
+    reusable fan-in counters; omitted, a fresh one is allocated for the
+    call.
+    @raise Invalid_argument if an address is outside [src] (after the
+    deliveries before it). *)
 val get :
+  'a Paris.elt ->
   ?scratch:scratch ->
   mask:bool array ->
   addr:int array ->
@@ -44,16 +42,21 @@ val get :
   unit ->
   stats
 
-(** [send ~mask ~addr ~src ~dst ~combine ()] delivers [src.(p)] to
-    [dst.(addr.(p))] for every active [p], merging per-destination values
-    with [combine].
-    @raise Invalid_argument if an address is outside [dst]. *)
+(** [send k ~mask ~addr ~src ~dst ~combine ()] delivers [src.(p)] to
+    [dst.(addr.(p))] for every active [p], in ascending [p] order.  The
+    first value to reach a destination overwrites it; later ones merge
+    with [combine]: [Ccheck] requires them equal and raises {!Conflict}
+    otherwise, [Cover] keeps the first, the others fold the arithmetic
+    or bitwise operator in.
+    @raise Invalid_argument if an address is outside [dst], or for a
+    bitwise combine on floats. *)
 val send :
+  'a Paris.elt ->
   ?scratch:scratch ->
   mask:bool array ->
   addr:int array ->
   src:'a array ->
   dst:'a array ->
-  combine:'a combine ->
+  combine:Paris.combine ->
   unit ->
   stats

@@ -20,10 +20,11 @@ val reduce : ('a -> 'a -> 'a) -> 'a -> 'a array -> 'a
     [mask] is true; returns [identity] when none are. *)
 val masked_reduce : ('a -> 'a -> 'a) -> 'a -> bool array -> 'a array -> 'a
 
-(** [reduce_trailing_axes g ~outer_size op identity mask a] reduces a field
-    laid out on geometry [g] over its trailing axes, producing one value per
-    leading position.  [outer_size] must divide [Geometry.size g]; positions
-    where [mask] is false contribute [identity]. *)
+(** [reduce_trailing_axes g ~outer_size op identity mask a dst] reduces a
+    field laid out on geometry [g] over its trailing axes, writing one
+    value per leading position into [dst] (of length [outer_size]).
+    [outer_size] must divide [Geometry.size g]; positions where [mask]
+    is false contribute [identity].  [dst] may be [a]. *)
 val reduce_trailing_axes :
   Geometry.t ->
   outer_size:int ->
@@ -31,8 +32,11 @@ val reduce_trailing_axes :
   'a ->
   bool array ->
   'a array ->
-  'a array
+  'a array ->
+  unit
 
-(** [scan_axis g axis op a] computes an inclusive scan independently along
-    [axis] of a field laid out on [g]. *)
-val scan_axis : Geometry.t -> int -> ('a -> 'a -> 'a) -> 'a array -> 'a array
+(** [scan_axis g axis op a dst] writes into [dst] an inclusive scan
+    along [axis], independently per lane, of a field laid out on [g].
+    [dst] may be [a].  If [op] raises, [dst] holds the steps before. *)
+val scan_axis :
+  Geometry.t -> int -> ('a -> 'a -> 'a) -> 'a array -> 'a array -> unit

@@ -82,25 +82,36 @@ let test_reduce_trailing_axes () =
   (* 2x3 field: rows [1 2 3] [4 5 6]; reduce the trailing axis. *)
   let g = Cm.Geometry.create [ 2; 3 ] in
   let mask = Array.make 6 true in
-  let sums =
-    Cm.Scan.reduce_trailing_axes g ~outer_size:2 ( + ) 0 mask
-      [| 1; 2; 3; 4; 5; 6 |]
-  in
+  let sums = Array.make 2 0 in
+  Cm.Scan.reduce_trailing_axes g ~outer_size:2 ( + ) 0 mask
+    [| 1; 2; 3; 4; 5; 6 |] sums;
   check (Alcotest.array Alcotest.int) "row sums" [| 6; 15 |] sums;
   mask.(4) <- false;
-  let sums =
-    Cm.Scan.reduce_trailing_axes g ~outer_size:2 ( + ) 0 mask
-      [| 1; 2; 3; 4; 5; 6 |]
-  in
-  check (Alcotest.array Alcotest.int) "masked row sums" [| 6; 10 |] sums
+  Cm.Scan.reduce_trailing_axes g ~outer_size:2 ( + ) 0 mask
+    [| 1; 2; 3; 4; 5; 6 |] sums;
+  check (Alcotest.array Alcotest.int) "masked row sums" [| 6; 10 |] sums;
+  (* in place: each row is read before its sum lands *)
+  let a = [| 1; 2; 3; 4; 5; 6 |] in
+  Cm.Scan.reduce_trailing_axes (Cm.Geometry.create [ 6 ]) ~outer_size:6 ( + ) 0
+    (Array.make 6 true) a a;
+  check (Alcotest.array Alcotest.int) "in place" [| 1; 2; 3; 4; 5; 6 |] a
+
+let scan_axis g axis op a =
+  let out = Array.make (Array.length a) 0 in
+  Cm.Scan.scan_axis g axis op a out;
+  out
 
 let test_scan_axis () =
   let g = Cm.Geometry.create [ 2; 3 ] in
   let a = [| 1; 2; 3; 4; 5; 6 |] in
   check (Alcotest.array Alcotest.int) "axis 1 (rows)" [| 1; 3; 6; 4; 9; 15 |]
-    (Cm.Scan.scan_axis g 1 ( + ) a);
+    (scan_axis g 1 ( + ) a);
   check (Alcotest.array Alcotest.int) "axis 0 (cols)" [| 1; 2; 3; 5; 7; 9 |]
-    (Cm.Scan.scan_axis g 0 ( + ) a)
+    (scan_axis g 0 ( + ) a);
+  (* in place equals out of place *)
+  let expect = scan_axis g 0 ( - ) a in
+  Cm.Scan.scan_axis g 0 ( - ) a a;
+  check (Alcotest.array Alcotest.int) "in place" expect a
 
 let scan_matches_fold =
   qtest "scan: inclusive last element equals fold"
@@ -114,7 +125,7 @@ let scan_axis_independent_lanes =
     QCheck2.Gen.(array_size (int_range 1 30) (int_range (-50) 50))
     (fun a ->
       let g = Cm.Geometry.create [ 1; Array.length a ] in
-      Cm.Scan.scan_axis g 1 ( + ) a = Cm.Scan.inclusive ( + ) a)
+      scan_axis g 1 ( + ) a = Cm.Scan.inclusive ( + ) a)
 
 (* ---------------- News ---------------- *)
 
@@ -122,7 +133,7 @@ let test_news_shift () =
   let g = Cm.Geometry.create [ 4 ] in
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| 0; 0; 0; 0 |] in
-  let n = Cm.News.shift g ~axis:0 ~delta:1 src dst in
+  let n = Cm.News.shift Cm.Paris.EInt g ~axis:0 ~delta:1 src dst in
   check Alcotest.int "updated" 3 n;
   (* element 3 has no +1 neighbour: keeps its old value *)
   check (Alcotest.array Alcotest.int) "shift +1" [| 20; 30; 40; 0 |] dst
@@ -131,14 +142,14 @@ let test_news_shift_negative () =
   let g = Cm.Geometry.create [ 4 ] in
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| -1; -1; -1; -1 |] in
-  ignore (Cm.News.shift g ~axis:0 ~delta:(-1) src dst);
+  ignore (Cm.News.shift Cm.Paris.EInt g ~axis:0 ~delta:(-1) src dst);
   check (Alcotest.array Alcotest.int) "shift -1" [| -1; 10; 20; 30 |] dst
 
 let test_news_2d_axis () =
   let g = Cm.Geometry.create [ 2; 3 ] in
   let src = [| 1; 2; 3; 4; 5; 6 |] in
   let dst = Array.make 6 0 in
-  ignore (Cm.News.shift g ~axis:0 ~delta:1 src dst);
+  ignore (Cm.News.shift Cm.Paris.EInt g ~axis:0 ~delta:1 src dst);
   (* row 0 receives row 1; row 1 keeps old *)
   check (Alcotest.array Alcotest.int) "axis 0" [| 4; 5; 6; 0; 0; 0 |] dst
 
@@ -147,7 +158,7 @@ let test_news_masked () =
   let src = [| 10; 20; 30; 40 |] in
   let dst = [| 0; 0; 0; 0 |] in
   let mask = [| true; false; true; false |] in
-  let n = Cm.News.shift_masked g ~axis:0 ~delta:1 ~mask src dst in
+  let n = Cm.News.shift Cm.Paris.EInt ~mask g ~axis:0 ~delta:1 src dst in
   check Alcotest.int "updated" 2 n;
   check (Alcotest.array Alcotest.int) "masked" [| 20; 0; 40; 0 |] dst
 
@@ -158,7 +169,7 @@ let test_router_get () =
   let dst = [| 0; 0; 0 |] in
   let addr = [| 2; 0; 1 |] in
   let stats =
-    Cm.Router.get ~mask:[| true; true; true |] ~addr ~src ~dst ()
+    Cm.Router.get Cm.Paris.EInt ~mask:[| true; true; true |] ~addr ~src ~dst ()
   in
   check (Alcotest.array Alcotest.int) "permuted" [| 30; 10; 20 |] dst;
   check Alcotest.int "messages" 3 stats.Cm.Router.messages;
@@ -168,19 +179,19 @@ let test_router_get_fanin () =
   let src = [| 7; 8 |] in
   let dst = [| 0; 0; 0; 0 |] in
   let addr = [| 0; 0; 0; 1 |] in
-  let stats = Cm.Router.get ~mask:(Array.make 4 true) ~addr ~src ~dst () in
+  let stats = Cm.Router.get Cm.Paris.EInt ~mask:(Array.make 4 true) ~addr ~src ~dst () in
   check Alcotest.int "fanin" 3 stats.Cm.Router.max_fanin;
   check (Alcotest.array Alcotest.int) "broadcast" [| 7; 7; 7; 8 |] dst
 
 let test_router_send_check_ok () =
   let dst = [| 0; 0; 0 |] in
   let stats =
-    Cm.Router.send
+    Cm.Router.send Cm.Paris.EInt
       ~mask:[| true; true; true |]
       ~addr:[| 1; 1; 0 |]
       ~src:[| 5; 5; 9 |]
       ~dst
-      ~combine:(Cm.Router.Overwrite_check ( = ))
+      ~combine:Cm.Paris.Ccheck
       ()
   in
   check (Alcotest.array Alcotest.int) "identical values ok" [| 9; 5; 0 |] dst;
@@ -190,23 +201,23 @@ let test_router_send_conflict () =
   let dst = [| 0 |] in
   Alcotest.check_raises "conflict" (Cm.Router.Conflict 0) (fun () ->
       ignore
-        (Cm.Router.send
+        (Cm.Router.send Cm.Paris.EInt
            ~mask:[| true; true |]
            ~addr:[| 0; 0 |]
            ~src:[| 1; 2 |]
            ~dst
-           ~combine:(Cm.Router.Overwrite_check ( = ))
+           ~combine:Cm.Paris.Ccheck
            ()))
 
 let test_router_send_combining () =
   let dst = [| 0; 0 |] in
   ignore
-    (Cm.Router.send
+    (Cm.Router.send Cm.Paris.EInt
        ~mask:(Array.make 4 true)
        ~addr:[| 0; 0; 1; 0 |]
        ~src:[| 1; 2; 5; 4 |]
        ~dst
-       ~combine:(Cm.Router.Combine ( + ))
+       ~combine:Cm.Paris.Cadd
        ());
   (* combining send replaces dst with the combined arrivals *)
   check (Alcotest.array Alcotest.int) "sums" [| 7; 5 |] dst
@@ -214,24 +225,24 @@ let test_router_send_combining () =
 let test_router_send_min () =
   let dst = [| 100 |] in
   ignore
-    (Cm.Router.send
+    (Cm.Router.send Cm.Paris.EInt
        ~mask:(Array.make 3 true)
        ~addr:[| 0; 0; 0 |]
        ~src:[| 9; 3; 7 |]
        ~dst
-       ~combine:(Cm.Router.Combine min)
+       ~combine:Cm.Paris.Cmin
        ());
   check (Alcotest.array Alcotest.int) "min of arrivals" [| 3 |] dst
 
 let test_router_mask () =
   let dst = [| 0; 0 |] in
   let stats =
-    Cm.Router.send
+    Cm.Router.send Cm.Paris.EInt
       ~mask:[| false; true |]
       ~addr:[| 0; 1 |]
       ~src:[| 8; 9 |]
       ~dst
-      ~combine:(Cm.Router.Combine ( + ))
+      ~combine:Cm.Paris.Cadd
       ()
   in
   check (Alcotest.array Alcotest.int) "inactive skipped" [| 0; 9 |] dst;
@@ -244,7 +255,7 @@ let router_get_is_permutation =
       let n = Array.length src in
       let dst = Array.make n (-1) in
       let addr = Array.init n (fun i -> i) in
-      ignore (Cm.Router.get ~mask:(Array.make n true) ~addr ~src ~dst ());
+      ignore (Cm.Router.get Cm.Paris.EInt ~mask:(Array.make n true) ~addr ~src ~dst ());
       dst = src)
 
 (* a reused epoch-tagged scratch must behave exactly like a fresh one,
@@ -264,11 +275,11 @@ let router_scratch_reuse =
           let run ?scratch () =
             let dst = Array.make n 0 in
             let stats =
-              Cm.Router.send ?scratch ~mask ~addr ~src ~dst
-                ~combine:(Cm.Router.Combine ( + )) ()
+              Cm.Router.send Cm.Paris.EInt ?scratch ~mask ~addr ~src ~dst
+                ~combine:Cm.Paris.Cadd ()
             in
             let dst2 = Array.make n (-1) in
-            let stats2 = Cm.Router.get ?scratch ~mask ~addr ~src ~dst:dst2 () in
+            let stats2 = Cm.Router.get Cm.Paris.EInt ?scratch ~mask ~addr ~src ~dst:dst2 () in
             (dst, stats, dst2, stats2)
           in
           run ~scratch () = run ())
