@@ -18,6 +18,45 @@ let default_options =
     ir_opt = Cm.Iropt.default;
   }
 
+(* ---------------- communication events ----------------
+
+   While lowering, the walk records one event wherever it emits
+   communication, with the static execution count of the code it sits
+   in.  Commpat re-classifies the events under candidate layouts. *)
+
+type sub =
+  | Saffine of int * int (* axis, offset *)
+  | Sopaque of (int array -> int) option
+      (* evaluator over space coordinates when the subscript is a pure
+         index expression; None when it depends on runtime values *)
+
+type access = {
+  aname : string;
+  aloc : Loc.t;
+  arw : [ `Read | `Write ];
+  adims : int list; (* logical dims of the array *)
+  asubs : sub list;
+  aspace : int list; (* dims of the activity space *)
+  avalues : int array list; (* per space axis: the element values *)
+  atrips : int;
+  aapprox : bool;
+}
+
+type event =
+  | Access of access
+  | Activity of { trips : int; size : int; approx : bool }
+  | Hist_send of { count : string; trips : int; isize : int; approx : bool }
+  | Fe_access of { fename : string; ferw : [ `Read | `Write ]; fetrips : int }
+
+type recording = {
+  events : event list;
+  arrays : (string * int list) list;
+  layouts : Mapping.table;
+}
+
+(* assumed iteration count of data-dependent loops *)
+let dynamic_trips = 8
+
 type array_meta = {
   afield : int;
   aty : base_ty;
@@ -40,7 +79,7 @@ type binding =
   | Barray of array_meta
   | Bset of string * int array          (* element name, values *)
   | Belem_axis of int                   (* axis of the current space *)
-  | Belem_reg of int                    (* seq element held in a register *)
+  | Belem_reg of int * int              (* seq element: register, first value *)
   | Bparlocal of base_ty * int * int    (* type, field, owning vpset *)
 
 (* the current activity space of a parallel context *)
@@ -69,9 +108,45 @@ type ctx = {
   mutable cse_table : (Ast.expr * int * int list * P.operand) list;
   mutable mask_path : int list;
   mutable next_mask_id : int;
+  (* communication events, recorded only while [live]: in code the
+     analysis knows runs *)
+  mutable live : bool;
+  mutable recorded : event list;  (* reversed *)
+  mutable mult : int;             (* static execution count of the code *)
+  mutable estimated : bool;       (* [mult] is an estimate *)
+  mutable may_return : bool;      (* a return on a conditional path was walked *)
 }
 
 let err loc fmt = Loc.error loc fmt
+
+let note ctx ev = if ctx.live then ctx.recorded <- ev () :: ctx.recorded
+let inexact ctx = ctx.estimated || ctx.may_return
+
+(* walk [f] with the execution count multiplied by [k]; [estimated]
+   flags every event recorded inside *)
+let with_trips ctx ?(estimated = false) k f =
+  let mult = ctx.mult and saved = ctx.estimated in
+  ctx.mult <- mult * k;
+  ctx.estimated <- saved || estimated;
+  let r = f () in
+  ctx.mult <- mult;
+  ctx.estimated <- saved;
+  r
+
+(* code that runs at most once per arrival: a branch, a short-circuit
+   operand *)
+let sometimes ctx f = with_trips ctx ~estimated:true 1 f
+
+let iterated ctx iterate f =
+  if iterate then with_trips ctx ~estimated:true dynamic_trips f else f ()
+
+(* code the analysis knows does not run: lowered, never recorded *)
+let unreached ctx f =
+  let live = ctx.live in
+  ctx.live <- false;
+  let r = f () in
+  ctx.live <- live;
+  r
 
 let kind_of_ty = function Tint -> P.KInt | Tfloat -> P.KFloat
 
@@ -146,7 +221,7 @@ let rec ty_of ctx e =
       List.iter
         (fun set ->
           match List.assoc_opt set ctx.env with
-          | Some (Bset (elem, _)) -> ctx.env <- (elem, Belem_reg (-1)) :: ctx.env
+          | Some (Bset (elem, _)) -> ctx.env <- (elem, Belem_reg (-1, 0)) :: ctx.env
           | _ -> ())
         r.rsets;
       let tys =
@@ -155,6 +230,73 @@ let rec ty_of ctx e =
       in
       ctx.env <- saved;
       if List.mem Tfloat tys then Tfloat else Tint
+
+(* ---------------- subscript analysis ---------------- *)
+
+(* affine analysis of one subscript: Some (axis, offset) when the
+   subscript is  elem (+|-) const  for an element of the current space
+   with canonical 0-based contiguous values *)
+let affine_sub ctx sub : (int * int) option =
+  (* spaces are cover geometries: an element's value is its coordinate *)
+  let elem_axis v =
+    match List.assoc_opt v ctx.env with
+    | Some (Belem_axis ax) -> Some ax
+    | _ -> None
+  in
+  match sub.e with
+  | Evar v -> Option.map (fun ax -> (ax, 0)) (elem_axis v)
+  | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) ->
+      Option.map (fun ax -> (ax, c)) (elem_axis v)
+  | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) ->
+      Option.map (fun ax -> (ax, -c)) (elem_axis v)
+  | _ -> None
+
+(* a pure index subscript as a function of the space coordinates, for
+   fan-in estimation; a seq element stands for its first value *)
+let rec sub_evaluator ctx e : (int array -> int) option =
+  let lift2 f a b =
+    match sub_evaluator ctx a, sub_evaluator ctx b with
+    | Some fa, Some fb -> Some (fun c -> f (fa c) (fb c))
+    | _ -> None
+  in
+  match e.e with
+  | Eint k -> Some (fun _ -> k)
+  | Evar v -> (
+      match List.assoc_opt v ctx.env with
+      | Some (Belem_axis ax) -> Some (fun coords -> coords.(ax))
+      | Some (Belem_reg (_, first)) -> Some (fun _ -> first)
+      | _ -> None)
+  | Ebin (Add, a, b) -> lift2 ( + ) a b
+  | Ebin (Sub, a, b) -> lift2 ( - ) a b
+  | Ebin (Mul, a, b) -> lift2 ( * ) a b
+  | Ebin (Div, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x / y) a b
+  | Ebin (Mod, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x mod y) a b
+  | Ecall ("power2", [ a ]) ->
+      Option.map (fun fa c -> 1 lsl (fa c land 30)) (sub_evaluator ctx a)
+  | Ecall ("abs", [ a ]) -> Option.map (fun fa c -> abs (fa c)) (sub_evaluator ctx a)
+  | Ecall ("min", [ a; b ]) -> lift2 min a b
+  | Ecall ("max", [ a; b ]) -> lift2 max a b
+  | _ -> None
+
+(* an access to array [name] at [subs] from the current space *)
+let access_of ctx loc name (m : array_meta) subs rw : access =
+  let sp = Option.get ctx.space in
+  let sub s =
+    match affine_sub ctx s with
+    | Some (ax, off) -> Saffine (ax, off)
+    | None -> Sopaque (sub_evaluator ctx s)
+  in
+  {
+    aname = name;
+    aloc = loc;
+    arw = rw;
+    adims = m.adims;
+    asubs = List.map sub subs;
+    aspace = sp.dims;
+    avalues = List.map snd sp.axes;
+    atrips = ctx.mult;
+    aapprox = inexact ctx;
+  }
 
 (* ---------------- safety analysis ----------------
 
@@ -199,19 +341,8 @@ let is_news_access ctx base subs =
           && (let deltas =
                 List.mapi
                   (fun axis sub ->
-                    match sub.e with
-                    | Evar v -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some 0
-                        | _ -> None)
-                    | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some c
-                        | _ -> None)
-                    | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) -> (
-                        match List.assoc_opt v ctx.env with
-                        | Some (Belem_axis ax) when ax = axis -> Some (-c)
-                        | _ -> None)
+                    match affine_sub ctx sub with
+                    | Some (ax, d) when ax = axis -> Some d
                     | _ -> None)
                   subs
               in
@@ -325,7 +456,7 @@ let rec eval_fe ctx e : P.operand =
   | Evar v -> (
       match lookup ctx e.eloc v with
       | Bscalar m -> P.Reg m.sreg
-      | Belem_reg r -> P.Reg r
+      | Belem_reg (r, _) -> P.Reg r
       | Belem_axis _ ->
           err e.eloc "index element %s used outside its parallel construct" v
       | Bparlocal _ -> err e.eloc "par-local %s used on the front end" v
@@ -341,6 +472,8 @@ let rec eval_fe ctx e : P.operand =
       let addr = fe_address ctx e.eloc m subs in
       let r = P.Builder.reg ctx.b in
       emit ctx (P.Fread (r, m.afield, addr));
+      note ctx (fun () ->
+          Fe_access { fename = name; ferw = `Read; fetrips = ctx.mult });
       P.Reg r
   | Ebin (Land, a, b) ->
       (* short-circuit on the front end via branches *)
@@ -348,7 +481,7 @@ let rec eval_fe ctx e : P.operand =
       let lfalse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let va = eval_fe ctx a in
       emit ctx (P.Jz (va, lfalse));
-      let vb = eval_fe ctx b in
+      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lfalse;
@@ -360,7 +493,7 @@ let rec eval_fe ctx e : P.operand =
       let ltrue = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let va = eval_fe ctx a in
       emit ctx (P.Jnz (va, ltrue));
-      let vb = eval_fe ctx b in
+      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b ltrue;
@@ -383,11 +516,11 @@ let rec eval_fe ctx e : P.operand =
       let lelse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
       let vc = eval_fe ctx c in
       emit ctx (P.Jz (vc, lelse));
-      let va = eval_fe ctx a in
+      let va = sometimes ctx (fun () -> eval_fe ctx a) in
       emit ctx (P.Fmov (r, va));
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lelse;
-      let vb = eval_fe ctx b in
+      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
       emit ctx (P.Fmov (r, vb));
       P.Builder.place ctx.b lend;
       P.Reg r
@@ -521,7 +654,7 @@ and eval_par_raw ctx e : P.operand =
   | Evar v -> (
       match lookup ctx e.eloc v with
       | Bscalar m -> P.Reg m.sreg
-      | Belem_reg r -> P.Reg r
+      | Belem_reg (r, _) -> P.Reg r
       | Belem_axis ax -> P.Fld sp.value_fields.(ax)
       | Bparlocal (_, f, vp) ->
           if vp <> sp.vp then
@@ -658,24 +791,6 @@ and land_field ctx (op : P.operand) : int =
 
 (* ---------------- array addressing (parallel) ---------------- *)
 
-(* affine analysis of one subscript: Some (axis, offset) when the
-   subscript is  elem (+|-) const  for an element of the current space
-   with canonical 0-based contiguous values *)
-and affine_sub ctx sub : (int * int) option =
-  (* spaces are cover geometries: an element's value is its coordinate *)
-  let elem_axis v =
-    match List.assoc_opt v ctx.env with
-    | Some (Belem_axis ax) -> Some ax
-    | _ -> None
-  in
-  match sub.e with
-  | Evar v -> Option.map (fun ax -> (ax, 0)) (elem_axis v)
-  | Ebin (Add, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, c)) (elem_axis v)
-  | Ebin (Sub, { e = Evar v; _ }, { e = Eint c; _ }) ->
-      Option.map (fun ax -> (ax, -c)) (elem_axis v)
-  | _ -> None
-
 (* Decide how to access array [m] at logical subscripts [subs] from the
    current space. *)
 and access_plan ctx loc m subs =
@@ -788,41 +903,48 @@ and gen_read ctx loc base subs : P.operand =
     | _ -> err base.eloc "only named arrays can be indexed"
   in
   let m = array_meta ctx base.eloc name in
-  match access_plan ctx loc m subs with
-  | `Aligned -> P.Fld m.afield
-  | `News (axis, delta) ->
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pnews (t, m.afield, axis, delta));
-      P.Fld t
-  | `News_prefill (axis, delta) ->
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
-      emit ctx (P.Pnews (t, m.afield, axis, delta));
-      P.Fld t
-  | `General ->
-      let addr = gen_phys_address ctx loc m subs in
-      let addr =
-        match m.alayout with
-        | Mapping.Copied copies ->
-            (* spread reads across the copies in blocks of the leading
-               coordinate: block spreading stays uncorrelated with the
-               low-order bits that broadcast patterns usually key on *)
-            let sp = Option.get ctx.space in
-            let ext0 = List.hd sp.dims in
-            let block = max 1 (ext0 / copies) in
-            let sel = temp ctx P.KInt in
-            emit ctx (P.Pcoord (sel, 0));
-            emit ctx (P.Pbin (P.Div, sel, P.Fld sel, P.Imm (P.SInt block)));
-            emit ctx (P.Pbin (P.Mod, sel, P.Fld sel, P.Imm (P.SInt copies)));
-            let total = List.fold_left ( * ) 1 m.adims in
-            emit ctx (P.Pbin (P.Mul, sel, P.Fld sel, P.Imm (P.SInt total)));
-            emit ctx (P.Pbin (P.Add, sel, P.Fld sel, P.Fld addr));
-            sel
-        | _ -> addr
-      in
-      let t = temp ctx (kind_of_ty m.aty) in
-      emit ctx (P.Pget (t, m.afield, addr));
-      P.Fld t
+  let op =
+    match access_plan ctx loc m subs with
+    | `Aligned -> P.Fld m.afield
+    | `News (axis, delta) ->
+        let t = temp ctx (kind_of_ty m.aty) in
+        emit ctx (P.Pnews (t, m.afield, axis, delta));
+        P.Fld t
+    | `News_prefill (axis, delta) ->
+        let t = temp ctx (kind_of_ty m.aty) in
+        emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
+        emit ctx (P.Pnews (t, m.afield, axis, delta));
+        P.Fld t
+    | `General -> gen_general_read ctx loc m subs
+  in
+  note ctx (fun () -> Access (access_of ctx loc name m subs `Read));
+  op
+
+(* a router read: the address first (subscripts, copy selection) *)
+and gen_general_read ctx loc m subs =
+  let addr = gen_phys_address ctx loc m subs in
+  let addr =
+    match m.alayout with
+    | Mapping.Copied copies ->
+        (* spread reads across the copies in blocks of the leading
+           coordinate: block spreading stays uncorrelated with the
+           low-order bits that broadcast patterns usually key on *)
+        let sp = Option.get ctx.space in
+        let ext0 = List.hd sp.dims in
+        let block = max 1 (ext0 / copies) in
+        let sel = temp ctx P.KInt in
+        emit ctx (P.Pcoord (sel, 0));
+        emit ctx (P.Pbin (P.Div, sel, P.Fld sel, P.Imm (P.SInt block)));
+        emit ctx (P.Pbin (P.Mod, sel, P.Fld sel, P.Imm (P.SInt copies)));
+        let total = List.fold_left ( * ) 1 m.adims in
+        emit ctx (P.Pbin (P.Mul, sel, P.Fld sel, P.Imm (P.SInt total)));
+        emit ctx (P.Pbin (P.Add, sel, P.Fld sel, P.Fld addr));
+        sel
+    | _ -> addr
+  in
+  let t = temp ctx (kind_of_ty m.aty) in
+  emit ctx (P.Pget (t, m.afield, addr));
+  P.Fld t
 
 (* ---------------- reductions ---------------- *)
 
@@ -935,6 +1057,13 @@ and enter_space ctx loc set_names =
         amb_sp.dims;
       let acte = P.Builder.field ctx.b ~vpset:vp P.KInt in
       emit ctx (P.Pget (acte, actf, addr));
+      note ctx (fun () ->
+          Activity
+            {
+              trips = ctx.mult;
+              size = List.fold_left ( * ) 1 dims;
+              approx = inexact ctx;
+            });
       emit ctx (P.Cand acte));
   (* bind the new elements, shadowing outer ones *)
   let saved_env = ctx.env in
@@ -1108,10 +1237,11 @@ and gen_reduce ctx loc r : P.operand =
 
 (* ---------------- assignment targets ---------------- *)
 
+(* an array target carries its access event while the walk records *)
 type target =
   | Tparlocal of base_ty * int                 (* field on the current space *)
-  | Taligned of array_meta                     (* own slot, local ops *)
-  | Tremote of array_meta * int                (* physical address field *)
+  | Taligned of array_meta * access option     (* own slot, local ops *)
+  | Tremote of array_meta * int * access option  (* physical address field *)
 
 let paris_assign_op = function
   | Aadd -> P.Add | Asub -> P.Sub | Amul -> P.Mul | Adiv -> P.Div
@@ -1139,32 +1269,42 @@ let gen_target ctx loc lhs : target =
         | _ -> err base.eloc "only named arrays can be indexed"
       in
       let m = array_meta ctx base.eloc name in
+      let a =
+        if ctx.live then Some (access_of ctx loc name m subs `Write) else None
+      in
       match access_plan ctx loc m subs with
-      | `Aligned -> Taligned m
+      | `Aligned -> Taligned (m, a)
       | `News _ | `News_prefill _ | `General ->
-          Tremote (m, gen_phys_address ctx loc m subs))
+          Tremote (m, gen_phys_address ctx loc m subs, a))
   | _ -> err loc "invalid assignment target"
 
 let target_kind = function
   | Tparlocal (ty, _) -> kind_of_ty ty
-  | Taligned m | Tremote (m, _) -> kind_of_ty m.aty
+  | Taligned (m, _) | Tremote (m, _, _) -> kind_of_ty m.aty
+
+let note_target ctx rw = function
+  | Taligned (_, Some a) | Tremote (_, _, Some a) ->
+      note ctx (fun () -> Access { a with arw = rw })
+  | _ -> ()
 
 (* current value of the target, for op= and swap *)
 let target_read ctx target : P.operand =
+  note_target ctx `Read target;
   match target with
   | Tparlocal (_, f) -> P.Fld f
-  | Taligned m -> P.Fld m.afield
-  | Tremote (m, addr) ->
+  | Taligned (m, _) -> P.Fld m.afield
+  | Tremote (m, addr, _) ->
       let t = temp ctx (kind_of_ty m.aty) in
       emit ctx (P.Pget (t, m.afield, addr));
       P.Fld t
 
 let target_write ctx loc target (value : P.operand) =
   clear_cse ctx;
+  note_target ctx `Write target;
   match target with
   | Tparlocal (_, f) -> emit ctx (P.Pmov (f, value))
-  | Taligned m -> emit ctx (P.Pmov (m.afield, value))
-  | Tremote (m, addr) ->
+  | Taligned (m, _) -> emit ctx (P.Pmov (m.afield, value))
+  | Tremote (m, addr, _) ->
       (* the router needs a source field of the destination kind *)
       let src = temp ctx (kind_of_ty m.aty) in
       emit ctx (P.Pmov (src, value));
@@ -1262,7 +1402,7 @@ let try_histogram ctx loc lhs rhs : bool =
                      statically fully active, so dropping it is sound *)
                   let ambient_space = ctx.space in
                   ctx.space <- None;
-                  let saved, _space = enter_space ctx loc [ iset ] in
+                  let saved, space = enter_space ctx loc [ iset ] in
                   ignore ivalues;
                   let keyop = eval_par ctx key in
                   let addr = temp ctx P.KInt in
@@ -1277,7 +1417,15 @@ let try_histogram ctx loc lhs rhs : bool =
                       let c = eval_par ctx contrib in
                       let src = temp ctx P.KInt in
                       emit ctx (P.Pmov (src, c));
-                      emit ctx (P.Psend (m.afield, src, addr, P.Cadd)));
+                      emit ctx (P.Psend (m.afield, src, addr, P.Cadd));
+                      note ctx (fun () ->
+                          Hist_send
+                            {
+                              count = cname;
+                              trips = ctx.mult;
+                              isize = List.fold_left ( * ) 1 space.dims;
+                              approx = inexact ctx;
+                            }));
                   clear_cse ctx;
                   leave_space ctx saved;
                   ctx.space <- ambient_space;
@@ -1289,6 +1437,63 @@ let try_histogram ctx loc lhs rhs : bool =
             | _ -> false)
         | _ -> false)
     | _ -> false
+
+(* ---------------- trip counts ---------------- *)
+
+let const_of e = try Some (Sema.const_eval e) with _ -> None
+
+(* static trip count of a canonical counted for-loop *)
+let for_trips init cond step body =
+  let var_and_const = function
+    | Some { s = Sassign (Aset, { e = Evar v; _ }, rhs); _ } ->
+        Option.map (fun c -> (v, c)) (const_of rhs)
+    | _ -> None
+  in
+  let rec assigns_var v s =
+    match s.s with
+    | Sassign (_, { e = Evar v'; _ }, _) -> v = v'
+    | Sblock b -> List.exists (assigns_var v) b.bstmts
+    | Sif (_, t, e) ->
+        assigns_var v t
+        || (match e with Some e -> assigns_var v e | None -> false)
+    | Swhile (_, b) -> assigns_var v b
+    | Sfor (i, _, stp, b) ->
+        (match i with Some i -> assigns_var v i | None -> false)
+        || (match stp with Some s -> assigns_var v s | None -> false)
+        || assigns_var v b
+    | Sbreak | Scontinue | Sreturn _ -> true (* escapes break the count *)
+    | _ -> false
+  in
+  match var_and_const init, cond with
+  | Some (v, c0), Some { e = Ebin (cmp, { e = Evar v'; _ }, bound); _ }
+    when v = v' -> (
+      match const_of bound, step with
+      | ( Some c1,
+          Some
+            {
+              s =
+                Sassign
+                  ( Aset,
+                    { e = Evar v''; _ },
+                    {
+                      e = Ebin ((Add | Sub) as sop, { e = Evar v'''; _ }, stepc);
+                      _;
+                    } );
+              _;
+            } )
+        when v = v'' && v = v''' -> (
+          match const_of stepc with
+          | Some sc when sc > 0 && not (assigns_var v body) -> (
+              let sc = if sop = Sub then -sc else sc in
+              match cmp, compare sc 0 with
+              | Lt, 1 -> Some (max 0 ((c1 - c0 + sc - 1) / sc))
+              | Le, 1 -> Some (max 0 ((c1 - c0 + sc) / sc))
+              | Gt, -1 -> Some (max 0 ((c0 - c1 - sc - 1) / -sc))
+              | Ge, -1 -> Some (max 0 ((c0 - c1 - sc) / -sc))
+              | _ -> None)
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
 
 (* ---------------- parallel statements ---------------- *)
 
@@ -1325,15 +1530,16 @@ let rec gen_stmt_par ctx st =
       let top = P.Builder.label ctx.b in
       let out = P.Builder.label ctx.b in
       clear_cse ctx;
-      P.Builder.place ctx.b top;
-      let vc = eval_par ctx c in
-      let cf = land_field ctx vc in
-      emit ctx (P.Cand cf);
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Pcount r);
-      emit ctx (P.Jz (P.Reg r, out));
-      gen_stmt_par ctx body;
-      emit ctx (P.Jmp top);
+      iterated ctx true (fun () ->
+          P.Builder.place ctx.b top;
+          let vc = eval_par ctx c in
+          let cf = land_field ctx vc in
+          emit ctx (P.Cand cf);
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Pcount r);
+          emit ctx (P.Jz (P.Reg r, out));
+          gen_stmt_par ctx body;
+          emit ctx (P.Jmp top));
       P.Builder.place ctx.b out;
       emit ctx P.Cpop;
       ctx.act_all <- saved_all
@@ -1481,10 +1687,11 @@ and gen_par ctx loc ps =
     let top = P.Builder.label ctx.b in
     let any = P.Builder.reg ctx.b in
     clear_cse ctx;
-    P.Builder.place ctx.b top;
-    emit ctx (P.Fmov (any, P.Imm (P.SInt 0)));
-    round (Some any);
-    emit ctx (P.Jnz (P.Reg any, top))
+    iterated ctx true (fun () ->
+        P.Builder.place ctx.b top;
+        emit ctx (P.Fmov (any, P.Imm (P.SInt 0)));
+        round (Some any);
+        emit ctx (P.Jnz (P.Reg any, top)))
   end
   else round None;
   leave_space ctx saved
@@ -1498,32 +1705,36 @@ and gen_oneof ctx loc ps =
   let top = P.Builder.label ctx.b in
   let out = P.Builder.label ctx.b in
   clear_cse ctx;
-  P.Builder.place ctx.b top;
-  let exec_labels = Array.init n (fun _ -> P.Builder.label ctx.b) in
-  let pred_fields = Array.make n (-1) in
-  (* evaluate every predicate, then dispatch to the first enabled branch *)
-  Array.iteri
-    (fun i (pred, _) ->
-      let pf =
-        match pred with
-        | Some p -> land_field ctx (eval_par ctx p)
-        | None ->
-            let f = temp ctx P.KInt in
-            emit ctx (P.Pmov (f, P.Imm (P.SInt 1)));
-            f
-      in
-      pred_fields.(i) <- pf;
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Preduce (P.Lor, r, pf));
-      emit ctx (P.Jnz (P.Reg r, exec_labels.(i))))
-    branches;
-  emit ctx (P.Jmp out);
-  Array.iteri
-    (fun i (_, body) ->
-      P.Builder.place ctx.b exec_labels.(i);
-      under_mask ctx pred_fields.(i) (fun () -> gen_stmt_par ctx body);
-      if ps.iterate then emit ctx (P.Jmp top) else emit ctx (P.Jmp out))
-    branches;
+  iterated ctx ps.iterate (fun () ->
+      P.Builder.place ctx.b top;
+      let exec_labels = Array.init n (fun _ -> P.Builder.label ctx.b) in
+      let pred_fields = Array.make n (-1) in
+      (* evaluate every predicate, then dispatch to the first enabled
+         branch *)
+      Array.iteri
+        (fun i (pred, _) ->
+          let pf =
+            match pred with
+            | Some p -> land_field ctx (eval_par ctx p)
+            | None ->
+                let f = temp ctx P.KInt in
+                emit ctx (P.Pmov (f, P.Imm (P.SInt 1)));
+                f
+          in
+          pred_fields.(i) <- pf;
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Preduce (P.Lor, r, pf));
+          emit ctx (P.Jnz (P.Reg r, exec_labels.(i))))
+        branches;
+      emit ctx (P.Jmp out);
+      (* a body runs only when some element enables it *)
+      Array.iteri
+        (fun i (_, body) ->
+          P.Builder.place ctx.b exec_labels.(i);
+          sometimes ctx (fun () ->
+              under_mask ctx pred_fields.(i) (fun () -> gen_stmt_par ctx body));
+          if ps.iterate then emit ctx (P.Jmp top) else emit ctx (P.Jmp out))
+        branches);
   P.Builder.place ctx.b out;
   leave_space ctx saved
 
@@ -1535,12 +1746,9 @@ and gen_seq ctx loc ps =
   let any_reg = if ps.iterate then Some (P.Builder.reg ctx.b) else None in
   clear_cse ctx;
   let top = P.Builder.label ctx.b in
-  if ps.iterate then begin
-    P.Builder.place ctx.b top;
-    match any_reg with
-    | Some any -> emit ctx (P.Fmov (any, P.Imm (P.SInt 0)))
-    | None -> ()
-  end;
+  (* the walk records the body once, at the product of the set sizes,
+     with each element standing for its first value *)
+  let trips = List.fold_left (fun acc (_, v) -> acc * Array.length v) 1 sets in
   (* iterate the Cartesian product in declaration order *)
   let rec nest sets_left k =
     match sets_left with
@@ -1561,7 +1769,7 @@ and gen_seq ctx loc ps =
           emit ctx
             (P.Fbin (P.Gt, t, P.Reg v, P.Imm (P.SInt values.(n - 1))));
           emit ctx (P.Jnz (P.Reg t, lout));
-          ctx.env <- (elem, Belem_reg v) :: ctx.env;
+          ctx.env <- (elem, Belem_reg (v, values.(0))) :: ctx.env;
           nest rest k;
           ctx.env <- saved_env;
           emit ctx (P.Fbin (P.Add, v, P.Reg v, P.Imm (P.SInt 1)));
@@ -1569,58 +1777,67 @@ and gen_seq ctx loc ps =
           P.Builder.place ctx.b lout
         end
         else
-          Array.iter
-            (fun value ->
+          Array.iteri
+            (fun i value ->
               let v = P.Builder.reg ctx.b in
               emit ctx (P.Fmov (v, P.Imm (P.SInt value)));
-              ctx.env <- (elem, Belem_reg v) :: ctx.env;
-              nest rest k;
+              ctx.env <- (elem, Belem_reg (v, value)) :: ctx.env;
+              if i = 0 then nest rest k else unreached ctx (fun () -> nest rest k);
               ctx.env <- saved_env)
             values
   in
-  nest sets (fun () ->
-      clear_cse ctx;
-      List.iter
-        (fun (pred, body) ->
-          if fe_context then begin
-            let skip = P.Builder.label ctx.b in
-            (match pred with
-            | Some p ->
-                let vc = eval_fe ctx p in
-                emit ctx (P.Jz (vc, skip))
-            | None -> ());
-            (match any_reg with
-            | Some any -> emit ctx (P.Fmov (any, P.Imm (P.SInt 1)))
-            | None -> ());
-            gen_stmt_fe ctx body;
-            P.Builder.place ctx.b skip
-          end
-          else begin
-            match pred with
-            | Some p ->
-                let pf = land_field ctx (eval_par ctx p) in
-                (match any_reg with
-                | Some any ->
-                    let r = P.Builder.reg ctx.b in
-                    emit ctx (P.Preduce (P.Lor, r, pf));
-                    emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
-                | None -> ());
-                under_mask ctx pf (fun () -> gen_stmt_par ctx body)
-            | None ->
-                (match any_reg with
-                | Some any ->
-                    let r = P.Builder.reg ctx.b in
-                    emit ctx (P.Pcount r);
-                    let nz = P.Builder.reg ctx.b in
-                    emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
-                    emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
-                | None -> ());
-                gen_stmt_par ctx body
-          end)
-        ps.pbranches);
-  match any_reg with
-  | Some any -> emit ctx (P.Jnz (P.Reg any, top))
-  | None -> ()
+  iterated ctx ps.iterate (fun () ->
+      (match any_reg with
+      | Some any ->
+          P.Builder.place ctx.b top;
+          emit ctx (P.Fmov (any, P.Imm (P.SInt 0)))
+      | None -> ());
+      with_trips ctx trips (fun () ->
+          nest sets (fun () ->
+              clear_cse ctx;
+              List.iter
+                (fun (pred, body) ->
+                  if fe_context then begin
+                    let skip = P.Builder.label ctx.b in
+                    (match pred with
+                    | Some p ->
+                        let vc = eval_fe ctx p in
+                        emit ctx (P.Jz (vc, skip))
+                    | None -> ());
+                    (match any_reg with
+                    | Some any -> emit ctx (P.Fmov (any, P.Imm (P.SInt 1)))
+                    | None -> ());
+                    (match pred with
+                    | Some _ -> sometimes ctx (fun () -> gen_stmt_fe ctx body)
+                    | None -> gen_stmt_fe ctx body);
+                    P.Builder.place ctx.b skip
+                  end
+                  else begin
+                    match pred with
+                    | Some p ->
+                        let pf = land_field ctx (eval_par ctx p) in
+                        (match any_reg with
+                        | Some any ->
+                            let r = P.Builder.reg ctx.b in
+                            emit ctx (P.Preduce (P.Lor, r, pf));
+                            emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
+                        | None -> ());
+                        under_mask ctx pf (fun () -> gen_stmt_par ctx body)
+                    | None ->
+                        (match any_reg with
+                        | Some any ->
+                            let r = P.Builder.reg ctx.b in
+                            emit ctx (P.Pcount r);
+                            let nz = P.Builder.reg ctx.b in
+                            emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
+                            emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
+                        | None -> ());
+                        gen_stmt_par ctx body
+                  end)
+                ps.pbranches));
+      match any_reg with
+      | Some any -> emit ctx (P.Jnz (P.Reg any, top))
+      | None -> ())
 
 (* ---------------- front-end statements ---------------- *)
 
@@ -1655,47 +1872,69 @@ and gen_stmt_fe ctx st =
       let vc = eval_fe ctx c in
       let lelse = P.Builder.label ctx.b in
       let lend = P.Builder.label ctx.b in
+      (* a constant condition selects its branch statically *)
+      let static = if ctx.live then const_of c else None in
+      let branch taken f =
+        match static with
+        | None -> sometimes ctx f
+        | Some v when (v <> 0) = taken -> f ()
+        | Some _ -> unreached ctx f
+      in
       emit ctx (P.Jz (vc, lelse));
-      gen_stmt_fe ctx then_;
+      branch true (fun () -> gen_stmt_fe ctx then_);
       emit ctx (P.Jmp lend);
       P.Builder.place ctx.b lelse;
-      (match else_ with Some s -> gen_stmt_fe ctx s | None -> ());
+      branch false (fun () ->
+          match else_ with Some s -> gen_stmt_fe ctx s | None -> ());
       P.Builder.place ctx.b lend
   | Swhile (c, body) ->
       let top = P.Builder.label ctx.b in
       let out = P.Builder.label ctx.b in
-      P.Builder.place ctx.b top;
-      let vc = eval_fe ctx c in
-      emit ctx (P.Jz (vc, out));
-      ctx.break_labels <- out :: ctx.break_labels;
-      ctx.continue_labels <- top :: ctx.continue_labels;
-      gen_stmt_fe ctx body;
-      ctx.break_labels <- List.tl ctx.break_labels;
-      ctx.continue_labels <- List.tl ctx.continue_labels;
-      emit ctx (P.Jmp top);
+      iterated ctx true (fun () ->
+          P.Builder.place ctx.b top;
+          let vc = eval_fe ctx c in
+          emit ctx (P.Jz (vc, out));
+          ctx.break_labels <- out :: ctx.break_labels;
+          ctx.continue_labels <- top :: ctx.continue_labels;
+          gen_stmt_fe ctx body;
+          ctx.break_labels <- List.tl ctx.break_labels;
+          ctx.continue_labels <- List.tl ctx.continue_labels;
+          emit ctx (P.Jmp top));
       P.Builder.place ctx.b out
   | Sfor (init, cond, step, body) ->
       (match init with Some s -> gen_stmt_fe ctx s | None -> ());
       let top = P.Builder.label ctx.b in
       let cont = P.Builder.label ctx.b in
       let out = P.Builder.label ctx.b in
-      P.Builder.place ctx.b top;
-      (match cond with
-      | Some c ->
-          let vc = eval_fe ctx c in
-          emit ctx (P.Jz (vc, out))
-      | None -> ());
-      ctx.break_labels <- out :: ctx.break_labels;
-      ctx.continue_labels <- cont :: ctx.continue_labels;
-      gen_stmt_fe ctx body;
-      ctx.break_labels <- List.tl ctx.break_labels;
-      ctx.continue_labels <- List.tl ctx.continue_labels;
-      P.Builder.place ctx.b cont;
-      (match step with Some s -> gen_stmt_fe ctx s | None -> ());
-      emit ctx (P.Jmp top);
+      let loop () =
+        P.Builder.place ctx.b top;
+        (match cond with
+        | Some c ->
+            let vc = eval_fe ctx c in
+            emit ctx (P.Jz (vc, out))
+        | None -> ());
+        ctx.break_labels <- out :: ctx.break_labels;
+        ctx.continue_labels <- cont :: ctx.continue_labels;
+        gen_stmt_fe ctx body;
+        ctx.break_labels <- List.tl ctx.break_labels;
+        ctx.continue_labels <- List.tl ctx.continue_labels;
+        P.Builder.place ctx.b cont;
+        (match step with Some s -> gen_stmt_fe ctx s | None -> ());
+        emit ctx (P.Jmp top)
+      in
+      (* the canonical counted loop's condition touches no array, so
+         walking it at the body's count loses nothing *)
+      (match if ctx.live then for_trips init cond step body else None with
+      | Some 0 -> unreached ctx loop
+      | Some trips -> with_trips ctx trips loop
+      | None -> iterated ctx true loop);
       P.Builder.place ctx.b out
   | Sblock b -> gen_block_fe ctx b
-  | Sreturn _ -> emit ctx (P.Jmp ctx.exit_label)
+  | Sreturn _ ->
+      (* the rest of the walk runs only where this return is not taken *)
+      if ctx.live then
+        if ctx.estimated then ctx.may_return <- true else ctx.live <- false;
+      emit ctx (P.Jmp ctx.exit_label)
   | Sbreak -> (
       match ctx.break_labels with
       | l :: _ -> emit ctx (P.Jmp l)
@@ -1749,6 +1988,8 @@ and gen_assign_fe_value ctx loc lhs value =
       in
       let m = array_meta ctx base.eloc name in
       let addr = fe_address ctx loc m subs in
+      note ctx (fun () ->
+          Fe_access { fename = name; ferw = `Write; fetrips = ctx.mult });
       match m.alayout with
       | Mapping.Copied copies ->
           let total = List.fold_left ( * ) 1 m.adims in
@@ -1821,7 +2062,8 @@ and declare_fe ctx d =
 
 (* ---------------- program ---------------- *)
 
-let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
+(* lower [prog]; [record] turns on the communication events *)
+let lower ~record ?layouts ~options prog =
   let b = P.Builder.create "uc" in
   (* the one seam through which layout information enters lowering: an
      explicit table (the tuner's choice) wins, otherwise the program's
@@ -1848,6 +2090,11 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
       cse_table = [];
       mask_path = [];
       next_mask_id = 0;
+      live = record;
+      recorded = [];
+      mult = 1;
+      estimated = false;
+      may_return = false;
     }
   in
   ctx.exit_label <- P.Builder.label b;
@@ -1877,7 +2124,13 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
   P.Builder.place b ctx.exit_label;
   emit ctx P.Halt;
   let prog = P.Builder.finish b in
-  let carrays = List.rev carrays and cscalars = List.rev cscalars in
+  ( { prog; carrays = List.rev carrays; cscalars = List.rev cscalars },
+    ctx.recorded, layouts )
+
+let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
+  let { prog; carrays; cscalars }, _, _ =
+    lower ~record:false ?layouts ~options prog
+  in
   (* The observable state after a run is the named storage: declared
      arrays and front-end scalars.  Everything else (temporaries, mask
      saves, address fields) is fair game for dead-code elimination. *)
@@ -1891,3 +2144,11 @@ let compile ?layouts ?(options = default_options) ?(obs = Obs.null) prog =
     else prog
   in
   { prog; carrays; cscalars }
+
+let record ?layouts ?(options = default_options) prog =
+  let c, recorded, layouts = lower ~record:true ?layouts ~options prog in
+  {
+    events = List.rev recorded;
+    arrays = List.map (fun (name, m) -> (name, m.adims)) c.carrays;
+    layouts;
+  }

@@ -37,6 +37,67 @@ type options = {
 
 val default_options : options
 
+(** {2 Communication events}
+
+    The lowering walk is the one place that decides communication: where
+    it emits a router or NEWS operation (or code whose communication a
+    different layout would change) it can also record an {!event}, with
+    the static execution count of the code it sits in.  {!Commpat}
+    re-classifies the recorded events under candidate layouts, which is
+    how [ucc tune] scores a layout without lowering or running it.
+
+    Trip counts are exact for counted [for] loops with constant bounds,
+    [seq] nests (the body is recorded once, at the product of the set
+    sizes, each element standing for its first value) and constant
+    front-end [if]s (the branch not taken records nothing).
+    Data-dependent iteration ([*par], [*oneof], [*seq], [while]) counts
+    8 rounds and flags its events approximate.  Code that may not run
+    is counted once and flagged too: front-end branches and
+    short-circuit operands, [oneof] bodies, [seq] bodies under a
+    front-end predicate, and everything after a [return] on a
+    conditional path.  Nothing after an unconditional [return] is
+    recorded. *)
+
+type sub =
+  | Saffine of int * int  (** space axis, constant offset *)
+  | Sopaque of (int array -> int) option
+      (** pure-index evaluator over space coordinates, when available *)
+
+(** One parallel array access, kept with enough structure (affine
+    subscripts, the activity space) to be re-classified under any
+    layout. *)
+type access = {
+  aname : string;
+  aloc : Loc.t;
+  arw : [ `Read | `Write ];
+  adims : int list;         (** logical dims of the array *)
+  asubs : sub list;
+  aspace : int list;        (** dims of the activity space *)
+  avalues : int array list; (** per space axis, the element values *)
+  atrips : int;             (** static execution count *)
+  aapprox : bool;           (** the execution count is estimated *)
+}
+
+type event =
+  | Access of access
+      (** a parallel read, or a write (one send per copy under
+          [Copied]); [op=] and [swap] targets record a read and a write *)
+  | Activity of { trips : int; size : int; approx : bool }
+      (** ambient-activity expansion on space entry: one router op *)
+  | Hist_send of { count : string; trips : int; isize : int; approx : bool }
+      (** histogram processor optimization: one combining send *)
+  | Fe_access of {
+      fename : string;
+      ferw : [ `Read | `Write ];
+      fetrips : int;
+    }  (** front-end element transfer; writes replicate under [Copied] *)
+
+type recording = {
+  events : event list;                (** in emission order *)
+  arrays : (string * int list) list;  (** global arrays and their dims *)
+  layouts : Mapping.table;            (** the table the walk ran under *)
+}
+
 type array_meta = {
   afield : int;
   aty : Ast.base_ty;
@@ -68,3 +129,10 @@ val compile :
   ?obs:Obs.t ->
   Ast.program ->
   compiled
+
+(** [record program] lowers like {!compile}, without the IR optimizer,
+    and returns the communication events the walk recorded.  [layouts]
+    goes through the same seam as in {!compile}.
+    @raise Loc.Error on unsupported constructs. *)
+val record :
+  ?layouts:Mapping.table -> ?options:options -> Ast.program -> recording

@@ -1,18 +1,14 @@
 (** Static communication-pattern analysis (paper section 4's cost
     reasoning, made a compiler stage).
 
-    Walks a transformed, constant-folded program in exactly the order
-    {!Codegen} emits instructions and records one {!event} per
-    communication-relevant operation — array accesses with their affine
-    subscript structure, space-entry activity expansions, histogram
-    combining sends, front-end element transfers — together with static
-    trip counts.  Each access keeps enough structure to be re-classified
-    under {b any} candidate layout, which lets {!Layoutsel} score
-    layouts without lowering or running anything.
-
-    Trip counts are exact for counted [for] loops and [seq] nests;
-    data-dependent iteration ([*par], [*oneof], [*seq], SIMD [while],
-    front-end [while], non-constant [if]) is estimated and flagged. *)
+    {!Codegen}'s lowering walk is the one place that decides
+    communication; {!Codegen.record} returns the {!event}s it recorded
+    there — array accesses with their affine subscript structure,
+    space-entry activity expansions, histogram combining sends,
+    front-end element transfers — with static trip counts.  This module
+    re-classifies each access under {b any} candidate layout, which
+    lets {!Layoutsel} score layouts without lowering or running
+    anything. *)
 
 (** The classification lattice: [Local] < [News _] < [Router]. *)
 type pat =
@@ -20,46 +16,36 @@ type pat =
   | News of int * int  (** grid shift by [delta] along [axis]: one NEWS op *)
   | Router          (** general communication: one router op *)
 
-type sub =
-  | Saffine of int * int  (** space axis, constant offset *)
-  | Sopaque of (int array -> int) option
-      (** pure-index evaluator over space coordinates, when available *)
+(** The events, as {!Codegen} records them. *)
 
-type access = {
+type sub = Codegen.sub =
+  | Saffine of int * int
+  | Sopaque of (int array -> int) option
+
+type access = Codegen.access = {
   aname : string;
   aloc : Loc.t;
   arw : [ `Read | `Write ];
-  adims : int list;         (** logical dims of the array *)
+  adims : int list;
   asubs : sub list;
-  aspace : int list;        (** dims of the activity space *)
-  avalues : int array list; (** per space axis, the element values *)
-  atrips : int;             (** static execution count *)
-  aapprox : bool;           (** trip count was estimated *)
+  aspace : int list;
+  avalues : int array list;
+  atrips : int;
+  aapprox : bool;
 }
 
-type event =
+type event = Codegen.event =
   | Access of access
   | Activity of { trips : int; size : int; approx : bool }
-      (** ambient-activity expansion on space entry: one router op *)
   | Hist_send of { count : string; trips : int; isize : int; approx : bool }
-      (** histogram processor optimization: one combining send *)
-  | Fe_access of {
-      fename : string;
-      ferw : [ `Read | `Write ];
-      fetrips : int;
-    }  (** front-end element transfer; writes replicate under [Copied] *)
+  | Fe_access of { fename : string; ferw : [ `Read | `Write ]; fetrips : int }
 
 type summary = {
   events : event list;                 (** in emission order *)
   arrays : (string * int list) list;   (** global arrays and their dims *)
-  sets : (string * int array) list;    (** global index sets' values *)
   options : Codegen.options;
   base_layouts : Mapping.table;        (** table the walk ran under *)
-  had_dynamic : bool;                  (** some trip count was estimated *)
 }
-
-(** Assumed iteration count for data-dependent loops. *)
-val dynamic_trips : int
 
 (** Re-classify a {b read} access under a candidate layout; mirrors
     Codegen's access planner (NEWS needs the plain layout, a single
@@ -91,15 +77,15 @@ val predict : summary -> Mapping.table -> prediction
     values). *)
 val estimate_fanin : access -> Mapping.layout -> int * int
 
-(** Analyze a transformed, constant-folded program (the exact input
-    {!Codegen.compile} takes).  [layouts] defaults through the same
-    seam as lowering: the program's own map sections when
-    [use_mappings], the default layout otherwise.
+(** Record the events of a transformed, constant-folded program (the
+    exact input {!Codegen.compile} takes) with {!Codegen.record}.
+    [layouts] defaults through the same seam as lowering: the program's
+    own map sections when [use_mappings], the default layout otherwise.
     @raise Loc.Error on programs Codegen would reject. *)
 val analyze :
   ?options:Codegen.options -> ?layouts:Mapping.table -> Ast.program -> summary
 
-(** Parse, check, transform, fold, then {!analyze}. *)
+(** {!Compile.parse_source}, {!Compile.prepare}, then {!analyze}. *)
 val analyze_source :
   ?options:Codegen.options -> ?layouts:Mapping.table -> string -> summary
 

@@ -12,9 +12,12 @@ let parse_source ?(obs = Obs.null) src =
   Obs.with_span obs "compile.sema" (fun () -> ignore (Sema.check prog));
   prog
 
-let lower ?layouts ?options ?(obs = Obs.null) prog =
+let prepare ?(obs = Obs.null) prog =
   let prog = Obs.with_span obs "compile.transform" (fun () -> Transform.apply prog) in
-  let prog = Obs.with_span obs "compile.fold" (fun () -> Optimize.fold_program prog) in
+  Obs.with_span obs "compile.fold" (fun () -> Optimize.fold_program prog)
+
+let lower ?layouts ?options ?(obs = Obs.null) prog =
+  let prog = prepare ~obs prog in
   Obs.with_span obs "compile.codegen" (fun () ->
       Codegen.compile ?layouts ?options ~obs prog)
 

@@ -20,6 +20,10 @@ type t = {
     may be lowered many times under different option sets). *)
 val parse_source : ?obs:Obs.t -> string -> Ast.program
 
+(** Transform and fold an already-checked program: the input
+    {!Codegen} takes. *)
+val prepare : ?obs:Obs.t -> Ast.program -> Ast.program
+
 (** Transform, fold and lower an already-checked program.  [layouts]
     overrides the program's own map sections with an explicit layout
     table (see {!Codegen.compile}) — the hook [ucc tune] and tuned

@@ -4,9 +4,9 @@ open Commpat
 
    Enumerates candidate layouts per array and scores each one
    *statically* against the calibrated cost model: every communication
-   event recorded by Commpat is re-classified under the candidate and
+   event Codegen recorded is re-classified under the candidate and
    charged to a fresh Cm.Cost meter exactly the way the machine would
-   charge the corresponding Paris instruction.  No program is lowered
+   charge the corresponding Paris instruction.  No candidate is lowered
    or run.
 
    The per-array search is independent because the objective is

@@ -4,31 +4,6 @@
 
 let default_opts = Uc.Codegen.default_options
 
-(* programs whose control flow the analyzer counts exactly *)
-let static_programs =
-  [
-    "reductions";
-    "abs_sum";
-    "matmul";
-    "reciprocal";
-    "odd_even_flags";
-    "wavefront";
-    "ranksort";
-    "partial_sums_seq";
-    "shortest_path_n2";
-    "shortest_path_n3";
-    "digit_count";
-    "digit_count_det";
-    "stencil";
-    "stencil_mapped";
-    "folded_pairs";
-    "folded_pairs_mapped";
-    "copied_broadcast";
-    "copied_broadcast_mapped";
-    "heat";
-    "quickstart";
-  ]
-
 let src_of name = List.assoc name Uc_programs.Programs.all_named
 
 let measure ?layouts ?(options = default_opts) src =
@@ -37,25 +12,97 @@ let measure ?layouts ?(options = default_opts) src =
   let t = Uc.Compile.run_compiled ~seed:42 compiled in
   Uc.Compile.meter t
 
-(* the static predictor's router/NEWS counts must match the machine's
-   meter exactly on programs with static control flow *)
+let check_against_meter label (p : Uc.Commpat.prediction) (m : Cm.Cost.meter) =
+  Alcotest.(check int)
+    (label ^ " router ops") m.Cm.Cost.router_ops p.p_router_ops;
+  Alcotest.(check int) (label ^ " news ops") m.Cm.Cost.news_ops p.p_news_ops
+
+let option_variants =
+  [
+    ("default", default_opts);
+    ("no-news", { default_opts with news_opt = false });
+    ("no-cse", { default_opts with cse = false });
+    ("no-procopt", { default_opts with procopt = false });
+    ("no-mappings", { default_opts with use_mappings = false });
+    ("ir-opt off", { default_opts with ir_opt = Cm.Iropt.off });
+  ]
+
+(* the contract of a prediction flagged exact: its router/NEWS counts are
+   the machine's meter, under every option set and under the program's
+   own tuned table as well as its own map sections *)
 let test_predict_exact () =
   List.iter
-    (fun name ->
-      let src = src_of name in
-      let summary = Uc.Commpat.analyze_source src in
-      let p = Uc.Commpat.predict summary summary.base_layouts in
-      let m = measure src in
+    (fun (variant, options) ->
+      let exact = ref 0 in
+      List.iter
+        (fun (name, src) ->
+          let label = Printf.sprintf "%s [%s]" name variant in
+          let summary = Uc.Commpat.analyze_source ~options src in
+          let p = Uc.Commpat.predict summary summary.base_layouts in
+          if p.p_exact then begin
+            incr exact;
+            check_against_meter label p (measure ~options src)
+          end;
+          let r = Uc.Layoutsel.search_source ~options src in
+          let p = r.Uc.Layoutsel.chosen_prediction in
+          if p.p_exact then
+            check_against_meter (label ^ " tuned") p
+              (measure ~options ~layouts:r.Uc.Layoutsel.table src))
+        Uc_programs.Programs.all_named;
+      (* only the corpus's data-dependent loops may be estimated: most
+         programs must keep an exact count *)
       Alcotest.(check bool)
-        (name ^ " prediction is exact")
-        true p.p_exact;
-      Alcotest.(check int)
-        (name ^ " router ops")
-        m.Cm.Cost.router_ops p.p_router_ops;
-      Alcotest.(check int)
-        (name ^ " news ops")
-        m.Cm.Cost.news_ops p.p_news_ops)
-    static_programs
+        (variant ^ ": at least 20 corpus predictions exact")
+        true (!exact >= 20))
+    option_variants
+
+(* [stencil] with an early exit before its time loop *)
+let stencil_with_exit exit =
+  Printf.sprintf
+    {|
+#define N 16
+#define STEPS 4
+index-set I:i = {0..N-2}, IB:ib = {0..N-1};
+int a[N], b[N];
+
+void main() {
+  int t, flag;
+  par (IB) {
+    a[ib] = ib;
+    b[ib] = 2 * ib + 1;
+  }
+%s
+  for (t = 0; t < STEPS; t = t + 1)
+    par (I) a[i] = a[i] + b[i+1];
+}
+|}
+    exit
+
+(* a return on a branch that is not taken must not end the count: the
+   time loop's NEWS reads of b still run *)
+let test_conditional_return () =
+  let src = stencil_with_exit "  flag = 0;\n  if (flag) return;" in
+  let summary = Uc.Commpat.analyze_source src in
+  let m = measure src in
+  Alcotest.(check int) "the meter sees the time loop" 4 m.Cm.Cost.news_ops;
+  check_against_meter "conditional return"
+    (Uc.Commpat.predict summary summary.base_layouts)
+    m;
+  let r = Uc.Layoutsel.search_source src in
+  let b =
+    List.find (fun c -> c.Uc.Layoutsel.cname = "b") r.Uc.Layoutsel.choices
+  in
+  Alcotest.(check bool)
+    "b has communication" true (b.Uc.Layoutsel.cdefault_ns > 0.)
+
+(* code after an unconditional return never runs: it predicts nothing *)
+let test_unconditional_return () =
+  let src = stencil_with_exit "  return;" in
+  let summary = Uc.Commpat.analyze_source src in
+  let p = Uc.Commpat.predict summary summary.base_layouts in
+  Alcotest.(check bool) "exact" true p.p_exact;
+  check_against_meter "unconditional return" p (measure src);
+  Alcotest.(check int) "no news predicted" 0 p.p_news_ops
 
 (* ---------------- layout search quality ---------------- *)
 
@@ -88,7 +135,7 @@ let test_chosen_never_worse () =
         (name ^ " chosen <= default")
         true
         (r.Uc.Layoutsel.chosen_ns <= r.Uc.Layoutsel.default_ns +. 1e-6))
-    static_programs
+    (List.map fst Uc_programs.Programs.all_named)
 
 (* every synthesized map section must re-parse to the table it came
    from (programs with their own map sections are skipped: the tuner's
@@ -118,7 +165,7 @@ let test_emit_roundtrip () =
        (fun n ->
          (* skip programs that already carry a map section *)
          not (String.length n > 7 && Filename.check_suffix n "_mapped"))
-       static_programs)
+       (List.map fst Uc_programs.Programs.all_named))
 
 (* ---------------- job digest plumbing ---------------- *)
 
@@ -258,7 +305,12 @@ let () =
   Alcotest.run "tune"
     [
       ( "commpat",
-        [ Alcotest.test_case "predict-exact" `Quick test_predict_exact ] );
+        [
+          Alcotest.test_case "predict-exact" `Quick test_predict_exact;
+          Alcotest.test_case "conditional return" `Quick test_conditional_return;
+          Alcotest.test_case "unconditional return" `Quick
+            test_unconditional_return;
+        ] );
       ( "layoutsel",
         [
           Alcotest.test_case "a1 selects hand-tuned layout" `Quick
