@@ -206,14 +206,23 @@ let retries_arg =
     & info [ "retries" ] ~docv:"N"
         ~doc:"Extra attempts after a transient fault")
 
+(* a slice must make progress: below one instruction is a one-line
+   rejection before any job runs *)
 let fuel_slice_arg =
-  Arg.(
-    value
-    & opt int 100_000
-    & info [ "fuel-slice" ] ~docv:"K"
-        ~doc:
-          "Instructions per execution slice (granularity of deadline \
-           checks and checkpoints)")
+  let check k =
+    if k >= 1 then `Ok k
+    else `Error (false, Printf.sprintf "fuel slice must be at least 1 (got %d)" k)
+  in
+  Term.(
+    ret
+      (const check
+      $ Arg.(
+          value
+          & opt int 100_000
+          & info [ "fuel-slice" ] ~docv:"K"
+              ~doc:
+                "Instructions per execution slice (granularity of deadline \
+                 checks and checkpoints)")))
 
 let parse_faults_opt = function
   | None -> None

@@ -52,16 +52,10 @@ type ctx = {
   mutable c_rand : int;
   mutable c_cur : int;
   mutable c_racc : float ref;
-  c_fail : string -> exn;
   c_not_cur : string -> int -> int -> exn;
   c_emit : string -> unit;
   c_region : string -> int -> float ref;
   c_kernel : int -> int -> unit;
-  c_fe_bin : Paris.binop -> Paris.scalar -> Paris.scalar -> Paris.scalar;
-  c_fe_unop : Paris.unop -> Paris.scalar -> Paris.scalar;
-  c_to_int : Paris.scalar -> int;
-  c_to_float : Paris.scalar -> float;
-  c_truthy : Paris.scalar -> bool;
 }
 
 type entry = ctx -> int -> unit
@@ -72,7 +66,7 @@ type entry = ctx -> int -> unit
 let pending : entry option ref = ref None
 let register e = pending := Some e
 
-let version = 2
+let version = 3
 
 let key prog =
   let ir =
@@ -93,31 +87,12 @@ let spf = Printf.sprintf
 let float_lit f = spf "(Int64.float_of_bits 0x%LxL)" (Int64.bits_of_float f)
 let int_lit i = spf "(%d)" i
 
-let binop_ctor = function
-  | Add -> "Add" | Sub -> "Sub" | Mul -> "Mul" | Div -> "Div" | Mod -> "Mod"
-  | Min -> "Min" | Max -> "Max"
-  | Eq -> "Eq" | Ne -> "Ne" | Lt -> "Lt" | Le -> "Le" | Gt -> "Gt" | Ge -> "Ge"
-  | Land -> "Land" | Lor -> "Lor"
-  | Band -> "Band" | Bor -> "Bor" | Bxor -> "Bxor" | Shl -> "Shl" | Shr -> "Shr"
-  | Any -> "Any"
+(* every binop's constructor is its capitalized name *)
+let binop_ctor op = String.capitalize_ascii (binop_name op)
 
 let unop_ctor = function
   | Neg -> "Neg" | Lnot -> "Lnot" | Bnot -> "Bnot"
   | ToFloat -> "ToFloat" | ToInt -> "ToInt" | Abs -> "Abs"
-
-let mnemonic = function
-  | Fmov _ -> "fmov" | Fbin _ -> "fbin" | Funop _ -> "funop"
-  | Frand _ -> "frand" | Fread _ -> "fread" | Fwrite _ -> "fwrite"
-  | Jmp _ -> "jmp" | Jz _ -> "jz" | Jnz _ -> "jnz"
-  | Label _ -> "label" | Halt -> "halt" | Comment _ -> "comment"
-  | Region _ -> "region" | Fprint _ -> "fprint"
-  | Pmov _ -> "pmov" | Pbin _ -> "pbin" | Punop _ -> "punop"
-  | Pcoord _ -> "pcoord" | Ptable _ -> "ptable" | Prand _ -> "prand"
-  | Psel _ -> "psel" | Pget _ -> "pget" | Psend _ -> "psend"
-  | Pnews _ -> "pnews" | Preduce _ -> "preduce" | Pcount _ -> "pcount"
-  | Preduce_axis _ -> "preduce-axis" | Pscan _ -> "pscan"
-  | Cwith _ -> "cwith" | Cpush -> "cpush" | Cand _ -> "cand"
-  | Cpop -> "cpop" | Creset -> "creset" | Cread _ -> "cread"
 
 (* Integer operator as an expression over two *pure, single-use* operand
    expressions.  Only emitted in contexts where the operator is total
@@ -226,7 +201,7 @@ let fe_expr = function
   | Reg r -> spf "(Array.get regs %d)" r
   | Imm (SInt v) -> spf "(SInt %s)" (int_lit v)
   | Imm (SFloat f) -> spf "(SFloat %s)" (float_lit f)
-  | Fld f -> spf "(raise (fail %S))" (spf "field f%d used as a front-end operand" f)
+  | Fld f -> spf "(raise (Program_error %S))" (spf "field f%d used as a front-end operand" f)
 
 (* Parallel operand shapes after resolution (the ires/fres split of the
    fast engine, as source fragments). *)
@@ -299,7 +274,7 @@ let selt = function
 let rec bind_ops rs k =
   match rs with
   | [] -> k []
-  | { pre; shape = Error msg } :: _ -> pre @ [ spf "raise (fail %S);" msg ]
+  | { pre; shape = Error msg } :: _ -> pre @ [ spf "raise (Program_error %S);" msg ]
   | { pre; shape = Ok s } :: rest -> pre @ bind_ops rest (fun ss -> k (s :: ss))
 
 let indent = List.map (fun s -> "  " ^ s)
@@ -392,7 +367,7 @@ let arm env instr : string list option =
     | Fprint (s, Some (Imm (SFloat f))) ->
         seq [ spf "out_line %S;" (Printf.sprintf "%s%g" s f) ]
     | Fprint (_, Some (Fld f)) ->
-        seq [ spf "raise (fail %S);" (spf "field f%d used as a front-end operand" f) ]
+        seq [ spf "raise (Program_error %S);" (spf "field f%d used as a front-end operand" f) ]
     | Fprint (s, Some (Reg r)) ->
         seq
           [ spf "(match Array.get regs %d with" r;
@@ -427,7 +402,7 @@ let arm env instr : string list option =
           [ "Cm.Cost.charge_fe_cm meter;";
             spf "let addr = to_int %s in" (fe_expr a);
             spf
-              "if addr < 0 || addr >= %d then raise (fail (Printf.sprintf \"fread: address %%d out of range on f%d\" addr));"
+              "if addr < 0 || addr >= %d then raise (Program_error (Printf.sprintf \"fread: address %%d out of range on f%d\" addr));"
               nv flid;
             spf "Array.set regs %d (%s);" r get ]
     | Fwrite (flid, a, v) ->
@@ -442,7 +417,7 @@ let arm env instr : string list option =
             spf "let addr = to_int %s in" (fe_expr a);
             spf "let va = %s in" (fe_expr v);
             spf
-              "if addr < 0 || addr >= %d then raise (fail (Printf.sprintf \"fwrite: address %%d out of range on f%d\" addr));"
+              "if addr < 0 || addr >= %d then raise (Program_error (Printf.sprintf \"fwrite: address %%d out of range on f%d\" addr));"
               nv flid;
             set ]
     | Jmp l ->
@@ -450,12 +425,12 @@ let arm env instr : string list option =
         if t < 0 then
           seq
             [ "Cm.Cost.charge_fe meter;";
-              spf "raise (fail %S);" (spf "jump to unplaced label L%d" l) ]
+              spf "raise (Program_error %S);" (spf "jump to unplaced label L%d" l) ]
         else seq [ "Cm.Cost.charge_fe meter;"; spf "pc := %d;" t ]
     | Jz (a, l) ->
         let t = label_target env l in
         let go =
-          if t < 0 then spf "raise (fail %S)" (spf "jump to unplaced label L%d" l)
+          if t < 0 then spf "raise (Program_error %S)" (spf "jump to unplaced label L%d" l)
           else spf "pc := %d" t
         in
         seq
@@ -464,14 +439,14 @@ let arm env instr : string list option =
     | Jnz (a, l) ->
         let t = label_target env l in
         let go =
-          if t < 0 then spf "raise (fail %S)" (spf "jump to unplaced label L%d" l)
+          if t < 0 then spf "raise (Program_error %S)" (spf "jump to unplaced label L%d" l)
           else spf "pc := %d" t
         in
         seq
           [ "Cm.Cost.charge_fe meter;"; spf "if truthy %s then %s;" (fe_expr a) go ]
     | Cwith vp ->
         if vp < 0 || vp >= Array.length env.e_prog.geoms then
-          seq [ spf "raise (fail %S);" (spf "cwith: unknown VP set vp%d" vp) ]
+          seq [ spf "raise (Program_error %S);" (spf "cwith: unknown VP set vp%d" vp) ]
         else seq [ "Cm.Cost.charge_fe meter;"; spf "cur := %d;" vp ]
     | Cpush ->
         seq
@@ -482,7 +457,7 @@ let arm env instr : string list option =
         seq
           [ "let sz = cur_size () in";
             "Cm.Cost.charge_context meter ~size:sz;";
-            "(try Cm.Context.pop (Array.get ctxs !cur) with Failure _ -> raise (fail \"cpop: context stack underflow\"));" ]
+            "(try Cm.Context.pop (Array.get ctxs !cur) with Failure _ -> raise (Program_error \"cpop: context stack underflow\"));" ]
     | Creset ->
         seq
           [ "let sz = cur_size () in";
@@ -499,7 +474,7 @@ let arm env instr : string list option =
         match kind with
         | KFloat ->
             seq [ chk vp "cread" f; charge_ctx nv;
-                  "raise (fail \"cread into a float field\");" ]
+                  "raise (Program_error \"cread into a float field\");" ]
         | KInt ->
             seq
               ([ chk vp "cread" f; charge_ctx nv ]
@@ -547,7 +522,7 @@ let arm env instr : string list option =
         match kind with
         | KFloat -> (
             match float_expr op with
-            | Error msg -> seq (pre @ [ spf "raise (fail %S);" msg ])
+            | Error msg -> seq (pre @ [ spf "raise (Program_error %S);" msg ])
             | Ok fexp ->
                 let ra = rfloat env vp "va" a and rb = rfloat env vp "vb" b in
                 seq
@@ -591,7 +566,7 @@ let arm env instr : string list option =
                     @ [ "end);" ])
             end
             else if op = Any then
-              seq (pre @ [ "raise (fail \"'any' is only valid in reductions\");" ])
+              seq (pre @ [ "raise (Program_error \"'any' is only valid in reductions\");" ])
             else if int_op_total op b then
               let ra = rint env vp "va" a and rb = rint env vp "vb" b in
               seq
@@ -622,9 +597,9 @@ let arm env instr : string list option =
                     match ss with
                     | [ s ] -> (
                         (* reference order: operand first, then the operator check *)
-                        match op with
-                        | ToFloat -> [ "raise (fail \"tofloat into an int field\");" ]
-                        | _ -> elem_loops x out nv (int_un_expr op (ig s)))
+                        match (int_unop op : int -> int) with
+                        | _ -> elem_loops x out nv (int_un_expr op (ig s))
+                        | exception Program_error msg -> [ spf "raise (Program_error %S);" msg ])
                     | _ -> assert false))
         | KFloat, _ ->
             let r = rfloat env vp "va" a in
@@ -633,10 +608,9 @@ let arm env instr : string list option =
               @ bind_ops [ r ] (fun ss ->
                     match ss with
                     | [ s ] -> (
-                        match op with
-                        | Lnot | Bnot | ToInt ->
-                            [ "raise (fail \"integer unop into a float field\");" ]
-                        | _ -> elem_loops x out nv (float_un_expr op (fg s)))
+                        match (float_unop op : float -> float) with
+                        | _ -> elem_loops x out nv (float_un_expr op (fg s))
+                        | exception Program_error msg -> [ spf "raise (Program_error %S);" msg ])
                     | _ -> assert false)))
     | Pcoord (dst, axis) -> (
         let vp, nv, kind = pfield env dst in
@@ -645,7 +619,7 @@ let arm env instr : string list option =
         if not axis_ok then
           seq
             [ chk vp "pcoord" dst;
-              spf "raise (fail %S);" (spf "pcoord: bad axis %d" axis) ]
+              spf "raise (Program_error %S);" (spf "pcoord: bad axis %d" axis) ]
         else
           let stride = (Geometry.strides g).(axis) in
           let extent = Geometry.dim g axis in
@@ -669,7 +643,7 @@ let arm env instr : string list option =
           | KFloat ->
               seq
                 [ chk vp "pcoord" dst; charge_pe nv;
-                  "raise (fail \"pcoord into a float field\");" ])
+                  "raise (Program_error \"pcoord into a float field\");" ])
     | Prand (dst, modulus) -> (
         let vp, nv, kind = pfield env dst in
         let x = xctx vp and out = fld dst in
@@ -690,7 +664,7 @@ let arm env instr : string list option =
               [ chk vp "prand" dst;
                 spf "let _ = to_int %s in" (fe_expr modulus);
                 charge_pe nv;
-                "raise (fail \"prand into a float field\");" ])
+                "raise (Program_error \"prand into a float field\");" ])
     | Psel (dst, cnd, a, b) -> (
         let vp, nv, kind = pfield env dst in
         let x = xctx vp and out = fld dst in
@@ -745,7 +719,7 @@ let arm env instr : string list option =
             match (try Ok (identity op KInt) with Invalid_argument msg -> Error msg) with
             | Error msg -> seq (pre @ [ spf "raise (Invalid_argument %S);" msg ])
             | Ok (SFloat _) ->
-                seq (pre @ [ "raise (fail \"expected an int scalar, got a float\");" ])
+                seq (pre @ [ "raise (Program_error \"expected an int scalar, got a float\");" ])
             | Ok (SInt iv) ->
                 let ident = int_lit iv in
                 seq
@@ -759,7 +733,7 @@ let arm env instr : string list option =
             | Ok s -> (
                 let fv = match s with SInt iv -> float_of_int iv | SFloat f -> f in
                 match float_expr op with
-                | Error msg -> seq (pre @ [ spf "raise (fail %S);" msg ])
+                | Error msg -> seq (pre @ [ spf "raise (Program_error %S);" msg ])
                 | Ok fexp ->
                     let ident = float_lit fv in
                     seq
@@ -793,16 +767,10 @@ let source prog =
   add "    let meter = c.c_meter in";
   add "    let sizes = c.c_sizes in";
   add "    let ctxs = c.c_ctxs in";
-  add "    let fail = c.c_fail in";
   add "    let not_cur = c.c_not_cur in";
   add "    let out_line = c.c_emit in";
   add "    let region = c.c_region in";
   add "    let kernel = c.c_kernel in";
-  add "    let fe_bin = c.c_fe_bin in";
-  add "    let fe_unop = c.c_fe_unop in";
-  add "    let to_int = c.c_to_int in";
-  add "    let to_float = c.c_to_float in";
-  add "    let truthy = c.c_truthy in";
   Array.iteri
     (fun f (_, kind) ->
       match kind with
@@ -822,15 +790,15 @@ let source prog =
   add "      c.c_rand <- !rand; c.c_cur <- !cur; c.c_racc <- !racc in";
   add "    let kern i = kernel i !cur in";
   add "    let cur_size () =";
-  add "      if !cur < 0 then raise (fail \"no VP set selected (missing Cwith)\")";
+  add "      if !cur < 0 then raise (Program_error \"no VP set selected (missing Cwith)\")";
   add "      else Array.get sizes !cur in";
   add "    let rand_mod modv =";
-  add "      if modv <= 0 then raise (fail (Printf.sprintf \"rand: non-positive modulus %%d\" modv));";
+  add "      if modv <= 0 then raise (Program_error (Printf.sprintf \"rand: non-positive modulus %%d\" modv));";
   add "      rand := ((!rand * 1103515245) + 12345) land 0x3FFFFFFF;";
   add "      !rand mod modv in";
   add "    let rec step () =";
   add "      if !pc < %d && !budget > 0 then begin" env.e_ncode;
-  add "        if !fuel <= 0 then raise (fail \"fuel exhausted (non-terminating program?)\");";
+  add "        if !fuel <= 0 then raise (Program_error \"fuel exhausted (non-terminating program?)\");";
   add "        let i = !pc in";
   add "        fuel := !fuel - 1;";
   add "        icount := !icount + 1;";

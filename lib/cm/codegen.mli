@@ -47,9 +47,11 @@ exception Unavailable of reason
 (** The ABI between the machine and a generated module.  The machine
     builds one per execution slice from its own state; the generated
     entry mutates the [c_*] state fields and the shared arrays in place.
-    Cold paths stay in [lib/cm] as closures so exception identity
-    ([Machine.Error]) and output/region bookkeeping are shared, not
-    duplicated. *)
+    The context carries only the machine's state and the callbacks into
+    its own bookkeeping (output, regions, kernels); operator evaluation
+    ([Cm.Paris.fe_bin], [to_int], [truthy], ...) and the fault
+    ([Cm.Paris.Program_error], which is [Machine.Error]) are called from
+    {!Paris} directly. *)
 type ctx = {
   c_regs : Paris.scalar array;
   c_ints : int array array;  (** per-field int data; [[||]] for floats *)
@@ -63,7 +65,6 @@ type ctx = {
   mutable c_rand : int;
   mutable c_cur : int;
   mutable c_racc : float ref;  (** current region's ns accumulator *)
-  c_fail : string -> exn;  (** builds a [Machine.Error] *)
   c_not_cur : string -> int -> int -> exn;
       (** [c_not_cur what field cur]: the [check_on_current] error for a
           field not on the current VP set (or no set selected) *)
@@ -74,11 +75,6 @@ type ctx = {
   c_kernel : int -> int -> unit;
       (** [c_kernel pc cur] syncs [cur] and runs the fast engine's
           pre-decoded kernel for instruction [pc] *)
-  c_fe_bin : Paris.binop -> Paris.scalar -> Paris.scalar -> Paris.scalar;
-  c_fe_unop : Paris.unop -> Paris.scalar -> Paris.scalar;
-  c_to_int : Paris.scalar -> int;
-  c_to_float : Paris.scalar -> float;
-  c_truthy : Paris.scalar -> bool;
 }
 
 (** [entry ctx steps] executes at most [steps] instructions (use

@@ -103,123 +103,33 @@ let pp_stats fmt s =
     s.passes;
   Format.fprintf fmt "@]"
 
-(* ---- pure mirrors of the machine's scalar semantics ----
+(* ---- folding with the machine's operators ----
 
-   Identical arithmetic, but faulting cases raise [Would_fault] so a
-   fold can be abandoned (keeping the faulting instruction in place)
-   instead of mis-evaluating. *)
+   Folds evaluate with Paris's operators, the very functions the
+   machine runs, so a folded constant is the value the machine would
+   compute.  A fold that raises [Program_error] is abandoned, keeping the
+   instruction (and its fault) in place. *)
 
-exception Would_fault
-
-let to_int2 = function SInt i -> i | SFloat _ -> raise Would_fault
-let to_float2 = function SInt i -> float_of_int i | SFloat f -> f
-let truthy2 = function SInt i -> i <> 0 | SFloat f -> f <> 0.0
 let is_float_s = function SFloat _ -> true | SInt _ -> false
 
-let float_cmp op a b =
-  match op with
-  | Eq -> a = b
-  | Ne -> a <> b
-  | Lt -> a < b
-  | Le -> a <= b
-  | Gt -> a > b
-  | Ge -> a >= b
-  | _ -> raise Would_fault
-
-let int_binop2 op a b =
-  match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then raise Would_fault else a / b
-  | Mod -> if b = 0 then raise Would_fault else a mod b
-  | Min -> min a b
-  | Max -> max a b
-  | Land -> if a <> 0 && b <> 0 then 1 else 0
-  | Lor -> if a <> 0 || b <> 0 then 1 else 0
-  | Band -> a land b
-  | Bor -> a lor b
-  | Bxor -> a lxor b
-  | Shl -> if b < 0 || b >= Sys.int_size then raise Would_fault else a lsl b
-  | Shr -> if b < 0 || b >= Sys.int_size then raise Would_fault else a asr b
-  | Eq -> if a = b then 1 else 0
-  | Ne -> if a <> b then 1 else 0
-  | Lt -> if a < b then 1 else 0
-  | Le -> if a <= b then 1 else 0
-  | Gt -> if a > b then 1 else 0
-  | Ge -> if a >= b then 1 else 0
-  | Any -> raise Would_fault
-
-let float_binop_valid = function
-  | Add | Sub | Mul | Div | Mod | Min | Max -> true
-  | _ -> false
-
-let float_binop2 op a b =
-  match op with
-  | Add -> a +. b
-  | Sub -> a -. b
-  | Mul -> a *. b
-  | Div -> a /. b
-  | Mod -> Float.rem a b
-  | Min -> Float.min a b
-  | Max -> Float.max a b
-  | _ -> raise Would_fault
-
-let fe_bin2 op a b =
-  if is_cmp op then
-    SInt (if float_cmp op (to_float2 a) (to_float2 b) then 1 else 0)
-  else
-    match op with
-    | Land -> SInt (if truthy2 a && truthy2 b then 1 else 0)
-    | Lor -> SInt (if truthy2 a || truthy2 b then 1 else 0)
-    | Band | Bor | Bxor | Shl | Shr ->
-        SInt (int_binop2 op (to_int2 a) (to_int2 b))
-    | Add | Sub | Mul | Div | Mod | Min | Max -> (
-        match (a, b) with
-        | SInt x, SInt y -> SInt (int_binop2 op x y)
-        | _ -> SFloat (float_binop2 op (to_float2 a) (to_float2 b)))
-    | _ -> raise Would_fault
-
-let fe_unop2 op a =
-  match op with
-  | Neg -> ( match a with SInt i -> SInt (-i) | SFloat f -> SFloat (-.f))
-  | Lnot -> SInt (if truthy2 a then 0 else 1)
-  | Bnot -> SInt (lnot (to_int2 a))
-  | ToFloat -> SFloat (to_float2 a)
-  | ToInt -> (
-      match a with SInt i -> SInt i | SFloat f -> SInt (int_of_float f))
-  | Abs -> (
-      match a with SInt i -> SInt (abs i) | SFloat f -> SFloat (Float.abs f))
+(* Whether [op ()] yields an operator rather than a fault. *)
+let valid op = match op () with _ -> true | exception Program_error _ -> false
+let float_op_valid op = valid (fun () -> float_binop op)
 
 (* Machine result of [Pbin (op, d, Imm a, Imm b)] given the dst kind. *)
 let pbin_fold op dk a b =
   match dk with
-  | KInt ->
-      if is_cmp op && (is_float_s a || is_float_s b) then
-        SInt (if float_cmp op (to_float2 a) (to_float2 b) then 1 else 0)
-      else (
-        match (a, b) with
-        | SInt x, SInt y -> SInt (int_binop2 op x y)
-        | _ -> raise Would_fault (* float immediate in int parallel context *))
-  | KFloat -> SFloat (float_binop2 op (to_float2 a) (to_float2 b))
+  | KInt when is_cmp op && (is_float_s a || is_float_s b) ->
+      SInt (if float_cmp op (to_float a) (to_float b) then 1 else 0)
+  | KInt -> SInt (int_binop op (to_int a) (to_int b))
+  | KFloat -> SFloat (float_binop op (to_float a) (to_float b))
 
 (* Machine result of [Punop (op, d, Imm a)] given the dst kind. *)
 let punop_fold op dk a =
-  match dk with
-  | KInt -> (
-      match op with
-      | ToInt -> SInt (int_of_float (to_float2 a))
-      | Neg -> SInt (-to_int2 a)
-      | Lnot -> SInt (if to_int2 a = 0 then 1 else 0)
-      | Bnot -> SInt (lnot (to_int2 a))
-      | Abs -> SInt (abs (to_int2 a))
-      | ToFloat -> raise Would_fault)
-  | KFloat -> (
-      match op with
-      | Neg -> SFloat (-.to_float2 a)
-      | Abs -> SFloat (Float.abs (to_float2 a))
-      | ToFloat -> SFloat (to_float2 a)
-      | Lnot | Bnot | ToInt -> raise Would_fault)
+  match (dk, op) with
+  | KInt, ToInt -> SInt (int_of_float (to_float a))
+  | KInt, _ -> SInt (int_unop op (to_int a))
+  | KFloat, _ -> SFloat (float_unop op (to_float a))
 
 (* Bit-exact scalar equality: the differential tests compare state
    bit-exactly, so -0.0 <> 0.0 and NaNs compare by payload. *)
@@ -238,12 +148,12 @@ let reduce_op_safe op kind =
   | _ -> (
       match Paris.identity op kind with
       | exception Invalid_argument _ -> false
-      | _ -> ( match kind with KInt -> true | KFloat -> float_binop_valid op))
+      | _ -> ( match kind with KInt -> true | KFloat -> float_op_valid op))
 
 let scan_op_safe op kind =
   match op with
   | Any | Div | Mod | Shl | Shr -> false
-  | _ -> ( match kind with KInt -> true | KFloat -> float_binop_valid op)
+  | _ -> ( match kind with KInt -> true | KFloat -> float_op_valid op)
 
 (* ---- static facts about a program ---- *)
 
@@ -520,7 +430,7 @@ let pconst facts st dk op =
     match (dk, s) with
     | KInt, SInt _ -> Some s
     | KInt, SFloat _ -> None (* geti faults *)
-    | KFloat, s -> Some (SFloat (to_float2 s))
+    | KFloat, s -> Some (SFloat (to_float s))
   in
   match op with
   | Imm s -> coerce s
@@ -545,7 +455,7 @@ let pmov_val facts st d op =
         | FConst c -> (
             match (dk, sk) with
             | KInt, KInt | KFloat, KFloat -> FConst c
-            | KFloat, KInt -> FConst (SFloat (to_float2 c))
+            | KFloat, KInt -> FConst (SFloat (to_float c))
             | KInt, KFloat -> FTop (* geti on a float field faults *))
         | FAffine (c0, co) when dk = KInt && sk = KInt -> FAffine (c0, co)
         | FCopy root when sk = dk -> FCopy root
@@ -623,12 +533,12 @@ let transfer facts st ins =
       rwrite st r
         (match (opval st a, opval st b) with
         | Some x, Some y -> (
-            try RConst (fe_bin2 op x y) with Would_fault -> RTop)
+            try RConst (fe_bin op x y) with Program_error _ -> RTop)
         | _ -> RTop)
   | Funop (op, r, a) ->
       rwrite st r
         (match opval st a with
-        | Some x -> ( try RConst (fe_unop2 op x) with Would_fault -> RTop)
+        | Some x -> ( try RConst (fe_unop op x) with Program_error _ -> RTop)
         | None -> RTop)
   | Frand (r, _) -> rwrite st r RTop
   | Fread (r, fld, _) ->
@@ -642,7 +552,7 @@ let transfer facts st ins =
       let v =
         match (pconst facts st dk a, pconst facts st dk b) with
         | Some x, Some y -> (
-            try FConst (pbin_fold op dk x y) with Would_fault -> FTop)
+            try FConst (pbin_fold op dk x y) with Program_error _ -> FTop)
         | _ -> (
             match pbin_affine facts st op d a b with
             | Some (c, k) -> FAffine (c, k)
@@ -653,7 +563,7 @@ let transfer facts st ins =
       let dk = facts.fkind.(d) in
       let v =
         match pconst facts st dk a with
-        | Some x -> ( try FConst (punop_fold op dk x) with Would_fault -> FTop)
+        | Some x -> ( try FConst (punop_fold op dk x) with Program_error _ -> FTop)
         | None -> FTop
       in
       fwrite st d v ~total:wr_total
@@ -689,7 +599,7 @@ let transfer facts st ins =
       let v =
         match opval st c with
         | Some s -> (
-            let chosen = if to_float2 s <> 0.0 then a else b in
+            let chosen = if to_float s <> 0.0 then a else b in
             match pconst facts st dk chosen with
             | Some x -> FConst x
             | None -> FTop)
@@ -699,7 +609,7 @@ let transfer facts st ins =
             | Fld f when st.vp >= 0 && facts.fvp.(f) = st.vp -> (
                 match st.flds.(f) with
                 | FConst s -> (
-                    let chosen = if to_float2 s <> 0.0 then a else b in
+                    let chosen = if to_float s <> 0.0 then a else b in
                     match pconst facts st dk chosen with
                     | Some x -> FConst x
                     | None -> FTop)
@@ -908,15 +818,15 @@ let rw_instr (config : config) facts st ~getsend ins =
       let a = sfe a and b = sfe b in
       match (a, b) with
       | Imm x, Imm y when cp -> (
-          try Fmov (r, Imm (fe_bin2 op x y))
-          with Would_fault -> Fbin (op, r, a, b))
+          try Fmov (r, Imm (fe_bin op x y))
+          with Program_error _ -> Fbin (op, r, a, b))
       | _ -> Fbin (op, r, a, b))
   | Funop (op, r, a) -> (
       let a = sfe a in
       match a with
       | Imm x when cp -> (
-          try Fmov (r, Imm (fe_unop2 op x))
-          with Would_fault -> Funop (op, r, a))
+          try Fmov (r, Imm (fe_unop op x))
+          with Program_error _ -> Funop (op, r, a))
       | _ -> Funop (op, r, a))
   | Frand (r, a) -> Frand (r, sfe a)
   | Fread (r, fld, a) -> (
@@ -930,12 +840,12 @@ let rw_instr (config : config) facts st ~getsend ins =
   | Jz (a, l) -> (
       let a = sfe a in
       match a with
-      | Imm s when cp -> if truthy2 s then Comment "iropt" else Jmp l
+      | Imm s when cp -> if truthy s then Comment "iropt" else Jmp l
       | _ -> Jz (a, l))
   | Jnz (a, l) -> (
       let a = sfe a in
       match a with
-      | Imm s when cp -> if truthy2 s then Jmp l else Comment "iropt"
+      | Imm s when cp -> if truthy s then Jmp l else Comment "iropt"
       | _ -> Jnz (a, l))
   | Fprint (s, Some a) -> Fprint (s, Some (sfe a))
   | Pmov (d, a) ->
@@ -956,7 +866,7 @@ let rw_instr (config : config) facts st ~getsend ins =
       else
         match (a, b) with
         | Imm x, Imm y -> (
-            try Pmov (d, Imm (pbin_fold op dk x y)) with Would_fault -> keep)
+            try Pmov (d, Imm (pbin_fold op dk x y)) with Program_error _ -> keep)
         | _ -> (
             if dk <> KInt || is_cmp op then keep
             else
@@ -993,7 +903,7 @@ let rw_instr (config : config) facts st ~getsend ins =
       match a with
       | Imm x when cp && on_cur d -> (
           try Pmov (d, Imm (punop_fold op dk x))
-          with Would_fault -> Punop (op, d, a))
+          with Program_error _ -> Punop (op, d, a))
       | _ -> Punop (op, d, a))
   | Psel (d, c, a, b) -> (
       let dk = facts.fkind.(d) in
@@ -1002,7 +912,7 @@ let rw_instr (config : config) facts st ~getsend ins =
       let a = sub a and b = sub b in
       match c with
       | Imm s when cp && on_cur d ->
-          let chosen, other = if to_float2 s <> 0.0 then (a, b) else (b, a) in
+          let chosen, other = if to_float s <> 0.0 then (a, b) else (b, a) in
           if resolve_safe facts st dk other then Pmov (d, chosen)
           else Psel (d, c, a, b)
       | _ -> Psel (d, c, a, b))
@@ -1364,23 +1274,11 @@ let removable facts geoms vp_at full_at live i ins =
   | Fbin (op, r, a, b) -> (
       rdead r && fe_ok a && fe_ok b
       &&
-      match op with
-      | Add | Sub | Mul | Min | Max | Land | Lor | Eq | Ne | Lt | Le | Gt
-      | Ge ->
-          true
-      | Div | Mod -> (
-          match b with
-          | Imm (SInt x) -> x <> 0
-          | Imm (SFloat _) -> true (* float path: total *)
-          | _ -> false)
-      | Band | Bor | Bxor -> imm_int a && imm_int b
-      | Shl | Shr -> (
-          imm_int a
-          &&
-          match b with
-          | Imm (SInt x) -> x >= 0 && x < Sys.int_size
-          | _ -> false)
-      | Any -> false)
+      match (op, b) with
+      | (Div | Mod), Imm (SFloat _) -> true (* float path: total *)
+      | (Band | Bor | Bxor), _ -> imm_int a && imm_int b
+      | (Shl | Shr), _ -> imm_int a && int_op_total op b
+      | _ -> int_op_total op b)
   | Funop (op, r, a) -> (
       rdead r && fe_ok a
       &&
@@ -1417,28 +1315,15 @@ let removable facts geoms vp_at full_at live i ins =
                fields of either kind *)
             getf_ok a && getf_ok b
           else
-            geti_ok a && geti_ok b
-            && (match op with
-               | Add | Sub | Mul | Min | Max | Land | Lor | Band | Bor
-               | Bxor ->
-                   true
-               | Div | Mod -> (
-                   match b with Imm (SInt x) -> x <> 0 | _ -> false)
-               | Shl | Shr -> (
-                   match b with
-                   | Imm (SInt x) -> x >= 0 && x < Sys.int_size
-                   | _ -> false)
-               | _ -> false)
-      | KFloat -> float_binop_valid op && getf_ok a && getf_ok b)
+            geti_ok a && geti_ok b && int_op_total op b
+      | KFloat -> float_op_valid op && getf_ok a && getf_ok b)
   | Punop (op, d, a) -> (
       fdead d && on_cur d
       &&
       match (facts.fkind.(d), op) with
       | KInt, ToInt -> getf_ok a
-      | KInt, (Neg | Lnot | Bnot | Abs) -> geti_ok a
-      | KInt, ToFloat -> false
-      | KFloat, (Neg | Abs | ToFloat) -> getf_ok a
-      | KFloat, (Lnot | Bnot | ToInt) -> false)
+      | KInt, _ -> geti_ok a && valid (fun () -> int_unop op)
+      | KFloat, _ -> getf_ok a && valid (fun () -> float_unop op))
   | Pcoord (d, axis) ->
       fdead d && on_cur d
       && facts.fkind.(d) = KInt
@@ -1681,84 +1566,55 @@ let run ?(config = default) ?live_out_fields ?live_out_regs ?(obs = Obs.null)
 
 (* ---- static census and cost estimate for dump footers ---- *)
 
-let class_counts (p : program) =
-  let fe = ref 0
-  and pe = ref 0
-  and ctx = ref 0
-  and news = ref 0
-  and router = ref 0
-  and red = ref 0
-  and scan = ref 0
-  and fecm = ref 0
-  and free = ref 0 in
+(* Every instruction charged once, by its unit, to a fresh meter through
+   the machine's own charge functions: at the VP-set size of the field
+   it sweeps, or unit size where the set is only known at run time
+   ([Pcount] and the context stack ops), with unit congestion. *)
+let static_meter params (p : program) =
+  let m = Cost.meter params in
+  let size = function
+    | Pmov (f, _) | Pbin (_, f, _, _) | Punop (_, f, _) | Pcoord (f, _)
+    | Ptable (f, _) | Prand (f, _) | Psel (f, _, _, _) | Pnews (f, _, _, _)
+    | Pget (f, _, _) | Psend (f, _, _, _) | Preduce (_, _, f)
+    | Preduce_axis (_, _, f) | Pscan (_, _, f, _) | Cand f | Cread f ->
+        Geometry.size p.geoms.(fst p.fields.(f))
+    | _ -> 1
+  in
   Array.iter
     (fun ins ->
-      match ins with
-      | Fmov _ | Fbin _ | Funop _ | Frand _ | Jmp _ | Jz _ | Jnz _ | Cwith _
-        ->
-          incr fe
-      | Fread _ | Fwrite _ -> incr fecm
-      | Label _ | Comment _ | Region _ | Fprint _ | Halt -> incr free
-      | Cpush | Cand _ | Cpop | Creset | Cread _ -> incr ctx
-      | Pmov _ | Pbin _ | Punop _ | Pcoord _ | Ptable _ | Prand _ | Psel _ ->
-          incr pe
-      | Pnews _ -> incr news
-      | Pget _ | Psend _ -> incr router
-      | Preduce _ | Pcount _ | Preduce_axis _ -> incr red
-      | Pscan _ -> incr scan)
+      let size = size ins in
+      match unit_of ins with
+      | Ufree -> ()
+      | Ufe -> Cost.charge_fe m
+      | Ufe_cm -> Cost.charge_fe_cm m
+      | Ucontext -> Cost.charge_context m ~size
+      | Upe -> Cost.charge_pe m ~size
+      | Unews -> Cost.charge_news m ~size
+      | Urouter -> Cost.charge_router m ~size ~messages:0 ~max_fanin:1
+      | Ureduce -> Cost.charge_reduce m ~size
+      | Uscan -> Cost.charge_scan m ~size)
     p.code;
-  [
-    ("fe", !fe);
-    ("pe", !pe);
-    ("context", !ctx);
-    ("news", !news);
-    ("router", !router);
-    ("reduce", !red);
-    ("scan", !scan);
-    ("fe-cm", !fecm);
-    ("free", !free);
-  ]
+  m
+
+let class_counts (p : program) =
+  let m = static_meter Cost.cm2_16k p in
+  let counts =
+    [
+      ("fe", m.fe_ops);
+      ("pe", m.pe_ops);
+      ("context", m.context_ops);
+      ("news", m.news_ops);
+      ("router", m.router_ops);
+      ("reduce", m.reductions);
+      ("scan", m.scans);
+      ("fe-cm", m.fe_cm_transfers);
+    ]
+  in
+  counts
+  @ [ ("free", Array.length p.code - List.fold_left (fun a (_, n) -> a + n) 0 counts) ]
 
 let static_cost_ns ?(params = Cost.cm2_16k) (p : program) =
-  let open Cost in
-  let ratio_f f =
-    float_of_int
-      (vp_ratio params (Geometry.size p.geoms.(fst p.fields.(f))))
-  in
-  let total = ref 0.0 in
-  let add x = total := !total +. x in
-  Array.iter
-    (fun ins ->
-      match ins with
-      | Fmov _ | Fbin _ | Funop _ | Frand _ | Jmp _ | Jz _ | Jnz _ | Cwith _
-        ->
-          add params.fe_op_ns
-      | Fread _ | Fwrite _ -> add params.fe_cm_ns
-      | Label _ | Comment _ | Region _ | Fprint _ | Halt -> ()
-      | Cpush | Cpop | Creset ->
-          (* current set unknown statically: unit vp ratio *)
-          add (params.issue_ns +. params.context_ns)
-      | Cand f | Cread f ->
-          add (params.issue_ns +. (params.context_ns *. ratio_f f))
-      | Pmov (d, _)
-      | Pbin (_, d, _, _)
-      | Punop (_, d, _)
-      | Pcoord (d, _)
-      | Ptable (d, _)
-      | Prand (d, _)
-      | Psel (d, _, _, _) ->
-          add (params.issue_ns +. (params.pe_op_ns *. ratio_f d))
-      | Pnews (d, _, _, _) ->
-          add (params.issue_ns +. (params.news_ns *. ratio_f d))
-      | Pget (d, _, _) | Psend (d, _, _, _) ->
-          add (params.issue_ns +. (params.router_ns *. ratio_f d))
-      | Preduce (_, _, f) | Preduce_axis (_, _, f) ->
-          add (params.issue_ns +. (params.scan_ns *. ratio_f f))
-      | Pcount _ -> add (params.issue_ns +. params.scan_ns)
-      | Pscan (_, _, s, _) ->
-          add (params.issue_ns +. (params.scan_ns *. ratio_f s)))
-    p.code;
-  !total
+  (static_meter params p).elapsed_ns
 
 let pp_static_summary ?(params = Cost.cm2_16k) fmt p =
   Format.fprintf fmt "@[<v>static summary: %d instructions@,"

@@ -1,9 +1,7 @@
 open Paris
 
-exception Error of string
+exception Error = Paris.Program_error
 exception Fault = Fault.Fault
-
-let error fmt = Format.kasprintf (fun s -> raise (Error s)) fmt
 
 type fdata = FInt of int array | FFloat of float array
 
@@ -177,14 +175,7 @@ let program m = m.prog
 let meter m = m.meter
 let elapsed_seconds m = Cost.elapsed_seconds m.meter
 
-(* ---- scalar helpers ---- *)
-
-let to_int = function
-  | SInt i -> i
-  | SFloat _ -> error "expected an int scalar, got a float"
-
-let to_float = function SInt i -> float_of_int i | SFloat f -> f
-let truthy = function SInt i -> i <> 0 | SFloat f -> f <> 0.0
+(* ---- random stream and front-end operands ---- *)
 
 let lcg m =
   m.rand_state <- ((m.rand_state * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -194,92 +185,10 @@ let rand_mod m modulus =
   if modulus <= 0 then error "rand: non-positive modulus %d" modulus;
   lcg m mod modulus
 
-(* ---- operator tables ---- *)
-
-(* OCaml leaves [lsl]/[asr] unspecified for shift amounts outside
-   [0, Sys.int_size - 1]; make those a proper machine fault. *)
-let checked_shl a b =
-  if b < 0 || b >= Sys.int_size then
-    error "shift amount %d is out of range (0..%d)" b (Sys.int_size - 1)
-  else a lsl b
-
-let checked_shr a b =
-  if b < 0 || b >= Sys.int_size then
-    error "shift amount %d is out of range (0..%d)" b (Sys.int_size - 1)
-  else a asr b
-
-let int_binop = function
-  | Add -> ( + )
-  | Sub -> ( - )
-  | Mul -> ( * )
-  | Div -> fun a b -> if b = 0 then error "division by zero" else a / b
-  | Mod -> fun a b -> if b = 0 then error "modulo by zero" else a mod b
-  | Min -> Int.min
-  | Max -> Int.max
-  | Land -> fun a b -> if a <> 0 && b <> 0 then 1 else 0
-  | Lor -> fun a b -> if a <> 0 || b <> 0 then 1 else 0
-  | Band -> ( land )
-  | Bor -> ( lor )
-  | Bxor -> ( lxor )
-  | Shl -> checked_shl
-  | Shr -> checked_shr
-  | Eq -> fun a b -> if a = b then 1 else 0
-  | Ne -> fun a b -> if a <> b then 1 else 0
-  | Lt -> fun a b -> if a < b then 1 else 0
-  | Le -> fun a b -> if a <= b then 1 else 0
-  | Gt -> fun a b -> if a > b then 1 else 0
-  | Ge -> fun a b -> if a >= b then 1 else 0
-  | Any -> error "'any' is only valid in reductions"
-
-let float_binop = function
-  | Add -> ( +. )
-  | Sub -> ( -. )
-  | Mul -> ( *. )
-  | Div -> ( /. )
-  | Mod -> Float.rem
-  | Min -> Float.min
-  | Max -> Float.max
-  | op -> error "operator %s is not valid on floats" (Paris.binop_name op)
-
-let float_cmp = function
-  | Eq -> ( = )
-  | Ne -> ( <> )
-  | Lt -> ( < )
-  | Le -> ( <= )
-  | Gt -> ( > )
-  | Ge -> ( >= )
-  | _ -> assert false
-
-(* ---- front-end evaluation ---- *)
-
 let fe_val m = function
   | Reg r -> m.regs.(r)
   | Imm s -> s
   | Fld f -> error "field f%d used as a front-end operand" f
-
-let fe_bin op a b =
-  if is_cmp op then SInt (if float_cmp op (to_float a) (to_float b) then 1 else 0)
-  else
-    match op with
-    | Land -> SInt (if truthy a && truthy b then 1 else 0)
-    | Lor -> SInt (if truthy a || truthy b then 1 else 0)
-    | Band | Bor | Bxor | Shl | Shr -> SInt (int_binop op (to_int a) (to_int b))
-    | Add | Sub | Mul | Div | Mod | Min | Max -> (
-        match a, b with
-        | SInt x, SInt y -> SInt (int_binop op x y)
-        | _ -> SFloat (float_binop op (to_float a) (to_float b)))
-    | Any -> error "'any' is only valid in reductions"
-    | Eq | Ne | Lt | Le | Gt | Ge -> assert false
-
-let fe_unop op a =
-  match op with
-  | Neg -> (match a with SInt i -> SInt (-i) | SFloat f -> SFloat (-.f))
-  | Lnot -> SInt (if truthy a then 0 else 1)
-  | Bnot -> SInt (lnot (to_int a))
-  | ToFloat -> SFloat (to_float a)
-  | ToInt -> (match a with SInt i -> SInt i | SFloat f -> SInt (int_of_float f))
-  | Abs -> (
-      match a with SInt i -> SInt (abs i) | SFloat f -> SFloat (Float.abs f))
 
 (* ---- field access ---- *)
 
@@ -416,25 +325,11 @@ let exec_punop m op dst a =
         mask
   | FInt out, _ ->
       let ia = geti m a in
-      let f =
-        match op with
-        | Neg -> fun x -> -x
-        | Lnot -> fun x -> if x = 0 then 1 else 0
-        | Bnot -> lnot
-        | Abs -> abs
-        | ToInt -> assert false
-        | ToFloat -> error "tofloat into an int field"
-      in
+      let f = int_unop op in
       Array.iteri (fun p act -> if act then out.(p) <- f (ia p)) mask
   | FFloat out, _ ->
       let fa = getf m a in
-      let f =
-        match op with
-        | Neg -> ( ~-. )
-        | Abs -> Float.abs
-        | ToFloat -> fun x -> x
-        | Lnot | Bnot | ToInt -> error "integer unop into a float field"
-      in
+      let f = float_unop op in
       Array.iteri (fun p act -> if act then out.(p) <- f (fa p)) mask
 
 let exec_pcoord m dst axis =
@@ -659,43 +554,6 @@ let exec_cand m fld =
    them bit-identically, and a raised [Fault] leaves the machine exactly
    at the pre-instruction state (resumable from an earlier checkpoint). *)
 
-(* Short mnemonic for fault messages (deterministic, engine-independent). *)
-let mnemonic = function
-  | Pmov _ -> "pmov"
-  | Pbin _ -> "pbin"
-  | Punop _ -> "punop"
-  | Pcoord _ -> "pcoord"
-  | Ptable _ -> "ptable"
-  | Prand _ -> "prand"
-  | Psel _ -> "psel"
-  | Pget _ -> "pget"
-  | Psend _ -> "psend"
-  | Pnews _ -> "pnews"
-  | Preduce _ -> "preduce"
-  | Pcount _ -> "pcount"
-  | Preduce_axis _ -> "preduce-axis"
-  | Pscan _ -> "pscan"
-  | Cpush -> "cpush"
-  | Cand _ -> "cand"
-  | Cpop -> "cpop"
-  | Creset -> "creset"
-  | Cread _ -> "cread"
-  | _ -> "fe"
-
-(* Which hardware an instruction exercises: the general router, the NEWS
-   wires, or (for every other processor-array sweep) some VP chip.
-   Front-end-only instructions exercise none of them. *)
-type iclass = CRouter | CNews | CChip | CFront
-
-let instr_class = function
-  | Pget _ | Psend _ -> CRouter
-  | Pnews _ -> CNews
-  | Pmov _ | Pbin _ | Punop _ | Pcoord _ | Ptable _ | Prand _ | Psel _
-  | Preduce _ | Pcount _ | Preduce_axis _ | Pscan _ | Cpush | Cand _ | Cpop
-  | Creset | Cread _ ->
-      CChip
-  | _ -> CFront
-
 (* Memory bit flips resolve raw plan coordinates modulo the actual
    field/element/bit counts, so any integers address something real. *)
 let apply_flip m ~field ~element ~bit =
@@ -787,21 +645,21 @@ let inject m instr =
               fire m instr Fault.Chip sched
           | [] -> ()
         in
-        match instr_class instr with
-        | CRouter -> (
+        match unit_of instr with
+        | Urouter -> (
             match fs.f_router with
             | sched :: rest ->
                 fs.f_router <- rest;
                 fire m instr Fault.Router sched
             | [] -> fire_chip ())
-        | CNews -> (
+        | Unews -> (
             match fs.f_news with
             | sched :: rest ->
                 fs.f_news <- rest;
                 fire m instr Fault.News sched
             | [] -> fire_chip ())
-        | CChip -> fire_chip ()
-        | CFront -> ()
+        | Upe | Ucontext | Ureduce | Uscan -> fire_chip ()
+        | Ufe | Ufe_cm | Ufree -> ()
       end
 
 let run_reference ?steps m =
@@ -1292,16 +1150,7 @@ let un_int all (m : bool array) lo hi (o : int array) op r =
   | IArr a, Bnot ->
       for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- lnot a.%(p) done
   | IArr a, Abs -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- abs a.%(p) done
-  | IVal v, _ ->
-      let v =
-        match op with
-        | Neg -> -v
-        | Lnot -> b2i (v = 0)
-        | Bnot -> lnot v
-        | Abs -> abs v
-        | ToInt | ToFloat -> assert false
-      in
-      mov_int all m lo hi o (IVal v)
+  | IVal v, _ -> mov_int all m lo hi o (IVal (int_unop op v))
   | IArr _, (ToInt | ToFloat) -> assert false
 
 let un_float all (m : bool array) lo hi (o : float array) op r =
@@ -1760,17 +1609,16 @@ let decode m layouts code_len instr : unit -> unit =
             Cost.charge_pe meter ~size:nv;
             (* reference order: operand first, then the operator check *)
             let ra = ga () in
-            if op = ToFloat then error "tofloat into an int field";
+            ignore (int_unop op : int -> int);
             sweep layout run ctx (fun all mk lo hi ->
                 un_int all mk lo hi out op ra)
       | FFloat out, _ ->
           let ga = dec_float m vp a in
-          let int_op = match op with Lnot | Bnot | ToInt -> true | _ -> false in
           fun () ->
             check_cur vp "punop" dst;
             Cost.charge_pe meter ~size:nv;
             let ra = ga () in
-            if int_op then error "integer unop into a float field";
+            ignore (float_unop op : float -> float);
             sweep layout run ctx (fun all mk lo hi ->
                 un_float all mk lo hi out op ra))
   | Pcoord (dst, axis) -> (
@@ -2221,7 +2069,6 @@ let run_native ?steps m entry =
       c_rand = m.rand_state;
       c_cur = m.cur;
       c_racc = m.region_acc;
-      c_fail = (fun s -> Error s);
       c_not_cur =
         (fun what f curv ->
           if curv < 0 then Error "no VP set selected (missing Cwith)"
@@ -2239,11 +2086,6 @@ let run_native ?steps m entry =
         (fun i curv ->
           m.cur <- curv;
           (Array.unsafe_get kernels i) ());
-      c_fe_bin = fe_bin;
-      c_fe_unop = fe_unop;
-      c_to_int = to_int;
-      c_to_float = to_float;
-      c_truthy = truthy;
     }
   in
   let sync () =

@@ -46,7 +46,9 @@
 (** Raised on any dynamic error: kind mismatch, address out of range,
     conflicting parallel assignment, missing [Cwith], division by zero,
     shift amount out of range, or fuel exhaustion.  An [Error] is a
-    program bug: retrying cannot help. *)
+    program bug: retrying cannot help.  This is the same exception as
+    [Paris.Program_error], the fault of {!Paris}'s operator
+    evaluation. *)
 exception Error of string
 
 (** Raised when an injected transient fault (see {!Fault}) fires.

@@ -114,6 +114,140 @@ let combine_name = function
   | Ccheck -> "check" | Cover -> "over" | Cadd -> "add" | Cmin -> "min"
   | Cmax -> "max" | Cor -> "or" | Cand -> "and" | Cxor -> "xor"
 
+(* ---- operator evaluation ---- *)
+
+exception Program_error of string
+
+let error fmt = Format.kasprintf (fun s -> raise (Program_error s)) fmt
+
+let to_int = function
+  | SInt i -> i
+  | SFloat _ -> error "expected an int scalar, got a float"
+
+let to_float = function SInt i -> float_of_int i | SFloat f -> f
+let truthy = function SInt i -> i <> 0 | SFloat f -> f <> 0.0
+
+(* OCaml leaves [lsl]/[asr] unspecified for shift amounts outside
+   [0, Sys.int_size - 1]; make those a proper machine fault. *)
+let checked_shl a b =
+  if b < 0 || b >= Sys.int_size then
+    error "shift amount %d is out of range (0..%d)" b (Sys.int_size - 1)
+  else a lsl b
+
+let checked_shr a b =
+  if b < 0 || b >= Sys.int_size then
+    error "shift amount %d is out of range (0..%d)" b (Sys.int_size - 1)
+  else a asr b
+
+let int_binop = function
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> fun a b -> if b = 0 then error "division by zero" else a / b
+  | Mod -> fun a b -> if b = 0 then error "modulo by zero" else a mod b
+  | Min -> Int.min
+  | Max -> Int.max
+  | Land -> fun a b -> if a <> 0 && b <> 0 then 1 else 0
+  | Lor -> fun a b -> if a <> 0 || b <> 0 then 1 else 0
+  | Band -> ( land )
+  | Bor -> ( lor )
+  | Bxor -> ( lxor )
+  | Shl -> checked_shl
+  | Shr -> checked_shr
+  | Eq -> fun a b -> if a = b then 1 else 0
+  | Ne -> fun a b -> if a <> b then 1 else 0
+  | Lt -> fun a b -> if a < b then 1 else 0
+  | Le -> fun a b -> if a <= b then 1 else 0
+  | Gt -> fun a b -> if a > b then 1 else 0
+  | Ge -> fun a b -> if a >= b then 1 else 0
+  | Any -> error "'any' is only valid in reductions"
+
+let float_binop = function
+  | Add -> ( +. )
+  | Sub -> ( -. )
+  | Mul -> ( *. )
+  | Div -> ( /. )
+  | Mod -> Float.rem
+  | Min -> Float.min
+  | Max -> Float.max
+  | op -> error "operator %s is not valid on floats" (binop_name op)
+
+let float_cmp = function
+  | Eq -> ( = )
+  | Ne -> ( <> )
+  | Lt -> ( < )
+  | Le -> ( <= )
+  | Gt -> ( > )
+  | Ge -> ( >= )
+  | _ -> assert false
+
+let fe_bin op a b =
+  if is_cmp op then SInt (if float_cmp op (to_float a) (to_float b) then 1 else 0)
+  else
+    match op with
+    | Land -> SInt (if truthy a && truthy b then 1 else 0)
+    | Lor -> SInt (if truthy a || truthy b then 1 else 0)
+    | Band | Bor | Bxor | Shl | Shr -> SInt (int_binop op (to_int a) (to_int b))
+    | Add | Sub | Mul | Div | Mod | Min | Max -> (
+        match a, b with
+        | SInt x, SInt y -> SInt (int_binop op x y)
+        | _ -> SFloat (float_binop op (to_float a) (to_float b)))
+    | Any -> error "'any' is only valid in reductions"
+    | Eq | Ne | Lt | Le | Gt | Ge -> assert false
+
+let int_unop = function
+  | Neg -> ( ~- )
+  | Lnot -> fun x -> if x = 0 then 1 else 0
+  | Bnot -> lnot
+  | Abs -> abs
+  | ToInt -> Fun.id
+  | ToFloat -> error "tofloat into an int field"
+
+let float_unop = function
+  | Neg -> ( ~-. )
+  | Abs -> Float.abs
+  | ToFloat -> Fun.id
+  | Lnot | Bnot | ToInt -> error "integer unop into a float field"
+
+let fe_unop op a =
+  match op, a with
+  | Lnot, _ -> SInt (if truthy a then 0 else 1)
+  | Bnot, _ -> SInt (lnot (to_int a))
+  | ToFloat, _ -> SFloat (to_float a)
+  | ToInt, SFloat f -> SInt (int_of_float f)
+  | _, SInt i -> SInt (int_unop op i)
+  | _, SFloat f -> SFloat (float_unop op f)
+
+(* ---- instruction names and classes ---- *)
+
+let mnemonic = function
+  | Fmov _ -> "fmov" | Fbin _ -> "fbin" | Funop _ -> "funop"
+  | Frand _ -> "frand" | Fread _ -> "fread" | Fwrite _ -> "fwrite"
+  | Jmp _ -> "jmp" | Jz _ -> "jz" | Jnz _ -> "jnz"
+  | Label _ -> "label" | Halt -> "halt" | Comment _ -> "comment"
+  | Region _ -> "region" | Fprint _ -> "fprint"
+  | Pmov _ -> "pmov" | Pbin _ -> "pbin" | Punop _ -> "punop"
+  | Pcoord _ -> "pcoord" | Ptable _ -> "ptable" | Prand _ -> "prand"
+  | Psel _ -> "psel" | Pget _ -> "pget" | Psend _ -> "psend"
+  | Pnews _ -> "pnews" | Preduce _ -> "preduce" | Pcount _ -> "pcount"
+  | Preduce_axis _ -> "preduce-axis" | Pscan _ -> "pscan"
+  | Cwith _ -> "cwith" | Cpush -> "cpush" | Cand _ -> "cand"
+  | Cpop -> "cpop" | Creset -> "creset" | Cread _ -> "cread"
+
+type unit_class =
+  | Ufe | Ufe_cm | Ufree | Ucontext | Upe | Unews | Urouter | Ureduce | Uscan
+
+let unit_of = function
+  | Fmov _ | Fbin _ | Funop _ | Frand _ | Jmp _ | Jz _ | Jnz _ | Cwith _ -> Ufe
+  | Fread _ | Fwrite _ -> Ufe_cm
+  | Label _ | Comment _ | Region _ | Fprint _ | Halt -> Ufree
+  | Cpush | Cand _ | Cpop | Creset | Cread _ -> Ucontext
+  | Pmov _ | Pbin _ | Punop _ | Pcoord _ | Ptable _ | Prand _ | Psel _ -> Upe
+  | Pnews _ -> Unews
+  | Pget _ | Psend _ -> Urouter
+  | Preduce _ | Pcount _ | Preduce_axis _ -> Ureduce
+  | Pscan _ -> Uscan
+
 let pp_binop fmt op = Format.pp_print_string fmt (binop_name op)
 
 let pp_scalar fmt = function

@@ -112,6 +112,84 @@ val is_cmp : binop -> bool
     an immediate that provably never faults; [Any] never is. *)
 val int_op_total : binop -> operand -> bool
 
+(** {1 Operator evaluation}
+
+    The one definition of what each operator computes.  The machine's
+    kernels, the native code it generates and the IR optimizer's
+    constant folding all evaluate through these functions, so a folded
+    constant is the value the machine would have computed, and a fold
+    that would fault is abandoned (the instruction kept) rather than
+    mis-evaluated. *)
+
+(** The machine fault: raised on any dynamic error of a program (kind
+    mismatch, division or modulo by zero, shift amount out of range, an
+    operator applied where it is not valid, ...).  [Machine.Error] is
+    this same exception. *)
+exception Program_error of string
+
+(** [error fmt ...] raises {!Program_error} with the formatted message. *)
+val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
+
+(** The scalar as an int.  @raise Program_error on a float. *)
+val to_int : scalar -> int
+
+(** The scalar as a float (ints are converted). *)
+val to_float : scalar -> float
+
+(** Whether the scalar is non-zero. *)
+val truthy : scalar -> bool
+
+(** [int_binop op] is the machine's int [op]: comparisons and logical
+    operators give 0 or 1.  The returned function raises {!Program_error} on
+    division or modulo by zero and on a shift amount outside
+    [0, Sys.int_size - 1]; [int_binop Any] raises at once. *)
+val int_binop : binop -> int -> int -> int
+
+(** [float_binop op] is the machine's float [op].  Only the arithmetic
+    operators and [Min]/[Max] are valid on floats.
+    @raise Program_error for any other operator. *)
+val float_binop : binop -> float -> float -> float
+
+(** [float_cmp op] is the comparison [op] on floats.  Only defined for
+    the operators where {!is_cmp} holds. *)
+val float_cmp : binop -> float -> float -> bool
+
+(** Front-end binary operator: comparisons compare as floats, logical
+    operators by {!truthy}, bitwise operators and shifts need ints, and
+    arithmetic stays int when both operands are ints.
+    @raise Program_error as the underlying operator does. *)
+val fe_bin : binop -> scalar -> scalar -> scalar
+
+(** [int_unop op] is the machine's [op] from int to int ([ToInt] is the
+    identity).  @raise Program_error for [ToFloat]. *)
+val int_unop : unop -> int -> int
+
+(** [float_unop op] is the machine's [op] from float to float ([ToFloat]
+    is the identity).  @raise Program_error for [Lnot], [Bnot] and
+    [ToInt]. *)
+val float_unop : unop -> float -> float
+
+(** Front-end unary operator: [Lnot] by {!truthy}, [Bnot] needs an
+    int, the conversions change kind, and the rest keep it.
+    @raise Program_error on [Bnot] of a float. *)
+val fe_unop : unop -> scalar -> scalar
+
+(** {1 Instruction names and classes} *)
+
+(** Short name of the instruction's opcode (["pbin"], ["preduce-axis"],
+    ...), as fault messages and the native-coverage footer print it. *)
+val mnemonic : instr -> string
+
+(** The hardware unit an instruction occupies, as {!Cost} charges it:
+    the front end, a single-element front-end <-> CM transfer, nothing
+    (labels, comments, region markers, prints, [Halt]), the context
+    stack, the processor array, the NEWS grid, the router, the
+    reduction network, the scan network. *)
+type unit_class =
+  | Ufe | Ufe_cm | Ufree | Ucontext | Upe | Unews | Urouter | Ureduce | Uscan
+
+val unit_of : instr -> unit_class
+
 val binop_name : binop -> string
 val pp_binop : Format.formatter -> binop -> unit
 val pp_instr : Format.formatter -> instr -> unit

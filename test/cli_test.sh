@@ -102,6 +102,16 @@ grep -q '^error: unknown engine "warp" (valid: fast, reference, sharded, native)
 # the same validator backs --shards
 if $UCC run ../examples/uc/quickstart.uc --engine sharded --shards 0 2>err.txt; then exit 1; fi
 grep -q '^error: shard count must be at least 1' err.txt
+# a fuel slice below 1 is a one-line rejection too (also through the
+# --fuel prefix), before any job runs
+if $UCC run ../examples/uc/quickstart.uc --fuel-slice 0 2>err.txt; then exit 1; fi
+grep -q 'fuel slice must be at least 1 (got 0)' err.txt
+[ "$(wc -l < err.txt)" = 1 ]
+if $UCC run ../examples/uc/quickstart.uc --fuel 0 2>err.txt; then exit 1; fi
+grep -q 'fuel slice must be at least 1 (got 0)' err.txt
+if $UCC batch --cache-dir none --fuel-slice 0 >slice0.jsonl 2>err.txt; then exit 1; fi
+grep -q 'fuel slice must be at least 1 (got 0)' err.txt
+[ ! -s slice0.jsonl ]
 # and --help lists the same engines (one source for both)
 $UCC run --help=plain > help.txt
 grep -q "fast, reference, sharded" help.txt

@@ -281,6 +281,143 @@ let test_off_is_identity () =
   Alcotest.(check bool) "same code" true (prog.code == opt.code);
   Alcotest.(check int) "no rounds" 0 stats.Cm.Iropt.rounds
 
+(* ---- operator parity grid ----
+
+   Every binop over every pair of edge scalars, and every unop over every
+   edge scalar, as a front-end instruction and as a parallel one into an
+   int and into a float field.  The optimizer folds what it can and must
+   keep what faults, so the optimized program must reproduce the
+   unoptimized one bit for bit: the same error message, or the same
+   registers, fields and output, never at a higher simulated cost. *)
+
+let edge_scalars =
+  [ SInt 0; SInt 1; SInt (-1); SInt 62; SInt 63; SInt 64; SInt max_int;
+    SInt min_int; SInt inf_int; SFloat 0.0; SFloat (-0.0); SFloat nan;
+    SFloat infinity; SFloat neg_infinity;
+    SFloat (Int64.float_of_bits 1L) (* the smallest subnormal *) ]
+
+let all_binops =
+  [ Add; Sub; Mul; Div; Mod; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; Land; Lor;
+    Band; Bor; Bxor; Shl; Shr; Any ]
+
+let all_unops = [ Neg; Lnot; Bnot; ToFloat; ToInt; Abs ]
+
+let show_scalar = function
+  | SInt i -> string_of_int i
+  | SFloat f -> Printf.sprintf "%h/%Lx" f (Int64.bits_of_float f)
+
+type shape = Simm | Sreg | Sfld
+
+(* [mk dst r operands] on a two-VP set, after its operands are staged: a
+   register by [Fmov], a field of the scalar's own kind by [Pmov]. *)
+let parity_prog shape dst_kind mk args =
+  let b = Builder.create "parity" in
+  let vp = Builder.vpset b (Cm.Geometry.create [ 2 ]) in
+  let dst = Builder.field b ~vpset:vp dst_kind in
+  Builder.emit b (Cwith vp);
+  let stage s =
+    match shape with
+    | Simm -> Imm s
+    | Sreg ->
+        let r = Builder.reg b in
+        Builder.emit b (Fmov (r, Imm s));
+        Reg r
+    | Sfld ->
+        let kind = match s with SInt _ -> KInt | SFloat _ -> KFloat in
+        let f = Builder.field b ~vpset:vp kind in
+        Builder.emit b (Pmov (f, Imm s));
+        Fld f
+  in
+  let ops = Array.map stage args in
+  let ins = mk dst (Builder.reg b) ops in
+  Builder.emit b ins;
+  Builder.emit b Halt;
+  ( Format.asprintf "%a (dst %s) on %s" pp_instr ins
+      (match dst_kind with KInt -> "int" | KFloat -> "float")
+      (String.concat ", " (Array.to_list (Array.map show_scalar args))),
+    Builder.finish b )
+
+(* The front-end form with immediate and register operands; the
+   parallel form with immediate, register and field operands, into an
+   int and into a float field. *)
+let parity_forms args ~fe ~par =
+  List.map (fun sh -> parity_prog sh KInt fe args) [ Simm; Sreg ]
+  @ List.concat_map
+      (fun sh -> [ parity_prog sh KInt par args; parity_prog sh KFloat par args ])
+      [ Simm; Sreg; Sfld ]
+
+(* The observable outcome of a run, and its simulated ns. *)
+let observe prog =
+  let m = Cm.Machine.create ~fuel:1000 prog in
+  let ns () = (Cm.Machine.meter m).Cm.Cost.elapsed_ns in
+  match Cm.Machine.run m with
+  | exception Cm.Machine.Error msg -> ([ "error: " ^ msg ], ns ())
+  | () ->
+      let fields =
+        List.mapi
+          (fun f (_, kind) ->
+            match kind with
+            | KInt -> Array.map string_of_int (Cm.Machine.field_ints m f)
+            | KFloat ->
+                Array.map (fun x -> show_scalar (SFloat x))
+                  (Cm.Machine.field_floats m f))
+          (Array.to_list prog.fields)
+      in
+      ( ("ok" :: List.init prog.nregs (fun r -> show_scalar (Cm.Machine.reg m r)))
+        @ List.concat_map Array.to_list fields
+        @ Cm.Machine.output m,
+        ns () )
+
+let test_operator_parity () =
+  let cases =
+    List.concat_map
+      (fun op ->
+        List.concat_map
+          (fun a ->
+            List.concat_map
+              (fun b ->
+                parity_forms [| a; b |]
+                  ~fe:(fun _ r o -> Fbin (op, r, o.(0), o.(1)))
+                  ~par:(fun d _ o -> Pbin (op, d, o.(0), o.(1))))
+              edge_scalars)
+          edge_scalars)
+      all_binops
+    @ List.concat_map
+        (fun op ->
+          List.concat_map
+            (fun a ->
+              parity_forms [| a |]
+                ~fe:(fun _ r o -> Funop (op, r, o.(0)))
+                ~par:(fun d _ o -> Punop (op, d, o.(0))))
+            edge_scalars)
+        all_unops
+  in
+  let rewritten = ref 0 and diverged = ref [] in
+  List.iter
+    (fun (label, prog) ->
+      let opt, _ = Cm.Iropt.run prog in
+      if compare opt.code prog.code <> 0 then incr rewritten;
+      let want, ns0 = observe prog and got, ns1 = observe opt in
+      if want <> got then
+        diverged :=
+          Printf.sprintf "%s: %s, optimized %s" label (String.concat " " want)
+            (String.concat " " got)
+          :: !diverged
+      else if ns1 > ns0 then
+        diverged := Printf.sprintf "%s: simulated ns rose" label :: !diverged)
+    cases;
+  (match List.rev !diverged with
+  | [] -> ()
+  | first :: _ ->
+      Alcotest.failf "%d of %d cases diverge; first: %s"
+        (List.length !diverged) (List.length cases) first);
+  (* the grid exercises the folds, not only the instructions kept *)
+  Alcotest.(check bool)
+    (Printf.sprintf "optimizer rewrote %d of %d cases" !rewritten
+       (List.length cases))
+    true
+    (!rewritten * 4 > List.length cases)
+
 (* ---- whole-corpus ablation: optimizer on vs off ---- *)
 
 (* The observable contract for a compiled UC program: printed output,
@@ -409,6 +546,8 @@ let () =
           Alcotest.test_case "off is identity" `Quick test_off_is_identity;
           Alcotest.test_case "staged send copy never aliased" `Quick
             test_send_copy_not_aliased;
+          Alcotest.test_case "operator parity grid" `Quick
+            test_operator_parity;
         ] );
       ( "corpus",
         [

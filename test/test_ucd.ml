@@ -143,7 +143,7 @@ let test_pool_isolates_exceptions () =
   in
   Alcotest.(check int) "all slots reported" 4 (List.length results);
   (match List.nth results 2 with
-  | Error (Failure "boom") -> ()
+  | Error (Failure msg) when msg = "boom" -> ()
   | _ -> Alcotest.fail "job 3 should have failed with its own exception");
   Alcotest.(check (list int)) "other jobs unaffected" [ 2; 3; 5 ]
     (List.filter_map (function Ok n -> Some n | Error _ -> None) results)
@@ -157,7 +157,7 @@ let test_pool_stress () =
       "ranksort"; "stencil"; "wavefront"; "odd_even_sort"; "heat" ]
   in
   let jobs =
-    List.map mk good
+    List.map (fun name -> mk name) good
     @ [
         mk ~fuel:5 "shortest_path_n2";
         Ucd.Job.make ~name:"unparsable" ~source:"int x" ();
