@@ -524,7 +524,193 @@ let test_cstar_corpus () =
         Cstar.Programs.path_n3 ~ir_opt:Cm.Iropt.off ~n:5 () );
     ]
 
+(* ---- compiler output: the generator grid, the corpus, C* ---- *)
+
+module P = Uc_programs.Programs
+
+let range lo hi = List.init (hi - lo + 1) (fun k -> lo + k)
+let bools = [ false; true ]
+
+(* Every corpus generator at every size and variant of the ranges the
+   compile workload of perfbench/gen.ml ([small_gens]) draws from. *)
+let generator_grid =
+  let sized name lo hi g =
+    List.map (fun n -> (Printf.sprintf "%s n=%d" name n, g n)) (range lo hi)
+  in
+  List.concat
+    [
+      sized "reductions" 4 24 (fun n -> P.reductions ~n);
+      sized "abs_sum" 4 32 (fun n -> P.abs_sum ~n);
+      sized "matmul" 3 8 (fun n -> P.matmul ~n);
+      sized "reciprocal" 4 32 (fun n -> P.reciprocal ~n);
+      sized "odd_even_flags" 4 32 (fun n -> P.odd_even_flags ~n);
+      sized "ranksort" 4 32 (fun n -> P.ranksort ~n);
+      sized "prefix_sums" 4 32 (fun n -> P.prefix_sums ~n);
+      sized "partial_sums_seq" 4 32 (fun n -> P.partial_sums_seq ~n);
+      sized "shortest_path_n2" 3 8 (fun n -> P.shortest_path_n2 ~n ());
+      sized "shortest_path_n3" 3 8 (fun n -> P.shortest_path_n3 ~n ());
+      sized "shortest_path_solve" 3 6 (fun n -> P.shortest_path_solve ~n ());
+      sized "wavefront" 3 8 (fun n -> P.wavefront ~n);
+      sized "odd_even_sort" 4 16 (fun n -> P.odd_even_sort ~n);
+      sized "digit_count" 8 48 (fun n -> P.digit_count ~n);
+      sized "digit_count_det" 8 48 (fun n -> P.digit_count_det ~n);
+      sized "obstacle_grid" 4 10 (fun n -> P.obstacle_grid ~n);
+      List.concat_map
+        (fun mapped ->
+          List.concat_map
+            (fun steps ->
+              sized
+                (Printf.sprintf "stencil mapped=%b steps=%d" mapped steps)
+                4 24
+                (fun n -> P.stencil ~mapped ~n ~steps ()))
+            (range 1 4))
+        bools;
+      List.concat_map
+        (fun folded ->
+          sized
+            (Printf.sprintf "folded_pairs folded=%b" folded)
+            2 16
+            (fun h -> P.folded_pairs ~folded ~n:(2 * h) ()))
+        bools;
+      List.concat_map
+        (fun copied ->
+          List.concat_map
+            (fun copies ->
+              sized
+                (Printf.sprintf "copied_broadcast copied=%b copies=%d" copied
+                   copies)
+                8 24
+                (fun n -> P.copied_broadcast ~copied ~n ~copies ()))
+            [ 2; 4 ])
+        bools;
+      List.concat_map
+        (fun steps ->
+          sized (Printf.sprintf "heat steps=%d" steps) 4 10 (fun n ->
+              P.heat ~steps ~n ()))
+        (range 1 4);
+      [ ("quickstart", P.quickstart) ];
+    ]
+
+(* The unoptimized IR of a UC source and the storage observable after it
+   halts, as [Uc.Codegen.compile] hands them to [Iropt.run]. *)
+let lowered ?(options = Uc.Codegen.default_options) src =
+  let c =
+    Uc.Compile.compile_source
+      ~options:{ options with Uc.Codegen.ir_opt = Cm.Iropt.off }
+      src
+  in
+  ( c.Uc.Codegen.prog,
+    List.map (fun (_, m) -> m.Uc.Codegen.afield) c.Uc.Codegen.carrays,
+    List.map (fun (_, m) -> m.Uc.Codegen.sreg) c.Uc.Codegen.cscalars )
+
+let single_pass_configs =
+  List.map
+    (fun s -> (s, Result.get_ok (Cm.Iropt.config_of_string s)))
+    [ "constprop"; "dce"; "peephole"; "getsend" ]
+
+(* ---- one sweep is a fixpoint on compiler output ----
+
+   [Iropt.run] applied to its own output changes nothing: the sweep
+   leaves no rewrite for a second one to find. *)
+
+let check_fixpoint ?config cases =
+  let misses =
+    List.filter_map
+      (fun (label, (prog, fields, regs)) ->
+        let run p =
+          fst
+            (Cm.Iropt.run ?config ~live_out_fields:fields ~live_out_regs:regs
+               p)
+        in
+        let once = run prog in
+        let twice = run once in
+        if compare once.code twice.code = 0 then None
+        else
+          Some
+            (Printf.sprintf "%s (%d -> %d instructions)" label
+               (Array.length once.code) (Array.length twice.code)))
+      cases
+  in
+  match misses with
+  | [] -> ()
+  | first :: _ ->
+      Alcotest.failf "%d of %d programs change on a second run; first: %s"
+        (List.length misses) (List.length cases) first
+
+let tune_golden_options =
+  let d = Uc.Codegen.default_options in
+  [
+    ("default", d);
+    ("no-news", { d with news_opt = false });
+    ("no-cse", { d with cse = false });
+    ("no-procopt", { d with procopt = false });
+  ]
+
+let test_fixpoint_corpus () =
+  check_fixpoint
+    (List.concat_map
+       (fun (oname, options) ->
+         List.map
+           (fun (name, src) -> (name ^ " " ^ oname, lowered ~options src))
+           P.all_named)
+       tune_golden_options)
+
+let test_fixpoint_cstar () =
+  check_fixpoint
+    (List.concat_map
+       (fun n ->
+         List.map
+           (fun (name, (prog, fld)) ->
+             (Printf.sprintf "%s n=%d" name n, (prog, [ fld ], [])))
+           [
+             ("path_n2", Cstar.Programs.path_n2 ~ir_opt:Cm.Iropt.off ~n ());
+             ( "path_n2-rand",
+               Cstar.Programs.path_n2 ~deterministic:false
+                 ~ir_opt:Cm.Iropt.off ~n () );
+             ("path_n3", Cstar.Programs.path_n3 ~ir_opt:Cm.Iropt.off ~n ());
+           ])
+       (range 2 8))
+
+let test_fixpoint_grid () =
+  check_fixpoint
+    (List.map (fun (label, src) -> (label, lowered src)) generator_grid)
+
+(* ---- the optimizer's output, pinned ----
+
+   [test_iropt.exe pin] prints one line per program: the label, the
+   digest of the optimized program, and its instruction counts before
+   and after.  The programs are the generator grid under the default
+   passes and the UC corpus under the default and each single-pass
+   configuration; `dune runtest` diffs the lines against
+   iropt_pin.expected. *)
+let print_pin () =
+  let line label config (prog, fields, regs) =
+    let opt, st =
+      Cm.Iropt.run ~config ~live_out_fields:fields ~live_out_regs:regs prog
+    in
+    Printf.printf "%s %s %d %d\n" label
+      (Digest.to_hex
+         (Digest.string
+            (Marshal.to_string
+               (opt.geoms, opt.fields, opt.nregs, opt.nlabels, opt.code)
+               [ Marshal.No_sharing ])))
+      st.Cm.Iropt.input_instrs st.Cm.Iropt.output_instrs
+  in
+  List.iter
+    (fun (label, src) -> line label Cm.Iropt.default (lowered src))
+    generator_grid;
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (name, src) ->
+          line (Printf.sprintf "corpus %s %s" name cname) config (lowered src))
+        P.all_named)
+    (("default", Cm.Iropt.default) :: single_pass_configs)
+
 let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "pin" then (
+    print_pin ();
+    exit 0);
   Alcotest.run "iropt"
     [
       ( "passes",
@@ -554,5 +740,11 @@ let () =
           Alcotest.test_case "uc programs: on == off" `Quick test_uc_corpus;
           Alcotest.test_case "cstar programs: on == off" `Quick
             test_cstar_corpus;
+          Alcotest.test_case "uc programs: one sweep is a fixpoint" `Quick
+            test_fixpoint_corpus;
+          Alcotest.test_case "cstar programs: one sweep is a fixpoint" `Quick
+            test_fixpoint_cstar;
+          Alcotest.test_case "generator grid: one sweep is a fixpoint" `Quick
+            test_fixpoint_grid;
         ] );
     ]
