@@ -21,7 +21,9 @@ ci: ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-native ci-crash ci-tune
 
 # IR-optimizer gate: the whole UC/C* corpus with the optimizer on vs
 # off must print the same output, leave the same named arrays/scalars
-# and never increase simulated ns.  (The paper's simulated bench rows
+# and never increase simulated ns; and on the corpus, the C* programs
+# and the compile workload's generator grid a second run of the
+# optimizer must change nothing.  (The paper's simulated bench rows
 # are pinned separately: `dune runtest` diffs a live bench run against
 # bench/rows.expected.jsonl.)
 ci-iropt: build

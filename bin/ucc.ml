@@ -249,19 +249,13 @@ let check_cmd =
   let run path =
     with_source path (fun src ->
         let prog = Uc.Parser.parse_program src in
-        let info = Uc.Sema.check prog in
-        if not info.Uc.Sema.has_main then begin
-          Printf.eprintf "%s: error: program has no main function\n" path;
-          1
-        end
-        else begin
-          Printf.printf
-            "%s: ok (%d global arrays, %d index sets, %d functions)\n" path
-            (List.length info.Uc.Sema.global_arrays)
-            (List.length info.Uc.Sema.global_sets)
-            (List.length info.Uc.Sema.funcs);
-          0
-        end)
+        let info = Uc.Sema.check ~eof:(Uc.Loc.end_of src) prog in
+        Printf.printf "%s: ok (%d global arrays, %d index sets, %d functions)\n"
+          path
+          (List.length info.Uc.Sema.global_arrays)
+          (List.length info.Uc.Sema.global_sets)
+          (List.length info.Uc.Sema.funcs);
+        0)
   in
   Cmd.v (Cmd.info "check" ~doc:"Parse and type-check a UC program")
     Term.(const run $ file_arg)
@@ -271,8 +265,7 @@ let check_cmd =
 let ast_cmd =
   let run path =
     with_source path (fun src ->
-        let prog = Uc.Parser.parse_program src in
-        ignore (Uc.Sema.check prog);
+        let prog = Uc.Compile.parse_source src in
         print_string (Uc.Pretty.program_to_string prog);
         0)
   in
@@ -429,8 +422,7 @@ let interp_cmd =
   let run path spec arrays scalars =
     with_job spec @@ fun { Ucd.Job.seed; _ } ->
     with_source path (fun src ->
-        let prog = Uc.Parser.parse_program src in
-        ignore (Uc.Sema.check prog);
+        let prog = Uc.Compile.parse_source src in
         let r = Uc.Interp.run ~seed prog in
         List.iter print_endline (Uc.Interp.output r);
         List.iter

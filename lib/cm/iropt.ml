@@ -30,19 +30,15 @@ type config = {
   dce : bool;
   peephole : bool;
   get_to_send : bool;
-  max_rounds : int;
 }
 
 let default =
-  { constprop = true; dce = true; peephole = true; get_to_send = true;
-    max_rounds = 8 }
+  { constprop = true; dce = true; peephole = true; get_to_send = true }
 
 let off =
-  { constprop = false; dce = false; peephole = false; get_to_send = false;
-    max_rounds = 0 }
+  { constprop = false; dce = false; peephole = false; get_to_send = false }
 
-let enabled c =
-  c.max_rounds > 0 && (c.constprop || c.dce || c.peephole || c.get_to_send)
+let enabled c = c.constprop || c.dce || c.peephole || c.get_to_send
 
 let config_summary c =
   if not (enabled c) then "off"
@@ -81,27 +77,14 @@ let config_of_string s =
                          "unknown ir-opt pass %S (expected \
                           constprop|dce|peephole|getsend)"
                          t)))
-          (Ok { off with max_rounds = 8 })
-          parts
+          (Ok off) parts
 
 type pass_stats = { pass : string; rewritten : int; removed : int }
-
 type stats = {
   input_instrs : int;
   output_instrs : int;
-  rounds : int;
   passes : pass_stats list;
 }
-
-let pp_stats fmt s =
-  Format.fprintf fmt "@[<v>ir-opt: %d -> %d instructions in %d round%s@,"
-    s.input_instrs s.output_instrs s.rounds (if s.rounds = 1 then "" else "s");
-  List.iter
-    (fun p ->
-      Format.fprintf fmt "  %-9s %4d rewritten  %4d removed@," p.pass
-        p.rewritten p.removed)
-    s.passes;
-  Format.fprintf fmt "@]"
 
 (* ---- folding with the machine's operators ----
 
@@ -168,6 +151,10 @@ type facts = {
   grank : int array;
   gstrides : int array array;
   label_pos : int array; (* label -> index of its Label instr *)
+  (* before each instruction, filled by the forward walk: the current
+     set (as [st.vp]) and whether its context is provably fully active *)
+  vp_at : int array;
+  full_at : bool array;
 }
 
 (* Validate every register / field / label reference in the code; the
@@ -249,6 +236,8 @@ let build_facts (p : program) : facts option =
         grank = Array.map Geometry.rank p.geoms;
         gstrides = Array.map Geometry.strides p.geoms;
         label_pos;
+        vp_at = Array.make n (-2);
+        full_at = Array.make n false;
       }
 
 (* ---- control-flow graph ---- *)
@@ -787,7 +776,7 @@ let combine_ok_for dk cb =
       | Cor | Cand | Cxor -> false)
 
 (* Rewrite one instruction given the dataflow state before it. *)
-let rw_instr (config : config) facts st ~getsend ins =
+let rewrite (config : config) facts st ~getsend ins =
   let cp = config.constprop in
   let sfe op = if cp then subst_fe st op else op in
   let spi op = if cp then subst_pi facts st op else op in
@@ -849,11 +838,7 @@ let rw_instr (config : config) facts st ~getsend ins =
       | _ -> Jnz (a, l))
   | Fprint (s, Some a) -> Fprint (s, Some (sfe a))
   | Pmov (d, a) ->
-      let a =
-        match facts.fkind.(d) with KInt -> spi a | KFloat -> spf a
-      in
-      if config.peephole && a = Fld d && on_cur d then Comment "iropt"
-      else Pmov (d, a)
+      Pmov (d, match facts.fkind.(d) with KInt -> spi a | KFloat -> spf a)
   | Pbin (op, d, a, b) -> (
       let dk = facts.fkind.(d) in
       let a, b =
@@ -1006,10 +991,25 @@ let rw_instr (config : config) facts st ~getsend ins =
   | Pcoord _ | Ptable _ | Cpush | Cpop | Creset | Cread _ ->
       ins
 
+(* [rewrite], then drop a self-move on the current set: it reads what it
+   writes and cannot fault, whichever rewrite (an identity, a
+   zero-distance news, an identity-address get) produced it. *)
+let rw_instr (config : config) facts st ~getsend ins =
+  match rewrite config facts st ~getsend ins with
+  | Pmov (d, Fld s)
+    when s = d && config.peephole && st.vp >= 0 && facts.fvp.(d) = st.vp ->
+      Comment "iropt"
+  | ins' -> ins'
+
+(* The forward walk of a sweep: rewrite each reachable instruction
+   against the state before it and record that state's [vp_at] /
+   [full_at] facts, which peephole and DCE then reuse.  With none of the
+   rewriting passes on it only records. *)
 let constprop_pass config facts prog =
   let code = Array.copy prog.code in
   let cfg = build_cfg facts code in
   let instates = analyze facts cfg code in
+  let rewriting = config.constprop || config.get_to_send || config.peephole in
   let rewritten = ref 0 and getsend = ref 0 in
   for b = 0 to cfg.nblocks - 1 do
     match instates.(b) with
@@ -1017,38 +1017,42 @@ let constprop_pass config facts prog =
     | Some s0 ->
         let st = copy_st s0 in
         for i = cfg.bstart.(b) to cfg.bend.(b) - 1 do
-          let before = !getsend in
-          let ins' = rw_instr config facts st ~getsend code.(i) in
-          if compare ins' code.(i) <> 0 then begin
-            code.(i) <- ins';
-            if !getsend = before then incr rewritten
+          if rewriting then begin
+            let before = !getsend in
+            let ins' = rw_instr config facts st ~getsend code.(i) in
+            if compare ins' code.(i) <> 0 then begin
+              code.(i) <- ins';
+              if !getsend = before then incr rewritten
+            end
           end;
+          facts.vp_at.(i) <- st.vp;
+          facts.full_at.(i) <- cur_full st;
           transfer facts st code.(i)
         done
   done;
   ({ prog with code }, !rewritten, !getsend)
 
+(* The elements of [a] at the indices [dead] does not mark. *)
+let keep dead a =
+  let out = ref [] in
+  for i = Array.length a - 1 downto 0 do
+    if not dead.(i) then out := a.(i) :: !out
+  done;
+  Array.of_list !out
+
 (* ---- peephole: jump threading, unreachable code, jump/branch to
    fallthrough, context push/pop cancellation, comment and dead-label
-   compaction ---- *)
+   compaction ----
+
+   No deletion changes the current set or context a surviving
+   instruction runs under, except for front-end work inside a cancelled
+   push/pop pair, which reads neither; so the walk's facts stay sound
+   and carry over, compacted with the code. *)
 
 let peephole_pass facts prog =
   let code = Array.copy prog.code in
   let n = facts.n in
-  (* vp known before each instruction, for the context rewrites *)
-  let vp_at = Array.make n (-2) in
-  (let cfg = build_cfg facts code in
-   let instates = analyze facts cfg code in
-   for b = 0 to cfg.nblocks - 1 do
-     match instates.(b) with
-     | None -> ()
-     | Some s0 ->
-         let st = copy_st s0 in
-         for i = cfg.bstart.(b) to cfg.bend.(b) - 1 do
-           vp_at.(i) <- st.vp;
-           transfer facts st code.(i)
-         done
-   done);
+  let vp_at = facts.vp_at in
   let rewritten = ref 0 in
   (* jump threading: a target that leads (through free Label/Comment
      runs) to an unconditional Jmp is retargeted at its destination;
@@ -1190,14 +1194,19 @@ let peephole_pass facts prog =
       | _ -> ())
     code;
   let removed = Array.fold_left (fun a d -> if d then a + 1 else a) 0 dead in
-  if removed = 0 then ({ prog with code }, !rewritten, 0)
-  else begin
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      if not dead.(i) then out := code.(i) :: !out
-    done;
-    ({ prog with code = Array.of_list !out }, !rewritten, removed)
-  end
+  let code = keep dead code in
+  let label_pos = Array.make (Array.length facts.label_pos) (-1) in
+  Array.iteri
+    (fun i ins -> match ins with Label l -> label_pos.(l) <- i | _ -> ())
+    code;
+  ( { prog with code },
+    { facts with
+      n = n - removed;
+      label_pos;
+      vp_at = keep dead vp_at;
+      full_at = keep dead facts.full_at },
+    !rewritten,
+    removed )
 
 (* ---- liveness-based dead-code elimination over registers and
    fields ---- *)
@@ -1213,13 +1222,14 @@ let op_gen live nregs = function
    backward.  Field kills happen only for provably total writes; a
    masked parallel write is total when the context is provably fully
    active on the known current set. *)
-let bw_transfer facts vp_at full_at live i ins =
+let bw_transfer facts live i ins =
   let nregs = facts.nregs in
   let genop = op_gen live nregs in
   let genf f = live.(nregs + f) <- true in
   let killr r = live.(r) <- false in
   let killf_masked d =
-    if vp_at.(i) >= 0 && facts.fvp.(d) = vp_at.(i) && full_at.(i) then
+    let vp = facts.vp_at.(i) in
+    if vp >= 0 && facts.fvp.(d) = vp && facts.full_at.(i) then
       live.(nregs + d) <- false
   in
   let killf_total d = live.(nregs + d) <- false in
@@ -1255,9 +1265,9 @@ let bw_transfer facts vp_at full_at live i ins =
    is dead?  Requires proving it cannot fault (fault identity is
    observable) and has no effect beyond the definition (LCG, output,
    context and control flow are always observable). *)
-let removable facts geoms vp_at full_at live i ins =
+let removable facts geoms live i ins =
   let nregs = facts.nregs in
-  let vp = vp_at.(i) in
+  let vp = facts.vp_at.(i) in
   let on_cur f = vp >= 0 && facts.fvp.(f) = vp in
   let rdead r = not live.(r) in
   let fdead f = not live.(nregs + f) in
@@ -1369,19 +1379,6 @@ let dce_pass facts prog ~live_regs ~live_flds =
   let code = Array.copy prog.code in
   let n = facts.n in
   let cfg = build_cfg facts code in
-  let instates = analyze facts cfg code in
-  let vp_at = Array.make n (-2) and full_at = Array.make n false in
-  for b = 0 to cfg.nblocks - 1 do
-    match instates.(b) with
-    | None -> ()
-    | Some s0 ->
-        let st = copy_st s0 in
-        for i = cfg.bstart.(b) to cfg.bend.(b) - 1 do
-          vp_at.(i) <- st.vp;
-          full_at.(i) <- cur_full st;
-          transfer facts st code.(i)
-        done
-  done;
   let nv = facts.nregs + facts.nflds in
   let exit_live = Array.make nv false in
   Array.iteri (fun r b -> if b then exit_live.(r) <- true) live_regs;
@@ -1414,7 +1411,7 @@ let dce_pass facts prog ~live_regs ~live_flds =
     for b = cfg.nblocks - 1 downto 0 do
       let live = live_out b livein in
       for i = cfg.bend.(b) - 1 downto cfg.bstart.(b) do
-        bw_transfer facts vp_at full_at live i code.(i)
+        bw_transfer facts live i code.(i)
       done;
       if live <> livein.(b) then begin
         livein.(b) <- live;
@@ -1429,122 +1426,63 @@ let dce_pass facts prog ~live_regs ~live_flds =
   for b = 0 to cfg.nblocks - 1 do
     let live = live_out b livein in
     for i = cfg.bend.(b) - 1 downto cfg.bstart.(b) do
-      if removable facts prog.geoms vp_at full_at live i code.(i) then begin
+      if removable facts prog.geoms live i code.(i) then begin
         dead.(i) <- true;
         incr removed
       end
-      else bw_transfer facts vp_at full_at live i code.(i)
+      else bw_transfer facts live i code.(i)
     done
   done;
-  if !removed = 0 then ({ prog with code }, 0)
-  else begin
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      if not dead.(i) then out := code.(i) :: !out
-    done;
-    ({ prog with code = Array.of_list !out }, !removed)
-  end
+  ({ prog with code = keep dead code }, !removed)
 
-(* ---- the fixed-point driver ---- *)
+(* ---- the sweep: constprop, peephole, DCE, each once ---- *)
 
-let run_impl ~config ?live_out_fields ?live_out_regs ~obs prog =
+let mask len = function
+  | None -> Array.make len true
+  | Some l ->
+      let a = Array.make len false in
+      List.iter (fun x -> if x >= 0 && x < len then a.(x) <- true) l;
+      a
+
+let run_impl ~config ?live_out_fields ?live_out_regs prog =
   let input_instrs = Array.length prog.code in
-  let mkstats rounds passes =
+  let cp_rw, gs_rw, ph_rw, ph_rm, dce_rm, out =
+    match if enabled config then build_facts prog else None with
+    | None -> (0, 0, 0, 0, 0, prog)
+    | Some facts ->
+        let p, cp_rw, gs_rw = constprop_pass config facts prog in
+        let p, facts, ph_rw, ph_rm =
+          if config.peephole then peephole_pass facts p else (p, facts, 0, 0)
+        in
+        let p, dce_rm =
+          if config.dce && facts.n > 0 then
+            dce_pass facts p
+              ~live_regs:(mask prog.nregs live_out_regs)
+              ~live_flds:(mask (Array.length prog.fields) live_out_fields)
+          else (p, 0)
+        in
+        (cp_rw, gs_rw, ph_rw, ph_rm, dce_rm, p)
+  in
+  ( out,
     {
       input_instrs;
-      output_instrs = Array.length prog.code;
-      rounds;
-      passes;
-    }
-  in
-  if not (enabled config) then (prog, mkstats 0 [])
-  else begin
-    let live_regs =
-      match live_out_regs with
-      | None -> Array.make prog.nregs true
-      | Some l ->
-          let a = Array.make prog.nregs false in
-          List.iter (fun r -> if r >= 0 && r < prog.nregs then a.(r) <- true) l;
-          a
-    in
-    let live_flds =
-      match live_out_fields with
-      | None -> Array.make (Array.length prog.fields) true
-      | Some l ->
-          let a = Array.make (Array.length prog.fields) false in
-          List.iter
-            (fun f -> if f >= 0 && f < Array.length a then a.(f) <- true)
-            l;
-          a
-    in
-    let cp_rw = ref 0 and gs_rw = ref 0 in
-    let ph_rw = ref 0 and ph_rm = ref 0 in
-    let dce_rm = ref 0 in
-    let rounds = ref 0 in
-    let cur = ref prog in
-    let go = ref true in
-    while !go && !rounds < config.max_rounds do
-      let changed = ref false in
-      (match build_facts !cur with
-      | None -> go := false
-      | Some facts ->
-          incr rounds;
-          if Obs.enabled obs then
-            Obs.point obs "iropt.round"
-              ~attrs:
-                [
-                  ("round", Obs.Json.Int !rounds);
-                  ("instrs", Obs.Json.Int (Array.length !cur.code));
-                ];
-          if config.constprop || config.get_to_send || config.peephole then begin
-            let p, rw, gs = constprop_pass config facts !cur in
-            if rw > 0 || gs > 0 then changed := true;
-            cp_rw := !cp_rw + rw;
-            gs_rw := !gs_rw + gs;
-            cur := p
-          end;
-          if config.peephole then (
-            match build_facts !cur with
-            | None -> ()
-            | Some facts ->
-                let p, rw, rm = peephole_pass facts !cur in
-                if rw > 0 || rm > 0 then changed := true;
-                ph_rw := !ph_rw + rw;
-                ph_rm := !ph_rm + rm;
-                cur := p);
-          if config.dce then (
-            match build_facts !cur with
-            | None -> ()
-            | Some facts ->
-                let p, rm = dce_pass facts !cur ~live_regs ~live_flds in
-                if rm > 0 then changed := true;
-                dce_rm := !dce_rm + rm;
-                cur := p));
-      if not !changed then go := false
-    done;
-    let passes =
-      [
-        { pass = "constprop"; rewritten = !cp_rw; removed = 0 };
-        { pass = "getsend"; rewritten = !gs_rw; removed = 0 };
-        { pass = "peephole"; rewritten = !ph_rw; removed = !ph_rm };
-        { pass = "dce"; rewritten = 0; removed = !dce_rm };
-      ]
-    in
-    ( !cur,
-      {
-        input_instrs;
-        output_instrs = Array.length !cur.code;
-        rounds = !rounds;
-        passes;
-      } )
-  end
+      output_instrs = Array.length out.code;
+      passes =
+        (if not (enabled config) then []
+         else
+           [
+             { pass = "constprop"; rewritten = cp_rw; removed = 0 };
+             { pass = "getsend"; rewritten = gs_rw; removed = 0 };
+             { pass = "peephole"; rewritten = ph_rw; removed = ph_rm };
+             { pass = "dce"; rewritten = 0; removed = dce_rm };
+           ]);
+    } )
 
 (* Mirror one run's statistics into the scope as "iropt."-prefixed
-   counters — the single stats surface `ucc --ir-opt-stats` now reads. *)
+   counters — the single stats surface `ucc --ir-opt-stats` reads. *)
 let publish_stats obs (s : stats) =
   if Obs.enabled obs then begin
     Obs.count obs "iropt.runs" 1;
-    Obs.count obs "iropt.rounds" s.rounds;
     Obs.count obs "iropt.instrs_in" s.input_instrs;
     Obs.count obs "iropt.instrs_out" s.output_instrs;
     List.iter
@@ -1557,9 +1495,9 @@ let publish_stats obs (s : stats) =
 let run ?(config = default) ?live_out_fields ?live_out_regs ?(obs = Obs.null)
     prog =
   let ((_, stats) as result) =
-    Obs.with_span obs "iropt.fixpoint"
+    Obs.with_span obs "iropt.sweep"
       ~attrs:[ ("config", Obs.Json.Str (config_summary config)) ]
-      (fun () -> run_impl ~config ?live_out_fields ?live_out_regs ~obs prog)
+      (fun () -> run_impl ~config ?live_out_fields ?live_out_regs prog)
   in
   publish_stats obs stats;
   result

@@ -2,8 +2,8 @@
 
     Runs between lowering and {!Machine.compile}, shared by every
     producer of {!Paris.program} values (the UC compiler, the C* EDSL,
-    hand-written harnesses).  The pipeline iterates four pass families to
-    a fixed point:
+    hand-written harnesses).  One sweep runs four pass families once
+    each, in this order, over one forward dataflow analysis:
 
     - {b constprop}: front-end constant/copy propagation ([Fmov]/[Fbin]/
       [Funop] chains fold to immediates), field-level constant, copy and
@@ -11,17 +11,25 @@
       parallel instructions.  Immediates are pushed into parallel
       operands so the pre-decoded engine selects its broadcast fast
       paths.
+    - {b get_to_send} (the paper's remote-read-to-remote-write
+      conversion), in the same walk: a [Pget] or [Psend] whose address
+      field provably holds each VP's own linear index degrades to a
+      local [Pmov]; with copy propagation and DCE this turns a
+      get-then-forward pair into a single [Psend], halving the router
+      traffic of the pair.
+    - {b peephole}: self-move and copy-chain collapsing, cancelling
+      [Cpush]/[Cpop] pairs with no parallel instruction between them,
+      jump threading, unreachable-code removal and dead-label/[Comment]
+      compaction.
     - {b dce}: liveness-based dead-code elimination over registers and
       fields, rooted at the observable state ([live_out_fields] /
       [live_out_regs], the output log and the LCG stream).
-    - {b peephole}: copy-chain collapsing, cancelling [Cpush]/[Cpop]
-      pairs with no parallel instruction between them, jump threading,
-      unreachable-code removal and dead-label/[Comment] compaction.
-    - {b get_to_send} (the paper's remote-read-to-remote-write
-      conversion): a [Pget] or [Psend] whose address field provably
-      holds each VP's own linear index degrades to a local [Pmov]; with
-      copy propagation and DCE this turns a get-then-forward pair into a
-      single [Psend], halving the router traffic of the pair.
+
+    Peephole and DCE reuse the per-instruction facts of the constprop
+    walk instead of re-analysing.  On compiler output (the UC compiler
+    and the C* EDSL) one sweep is a fixed point: running the optimizer
+    on its own output changes nothing.  Arbitrary IR may leave work
+    that a second run would find; it is still optimized soundly.
 
     Every rewrite is semantics-preserving on both execution engines: a
     transformed program produces the same output log, the same final
@@ -39,10 +47,9 @@ type config = {
   dce : bool;
   peephole : bool;
   get_to_send : bool;
-  max_rounds : int;  (** fixed-point bound; 0 disables the pipeline *)
 }
 
-(** All passes on, [max_rounds = 8]. *)
+(** All passes on. *)
 val default : config
 
 (** All passes off: {!run} returns the program unchanged. *)
@@ -69,11 +76,8 @@ type pass_stats = {
 type stats = {
   input_instrs : int;
   output_instrs : int;
-  rounds : int;  (** rounds actually executed before the fixed point *)
-  passes : pass_stats list;  (** aggregated over rounds, pipeline order *)
+  passes : pass_stats list;  (** [[]] when off, else one per pass family *)
 }
-
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [run prog] optimizes [prog].  [live_out_fields]/[live_out_regs]
     list the storage that is observable after the program halts (named
@@ -81,9 +85,8 @@ val pp_stats : Format.formatter -> stats -> unit
     {e everything}, under which dead-code elimination only deletes
     stores that are provably overwritten before any read.
 
-    [obs] (default {!Obs.null}) receives an ["iropt.fixpoint"] span, an
-    ["iropt.round"] point per fixed-point round, and the run's
-    statistics as ["iropt."]-prefixed counters ([iropt.runs], [.rounds],
+    [obs] (default {!Obs.null}) receives an ["iropt.sweep"] span and
+    the run's statistics as ["iropt."]-prefixed counters ([iropt.runs],
     [.instrs_in], [.instrs_out], and per pass [.<pass>.rewritten] /
     [.<pass>.removed]).  Telemetry never changes the optimized
     program. *)

@@ -1193,17 +1193,34 @@ let sel_float all (m : bool array) lo hi (o : float array) rc ra rb =
 
 (* Ranged coordinate fill (Pcoord's loop body): [p / stride mod extent]
    is constant on each run of [stride] positions, so the loop fills runs
-   and steps the coordinate between them. *)
+   and steps the coordinate between them.  On the last axis (stride 1)
+   every run is one position: the coordinate counts up from
+   [lo mod extent] and wraps at [extent]. *)
 let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
-  let c = ref (lo / stride mod extent) in
-  let s = ref lo in
-  while !s < hi do
-    let e = Int.min hi (!s - (!s mod stride) + stride) and v = !c in
-    if all then for p = !s to e - 1 do o.%(p) <- v done
-    else for p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
-    s := e;
-    c := if v + 1 = extent then 0 else v + 1
-  done
+  if stride = 1 then begin
+    let c = ref (lo mod extent) in
+    if all then
+      for p = lo to hi - 1 do
+        o.%(p) <- !c;
+        c := if !c + 1 = extent then 0 else !c + 1
+      done
+    else
+      for p = lo to hi - 1 do
+        if m.%(p) then o.%(p) <- !c;
+        c := if !c + 1 = extent then 0 else !c + 1
+      done
+  end
+  else begin
+    let c = ref (lo / stride mod extent) in
+    let s = ref lo in
+    while !s < hi do
+      let e = Int.min hi (!s - (!s mod stride) + stride) and v = !c in
+      if all then for p = !s to e - 1 do o.%(p) <- v done
+      else for p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
+      s := e;
+      c := if v + 1 = extent then 0 else v + 1
+    done
+  end
 
 (* Ranged context read (Cread's loop body). *)
 let cread_loop all (m : bool array) lo hi (o : int array) =

@@ -2120,7 +2120,7 @@ let lower ~record ?layouts ~options prog =
   in
   (match !main with
   | Some f -> gen_block_fe ctx f.fbody
-  | None -> Loc.error Loc.dummy "program has no main function");
+  | None -> invalid_arg "Codegen.lower: no main (the parser requires one)");
   P.Builder.place b ctx.exit_label;
   emit ctx P.Halt;
   let prog = P.Builder.finish b in

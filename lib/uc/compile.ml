@@ -9,7 +9,8 @@ type t = {
 
 let parse_source ?(obs = Obs.null) src =
   let prog = Obs.with_span obs "compile.parse" (fun () -> Parser.parse_program src) in
-  Obs.with_span obs "compile.sema" (fun () -> ignore (Sema.check prog));
+  Obs.with_span obs "compile.sema" (fun () ->
+      ignore (Sema.check ~eof:(Loc.end_of src) prog));
   prog
 
 let prepare ?(obs = Obs.null) prog =

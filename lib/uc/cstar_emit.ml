@@ -457,6 +457,6 @@ let emit_program prog =
 
 let emit_source src =
   let prog = Parser.parse_program src in
-  ignore (Sema.check prog);
+  ignore (Sema.check ~eof:(Loc.end_of src) prog);
   let prog = Transform.apply prog in
   emit_program prog

@@ -926,7 +926,7 @@ let run ?(seed = 12345) ?(fuel = 2_000_000) ?(choice = `First) prog =
       match exec_block ctx globals f.fbody with
       | `Return _ | `Normal -> ()
       | `Break | `Continue -> error "break/continue escaped main")
-  | None -> error "program has no main function");
+  | None -> invalid_arg "Interp.run: no main (the parser requires one)");
   { r_out = List.rev ctx.out; r_globals = globals }
 
 let output r = r.r_out

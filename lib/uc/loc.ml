@@ -5,6 +5,12 @@ type t = { line : int; col : int }
 let dummy = { line = 0; col = 0 }
 let make ~line ~col = { line; col }
 
+(** The position just past the last character of [src]. *)
+let end_of src =
+  let line = ref 1 and bol = ref 0 in
+  String.iteri (fun i c -> if c = '\n' then (incr line; bol := i + 1)) src;
+  { line = !line; col = String.length src - !bol + 1 }
+
 let pp fmt { line; col } = Format.fprintf fmt "%d:%d" line col
 
 (** Raised by every front-end phase (lexer, parser, sema, mapping,

@@ -7,7 +7,6 @@ type info = {
   global_scalars : (string * base_ty) list;
   global_sets : (string * int array) list;
   funcs : (string * func) list;
-  has_main : bool;
 }
 
 (* ---------------- constant expressions ---------------- *)
@@ -561,7 +560,7 @@ let check_mapping env m =
 
 (* ---------------- program ---------------- *)
 
-let check prog =
+let check ?(eof = Loc.dummy) prog =
   let env =
     { scopes = [ [] ]; funcs = []; in_par = false; in_solve = false;
       loop_depth = 0; ret = None }
@@ -592,6 +591,8 @@ let check prog =
             m.msets;
           List.iter (check_mapping env) m.mmappings)
     prog;
+  if not (List.mem_assoc "main" env.funcs) then
+    Loc.error eof "program has no main function";
   (* collect global info from the outermost scope *)
   let top_scope = List.nth env.scopes (List.length env.scopes - 1) in
   let global_arrays =
@@ -616,5 +617,4 @@ let check prog =
     global_scalars;
     global_sets;
     funcs = env.funcs;
-    has_main = List.mem_assoc "main" env.funcs;
   }

@@ -24,12 +24,13 @@ type info = {
   global_scalars : (string * Ast.base_ty) list;
   global_sets : (string * int array) list;  (* set name -> element values *)
   funcs : (string * Ast.func) list;
-  has_main : bool;
 }
 
-(** [check program] validates a parsed program.
+(** [check program] validates a parsed program.  A program without a
+    [main] function is reported last, at [eof] (the end of the source,
+    {!Loc.end_of}).
     @raise Loc.Error with a source location on the first violation. *)
-val check : Ast.program -> info
+val check : ?eof:Loc.t -> Ast.program -> info
 
 (** [const_eval e] evaluates a compile-time constant integer expression.
     @raise Loc.Error if the expression is not constant. *)

@@ -41,10 +41,19 @@ grep -q "error" err.txt
 if grep -q "uncaught exception" err.txt; then exit 1; fi
 if $UCC interp bad.uc 2>err.txt; then exit 1; fi
 grep -q "error" err.txt
-echo "void f() {}" > nomain.uc
-if $UCC run nomain.uc 2>err.txt; then exit 1; fi
-grep -q "error" err.txt
-if grep -q "uncaught exception" err.txt; then exit 1; fi
+# a program without main is reported once, at the end of the file, by
+# run, check, interp and batch alike
+printf 'int x;\nvoid f() {}\n' > nomain.uc
+for sub in run check interp; do
+  if $UCC $sub nomain.uc 2>err.txt; then exit 1; fi
+  grep -qx "nomain.uc:3:1: error: program has no main function" err.txt
+  if grep -q "uncaught exception" err.txt; then exit 1; fi
+done
+echo nomain.uc > nomain_manifest.txt
+if $UCC batch nomain_manifest.txt --cache-dir none > nomain.jsonl 2>/dev/null; then
+  exit 1
+fi
+grep -q '"error":"3:1: program has no main function"' nomain.jsonl
 if $UCC run ../examples/uc/quickstart.uc --arrays nosuch 2>err.txt; then exit 1; fi
 grep -q "error" err.txt
 if grep -q "uncaught exception" err.txt; then exit 1; fi

@@ -279,7 +279,7 @@ let test_off_is_identity () =
   let prog = get_forward_prog 8 in
   let opt, stats = Cm.Iropt.run ~config:Cm.Iropt.off prog in
   Alcotest.(check bool) "same code" true (prog.code == opt.code);
-  Alcotest.(check int) "no rounds" 0 stats.Cm.Iropt.rounds
+  Alcotest.(check int) "no passes" 0 (List.length stats.Cm.Iropt.passes)
 
 (* ---- operator parity grid ----
 
@@ -613,14 +613,12 @@ let single_pass_configs =
    [Iropt.run] applied to its own output changes nothing: the sweep
    leaves no rewrite for a second one to find. *)
 
-let check_fixpoint ?config cases =
+let check_fixpoint cases =
   let misses =
     List.filter_map
       (fun (label, (prog, fields, regs)) ->
         let run p =
-          fst
-            (Cm.Iropt.run ?config ~live_out_fields:fields ~live_out_regs:regs
-               p)
+          fst (Cm.Iropt.run ~live_out_fields:fields ~live_out_regs:regs p)
         in
         let once = run prog in
         let twice = run once in
