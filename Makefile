@@ -3,7 +3,7 @@
 # a CLI sanity check, and the whole corpus run under a canned fault
 # plan with retries; it stops loudly at the first failing step.
 
-.PHONY: all build test ci ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-native ci-crash ci-tune bench batch clean
+.PHONY: all build test ci ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-crash ci-tune bench batch clean
 
 all: build
 
@@ -13,7 +13,7 @@ build:
 test:
 	dune runtest
 
-ci: ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-native ci-crash ci-tune
+ci: ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-crash ci-tune
 	dune build
 	dune exec test/test_engine.exe -- test corpus
 	dune runtest
@@ -59,15 +59,6 @@ ci-faultgate: build
 # must agree byte for byte).
 ci-sharded: build
 	timeout 300 bash test/ci_sharded.sh
-
-# Native-codegen gate: the whole corpus bit-identical between
-# --engine fast and --engine native, once on a cold .cmxs cache (every
-# program compiled through ocamlopt + Dynlink) and once warm from a
-# fresh process (run rows miss, compiled code 100% hit).  On a host
-# without a native toolchain the sweep must degrade to the fast
-# kernels with a one-line warning and stay green.
-ci-native: build
-	timeout 300 bash test/ci_native.sh
 
 # Layout-tuner gate: `ucc tune` over the whole corpus (every emitted
 # map section re-parses and --apply is idempotent, predicted chosen

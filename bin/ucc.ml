@@ -286,26 +286,6 @@ let paris_cmd =
            vs off) can be compared without running anything *)
         Format.printf "%a@." (Cm.Iropt.pp_static_summary ?params:None)
           compiled.Uc.Codegen.prog;
-        (* codegen coverage: which instruction classes `--engine native`
-           open-codes vs routes back through the fast kernels — static,
-           so codegen tuning is observable without running anything *)
-        let pp_census ppf classes =
-          Format.pp_print_list
-            ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-            (fun ppf (mn, n) -> Format.fprintf ppf "%s:%d" mn n)
-            ppf classes
-        in
-        let native, fallback = Cm.Codegen.coverage compiled.Uc.Codegen.prog in
-        Format.printf "@[<v>native codegen: @[%a@]@,"
-          (fun ppf -> function
-            | [] -> Format.pp_print_string ppf "(nothing)"
-            | cs -> pp_census ppf cs)
-          native;
-        Format.printf "kernel fallback: @[%a@]@]@."
-          (fun ppf -> function
-            | [] -> Format.pp_print_string ppf "(nothing)"
-            | cs -> pp_census ppf cs)
-          fallback;
         finish ();
         0)
   in

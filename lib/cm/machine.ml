@@ -15,14 +15,6 @@ type engine = [ `Fast | `Reference | `Sharded of int | `Native ]
 external ( .%() ) : 'a array -> int -> 'a = "%array_unsafe_get"
 external ( .%()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* Outcome of the one native-compilation attempt a machine makes: the
-   Dynlink'd entry point, or the typed reason we fell back to the fast
-   kernels (reported as [engine_effective] upstream). *)
-type native_code =
-  | NUnknown
-  | NReady of Codegen.entry
-  | NFallback of string
-
 (* Live state of a fault plan: a cursor into the serial-sorted event
    array plus per-kind FIFO queues of armed transient faults (an armed
    router fault fires at the first router instruction at or after its
@@ -59,7 +51,6 @@ type t = {
   mutable region_name : string;  (* name region_acc accumulates into *)
   regions : (string, float ref) Hashtbl.t;  (* region -> elapsed ns *)
   mutable kernels : (unit -> unit) array option;  (* decoded, lazy *)
-  mutable native : native_code;  (* native engine, lazy *)
   mutable steam : Shard.team option;  (* borrowed for a sharded exec *)
   mutable icount : int;  (* executed instruction serial, both engines *)
   fstate : fstate option;
@@ -139,7 +130,6 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     region_name = "(startup)";
     regions;
     kernels = None;
-    native = NUnknown;
     steam = None;
     icount = 0;
     fstate = Option.map (fstate_of_plan ~from:0) faults;
@@ -1382,7 +1372,7 @@ let int_reduce_exact = function
 
 (* Decode one instruction into its kernel.  [layouts.(vp)] splits VP set
    [vp]'s element range into contiguous chunks (see Shard.layout): one
-   chunk for the fast engine and native's fallback kernels, [n] for
+   chunk for the fast engine, [n] for
    [`Sharded n].  Elementwise kernels resolve operands and take their
    checks, charges and faults on the main domain in the reference's
    order, then run the write loop once per chunk, fanned out to the
@@ -1997,8 +1987,7 @@ let compile m =
                    try decode m layouts n code.(i)
                    with e -> fun () -> raise e)))
 
-(* The dispatch loop of the fast and sharded engines and of native's
-   fallback path. *)
+(* The dispatch loop of the fast and sharded engines. *)
 let run_kernels ?steps m =
   compile m;
   let kernels = match m.kernels with Some k -> k | None -> assert false in
@@ -2020,117 +2009,19 @@ let run_kernels ?steps m =
     if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
   done
 
-(* ---- native engine: Dynlink'd code generated by Codegen ---- *)
+(* [`Native] names the retired native engine; it runs on the fast
+   kernels.  [compile_native] stays for the benchmark harness until a
+   benchmark change drops it. *)
+let compile_native _ =
+  Result.Error "native engine retired: runs on the fast kernels"
 
-(* Warn at most once per process: batch sweeps and the serve daemon run
-   thousands of jobs, and a degraded host should say so exactly once. *)
-let native_warned = ref false
-
-let native_warn why =
-  if not !native_warned then begin
-    native_warned := true;
-    Printf.eprintf
-      "cm: native engine unavailable (%s); falling back to fast kernels\n%!" why
-  end
-
-let compile_native m =
-  match m.native with
-  | NReady _ -> Ok ()
-  | NFallback why -> Error why
-  | NUnknown -> (
-      match m.fstate with
-      | Some _ ->
-          (* fault injection hooks the fast engine's dispatch loop; run
-             there quietly — this is policy, not a degraded host *)
-          let why = "fault injection runs on the fast kernels" in
-          m.native <- NFallback why;
-          Error why
-      | None -> (
-          match Codegen.entry_for ~obs:m.obs m.prog with
-          | e ->
-              m.native <- NReady e;
-              Ok ()
-          | exception Codegen.Unavailable r ->
-              let why = Codegen.describe r in
-              m.native <- NFallback why;
-              native_warn why;
-              Error why))
-
-(* The engine that will actually execute: [`Native] resolves to itself
-   or to [`Fast] depending on the compile outcome. *)
 let effective_engine m =
-  match m.engine with
-  | `Native -> (
-      match compile_native m with Ok () -> `Native | Error _ -> `Fast)
-  | e -> e
-
-let run_native ?steps m entry =
-  (* the one-chunk kernels back every instruction the generated code
-     does not open-code, and bottle up decode-time errors exactly like
-     run_kernels *)
-  compile m;
-  let kernels = match m.kernels with Some k -> k | None -> assert false in
-  let ctx =
-    {
-      Codegen.c_regs = m.regs;
-      c_ints =
-        Array.map (function FInt a -> a | FFloat _ -> [||]) m.fields;
-      c_floats =
-        Array.map (function FFloat a -> a | FInt _ -> [||]) m.fields;
-      c_ctxs = m.contexts;
-      c_sizes = Array.map Geometry.size m.prog.geoms;
-      c_meter = m.meter;
-      c_pc = m.pc;
-      c_fuel = m.fuel;
-      c_icount = m.icount;
-      c_rand = m.rand_state;
-      c_cur = m.cur;
-      c_racc = m.region_acc;
-      c_not_cur =
-        (fun what f curv ->
-          if curv < 0 then Error "no VP set selected (missing Cwith)"
-          else
-            Error
-              (Printf.sprintf "%s: field f%d is not on the current VP set vp%d"
-                 what f curv));
-      c_emit = (fun line -> m.output <- line :: m.output);
-      c_region =
-        (fun name ic ->
-          m.icount <- ic;
-          set_region m name;
-          m.region_acc);
-      c_kernel =
-        (fun i curv ->
-          m.cur <- curv;
-          (Array.unsafe_get kernels i) ());
-    }
-  in
-  let sync () =
-    m.pc <- ctx.Codegen.c_pc;
-    m.fuel <- ctx.Codegen.c_fuel;
-    m.icount <- ctx.Codegen.c_icount;
-    m.rand_state <- ctx.Codegen.c_rand;
-    m.cur <- ctx.Codegen.c_cur;
-    m.region_acc <- ctx.Codegen.c_racc
-  in
-  let budget = match steps with None -> max_int | Some s -> s in
-  (try entry ctx budget
-   with e ->
-     sync ();
-     raise e);
-  sync ()
+  match m.engine with `Native -> `Fast | e -> e
 
 let exec ?steps m =
   match m.engine with
   | `Reference -> run_reference ?steps m
-  | `Fast -> run_kernels ?steps m
-  | `Native -> (
-      match compile_native m with
-      | Ok () -> (
-          match m.native with
-          | NReady e -> run_native ?steps m e
-          | NUnknown | NFallback _ -> assert false)
-      | Error _ -> run_kernels ?steps m)
+  | `Fast | `Native -> run_kernels ?steps m
   | `Sharded shards ->
       m.steam <- Shard.Pool.borrow ~want:(shards - 1) ();
       Fun.protect
@@ -2180,13 +2071,6 @@ type ckpt = {
   ck_log : string list;
 }
 
-let prog_digest prog =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          (prog.geoms, prog.fields, prog.nregs, prog.nlabels, prog.code)
-          []))
-
 let copy_fdata = function
   | FInt a -> FInt (Array.copy a)
   | FFloat a -> FFloat (Array.copy a)
@@ -2195,7 +2079,7 @@ let checkpoint m =
   let mt = m.meter in
   let ck =
     {
-      ck_prog = prog_digest m.prog;
+      ck_prog = Paris.digest m.prog;
       ck_params = mt.Cost.params;
       ck_elapsed_ns = mt.Cost.elapsed_ns;
       ck_counters =
@@ -2255,7 +2139,7 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     try (Marshal.from_string data mlen : ckpt)
     with _ -> error "checkpoint: truncated or corrupt data"
   in
-  if ck.ck_prog <> prog_digest prog then
+  if ck.ck_prog <> Paris.digest prog then
     error "checkpoint: program mismatch (checkpoint is from a different program)";
   let mt = Cost.meter ck.ck_params in
   mt.Cost.elapsed_ns <- ck.ck_elapsed_ns;
@@ -2329,7 +2213,6 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     region_name = ck.ck_region;
     regions;
     kernels = None;
-    native = NUnknown;
     steam = None;
     icount = ck.ck_icount;
     fstate;

@@ -6,7 +6,7 @@
     fields before {!run}; results are read back from fields or registers
     afterwards.
 
-    Four engines execute the same program:
+    Three engines execute the same program:
 
     - [`Sharded n] pre-decodes the program once ({!compile}) into an
       array of specialized instruction kernels — operand shapes, field
@@ -22,26 +22,19 @@
       domains happen to be available.
     - [`Fast] (the default) runs the same kernels with one chunk per VP
       set, on the main domain.
-    - [`Native] compiles the program further: {!Codegen} emits a
-      self-contained OCaml module from the IR — monomorphic loops over
-      the field arrays, activity checks specialized per instruction,
-      labels a tail-call state machine, constants baked in — builds it
-      with [ocamlfind ocamlopt -shared] and [Dynlink]s the [.cmxs]
-      (content-addressed-cached, see {!Codegen.key}).  Can-fault and
-      order-sensitive instructions call back into the one-chunk
-      kernels.  If native compilation is unavailable for any reason
-      (bytecode host, no toolchain, build or Dynlink failure, fault
-      injection requested), the machine warns once on stderr and runs
-      the fast engine instead — never an error; {!effective_engine}
-      reports which engine actually executed.
     - [`Reference] is the original per-instruction tree-walking
       interpreter, kept as the semantic baseline.
 
     All engines are observably identical bit for bit — at every shard
     count: registers, fields, output, statistics, simulated nanoseconds,
     error messages and the random stream all agree (enforced
-    differentially by [test/test_engine.ml]).  The fast, sharded and
-    native engines are wall-clock optimizations only. *)
+    differentially by [test/test_engine.ml]).  The fast and sharded
+    engines are wall-clock optimizations only.
+
+    [`Native] names the retired native engine (IR compiled to OCaml and
+    [Dynlink]ed), kept so that old inputs and digests stay valid: it
+    runs on the fast kernels, exactly like [`Fast], and
+    {!effective_engine} reports it as [`Fast]. *)
 
 (** Raised on any dynamic error: kind mismatch, address out of range,
     conflicting parallel assignment, missing [Cwith], division by zero,
@@ -90,21 +83,13 @@ val engine : t -> engine
     beforehand just front-loads the work). *)
 val compile : t -> unit
 
-(** Attempt native compilation for this machine (a no-op unless it is
-    the first attempt): [Ok ()] when a Dynlink'd entry is ready,
-    [Error why] when the machine will fall back to the fast kernels.
-    The outcome is sticky for the machine's lifetime.  [`Native] {!run}
-    calls this on first use; calling it beforehand just front-loads the
-    codegen/build.  Never raises; the first fallback in the process
-    warns once on stderr (quietly for the fault-injection policy
-    fallback). *)
+(** Always [Error "native engine retired: runs on the fast kernels"].
+    Kept for the benchmark harness until a benchmark change drops it. *)
 val compile_native : t -> (unit, string) result
 
 (** The engine that will actually execute: [`Native] resolves to
-    [`Native] or [`Fast] depending on {!compile_native}'s outcome (the
-    attempt is made if it has not been yet); every other engine is
-    itself.  Batch/serve report rows record this as
-    [engine_effective]. *)
+    [`Fast]; every other engine is itself.  Batch/serve report rows
+    record this as [engine_effective]. *)
 val effective_engine : t -> engine
 
 (** Execute from the current [pc] to [Halt] (or the end of code).

@@ -63,6 +63,13 @@ type program = {
   code : instr array;
 }
 
+let digest prog =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (prog.geoms, prog.fields, prog.nregs, prog.nlabels, prog.code)
+          []))
+
 let inf_int = 1073741823 (* 2^30 - 1: safe to add two of these in 63-bit ints *)
 
 let identity op kind =

@@ -97,6 +97,11 @@ type program = {
   code : instr array;
 }
 
+(** Hex MD5 of the marshalled IR (geometries, fields, register and
+    label counts, code; not the name): the program's identity, as a
+    checkpoint records it. *)
+val digest : program -> string
+
 (** Identity element of a reduction operator (paper table in section 3.2).
     @raise Invalid_argument for non-reducible operators. *)
 val identity : binop -> kind -> scalar
@@ -115,9 +120,9 @@ val int_op_total : binop -> operand -> bool
 (** {1 Operator evaluation}
 
     The one definition of what each operator computes.  The machine's
-    kernels, the native code it generates and the IR optimizer's
-    constant folding all evaluate through these functions, so a folded
-    constant is the value the machine would have computed, and a fold
+    kernels and the IR optimizer's constant folding all evaluate
+    through these functions, so a folded constant is the value the
+    machine would have computed, and a fold
     that would fault is abandoned (the instruction kept) rather than
     mis-evaluated. *)
 
@@ -177,7 +182,7 @@ val fe_unop : unop -> scalar -> scalar
 (** {1 Instruction names and classes} *)
 
 (** Short name of the instruction's opcode (["pbin"], ["preduce-axis"],
-    ...), as fault messages and the native-coverage footer print it. *)
+    ...), as fault messages print it. *)
 val mnemonic : instr -> string
 
 (** The hardware unit an instruction occupies, as {!Cost} charges it:

@@ -7,10 +7,6 @@ type stats = {
   run_misses : int;
   corruptions : int;
   write_failures : int;
-  native_hits : int;
-  native_misses : int;
-  native_codegen_ms : float;
-  native_build_ms : float;
 }
 
 type counters = {
@@ -22,10 +18,6 @@ type counters = {
   mutable c_run_misses : int;
   mutable c_corruptions : int;
   mutable c_write_failures : int;
-  mutable c_native_hits : int;
-  mutable c_native_misses : int;
-  mutable c_native_codegen_ms : float;
-  mutable c_native_build_ms : float;
 }
 
 type t = {
@@ -46,11 +38,14 @@ type t = {
    v2: adds a payload checksum (corruption is detected, not guessed).
    v3: Report.result gains the metrics column.
    v4: Report.result gains the engine column.
-   v5: Report.result gains the engine_effective column; compiled-native
-       .cmxs blobs join the store, content-addressed by Cm.Codegen.key. *)
+   v5: Report.result gains the engine_effective column. *)
 let artifact_version = 5
 
-let make ?dir () =
+let create ?dir () =
+  (match dir with
+  | Some d when not (Sys.file_exists d) -> (
+      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+  | _ -> ());
   {
     lock = Mutex.create ();
     asts = Hashtbl.create 64;
@@ -67,10 +62,6 @@ let make ?dir () =
         c_run_misses = 0;
         c_corruptions = 0;
         c_write_failures = 0;
-        c_native_hits = 0;
-        c_native_misses = 0;
-        c_native_codegen_ms = 0.;
-        c_native_build_ms = 0.;
       };
     write_fault = None;
   }
@@ -111,10 +102,6 @@ let memo_ir t ~source_digest ~options_key f =
 
 let artifact_path dir digest = Filename.concat dir (digest ^ ".ucd")
 
-(* compiled-native code for Cm.Codegen, same container format, its own
-   extension (the key spaces are disjoint anyway: Codegen.key digests
-   IR + versions, job digests digest job fields) *)
-let native_path dir key = Filename.concat dir (key ^ ".cmxs")
 let quarantine_path dir digest = Filename.concat dir (digest ^ ".corrupt")
 
 (* Artifact layout (v2): version int, then the MD5 of the payload, then
@@ -123,7 +110,7 @@ let quarantine_path dir digest = Filename.concat dir (digest ^ ".corrupt")
    and gets quarantined by the caller rather than silently recomputed
    forever. *)
 
-let read_blob path : [ `Hit of string | `Miss | `Corrupt ] =
+let read_artifact path : [ `Hit of Report.result | `Miss | `Corrupt ] =
   match open_in_bin path with
   | exception Sys_error _ -> `Miss
   | ic -> (
@@ -133,25 +120,18 @@ let read_blob path : [ `Hit of string | `Miss | `Corrupt ] =
         else begin
           let sum : Digest.t = Marshal.from_channel ic in
           let payload : string = Marshal.from_channel ic in
-          if Digest.string payload <> sum then `Corrupt else `Hit payload
+          if Digest.string payload <> sum then `Corrupt
+          else `Hit (Marshal.from_string payload 0 : Report.result)
         end
       in
       match Fun.protect ~finally:(fun () -> close_in_noerr ic) body with
       | outcome -> outcome
       | exception _ -> `Corrupt)
 
-let read_artifact path : [ `Hit of Report.result | `Miss | `Corrupt ] =
-  match read_blob path with
-  | `Miss -> `Miss
-  | `Corrupt -> `Corrupt
-  | `Hit payload -> (
-      match (Marshal.from_string payload 0 : Report.result) with
-      | r -> `Hit r
-      | exception _ -> `Corrupt)
-
-let write_blob path payload =
+let write_artifact path (r : Report.result) =
   try
     (* write-then-rename so concurrent readers never see a torn file *)
+    let payload = Marshal.to_string r [] in
     let tmp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
     let oc = open_out_bin tmp in
     Fun.protect
@@ -164,69 +144,13 @@ let write_blob path payload =
     true
   with _ -> false
 
-let write_artifact path (r : Report.result) =
-  write_blob path (Marshal.to_string r [])
-
 (* Move a damaged artifact aside so the slot can be rewritten and the
    evidence survives for inspection.  Best-effort: a racing domain may
    have quarantined it first. *)
-let quarantine_file src dst =
-  try Sys.rename src dst with _ -> ( try Sys.remove src with _ -> ())
-
 let quarantine dir digest =
-  quarantine_file (artifact_path dir digest) (quarantine_path dir digest)
-
-(* Wire a dir-backed cache into Cm.Codegen as its persistent .cmxs
-   store, so compiled native code is shared across processes just like
-   run results.  A corrupt blob quarantines to [<key>.corrupt] and
-   reads as a miss (Codegen then rebuilds and overwrites); hits, misses
-   and codegen/build milliseconds land in the native_* counters.  The
-   hook is global and process-wide: the most recently created dir-backed
-   cache serves it (memory-only caches leave it untouched). *)
-let install_native_store t dir =
-  Cm.Codegen.set_store
-    (Some
-       {
-         Cm.Codegen.st_load =
-           (fun key ->
-             let found =
-               match read_blob (native_path dir key) with
-               | `Hit payload -> Some payload
-               | `Miss -> None
-               | `Corrupt ->
-                   with_lock t (fun () ->
-                       t.counters.c_corruptions <- t.counters.c_corruptions + 1);
-                   quarantine_file (native_path dir key)
-                     (quarantine_path dir key);
-                   None
-             in
-             with_lock t (fun () ->
-                 let c = t.counters in
-                 match found with
-                 | Some _ -> c.c_native_hits <- c.c_native_hits + 1
-                 | None -> c.c_native_misses <- c.c_native_misses + 1);
-             found);
-         st_save =
-           (fun key payload ->
-             (* best-effort, like run artifacts; a failed write just
-                means this host rebuilds next process *)
-             ignore (write_blob (native_path dir key) payload));
-         st_record =
-           (fun ~codegen_ms ~build_ms ->
-             with_lock t (fun () ->
-                 let c = t.counters in
-                 c.c_native_codegen_ms <- c.c_native_codegen_ms +. codegen_ms;
-                 c.c_native_build_ms <- c.c_native_build_ms +. build_ms));
-       })
-
-let create ?dir () =
-  (match dir with
-  | Some d when not (Sys.file_exists d) -> (
-      try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-  | _ -> ());
-  let t = make ?dir () in
-  Option.iter (install_native_store t) dir;
-  t
+  let src = artifact_path dir digest in
+  try Sys.rename src (quarantine_path dir digest)
+  with _ -> ( try Sys.remove src with _ -> ())
 
 let find_run t digest =
   let mem = with_lock t (fun () -> Hashtbl.find_opt t.runs digest) in
@@ -289,10 +213,6 @@ let stats t =
         run_misses = c.c_run_misses;
         corruptions = c.c_corruptions;
         write_failures = c.c_write_failures;
-        native_hits = c.c_native_hits;
-        native_misses = c.c_native_misses;
-        native_codegen_ms = c.c_native_codegen_ms;
-        native_build_ms = c.c_native_build_ms;
       })
 
 (* Mirror the cumulative counters into a telemetry scope as
@@ -312,11 +232,7 @@ let publish t obs =
         ("run_misses", s.run_misses);
         ("corruptions", s.corruptions);
         ("write_failures", s.write_failures);
-        ("native_hits", s.native_hits);
-        ("native_misses", s.native_misses);
-      ];
-    Obs.sample obs "ucd.cache.native_codegen_ms" s.native_codegen_ms;
-    Obs.sample obs "ucd.cache.native_build_ms" s.native_build_ms
+      ]
   end
 
 let pp_stats ppf s =
@@ -332,9 +248,4 @@ let pp_stats ppf s =
       (if s.corruptions = 1 then "" else "s");
   if s.write_failures > 0 then
     Format.fprintf ppf ", %d write failure%s" s.write_failures
-      (if s.write_failures = 1 then "" else "s");
-  if s.native_hits + s.native_misses > 0 then
-    Format.fprintf ppf ", native %d/%d hit (%.0f ms codegen, %.0f ms build)"
-      s.native_hits
-      (s.native_hits + s.native_misses)
-      s.native_codegen_ms s.native_build_ms
+      (if s.write_failures = 1 then "" else "s")

@@ -28,19 +28,10 @@ type stats = {
   run_misses : int;
   corruptions : int;  (** damaged artifacts quarantined to [.corrupt] *)
   write_failures : int;  (** disk writes that could not complete *)
-  native_hits : int;  (** compiled-native [.cmxs] blobs served from disk *)
-  native_misses : int;  (** [.cmxs] lookups that missed (then rebuilt) *)
-  native_codegen_ms : float;  (** total native source-emission ms *)
-  native_build_ms : float;  (** total [ocamlopt]+[Dynlink] ms *)
 }
 
 (** [create ?dir ()] makes a cache; with [dir], run results are also
-    written to and read from [dir] (created if missing), and the cache
-    installs itself as {!Cm.Codegen}'s persistent [.cmxs] store (the
-    hook is process-global: the most recently created dir-backed cache
-    serves it), so native code is content-addressed and shared across
-    processes alongside run results — same checksummed container, same
-    [<digest>.corrupt] quarantine path. *)
+    written to and read from [dir] (created if missing). *)
 val create : ?dir:string -> unit -> t
 
 (** [memo_ast t ~source_digest f] returns the cached AST or computes,

@@ -190,11 +190,9 @@ let knobs =
         (Printf.sprintf
            "Execution engine: %s.  $(b,fast) (the default) runs pre-decoded \
             instruction kernels; $(b,sharded) fans the kernels out across \
-            $(b,--shards) worker domains; $(b,native) compiles the Paris IR \
-            to machine code via $(b,ocamlopt) (content-addressed-cached; \
-            falls back to $(b,fast) with a one-line warning when no native \
-            toolchain is available); $(b,reference) is the tree-walking \
-            interpreter.  All engines produce bit-identical results, \
+            $(b,--shards) worker domains; $(b,native) names the retired \
+            native engine and runs on $(b,fast); $(b,reference) is the \
+            tree-walking interpreter.  All engines produce bit-identical results, \
             statistics and simulated time; only wall-clock speed differs."
            (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") engine_names)))
       ~get:(fun t -> Some (engine_string t.engine))

@@ -11,9 +11,9 @@ type result = {
   engine : string;  (* canonical Job.engine_string rendering *)
   engine_effective : string;
       (* the engine that actually executed: differs from [engine] only
-         when `native` degraded to `fast` (no toolchain, build failure,
-         fault-injection policy).  "" for rows that never ran a machine
-         (front-end failures); rendered as [engine] in that case. *)
+         for `native`, which runs on `fast`.  "" for rows that never ran
+         a machine (front-end failures); rendered as [engine] in that
+         case. *)
   seed : int;
   tuned : bool;
       (* ran under an auto-tuned layout; emitted only when true so

@@ -15,7 +15,7 @@ type result = {
   engine : string;  (** {!Job.engine_string} of the job's engine *)
   engine_effective : string;
       (** the engine that actually executed ({!Cm.Machine.effective_engine}):
-          differs from [engine] only when [native] degraded to [fast].
+          differs from [engine] only for [native], which runs on [fast].
           [""] (rendered as [engine]) for rows that never ran a machine *)
   seed : int;
   tuned : bool;

@@ -134,8 +134,8 @@ let compute ~policy ~t0 ~obs ?ckpt ?on_checkpoint cache (job : Job.t) digest =
         Cm.Machine.publish t.Uc.Compile.machine;
         Cm.Cost.metrics (Uc.Compile.meter t)
       in
-      (* which engine actually executed: `native` resolves to itself or
-         to `fast` (sticky per machine), every other engine to itself *)
+      (* which engine actually executed: `native` resolves to `fast`,
+         every other engine to itself *)
       let effective () =
         Job.engine_string
           (Cm.Machine.effective_engine t.Uc.Compile.machine)

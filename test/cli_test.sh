@@ -140,6 +140,17 @@ grep -q '"engine":"reference"' engines.jsonl
 # ... while everything deterministic about the rows agrees byte for byte
 [ "$(strip engines.jsonl | sed 's/"digest":"[^"]*",//;s/"engine":"[^"]*",//;s/"engine_effective":"[^"]*",//' | sort -u | wc -l)" = 1 ]
 
+# `native` names the retired native engine: the corpus runs on the fast
+# kernels, rows equal fast's apart from the engine (and so the digest),
+# every job row says engine_effective fast, and nothing warns
+$UCC batch --cache-dir none --engine fast > corpus_fast.jsonl 2>/dev/null
+$UCC batch --cache-dir none --engine native > corpus_native.jsonl 2>native.err
+unengined() { strip "$1" | sed 's/"digest":"[^"]*",//;s/"engine":"[^"]*",//'; }
+[ "$(unengined corpus_fast.jsonl)" = "$(unengined corpus_native.jsonl)" ]
+[ "$(grep -c '"engine":"native","engine_effective":"fast"' corpus_native.jsonl)" \
+  = "$(grep -c '"job":' corpus_native.jsonl)" ]
+if grep -q 'native engine' native.err; then exit 1; fi
+
 # an unknown engine name in a manifest is rejected with its line number
 echo "quickstart engine=warp" > manifest_bad.txt
 if $UCC batch manifest_bad.txt --cache-dir none 2>err.txt; then exit 1; fi

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Golden pin of the Paris IR: `ucc paris` over every corpus program with
-# the IR optimizer on (the default) and off.  Each dump carries the IR,
-# the static-summary footer (instruction classes and straight-line cost)
-# and the native coverage lines, so a change to the optimizer's folds,
-# the instruction names or classes, or the static cost shows here.
+# the IR optimizer on (the default) and off.  Each dump carries the IR
+# and the static-summary footer (instruction classes and straight-line
+# cost), so a change to the optimizer's folds, the instruction names or
+# classes, or the static cost shows here.
 # `dune runtest` diffs the output against paris_golden.expected.
 # Usage: paris_golden.sh UCC
 set -euo pipefail

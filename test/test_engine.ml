@@ -17,6 +17,8 @@
      lib/uc_programs and the C* baselines in lib/cstar;
    - checkpoint-interrupt-resume runs that rotate through all three
      engines at every slice boundary;
+   - `Native, the name of the retired native engine, checked to run
+     exactly as `Fast;
    - targeted unit tests: the shift-range check on every engine, the
      shard chunk layout, and a VP set big enough to cross the sharded
      engine's fan-out threshold so the domain team really runs. *)
@@ -553,24 +555,6 @@ let differential_test =
                "engines disagree@.--- fast ---@.%s@.--- %s ---@.%s" fast ename
                other))
 
-(* Native rotates through the same differential harness with a smaller
-   count: every distinct random program costs one [ocamlopt -shared]
-   build (amortized only across this process's memo).  On a host without
-   a native toolchain the machine falls back to the fast kernels, so
-   these tests stay green (and trivially true) everywhere. *)
-let native_differential_test =
-  QCheck_alcotest.to_alcotest
-    (Test.make ~count:25 ~name:"random programs: native == fast"
-       ~print:print_program gen_program (fun (dims, seed, nodes) ->
-         let prog = build dims nodes in
-         let fast = run_engine ~seed ~fuel:500_000 `Fast prog in
-         let native = run_engine ~seed ~fuel:500_000 `Native prog in
-         if String.equal fast native then true
-         else
-           Test.fail_reportf
-             "engines disagree@.--- fast ---@.%s@.--- native ---@.%s" fast
-             native))
-
 (* ------------------------------------------------------------------ *)
 (* IR optimizer: optimized == unoptimized, on both engines            *)
 (* ------------------------------------------------------------------ *)
@@ -727,8 +711,9 @@ let fault_differential_test =
 let engine_cycle : Cm.Machine.engine array =
   [| `Reference; `Sharded 3; `Fast; `Sharded 2 |]
 
-(* the native rotation (used by the smaller-count test below so the
-   per-program ocamlopt builds stay cheap) *)
+(* [`Native] names the retired native engine and runs on the fast
+   kernels: a checkpoint taken under it must restore on [`Fast] (and
+   the other way round) and finish identically *)
 let native_cycle : Cm.Machine.engine array =
   [| `Native; `Fast; `Native; `Reference |]
 
@@ -789,7 +774,7 @@ let checkpoint_roundtrip_test =
 
 let native_checkpoint_test =
   QCheck_alcotest.to_alcotest
-    (Test.make ~count:20
+    (Test.make ~count:100
        ~name:"checkpoint slices alternating through native == straight run"
        ~print:print_ckpt_case gen_ckpt_case
        (fun (dims, seed, nodes, spec, slice) ->
@@ -806,6 +791,29 @@ let native_checkpoint_test =
              "native-checkpointed run diverged@.--- straight ---@.%s@.--- \
               sliced (slice=%d) ---@.%s"
              straight slice sliced))
+
+(* [`Native] names the retired native engine: it resolves to [`Fast],
+   never compiles, and runs bit for bit like [`Fast], under fault plans
+   too. *)
+let native_alias_test =
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:100 ~name:"random programs: native == fast"
+       ~print:print_ckpt_case gen_ckpt_case
+       (fun (dims, seed, nodes, spec, _slice) ->
+         let prog = build dims nodes in
+         let faults = Option.map (Cm.Fault.instantiate ~attempt:0) spec in
+         let m = Cm.Machine.create ~engine:`Native ?faults prog in
+         if Cm.Machine.effective_engine m <> `Fast then
+           Test.fail_report "native does not resolve to fast";
+         if Result.is_ok (Cm.Machine.compile_native m) then
+           Test.fail_report "compile_native succeeded";
+         let fast = run_engine ~seed ~fuel:500_000 ?faults `Fast prog in
+         let native = run_engine ~seed ~fuel:500_000 ?faults `Native prog in
+         if String.equal fast native then true
+         else
+           Test.fail_reportf
+             "engines disagree@.--- fast ---@.%s@.--- native ---@.%s" fast
+             native))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-corpus equivalence                                           *)
@@ -901,7 +909,7 @@ let test_shift_range () =
 
 (* Pre-compiling is idempotent, does not perturb results, and decodes
    exactly the kernels the engine runs: once on every decoding engine
-   (native's fallback kernels included), never on the reference. *)
+   (native, which runs on fast, included), never on the reference. *)
 let test_compile_idempotent () =
   let prog = shift_prog Shl 2 in
   List.iter
@@ -1062,7 +1070,7 @@ let () =
       ( "differential",
         [
           differential_test;
-          native_differential_test;
+          native_alias_test;
           iropt_differential_test;
           fault_differential_test;
           checkpoint_roundtrip_test;

@@ -4,8 +4,8 @@
    The grid runs every elementwise, NEWS, router, reduction and
    coordinate operator on every operand shape (field/field, field/imm,
    imm/field, register, imm/imm) and field kind, once on a fully active
-   VP set and once under a context mask, on `Reference, `Fast,
-   `Sharded 3 and `Native.  The VP counts are not multiples of 3, so the
+   VP set and once under a context mask, on `Reference, `Fast and
+   `Sharded 3.  The VP counts are not multiples of 3, so the
    three sharded chunks are ragged, and one geometry is large enough
    for the sharded engine to fan its chunks out to worker domains.
    Inputs include NaN (two payloads), +-0.0, +-infinity, subnormals,
@@ -314,7 +314,7 @@ let finish s =
 (* ---- running and comparing ---- *)
 
 let engines : (string * Cm.Machine.engine) list =
-  [ ("fast", `Fast); ("sharded:3", `Sharded 3); ("native", `Native) ]
+  [ ("fast", `Fast); ("sharded:3", `Sharded 3) ]
 
 let run engine s prog =
   let m = Cm.Machine.create ~seed:11 ~engine prog in

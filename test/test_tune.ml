@@ -188,7 +188,7 @@ let test_tuned_digest () =
 
 (* Random programs x random valid layouts: a layout only moves data
    around the machine, so the observable results must be bit-identical
-   to the default layout on every engine.  No rand() in the generated
+   to the default layout.  No rand() in the generated
    programs: the per-processor draw order is layout-dependent by
    design, so random streams are excluded from the bit-identity
    property (like the engine differential tests exclude multi-site
@@ -271,9 +271,9 @@ let case_gen = pair program_gen table_gen
 let print_case (src, table) =
   Printf.sprintf "table: %s\n%s" (Uc.Mapping.table_to_string table) src
 
-let observable ?layouts ?engine src =
+let observable ?layouts src =
   let compiled = Uc.Compile.compile_source ?layouts src in
-  let t = Uc.Compile.run_compiled ~seed:7 ?engine compiled in
+  let t = Uc.Compile.run_compiled ~seed:7 compiled in
   ( Uc.Compile.int_array t "a",
     Uc.Compile.int_array t "b",
     Uc.Compile.int_array t "d",
@@ -285,12 +285,6 @@ let fuzz_layout_fast =
     "fuzz: any valid layout is observably identical (fast)" case_gen
     (fun (src, table) ->
       observable src = observable ~layouts:table src)
-
-let fuzz_layout_native =
-  qtest ~count:12 ~print:print_case
-    "fuzz: any valid layout is observably identical (native)" case_gen
-    (fun (src, table) ->
-      observable src = observable ~layouts:table ~engine:`Native src)
 
 (* the same property through the tuner itself: a tuned lowering of any
    generated program matches the default lowering bit for bit *)
@@ -322,5 +316,5 @@ let () =
         ] );
       ("job", [ Alcotest.test_case "tuned digest" `Quick test_tuned_digest ]);
       ( "differential",
-        [ fuzz_layout_fast; fuzz_layout_native; fuzz_tuned_run ] );
+        [ fuzz_layout_fast; fuzz_tuned_run ] );
     ]
