@@ -46,6 +46,21 @@ let coords g addr =
   go (n - 1) addr;
   out
 
+let next_coords g c =
+  let n = Array.length g.dims in
+  if Array.length c <> n then invalid_arg "Geometry.next_coords: rank mismatch";
+  let rec go i =
+    if i >= 0 then begin
+      let x = Array.unsafe_get c i + 1 in
+      if x < Array.unsafe_get g.dims i then Array.unsafe_set c i x
+      else begin
+        Array.unsafe_set c i 0;
+        go (i - 1)
+      end
+    end
+  in
+  go (n - 1)
+
 let strides g =
   let n = Array.length g.dims in
   let out = Array.make n 1 in

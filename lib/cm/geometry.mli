@@ -34,6 +34,13 @@ val linearize : t -> int array -> int
     @raise Invalid_argument if [addr] is out of range. *)
 val coords : t -> int -> int array
 
+(** [next_coords g c] advances the coordinate vector [c] in place to
+    {!coords} of the next address (last axis fastest); from the last
+    address it wraps to all zeros.  Starting from all zeros, [size g]
+    steps visit every address in order without allocating.
+    @raise Invalid_argument on rank mismatch. *)
+val next_coords : t -> int array -> unit
+
 (** [strides g] returns the row-major stride of each axis, so that
     [linearize g c = sum_i c.(i) * (strides g).(i)]. *)
 val strides : t -> int array

@@ -30,15 +30,20 @@ let prepare sc n =
   sc.epoch <- sc.epoch + 1;
   sc.epoch
 
-(* [bump sc e a] counts one more delivery to address [a] in the routing
-   operation stamped [e] and returns the fan-in so far.  [a] is in
+(* [bump_unchecked sc e a] counts one more delivery to address [a] in
+   the round stamped [e] and returns the fan-in so far.  [a] is in
    bounds: callers range-check it against a field no longer than the
    tag array. *)
-let bump sc e a =
+let bump_unchecked sc e a =
   let w = Array.unsafe_get sc.tags a in
   let f = (if w lsr count_bits = e then w land count_mask else 0) + 1 in
   Array.unsafe_set sc.tags a ((e lsl count_bits) lor f);
   f
+
+let bump sc e a =
+  if a < 0 || a >= Array.length sc.tags then
+    invalid_arg "Router.bump: address out of range";
+  bump_unchecked sc e a
 
 let check_lengths name mask addr =
   if Array.length mask <> Array.length addr then
@@ -67,7 +72,7 @@ let get (type a) (k : a elt) ?scratch:sc ~mask ~addr ~(src : a array)
       | EInt -> Array.unsafe_set dst p (Array.unsafe_get src a)
       | EFloat -> Array.unsafe_set dst p (Array.unsafe_get src a));
       incr messages;
-      let f = bump sc e a in
+      let f = bump_unchecked sc e a in
       if f > !max_fanin then max_fanin := f
     end
   done;
@@ -95,7 +100,7 @@ let send (type a) (k : a elt) ?scratch:sc ~mask ~addr ~(src : a array)
       let a = Array.unsafe_get addr p in
       if a < 0 || a >= len then invalid_arg "Router.send: address out of range";
       incr messages;
-      let f = bump sc e a in
+      let f = bump_unchecked sc e a in
       if f > !max_fanin then max_fanin := f;
       match k with
       | EInt ->

@@ -25,6 +25,18 @@ type scratch
 
 val scratch : unit -> scratch
 
+(** [prepare sc n] starts a counting round over the addresses [0..n-1]:
+    it grows the counters to at least [n] and returns the round's epoch,
+    under which every address counts zero.  {!get} and {!send} run one
+    round each; the tuner's fan-in estimate (Uc.Commpat) runs one per
+    estimate. *)
+val prepare : scratch -> int -> int
+
+(** [bump sc e a] counts one more delivery to address [a] in round [e]
+    (the latest {!prepare}) and returns [a]'s count so far.
+    @raise Invalid_argument if [a] is outside the counters. *)
+val bump : scratch -> int -> int -> int
+
 (** [get k ~mask ~addr ~src ~dst ()] performs [dst.(p) <- src.(addr.(p))]
     for every [p] with [mask.(p)], in ascending [p] order; [k] names the
     element kind, so the moves are monomorphic.  [?scratch] supplies

@@ -146,6 +146,21 @@ let binop_name = function
   | Land -> "&&" | Lor -> "||"
   | Band -> "&" | Bor -> "|" | Bxor -> "^" | Shl -> "<<" | Shr -> ">>"
 
+(* binding strength of each binary operator, higher binds tighter (C's
+   levels); every level is left-associative.  The parser climbs these
+   levels and the pretty-printer parenthesizes by them. *)
+let binop_prec = function
+  | Lor -> 1
+  | Land -> 2
+  | Bor -> 3
+  | Bxor -> 4
+  | Band -> 5
+  | Eq | Ne -> 6
+  | Lt | Le | Gt | Ge -> 7
+  | Shl | Shr -> 8
+  | Add | Sub -> 9
+  | Mul | Div | Mod -> 10
+
 let unop_name = function Neg -> "-" | Lnot -> "!" | Bnot -> "~"
 
 let assign_op_name = function

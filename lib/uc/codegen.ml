@@ -274,8 +274,8 @@ let rec sub_evaluator ctx e : (int array -> int) option =
   | Ecall ("power2", [ a ]) ->
       Option.map (fun fa c -> 1 lsl (fa c land 30)) (sub_evaluator ctx a)
   | Ecall ("abs", [ a ]) -> Option.map (fun fa c -> abs (fa c)) (sub_evaluator ctx a)
-  | Ecall ("min", [ a; b ]) -> lift2 min a b
-  | Ecall ("max", [ a; b ]) -> lift2 max a b
+  | Ecall ("min", [ a; b ]) -> lift2 Int.min a b
+  | Ecall ("max", [ a; b ]) -> lift2 Int.max a b
   | _ -> None
 
 (* an access to array [name] at [subs] from the current space *)

@@ -140,55 +140,92 @@ let predict summary (table : Mapping.table) : prediction =
 
 (* ---------------- fan-in estimation (for scoring) ---------------- *)
 
+(* Counting takes one word per address, so an estimate whose addresses
+   span more than [max_counted] words sorts them instead: a small space
+   over a huge array does not grow the counters to the array. *)
+let max_counted = 1 lsl 18
+
+(* the largest number of equal entries of [addrs], at least 1 *)
+let max_multiplicity addrs =
+  Array.sort Int.compare addrs;
+  let best = ref 1 and run = ref 0 in
+  Array.iteri
+    (fun i x ->
+      if i > 0 && addrs.(i - 1) = x then incr run else run := 1;
+      if !run > !best then best := !run)
+    addrs;
+  !best
+
 (* Destination fan-in of a router access under [layout]: evaluate the
    physical address per space point and take the hottest destination.
    Falls back to 1 when a subscript depends on runtime values or the
-   space is too big to enumerate. *)
-let estimate_fanin (a : access) (layout : Mapping.layout) : int * int =
+   space is too big to enumerate.  The walk reuses one coordinate and
+   one subscript array and counts with Router's epoch-tagged counters,
+   so a point costs no allocation. *)
+let estimate_fanin ?scratch (a : access) (layout : Mapping.layout) :
+    int * int =
   let layout = Mapping.normalize layout in
   let size = List.fold_left ( * ) 1 a.aspace in
-  let evaluators =
-    List.map
-      (function
-        | Saffine (ax, off) -> Some (fun (coords : int array) -> coords.(ax) + off)
-        | Sopaque f -> f)
-      a.asubs
-  in
-  if size <= 0 || size > 65536 || List.exists Option.is_none evaluators then
-    (size, 1)
+  if
+    size <= 0 || size > 65536
+    || List.exists (function Sopaque None -> true | _ -> false) a.asubs
+  then (size, 1)
   else begin
     let g = Cm.Geometry.create a.aspace in
-    let counts = Hashtbl.create 64 in
-    let valid = ref 0 in
-    let total = List.fold_left ( * ) 1 a.adims in
-    let copies = match layout with Mapping.Copied m -> m | _ -> 1 in
-    let block =
-      match a.aspace with e0 :: _ -> max 1 (e0 / copies) | [] -> 1
+    let dims = Array.of_list a.adims in
+    let subs = Array.of_list a.asubs in
+    let nsubs = Array.length subs in
+    let coords = Array.make (Cm.Geometry.rank g) 0 in
+    let vals = Array.make nsubs 0 in
+    let total = Array.fold_left ( * ) 1 dims in
+    (* reads spread across copies in leading-coordinate blocks
+       (Codegen.gen_general_read); writes address copy 0 *)
+    let spread =
+      match layout, a.arw with Mapping.Copied m, `Read -> m | _ -> 1
     in
-    for p = 0 to size - 1 do
-      let coords = Cm.Geometry.coords g p in
-      let subs = List.map (fun f -> (Option.get f) coords) evaluators in
-      let in_range =
-        List.for_all2 (fun v d -> v >= 0 && v < d) subs a.adims
-      in
-      if in_range then begin
-        incr valid;
-        let base = Mapping.physical_index layout a.adims subs in
+    let block = max 1 (Cm.Geometry.dim g 0 / spread) in
+    let span = spread * total in
+    let counted = span <= max_counted in
+    let sc =
+      match scratch with Some sc -> sc | None -> Cm.Router.scratch ()
+    in
+    let e = if counted then Cm.Router.prepare sc span else 0 in
+    let addrs = if counted then [||] else Array.make size 0 in
+    let valid = ref 0 and fanin = ref 1 in
+    for _ = 1 to size do
+      (* evaluate the subscripts until one leaves its dimension *)
+      let k = ref 0 in
+      while !k < nsubs
+            && begin
+                 let v =
+                   match subs.(!k) with
+                   | Saffine (ax, off) -> coords.(ax) + off
+                   | Sopaque (Some f) -> f coords
+                   | Sopaque None -> assert false
+                 in
+                 vals.(!k) <- v;
+                 v >= 0 && v < dims.(!k)
+               end
+      do
+        incr k
+      done;
+      if !k = nsubs then begin
+        let base = Mapping.physical_index layout dims vals in
         let addr =
-          match layout with
-          | Mapping.Copied _ when a.arw = `Read ->
-              (* reads spread across copies in leading-coordinate blocks
-                 (Codegen.gen_general_read) *)
-              let sel = coords.(0) / block mod copies in
-              (sel * total) + base
-          | _ -> base
+          if spread = 1 then base
+          else ((coords.(0) / block mod spread) * total) + base
         in
-        Hashtbl.replace counts addr
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts addr))
-      end
+        if counted then begin
+          let f = Cm.Router.bump sc e addr in
+          if f > !fanin then fanin := f
+        end
+        else addrs.(!valid) <- addr;
+        incr valid
+      end;
+      Cm.Geometry.next_coords g coords
     done;
-    let fanin = Hashtbl.fold (fun _ c acc -> max c acc) counts 1 in
-    (!valid, fanin)
+    if not counted then fanin := max_multiplicity (Array.sub addrs 0 !valid);
+    (!valid, !fanin)
   end
 
 (* ---------------- entry point ---------------- *)

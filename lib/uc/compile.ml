@@ -67,12 +67,13 @@ let meta t name =
 
 (* read a field back in logical element order *)
 let unscramble (m : Codegen.array_meta) (raw : 'a array) : 'a array =
-  let dims = m.Codegen.adims in
-  let total = List.fold_left ( * ) 1 dims in
-  let g = Cm.Geometry.create dims in
-  Array.init total (fun logical ->
-      let coords = Array.to_list (Cm.Geometry.coords g logical) in
-      raw.(Mapping.physical_index m.Codegen.alayout dims coords))
+  let g = Cm.Geometry.create m.Codegen.adims in
+  let dims = Array.of_list m.Codegen.adims in
+  let coords = Array.make (Array.length dims) 0 in
+  Array.init (Cm.Geometry.size g) (fun _ ->
+      let v = raw.(Mapping.physical_index m.Codegen.alayout dims coords) in
+      Cm.Geometry.next_coords g coords;
+      v)
 
 let int_array t name =
   let m = meta t name in

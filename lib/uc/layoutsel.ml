@@ -50,9 +50,25 @@ let address_pe_ops layout rank =
 
 let charge_n f n = for _ = 1 to n do f () done
 
-(* charge one event under [table] to [m]; mirrors Machine.exec_pget /
-   exec_psend / exec_pnews charging *)
-let charge_event params m ~news_opt table ev =
+(* [fanins n] is an [estimate_fanin] for the events of a summary of [n]
+   events, taking the event's number: one search scores an access under
+   every candidate of its array and again under the chosen and default
+   tables, and each (event, layout) pair is estimated once, on one set
+   of counters. *)
+let fanins n =
+  let scratch = Cm.Router.scratch () in
+  let memo = Array.make n [] in
+  fun i a layout ->
+    match List.find_opt (fun (l, _) -> Mapping.equal l layout) memo.(i) with
+    | Some (_, r) -> r
+    | None ->
+        let r = estimate_fanin ~scratch a layout in
+        memo.(i) <- (layout, r) :: memo.(i);
+        r
+
+(* charge event number [i] under [table] to [m]; mirrors
+   Machine.exec_pget / exec_psend / exec_pnews charging *)
+let charge_event m ~fanin ~news_opt table (i, ev) =
   match ev with
   | Access a -> (
       let layout = Mapping.find table a.aname in
@@ -61,7 +77,7 @@ let charge_event params m ~news_opt table ev =
       | Local -> ()
       | News _ -> charge_n (fun () -> Cm.Cost.charge_news m ~size) a.atrips
       | Router ->
-          let messages, max_fanin = estimate_fanin a layout in
+          let messages, max_fanin = fanin i a layout in
           let messages = max 1 messages in
           let copies =
             match a.arw, layout with
@@ -94,15 +110,21 @@ let charge_event params m ~news_opt table ev =
       let copies =
         match ferw, layout with `Write, Mapping.Copied c -> c | _ -> 1
       in
-      ignore params;
       charge_n (fun () -> Cm.Cost.charge_fe_cm m) (fetrips * copies)
 
-(* predicted communication cost (simulated ns) of [events] under [table] *)
-let score ?(params = Cm.Cost.cm2_16k) summary table events =
+(* predicted communication cost (simulated ns) of numbered [events]
+   under [table] *)
+let score_numbered params ~fanin summary table events =
   let m = Cm.Cost.meter params in
   let news_opt = summary.options.Codegen.news_opt in
-  List.iter (charge_event params m ~news_opt table) events;
+  List.iter (charge_event m ~fanin ~news_opt table) events;
   m.Cm.Cost.elapsed_ns
+
+let score ?(params = Cm.Cost.cm2_16k) summary table events =
+  score_numbered params
+    ~fanin:(fanins (List.length events))
+    summary table
+    (List.mapi (fun i ev -> (i, ev)) events)
 
 (* ---------------- candidate enumeration ---------------- *)
 
@@ -140,16 +162,14 @@ let shift_candidates name dims events =
     events;
   List.rev_map (fun v -> Mapping.Shifted v) !vectors
 
-let copy_candidates name events =
+let copy_candidates ~fanin name events =
   (* replication only pays when some read gathers with high fan-in *)
   let worth =
     List.exists
       (function
-        | Access a when a.aname = name && a.arw = `Read -> (
+        | i, Access ({ arw = `Read; _ } as a) when a.aname = name -> (
             match classify ~news_opt:true a Mapping.Default with
-            | Router ->
-                let _, fanin = estimate_fanin a Mapping.Default in
-                fanin >= 2
+            | Router -> snd (fanin i a Mapping.Default) >= 2
             | _ -> false)
         | _ -> false)
       events
@@ -174,11 +194,14 @@ let search_summary ?(params = Cm.Cost.cm2_16k) (summary : Commpat.summary) :
       (function Hist_send h -> Some h.count | _ -> None)
       summary.events
   in
+  let numbered = List.mapi (fun i ev -> (i, ev)) summary.events in
+  let fanin = fanins (List.length numbered) in
+  let score table events = score_numbered params ~fanin summary table events in
   let choices =
     List.map
       (fun (name, dims) ->
-        let events = List.filter (touches name) summary.events in
-        let cost layout = score ~params summary [ (name, layout) ] events in
+        let events = List.filter (fun (_, ev) -> touches name ev) numbered in
+        let cost layout = score [ (name, layout) ] events in
         let default_ns = cost Mapping.Default in
         if List.mem name hist_targets then
           {
@@ -195,7 +218,7 @@ let search_summary ?(params = Cm.Cost.cm2_16k) (summary : Commpat.summary) :
           let candidates =
             Mapping.Default
             :: (shift_candidates name dims summary.events
-               @ fold_candidates dims @ copy_candidates name summary.events)
+               @ fold_candidates dims @ copy_candidates ~fanin name numbered)
           in
           let best_layout, best_ns =
             List.fold_left
@@ -240,8 +263,8 @@ let search_summary ?(params = Cm.Cost.cm2_16k) (summary : Commpat.summary) :
     summary;
     chosen_prediction = predict summary table;
     default_prediction = predict summary [];
-    chosen_ns = score ~params summary table summary.events;
-    default_ns = score ~params summary [] summary.events;
+    chosen_ns = score table numbered;
+    default_ns = score [] numbered;
   }
 
 (* The walk runs under the all-default table: `ucc tune` synthesizes a

@@ -59,13 +59,14 @@ let rec skip_ws_and_comments st =
 
 let lex_number st =
   let start = loc st in
-  let b = Buffer.create 8 in
+  let first = st.pos in
   while is_digit (peek st) do
-    Buffer.add_char b (peek st);
-    advance st
+    st.pos <- st.pos + 1
   done;
   (* "0..9" must lex as INT 0, DOTDOT, INT 9 *)
   if peek st = '.' && peek2 st <> '.' then begin
+    let b = Buffer.create 16 in
+    Buffer.add_substring b st.src first (st.pos - first);
     Buffer.add_char b '.';
     advance st;
     while is_digit (peek st) do
@@ -89,18 +90,20 @@ let lex_number st =
     | None -> Loc.error start "invalid float literal %s" (Buffer.contents b)
   end
   else
-    match int_of_string_opt (Buffer.contents b) with
+    let text = String.sub st.src first (st.pos - first) in
+    match int_of_string_opt text with
     | Some i -> (INT i, start)
-    | None -> Loc.error start "invalid integer literal %s" (Buffer.contents b)
+    | None -> Loc.error start "invalid integer literal %s" text
 
 let lex_ident st =
   let start = loc st in
-  let b = Buffer.create 8 in
+  let first = st.pos in
+  (* an identifier holds no newline, so the line bookkeeping of
+     [advance] has nothing to do *)
   while is_alnum (peek st) do
-    Buffer.add_char b (peek st);
-    advance st
+    st.pos <- st.pos + 1
   done;
-  let name = Buffer.contents b in
+  let name = String.sub st.src first (st.pos - first) in
   (* "index-set" is a single keyword containing a hyphen *)
   if
     name = "index"
@@ -109,14 +112,11 @@ let lex_ident st =
     && String.sub st.src (st.pos + 1) 3 = "set"
     && not (st.pos + 4 < String.length st.src && is_alnum st.src.[st.pos + 4])
   then begin
-    advance st;
-    advance st;
-    advance st;
-    advance st;
+    st.pos <- st.pos + 4;
     (KW_INDEXSET, start)
   end
   else
-    match List.assoc_opt name Token.keyword_table with
+    match Token.keyword name with
     | Some kw -> (kw, start)
     | None -> (IDENT name, start)
 
@@ -277,16 +277,22 @@ let next_raw st =
 
 let max_macro_depth = 32
 
+module Macros = Hashtbl.Make (String)
+
 let tokenize src =
   let st = make src in
-  let macros : (string, Token.t list) Hashtbl.t = Hashtbl.create 16 in
+  let macros : Token.t list Macros.t = Macros.create 16 in
   let out = ref [] in
   let rec expand depth tok l =
     match tok with
-    | IDENT name when Hashtbl.mem macros name ->
-        if depth > max_macro_depth then
-          Loc.error l "macro expansion too deep for %s (cyclic #define?)" name;
-        List.iter (fun t -> expand (depth + 1) t l) (Hashtbl.find macros name)
+    | IDENT name -> (
+        match Macros.find_opt macros name with
+        | Some body ->
+            if depth > max_macro_depth then
+              Loc.error l "macro expansion too deep for %s (cyclic #define?)"
+                name;
+            List.iter (fun t -> expand (depth + 1) t l) body
+        | None -> out := (tok, l) :: !out)
     | t -> out := (t, l) :: !out
   in
   let read_directive l =
@@ -320,7 +326,7 @@ let tokenize src =
           st.bol <- save_bol
     in
     gather ();
-    Hashtbl.replace macros name (List.rev !body)
+    Macros.replace macros name (List.rev !body)
   in
   let rec loop () =
     match next_raw st with

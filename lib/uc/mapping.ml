@@ -24,7 +24,8 @@ let normalize = function
 let equal a b =
   match normalize a, normalize b with
   | Default, Default -> true
-  | Shifted x, Shifted y -> x = y
+  | Shifted x, Shifted y ->
+      Array.length x = Array.length y && Array.for_all2 Int.equal x y
   | Folded x, Folded y -> x = y
   | Copied x, Copied y -> x = y
   | _ -> false
@@ -305,26 +306,30 @@ let physical_dims layout dims =
 
 let pos_mod x n = ((x mod n) + n) mod n
 
+(* row-major over [dims] and [coords], from axis [k] on, with [acc] the
+   index of the axes before it *)
+let rec linear_from dims coords k acc =
+  if k >= Array.length dims then acc
+  else linear_from dims coords (k + 1) ((acc * dims.(k)) + coords.(k))
+
 let physical_index layout dims coords =
-  let linear dims coords =
-    List.fold_left2 (fun acc d c -> (acc * d) + c) 0 dims coords
-  in
+  let rank = Array.length dims in
+  if Array.length coords <> rank then
+    invalid_arg "Mapping.physical_index: rank mismatch";
   match layout with
-  | Default -> linear dims coords
+  | Default | Copied _ (* copy 0 *) -> linear_from dims coords 0 0
   | Shifted offs ->
-      let shifted =
-        List.mapi (fun k c -> pos_mod (c - offs.(k)) (List.nth dims k)) coords
-      in
-      linear dims shifted
-  | Folded f -> (
-      match dims, coords with
-      | d0 :: drest, c0 :: crest ->
-          let h = d0 / f in
-          linear ((h :: f :: drest)) ((c0 mod h) :: (c0 / h) :: crest)
-      | _ -> invalid_arg "Mapping.physical_index: fold rank")
-  | Copied _ ->
-      (* copy 0 *)
-      linear dims coords
+      let acc = ref 0 in
+      for k = 0 to rank - 1 do
+        let d = dims.(k) in
+        acc := (!acc * d) + pos_mod (coords.(k) - offs.(k)) d
+      done;
+      !acc
+  | Folded f ->
+      if rank = 0 then invalid_arg "Mapping.physical_index: fold rank";
+      (* the leading axis splits into (x0 mod h, x0 / h), h = d0 / f *)
+      let h = dims.(0) / f and c0 = coords.(0) in
+      linear_from dims coords 1 (((c0 mod h) * f) + (c0 / h))
 
 let axis_offset layout axis =
   match layout with

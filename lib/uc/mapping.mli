@@ -97,8 +97,11 @@ val emit_map_section : Ast.program -> table -> string option
 val physical_dims : layout -> int list -> int list
 
 (** [physical_index layout dims coords] maps logical coordinates to the
-    flat physical index (for [Copied], the index of copy 0). *)
-val physical_index : layout -> int list -> int list -> int
+    flat physical index (for [Copied], the index of copy 0).  It reads
+    the two arrays and allocates nothing, so per-element callers
+    (result extraction, fan-in estimation) reuse one coordinate array.
+    @raise Invalid_argument if [coords] and [dims] differ in rank. *)
+val physical_index : layout -> int array -> int array -> int
 
 (** [axis_offset layout axis] is the cyclic shift applied on [axis]
     ([Shifted] only; 0 otherwise). *)

@@ -14,8 +14,11 @@ let advance p = if p.pos < Array.length p.toks - 1 then p.pos <- p.pos + 1
 
 let err p fmt = Loc.error (cur_loc p) fmt
 
+(* is the current token [tok]? *)
+let is p tok = Token.equal (cur p) tok
+
 let expect p tok =
-  if cur p = tok then advance p
+  if is p tok then advance p
   else
     err p "expected '%s' but found '%s'" (Token.to_string tok)
       (Token.to_string (cur p))
@@ -28,7 +31,7 @@ let expect_ident p =
   | t -> err p "expected an identifier but found '%s'" (Token.to_string t)
 
 let accept p tok =
-  if cur p = tok then begin
+  if is p tok then begin
     advance p;
     true
   end
@@ -49,11 +52,32 @@ let assign_of_token = function
   | MAXASSIGN -> Some Amax
   | _ -> None
 
+let binop_of_token = function
+  | OROR -> Some Lor
+  | ANDAND -> Some Land
+  | PIPE -> Some Bor
+  | CARET -> Some Bxor
+  | AMP -> Some Band
+  | EQ -> Some Eq
+  | NE -> Some Ne
+  | LT -> Some Lt
+  | LE -> Some Le
+  | GT -> Some Gt
+  | GE -> Some Ge
+  | SHL -> Some Shl
+  | SHR -> Some Shr
+  | PLUS -> Some Add
+  | MINUS -> Some Sub
+  | STAR -> Some Mul
+  | SLASH -> Some Div
+  | PERCENT -> Some Mod
+  | _ -> None
+
 let rec parse_expr_p p = parse_cond p
 
 and parse_cond p =
   let l = cur_loc p in
-  let c = parse_lor p in
+  let c = parse_binary p 1 in
   if accept p QUESTION then begin
     let a = parse_expr_p p in
     expect p COLON;
@@ -62,35 +86,20 @@ and parse_cond p =
   end
   else c
 
-and parse_binlevel p next table =
+(* precedence climbing over Ast.binop_prec: [parse_binary p min_prec]
+   parses a chain of operators that bind at least as tightly as
+   [min_prec]; a node's location is that of its left operand *)
+and parse_binary p min_prec =
   let l = cur_loc p in
-  let rec go acc =
-    match List.assoc_opt (cur p) table with
-    | Some op ->
+  let rec go lhs =
+    match binop_of_token (cur p) with
+    | Some op when binop_prec op >= min_prec ->
         advance p;
-        let rhs = next p in
-        go (mk l (Ebin (op, acc, rhs)))
-    | None -> acc
+        let rhs = parse_binary p (binop_prec op + 1) in
+        go (mk l (Ebin (op, lhs, rhs)))
+    | _ -> lhs
   in
-  go (next p)
-
-and parse_lor p = parse_binlevel p parse_land [ (OROR, Lor) ]
-and parse_land p = parse_binlevel p parse_bor [ (ANDAND, Land) ]
-and parse_bor p = parse_binlevel p parse_bxor [ (PIPE, Bor) ]
-and parse_bxor p = parse_binlevel p parse_band [ (CARET, Bxor) ]
-and parse_band p = parse_binlevel p parse_equality [ (AMP, Band) ]
-
-and parse_equality p = parse_binlevel p parse_rel [ (EQ, Eq); (NE, Ne) ]
-
-and parse_rel p =
-  parse_binlevel p parse_shift [ (LT, Lt); (LE, Le); (GT, Gt); (GE, Ge) ]
-
-and parse_shift p = parse_binlevel p parse_add [ (SHL, Shl); (SHR, Shr) ]
-
-and parse_add p = parse_binlevel p parse_mul [ (PLUS, Add); (MINUS, Sub) ]
-
-and parse_mul p =
-  parse_binlevel p parse_unary [ (STAR, Mul); (SLASH, Div); (PERCENT, Mod) ]
+  go (parse_unary p)
 
 and parse_unary p =
   let l = cur_loc p in
@@ -150,7 +159,7 @@ and parse_primary p =
       advance p;
       if accept p LPAREN then begin
         let args =
-          if cur p = RPAREN then []
+          if is p RPAREN then []
           else begin
             let rec go acc =
               let a = parse_call_arg p in
@@ -187,7 +196,7 @@ and parse_reduction p rop =
       let e = parse_expr_p p in
       { rop; rsets; rbranches = [ (None, e) ]; rothers = None }
     end
-    else if cur p = KW_ST then begin
+    else if is p KW_ST then begin
       let rec branches acc =
         if accept p KW_ST then begin
           expect p LPAREN;
@@ -238,17 +247,17 @@ let rec parse_stmt p =
   | KW_FOR ->
       advance p;
       expect p LPAREN;
-      let init = if cur p = SEMI then None else Some (parse_simple_stmt p) in
+      let init = if is p SEMI then None else Some (parse_simple_stmt p) in
       expect p SEMI;
-      let cond = if cur p = SEMI then None else Some (parse_expr_p p) in
+      let cond = if is p SEMI then None else Some (parse_expr_p p) in
       expect p SEMI;
-      let step = if cur p = RPAREN then None else Some (parse_simple_stmt p) in
+      let step = if is p RPAREN then None else Some (parse_simple_stmt p) in
       expect p RPAREN;
       let body = parse_stmt p in
       { s = Sfor (init, cond, step, body); sloc = l }
   | KW_RETURN ->
       advance p;
-      let e = if cur p = SEMI then None else Some (parse_expr_p p) in
+      let e = if is p SEMI then None else Some (parse_expr_p p) in
       expect p SEMI;
       { s = Sreturn e; sloc = l }
   | KW_BREAK ->
@@ -284,7 +293,7 @@ and parse_par_like p ~iterate l =
   let psets = sets [] in
   expect p RPAREN;
   let pbranches, pothers =
-    if cur p = KW_ST then begin
+    if is p KW_ST then begin
       let rec branches acc =
         if accept p KW_ST then begin
           expect p LPAREN;
@@ -344,7 +353,7 @@ and parse_block p =
   in
   let bdecls = decls [] in
   let rec stmts acc =
-    if cur p = RBRACE then List.rev acc else stmts (parse_stmt p :: acc)
+    if is p RBRACE then List.rev acc else stmts (parse_stmt p :: acc)
   in
   let bstmts = stmts [] in
   expect p RBRACE;
@@ -353,7 +362,7 @@ and parse_block p =
 and parse_decl p =
   match cur p with
   | KW_INT | KW_FLOAT ->
-      let ty = if cur p = KW_INT then Tint else Tfloat in
+      let ty = if is p KW_INT then Tint else Tfloat in
       advance p;
       let rec declarators acc =
         let dloc = cur_loc p in
@@ -436,7 +445,7 @@ let parse_params p =
       let rec rank acc =
         if accept p LBRACKET then begin
           (* both  a[]  and  a[N]  are accepted for array parameters *)
-          if cur p <> RBRACKET then ignore (parse_expr_p p);
+          if not (is p RBRACKET) then ignore (parse_expr_p p);
           expect p RBRACKET;
           rank (acc + 1)
         end
@@ -593,11 +602,11 @@ let parse_top p =
 
 let parse_program src =
   let p = { toks = Lexer.tokenize src; pos = 0 } in
-  let rec go acc = if cur p = EOF then List.rev acc else go (parse_top p :: acc) in
+  let rec go acc = if is p EOF then List.rev acc else go (parse_top p :: acc) in
   go []
 
 let parse_expr src =
   let p = { toks = Lexer.tokenize src; pos = 0 } in
   let e = parse_expr_p p in
-  if cur p <> EOF then err p "trailing input after expression";
+  if not (is p EOF) then err p "trailing input after expression";
   e

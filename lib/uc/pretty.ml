@@ -1,18 +1,5 @@
 open Ast
 
-(* Precedence levels, higher binds tighter.  Mirrors the parser. *)
-let binop_prec = function
-  | Lor -> 1
-  | Land -> 2
-  | Bor -> 3
-  | Bxor -> 4
-  | Band -> 5
-  | Eq | Ne -> 6
-  | Lt | Le | Gt | Ge -> 7
-  | Shl | Shr -> 8
-  | Add | Sub -> 9
-  | Mul | Div | Mod -> 10
-
 let rec pp_expr_prec prec fmt e =
   match e.e with
   | Eint i -> if i < 0 then Format.fprintf fmt "(%d)" i else Format.fprintf fmt "%d" i

@@ -26,6 +26,17 @@ type t =
   | DOTDOT
   | EOF
 
+(* Monomorphic equality.  A token without a payload is an immediate, so
+   physical equality decides it; the parser's [expect]/[accept] compare
+   with this rather than the generic structural [=]. *)
+let equal (a : t) (b : t) =
+  match a, b with
+  | IDENT x, IDENT y | STRING x, STRING y -> String.equal x y
+  | INT x, INT y -> x = y
+  | FLOAT x, FLOAT y -> x = y
+  | RED x, RED y -> x == y
+  | _ -> a == b
+
 let to_string = function
   | IDENT s -> s
   | INT i -> string_of_int i
@@ -55,6 +66,25 @@ let to_string = function
   | DOTDOT -> ".."
   | EOF -> "<eof>"
 
+(* the keyword spelled [s], if any: a string match, compiled to a
+   comparison tree, so an identifier costs a few string comparisons *)
+let keyword = function
+  | "int" -> Some KW_INT | "float" -> Some KW_FLOAT | "void" -> Some KW_VOID
+  | "st" -> Some KW_ST | "others" -> Some KW_OTHERS
+  | "par" -> Some KW_PAR | "seq" -> Some KW_SEQ | "solve" -> Some KW_SOLVE
+  | "oneof" -> Some KW_ONEOF
+  | "map" -> Some KW_MAP | "permute" -> Some KW_PERMUTE | "fold" -> Some KW_FOLD
+  | "copy" -> Some KW_COPY | "by" -> Some KW_BY | "along" -> Some KW_ALONG
+  | "if" -> Some KW_IF | "else" -> Some KW_ELSE | "while" -> Some KW_WHILE
+  | "for" -> Some KW_FOR
+  | "return" -> Some KW_RETURN | "break" -> Some KW_BREAK
+  | "continue" -> Some KW_CONTINUE
+  | "INF" -> Some KW_INF | "goto" -> Some KW_GOTO
+  | _ -> None
+
+(* every keyword spelled as one identifier ("index-set" is lexed on its
+   own), for tests and tools: [keyword s = Some k] exactly for the
+   pairs [(s, k)] listed here *)
 let keyword_table : (string * t) list =
   [
     ("int", KW_INT); ("float", KW_FLOAT); ("void", KW_VOID);

@@ -65,6 +65,10 @@ diff <(observable "$WORK/plain.jsonl") <(observable "$WORK/tuned.jsonl")
 n_jobs=$(grep -c '"job":' "$WORK/tuned.jsonl")
 n_stamped=$(grep '"job":' "$WORK/tuned.jsonl" | grep -c '"tuned":true')
 test "$n_jobs" -eq "$n_stamped"
-! grep '"job":' "$WORK/plain.jsonl" | grep -q '"tuned"'
+grep '"job":' "$WORK/plain.jsonl" >"$WORK/plain_rows"
+if grep -q '"tuned"' "$WORK/plain_rows"; then
+  echo "ci-tune: an untuned row is stamped \"tuned\"" >&2
+  exit 1
+fi
 
 echo "ci-tune: ${#NAMES[@]} programs tuned; sections round-trip, --apply idempotent, tuned sweep observably identical ($n_stamped/$n_jobs rows stamped)"

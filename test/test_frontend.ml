@@ -94,6 +94,51 @@ let test_lex_locations () =
   check Alcotest.int "line 2" 2 l1.Uc.Loc.line;
   check Alcotest.int "col 3" 3 l1.Uc.Loc.col
 
+let test_lex_keywords () =
+  List.iter
+    (fun (spelling, kw) ->
+      (match tokens spelling with
+      | [ t; EOF ] when Uc.Token.equal t kw -> ()
+      | _ -> Alcotest.failf "%s does not lex to its keyword" spelling);
+      check Alcotest.string "spelled back" spelling (Uc.Token.to_string kw);
+      (* in context, between tokens, too *)
+      match tokens ("(" ^ spelling ^ ";") with
+      | [ LPAREN; t; SEMI; EOF ] when Uc.Token.equal t kw -> ()
+      | _ -> Alcotest.failf "(%s; does not lex to its keyword" spelling)
+    Uc.Token.keyword_table;
+  check Alcotest.int "every keyword listed once" 24
+    (List.length (List.sort_uniq compare (List.map fst Uc.Token.keyword_table)))
+
+let test_lex_near_misses () =
+  List.iter
+    (fun s ->
+      match tokens s with
+      | [ IDENT n; EOF ] when n = s -> ()
+      | _ -> Alcotest.failf "%s is not a plain identifier" s)
+    [ "in"; "ints"; "index"; "indexset"; "Int"; "inf"; "iff"; "fors";
+      "_if"; "goto2"; "INFs"; "st_"; "maps"; "pa"; "copyx"; "voids" ];
+  match tokens "index-setx" with
+  | [ IDENT "index"; MINUS; IDENT "setx"; EOF ] -> ()
+  | _ -> Alcotest.fail "index-setx is index - setx"
+
+(* Token.equal is structural equality on tokens *)
+let test_token_equal () =
+  let sample =
+    [ IDENT "a"; IDENT "b"; IDENT "int"; INT 0; INT 1; FLOAT 1.5; FLOAT 2.;
+      STRING "s"; STRING "t"; RED Uc.Ast.Rsum; RED Uc.Ast.Rmax; EOF; SEMI;
+      MINUS; MINASSIGN; DOTDOT ]
+    @ List.map snd Uc.Token.keyword_table
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          check Alcotest.bool
+            (Uc.Token.to_string a ^ " vs " ^ Uc.Token.to_string b)
+            (a = b) (Uc.Token.equal a b))
+        sample)
+    sample
+
 (* ---------------- parser ---------------- *)
 
 let parse = Uc.Parser.parse_program
@@ -109,6 +154,45 @@ let test_parse_precedence () =
   check Alcotest.string "right sub" "a - (b - c)" (expr_str "a - (b - c)");
   check Alcotest.string "cond" "a ? b : c ? d : e" (expr_str "a ? b : (c ? d : e)");
   check Alcotest.string "unary" "-a[i] + !b" (expr_str "-a[i] + !b")
+
+(* every binary operator with its C precedence level, loosest first *)
+let binops =
+  Uc.Ast.
+    [ ("||", Lor, 1); ("&&", Land, 2); ("|", Bor, 3); ("^", Bxor, 4);
+      ("&", Band, 5); ("==", Eq, 6); ("!=", Ne, 6); ("<", Lt, 7);
+      ("<=", Le, 7); (">", Gt, 7); (">=", Ge, 7); ("<<", Shl, 8);
+      (">>", Shr, 8); ("+", Add, 9); ("-", Sub, 9); ("*", Mul, 10);
+      ("/", Div, 10); ("%", Mod, 10) ]
+
+(* an expression fully parenthesized, each binary node tagged with its
+   column *)
+let rec shape (e : Uc.Ast.expr) =
+  match e.e with
+  | Uc.Ast.Ebin (op, a, b) ->
+      Printf.sprintf "(%s %s %s)@%d" (shape a) (Uc.Ast.binop_name op) (shape b)
+        e.eloc.Uc.Loc.col
+  | Uc.Ast.Evar v -> v
+  | _ -> "?"
+
+(* "a op1 b op2 c" for every pair: the first operator groups first unless
+   the second binds tighter (every level is left-associative), and a
+   node sits at the start of its left operand *)
+let test_parse_binop_pairs () =
+  List.iter
+    (fun (s1, op1, p1) ->
+      List.iter
+        (fun (s2, op2, p2) ->
+          let src = Printf.sprintf "a %s b %s c" s1 s2 in
+          let n1 = Uc.Ast.binop_name op1 and n2 = Uc.Ast.binop_name op2 in
+          let want =
+            if p1 >= p2 then Printf.sprintf "((a %s b)@1 %s c)@1" n1 n2
+            else
+              Printf.sprintf "(a %s (b %s c)@%d)@1" n1 n2
+                (String.length s1 + 4)
+          in
+          check Alcotest.string src want (shape (pexpr src)))
+        binops)
+    binops
 
 let test_parse_reduction_forms () =
   check Alcotest.string "simple" "$+(I; i)" (expr_str "$+(I; i)");
@@ -456,7 +540,24 @@ void main() { ; }
   check Alcotest.int "set size" 6
     (Array.length (List.assoc "I" info.Uc.Sema.global_sets))
 
+(* ---------------- the corpus AST, pinned ----------------
+
+   [test_frontend.exe ast] prints what `ucc ast` prints for every
+   corpus program, each after a "=== NAME" line; `dune runtest` diffs
+   it against ast_golden.expected, so a parser change that moves any
+   corpus program's tree shows there (a deliberate one is
+   `dune promote`). *)
+let print_ast_golden () =
+  List.iter
+    (fun (name, src) ->
+      Printf.printf "=== %s\n%s" name
+        (Uc.Pretty.program_to_string (Uc.Compile.parse_source src)))
+    Uc_programs.Programs.all_named
+
 let () =
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "ast" then (
+    print_ast_golden ();
+    exit 0);
   Alcotest.run "frontend"
     [
       ( "lexer",
@@ -472,10 +573,15 @@ let () =
           Alcotest.test_case "cyclic define" `Quick test_lex_define_cyclic;
           Alcotest.test_case "errors" `Quick test_lex_errors;
           Alcotest.test_case "locations" `Quick test_lex_locations;
+          Alcotest.test_case "every keyword" `Quick test_lex_keywords;
+          Alcotest.test_case "keyword near-misses" `Quick test_lex_near_misses;
+          Alcotest.test_case "token equality" `Quick test_token_equal;
         ] );
       ( "parser",
         [
           Alcotest.test_case "precedence" `Quick test_parse_precedence;
+          Alcotest.test_case "binary operator pairs" `Quick
+            test_parse_binop_pairs;
           Alcotest.test_case "reduction forms" `Quick test_parse_reduction_forms;
           Alcotest.test_case "corpus round-trip" `Quick test_roundtrip_corpus;
           Alcotest.test_case "goto rejected" `Quick test_parse_goto_rejected;

@@ -26,8 +26,8 @@ let test_layout_shifted () =
   check (Alcotest.list Alcotest.int) "dims unchanged" [ 8 ]
     (Uc.Mapping.physical_dims l [ 8 ]);
   (* element x lives in slot (x - 1) mod 8 *)
-  check Alcotest.int "x=1 at slot 0" 0 (Uc.Mapping.physical_index l [ 8 ] [ 1 ]);
-  check Alcotest.int "x=0 wraps to slot 7" 7 (Uc.Mapping.physical_index l [ 8 ] [ 0 ]);
+  check Alcotest.int "x=1 at slot 0" 0 (Uc.Mapping.physical_index l [| 8 |] [| 1 |]);
+  check Alcotest.int "x=0 wraps to slot 7" 7 (Uc.Mapping.physical_index l [| 8 |] [| 0 |]);
   check Alcotest.int "offset" 1 (Uc.Mapping.axis_offset l 0)
 
 let test_layout_folded () =
@@ -35,17 +35,17 @@ let test_layout_folded () =
   check (Alcotest.list Alcotest.int) "dims" [ 4; 2 ]
     (Uc.Mapping.physical_dims l [ 8 ]);
   (* x -> (x mod 4, x / 4) *)
-  check Alcotest.int "x=0" 0 (Uc.Mapping.physical_index l [ 8 ] [ 0 ]);
+  check Alcotest.int "x=0" 0 (Uc.Mapping.physical_index l [| 8 |] [| 0 |]);
   check Alcotest.int "x=4 shares VP row with x=0" 1
-    (Uc.Mapping.physical_index l [ 8 ] [ 4 ]);
-  check Alcotest.int "x=1" 2 (Uc.Mapping.physical_index l [ 8 ] [ 1 ]);
-  check Alcotest.int "x=7" 7 (Uc.Mapping.physical_index l [ 8 ] [ 7 ])
+    (Uc.Mapping.physical_index l [| 8 |] [| 4 |]);
+  check Alcotest.int "x=1" 2 (Uc.Mapping.physical_index l [| 8 |] [| 1 |]);
+  check Alcotest.int "x=7" 7 (Uc.Mapping.physical_index l [| 8 |] [| 7 |])
 
 let test_layout_copied () =
   let l = Uc.Mapping.Copied 3 in
   check (Alcotest.list Alcotest.int) "dims" [ 3; 8 ]
     (Uc.Mapping.physical_dims l [ 8 ]);
-  check Alcotest.int "copy 0" 5 (Uc.Mapping.physical_index l [ 8 ] [ 5 ])
+  check Alcotest.int "copy 0" 5 (Uc.Mapping.physical_index l [| 8 |] [| 5 |])
 
 let test_of_program () =
   let src =
@@ -191,8 +191,10 @@ let prop_layout_bijection =
       let g = Cm.Geometry.create dims in
       let hit = Array.make total false in
       for logical = 0 to total - 1 do
-        let coords = Array.to_list (Cm.Geometry.coords g logical) in
-        let phys = Uc.Mapping.physical_index layout dims coords in
+        let coords = Cm.Geometry.coords g logical in
+        let phys =
+          Uc.Mapping.physical_index layout (Array.of_list dims) coords
+        in
         if phys < 0 || phys >= total then
           QCheck.Test.fail_reportf "index %d out of range for logical %d" phys
             logical;

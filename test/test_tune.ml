@@ -295,6 +295,220 @@ let fuzz_tuned_run =
       let r = Uc.Layoutsel.search_source src in
       observable src = observable ~layouts:r.Uc.Layoutsel.table src)
 
+(* ---------------- fan-in estimate vs its first definition ---------------- *)
+
+(* The estimator as first written, kept as the oracle: per space point a
+   fresh coordinate array, a subscript list and a polymorphic Hashtbl
+   entry, with list-based physical addressing. *)
+let oracle_physical_index layout dims coords =
+  let linear dims coords =
+    List.fold_left2 (fun acc d c -> (acc * d) + c) 0 dims coords
+  in
+  let pos_mod x n = ((x mod n) + n) mod n in
+  match layout with
+  | Uc.Mapping.Default | Uc.Mapping.Copied _ -> linear dims coords
+  | Uc.Mapping.Shifted offs ->
+      linear dims
+        (List.mapi (fun k c -> pos_mod (c - offs.(k)) (List.nth dims k)) coords)
+  | Uc.Mapping.Folded f -> (
+      match dims, coords with
+      | d0 :: drest, c0 :: crest ->
+          let h = d0 / f in
+          linear (h :: f :: drest) ((c0 mod h) :: (c0 / h) :: crest)
+      | _ -> invalid_arg "oracle: fold rank")
+
+let oracle_fanin (a : Uc.Commpat.access) layout =
+  let layout = Uc.Mapping.normalize layout in
+  let size = List.fold_left ( * ) 1 a.aspace in
+  let evaluators =
+    List.map
+      (function
+        | Uc.Commpat.Saffine (ax, off) ->
+            Some (fun (coords : int array) -> coords.(ax) + off)
+        | Uc.Commpat.Sopaque f -> f)
+      a.asubs
+  in
+  if size <= 0 || size > 65536 || List.exists Option.is_none evaluators then
+    (size, 1)
+  else begin
+    let g = Cm.Geometry.create a.aspace in
+    let counts = Hashtbl.create 64 in
+    let valid = ref 0 in
+    let total = List.fold_left ( * ) 1 a.adims in
+    let copies = match layout with Uc.Mapping.Copied m -> m | _ -> 1 in
+    let block =
+      match a.aspace with e0 :: _ -> max 1 (e0 / copies) | [] -> 1
+    in
+    for p = 0 to size - 1 do
+      let coords = Cm.Geometry.coords g p in
+      let subs = List.map (fun f -> (Option.get f) coords) evaluators in
+      if List.for_all2 (fun v d -> v >= 0 && v < d) subs a.adims then begin
+        incr valid;
+        let base = oracle_physical_index layout a.adims subs in
+        let addr =
+          match layout with
+          | Uc.Mapping.Copied _ when a.arw = `Read ->
+              let sel = coords.(0) / block mod copies in
+              (sel * total) + base
+          | _ -> base
+        in
+        Hashtbl.replace counts addr
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts addr))
+      end
+    done;
+    (!valid, Hashtbl.fold (fun _ c acc -> max c acc) counts 1)
+  end
+
+(* A subscript, printable: the opaque ones stand for what Codegen's
+   sub_evaluator builds (scaled, divided, constant), and [Runtime] for a
+   subscript that depends on runtime values. *)
+type osub =
+  | Aff of int * int  (* axis, offset *)
+  | Scaled of int * int * int  (* k * c.(axis) + b *)
+  | Divided of int * int  (* c.(axis) / q: several points per element *)
+  | Const of int
+  | Runtime
+
+let sub_of = function
+  | Aff (ax, off) -> Uc.Commpat.Saffine (ax, off)
+  | Scaled (k, ax, b) -> Uc.Commpat.Sopaque (Some (fun c -> (k * c.(ax)) + b))
+  | Divided (ax, q) -> Uc.Commpat.Sopaque (Some (fun c -> c.(ax) / q))
+  | Const b -> Uc.Commpat.Sopaque (Some (fun _ -> b))
+  | Runtime -> Uc.Commpat.Sopaque None
+
+let osub_to_string = function
+  | Aff (ax, off) -> Printf.sprintf "c%d%+d" ax off
+  | Scaled (k, ax, b) -> Printf.sprintf "%d*c%d%+d" k ax b
+  | Divided (ax, q) -> Printf.sprintf "c%d/%d" ax q
+  | Const b -> string_of_int b
+  | Runtime -> "runtime"
+
+type fcase = {
+  rw : [ `Read | `Write ];
+  space : int list;
+  dims : int list;
+  osubs : osub list;
+  layout : Uc.Mapping.layout;
+}
+
+let access_of_case c : Uc.Commpat.access =
+  {
+    aname = "a";
+    aloc = Uc.Loc.dummy;
+    arw = c.rw;
+    adims = c.dims;
+    asubs = List.map sub_of c.osubs;
+    aspace = c.space;
+    avalues = List.map (fun n -> Array.init n Fun.id) c.space;
+    atrips = 1;
+    aapprox = false;
+  }
+
+let print_fcase c =
+  let ints l = String.concat "x" (List.map string_of_int l) in
+  Printf.sprintf "%s space %s dims %s subs [%s] layout %s"
+    (match c.rw with `Read -> "read" | `Write -> "write")
+    (ints c.space) (ints c.dims)
+    (String.concat "; " (List.map osub_to_string c.osubs))
+    (Uc.Mapping.to_string c.layout)
+
+let osub_gen rank =
+  let* ax = int_range 0 (rank - 1) in
+  frequency
+    [
+      (4, map (fun off -> Aff (ax, off)) (int_range (-3) 3));
+      ( 2,
+        map2 (fun k b -> Scaled (k, ax, b)) (int_range (-2) 3) (int_range (-4) 4)
+      );
+      (2, map (fun q -> Divided (ax, q)) (int_range 1 4));
+      (1, map (fun b -> Const b) (int_range (-1) 6));
+      (1, return Runtime);
+    ]
+
+(* every layout kind, valid for [dims] the way Mapping.of_program and
+   Layoutsel make them: a fold factor divides the leading dimension *)
+let layout_gen dims =
+  let d0 = List.hd dims in
+  let divisors = List.filter (fun f -> d0 mod f = 0) [ 1; 2; 3; 4; 6; 8 ] in
+  oneof
+    [
+      return Uc.Mapping.Default;
+      map
+        (fun offs -> Uc.Mapping.Shifted (Array.of_list offs))
+        (list_repeat (List.length dims) (int_range (-3) 3));
+      map (fun f -> Uc.Mapping.Folded f) (oneofl divisors);
+      map (fun m -> Uc.Mapping.Copied m) (oneofl [ 1; 2; 3; 4; 8 ]);
+    ]
+
+let fcase_gen =
+  let* space = list_size (int_range 1 3) (int_range 1 7)
+  and* dims = list_size (int_range 1 3) (int_range 1 8)
+  and* rw = oneofl [ `Read; `Write ] in
+  let* osubs = list_repeat (List.length dims) (osub_gen (List.length space))
+  and* layout = layout_gen dims in
+  return { rw; space; dims; osubs; layout }
+
+(* one set of counters across every case, as a search shares it *)
+let shared = Cm.Router.scratch ()
+
+let check_fanin c =
+  let a = access_of_case c in
+  let want = oracle_fanin a c.layout in
+  let pair = Alcotest.(pair int int) in
+  let label = print_fcase c in
+  Alcotest.check pair label want (Uc.Commpat.estimate_fanin a c.layout);
+  Alcotest.check pair (label ^ " (shared counters)") want
+    (Uc.Commpat.estimate_fanin ~scratch:shared a c.layout)
+
+let fuzz_fanin_oracle =
+  qtest ~count:1000 ~print:print_fcase
+    "fuzz: estimate_fanin == Hashtbl enumeration" fcase_gen (fun c ->
+      check_fanin c;
+      true)
+
+let test_fanin_sizes () =
+  let all_layouts dims =
+    Uc.Mapping.[ Default; Shifted [| 1; -2 |]; Folded 2; Copied 4 ]
+    |> List.filter (function
+         | Uc.Mapping.Shifted o -> Array.length o = List.length dims
+         | _ -> true)
+  in
+  let case ?(rw = `Read) space dims osubs =
+    List.iter
+      (fun layout -> check_fanin { rw; space; dims; osubs; layout })
+      (all_layouts dims)
+  in
+  List.iter
+    (fun rw ->
+      (* an empty space and a single point *)
+      case ~rw [ 0 ] [ 8 ] [ Aff (0, 0) ];
+      case ~rw [ 3; 0 ] [ 8; 8 ] [ Aff (0, 0); Aff (1, 0) ];
+      case ~rw [ 1 ] [ 8 ] [ Const 3 ];
+      case ~rw [ 1 ] [ 8 ] [ Const 9 ];
+      (* the largest space enumerated, aligned and gathering *)
+      case ~rw [ 256; 256 ] [ 256; 256 ] [ Aff (0, 0); Aff (1, 1) ];
+      case ~rw [ 256; 256 ] [ 256; 256 ] [ Divided (0, 3); Const 7 ];
+      (* one point more: (size, 1) without enumerating *)
+      case ~rw [ 65537 ] [ 8 ] [ Const 0 ];
+      case ~rw [ 257; 256 ] [ 256; 256 ] [ Aff (0, 0); Aff (1, 0) ];
+      (* addresses spanning more words than the counters cover: a small
+         space over a huge array, plain and copied *)
+      case ~rw [ 64 ] [ 1 lsl 20 ] [ Scaled (8192, 0, 5) ];
+      case ~rw [ 64; 4 ] [ 1024; 1024 ] [ Divided (0, 3); Scaled (200, 1, 1) ])
+    [ `Read; `Write ];
+  Alcotest.(check (pair int int))
+    "65537 points fall back" (65537, 1)
+    (Uc.Commpat.estimate_fanin
+       (access_of_case
+          {
+            rw = `Read;
+            space = [ 65537 ];
+            dims = [ 8 ];
+            osubs = [ Aff (0, 0) ];
+            layout = Uc.Mapping.Default;
+          })
+       Uc.Mapping.Default)
+
 let () =
   Alcotest.run "tune"
     [
@@ -304,6 +518,9 @@ let () =
           Alcotest.test_case "conditional return" `Quick test_conditional_return;
           Alcotest.test_case "unconditional return" `Quick
             test_unconditional_return;
+          Alcotest.test_case "fan-in at the size edges" `Quick
+            test_fanin_sizes;
+          fuzz_fanin_oracle;
         ] );
       ( "layoutsel",
         [
