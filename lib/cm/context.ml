@@ -35,7 +35,7 @@ let push c =
           if i < c.depth then c.frames.(i) else base_frame c.n);
   let g = Array.unsafe_get c.frames c.depth in
   let src = f.flags and dst = g.flags in
-  for i = 0 to c.n - 1 do
+  for%unroll i = 0 to c.n - 1 do
     Array.unsafe_set dst i (Array.unsafe_get src i)
   done;
   g.count <- f.count;
@@ -46,7 +46,7 @@ let land_mask c m =
   let f = top c in
   let flags = f.flags in
   let count = ref 0 in
-  for i = 0 to c.n - 1 do
+  for%unroll i = 0 to c.n - 1 do
     let v =
       Bool.to_int (Array.unsafe_get flags i)
       land Bool.to_int (Array.unsafe_get m i)
@@ -61,7 +61,7 @@ let land_ints c a =
   let f = top c in
   let flags = f.flags in
   let count = ref 0 in
-  for i = 0 to c.n - 1 do
+  for%unroll i = 0 to c.n - 1 do
     let v =
       Bool.to_int (Array.unsafe_get flags i)
       land Bool.to_int ((Array.unsafe_get a i : int) <> 0)
@@ -76,7 +76,7 @@ let land_floats c a =
   let f = top c in
   let flags = f.flags in
   let count = ref 0 in
-  for i = 0 to c.n - 1 do
+  for%unroll i = 0 to c.n - 1 do
     let v =
       Bool.to_int (Array.unsafe_get flags i)
       land Bool.to_int ((Array.unsafe_get a i : float) <> 0.0)
@@ -116,7 +116,7 @@ let reset c =
   let f = c.frames.(0) in
   if f.count <> c.n then begin
     let flags = f.flags in
-    for i = 0 to c.n - 1 do
+    for%unroll i = 0 to c.n - 1 do
       Array.unsafe_set flags i true
     done;
     f.count <- c.n

@@ -78,7 +78,18 @@ let meter params =
 let vp_ratio p n =
   if n <= 0 then 1 else max 1 ((n + p.physical_procs - 1) / p.physical_procs)
 
-let ratio m size = float_of_int (vp_ratio m.params size)
+let ratio p size = float_of_int (vp_ratio p size)
+
+(* The simulated ns one instruction of a class takes; the charges below
+   add exactly these. *)
+let pe_dt p ~size = p.issue_ns +. (p.pe_op_ns *. ratio p size)
+let news_dt p ~size = p.issue_ns +. (p.news_ns *. ratio p size)
+
+let log2f x = if x <= 1 then 0.0 else log (float_of_int x) /. log 2.0
+
+let router_dt p ~size ~max_fanin =
+  let congestion = 1.0 +. log2f max_fanin in
+  p.issue_ns +. (p.router_ns *. ratio p size *. congestion)
 
 let charge_fe m =
   m.fe_ops <- m.fe_ops + 1;
@@ -87,23 +98,21 @@ let charge_fe m =
 
 let charge_pe m ~size =
   m.pe_ops <- m.pe_ops + 1;
-  let dt = m.params.issue_ns +. (m.params.pe_op_ns *. ratio m size) in
+  let dt = pe_dt m.params ~size in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_pe <- m.ns_pe +. dt
 
 let charge_context m ~size =
   m.context_ops <- m.context_ops + 1;
-  let dt = m.params.issue_ns +. (m.params.context_ns *. ratio m size) in
+  let dt = m.params.issue_ns +. (m.params.context_ns *. ratio m.params size) in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_context <- m.ns_context +. dt
 
 let charge_news m ~size =
   m.news_ops <- m.news_ops + 1;
-  let dt = m.params.issue_ns +. (m.params.news_ns *. ratio m size) in
+  let dt = news_dt m.params ~size in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_news <- m.ns_news +. dt
-
-let log2f x = if x <= 1 then 0.0 else log (float_of_int x) /. log 2.0
 
 let charge_router m ~size ~messages ~max_fanin =
   m.router_ops <- m.router_ops + 1;
@@ -113,22 +122,19 @@ let charge_router m ~size ~messages ~max_fanin =
   if max_fanin > 1 then
     m.router_collisions <- m.router_collisions + (max_fanin - 1);
   if max_fanin > m.router_max_fanin then m.router_max_fanin <- max_fanin;
-  let congestion = 1.0 +. log2f max_fanin in
-  let dt =
-    m.params.issue_ns +. (m.params.router_ns *. ratio m size *. congestion)
-  in
+  let dt = router_dt m.params ~size ~max_fanin in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_router <- m.ns_router +. dt
 
 let charge_reduce m ~size =
   m.reductions <- m.reductions + 1;
-  let dt = m.params.issue_ns +. (m.params.scan_ns *. ratio m size) in
+  let dt = m.params.issue_ns +. (m.params.scan_ns *. ratio m.params size) in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_reduce <- m.ns_reduce +. dt
 
 let charge_scan m ~size =
   m.scans <- m.scans + 1;
-  let dt = m.params.issue_ns +. (m.params.scan_ns *. ratio m size) in
+  let dt = m.params.issue_ns +. (m.params.scan_ns *. ratio m.params size) in
   m.elapsed_ns <- m.elapsed_ns +. dt;
   m.ns_scan <- m.ns_scan +. dt
 

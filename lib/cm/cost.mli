@@ -60,6 +60,14 @@ val meter : params -> meter
     processor for a VP set of [n] elements: [max 1 (ceil (n / physical))]. *)
 val vp_ratio : params -> int -> int
 
+(** The simulated ns one PE, NEWS or router instruction takes on a VP
+    set of [size] elements: what the matching [charge_*] adds to
+    [elapsed_ns]. *)
+
+val pe_dt : params -> size:int -> float
+val news_dt : params -> size:int -> float
+val router_dt : params -> size:int -> max_fanin:int -> float
+
 (** Charging functions; [size] is the VP-set size of the instruction. *)
 
 val charge_fe : meter -> unit

@@ -811,7 +811,11 @@ let[@inline] fget r p =
    the VP count.  Operators and shapes outside the typed loops (the
    faultable int operators, a scalar-scalar operand pair, int fields
    read as floats) fall back to a generic loop that keeps the same
-   properties for floats and calls the operator table for ints.
+   properties for floats and calls the operator table for ints.  Every
+   element loop is a [for%unroll] (lib/cm/unroll): four elements per
+   trip, then at most three more, in ascending order, so a fold keeps
+   its order and a faulting element leaves exactly the writes before
+   it.
 
    Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
    hi <= nv where nv is the VP-set size.  Decode only admits field
@@ -825,25 +829,25 @@ let[@inline] fget r p =
 let mov_int all (m : bool array) lo hi (o : int array) r =
   if all then
     match r with
-    | IArr a -> for p = lo to hi - 1 do o.%(p) <- a.%(p) done
-    | IVal v -> for p = lo to hi - 1 do o.%(p) <- v done
+    | IArr a -> for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) done
+    | IVal v -> for%unroll p = lo to hi - 1 do o.%(p) <- v done
   else
     match r with
-    | IArr a -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
-    | IVal v -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
+    | IArr a -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
+    | IVal v -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
 
 let mov_float all (m : bool array) lo hi (o : float array) r =
   if all then
     match r with
     | FArr a -> Array.blit a lo o lo (hi - lo) (* a float blit is a memmove *)
-    | FVal v -> for p = lo to hi - 1 do o.%(p) <- v done
-    | FIArr a -> for p = lo to hi - 1 do o.%(p) <- float_of_int a.%(p) done
+    | FVal v -> for%unroll p = lo to hi - 1 do o.%(p) <- v done
+    | FIArr a -> for%unroll p = lo to hi - 1 do o.%(p) <- float_of_int a.%(p) done
   else
     match r with
-    | FArr a -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
-    | FVal v -> for p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
+    | FArr a -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
+    | FVal v -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
     | FIArr a ->
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- float_of_int a.%(p)
         done
 
@@ -866,68 +870,68 @@ let bin_ii all (m : bool array) lo hi (o : int array) op (a : int array)
     (b : int array) =
   match op with
   | Add ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) + b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) + b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + b.%(p) done
   | Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) - b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) - b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - b.%(p) done
   | Mul ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) * b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) * b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * b.%(p) done
   | Min ->
-      if all then for p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) b.%(p) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- Int.min a.%(p) b.%(p)
         done
   | Max ->
-      if all then for p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) b.%(p) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- Int.max a.%(p) b.%(p)
         done
   | Land ->
       if all then
-        for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0) done
+        for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0)
         done
   | Lor ->
       if all then
-        for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0) done
+        for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0)
         done
   | Eq ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = b.%(p)) done
       else
-        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p)) done
+        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p)) done
   | Ne ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> b.%(p)) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <> b.%(p))
         done
   | Lt ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < b.%(p)) done
       else
-        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p)) done
+        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p)) done
   | Le ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= b.%(p)) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <= b.%(p))
         done
   | Gt ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > b.%(p)) done
       else
-        for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p)) done
+        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p)) done
   | Ge ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= b.%(p)) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= b.%(p)) done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) >= b.%(p))
         done
   | _ -> assert false
@@ -936,52 +940,52 @@ let bin_ii all (m : bool array) lo hi (o : int array) op (a : int array)
 let bin_ik all (m : bool array) lo hi (o : int array) op (a : int array) k =
   match op with
   | Add ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) + k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) + k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + k done
   | Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) - k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) - k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - k done
   | Mul ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) * k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) * k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * k done
   | Min ->
-      if all then for p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.min a.%(p) k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.min a.%(p) k done
   | Max ->
-      if all then for p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.max a.%(p) k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.max a.%(p) k done
   | Land ->
       let k = b2i (k <> 0) in
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) land k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) land k done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) land k
         done
   | Lor ->
       let k = b2i (k <> 0) in
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) lor k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) lor k done
       else
-        for p = lo to hi - 1 do
+        for%unroll p = lo to hi - 1 do
           if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) lor k
         done
   | Eq ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = k) done
   | Ne ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <> k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <> k) done
   | Lt ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < k) done
   | Le ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <= k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <= k) done
   | Gt ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > k) done
   | Ge ->
-      if all then for p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= k) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) >= k) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= k) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) >= k) done
   | _ -> assert false
 
 (* [f] is the operator table's closure for [op]: the loop of every
@@ -994,10 +998,10 @@ let bin_int all (m : bool array) lo hi (o : int array) op (f : int -> int -> int
   | IVal k, IArr b when int_typed op && op <> Sub ->
       bin_ik all m lo hi o (int_mirror op) b k
   | IVal k, IArr b when op = Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- k - b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k - b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k - b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k - b.%(p) done
   | _ ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then o.%(p) <- f (iget ra p) (iget rb p)
       done
 
@@ -1008,51 +1012,51 @@ let bin_ff all (m : bool array) lo hi (o : float array) op (a : float array)
     (b : float array) =
   match op with
   | Add ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) +. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) +. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. b.%(p) done
   | Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) -. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) -. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. b.%(p) done
   | Mul ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) *. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) *. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. b.%(p) done
   | Div ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) /. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) /. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. b.%(p) done
   | _ -> assert false
 
 let bin_fk all (m : bool array) lo hi (o : float array) op (a : float array)
     (k : float) =
   match op with
   | Add ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) +. k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) +. k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. k done
   | Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) -. k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) -. k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. k done
   | Mul ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) *. k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) *. k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. k done
   | Div ->
-      if all then for p = lo to hi - 1 do o.%(p) <- a.%(p) /. k done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. k done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) /. k done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. k done
   | _ -> assert false
 
 let bin_kf all (m : bool array) lo hi (o : float array) op (k : float)
     (b : float array) =
   match op with
   | Add ->
-      if all then for p = lo to hi - 1 do o.%(p) <- k +. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k +. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k +. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k +. b.%(p) done
   | Sub ->
-      if all then for p = lo to hi - 1 do o.%(p) <- k -. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k -. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k -. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k -. b.%(p) done
   | Mul ->
-      if all then for p = lo to hi - 1 do o.%(p) <- k *. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k *. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k *. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k *. b.%(p) done
   | Div ->
-      if all then for p = lo to hi - 1 do o.%(p) <- k /. b.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then o.%(p) <- k /. b.%(p) done
+      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k /. b.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k /. b.%(p) done
   | _ -> assert false
 
 (* [op] must be valid on floats (the caller forced [float_binop op]). *)
@@ -1065,35 +1069,35 @@ let bin_float all (m : bool array) lo hi (o : float array) op ra rb =
   | _ -> (
       match op with
       | Add ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then o.%(p) <- fget ra p +. fget rb p
           done
       | Sub ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then o.%(p) <- fget ra p -. fget rb p
           done
       | Mul ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then o.%(p) <- fget ra p *. fget rb p
           done
       | Div ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then o.%(p) <- fget ra p /. fget rb p
           done
       | Mod ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then o.%(p) <- Float.rem (fget ra p) (fget rb p)
           done
       (* Float.min/max box operands that are not let-bound *)
       | Min ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then begin
               let x = fget ra p and y = fget rb p in
               o.%(p) <- Float.min x y
             end
           done
       | Max ->
-          for p = lo to hi - 1 do
+          for%unroll p = lo to hi - 1 do
             if all || m.%(p) then begin
               let x = fget ra p and y = fget rb p in
               o.%(p) <- Float.max x y
@@ -1101,61 +1105,149 @@ let bin_float all (m : bool array) lo hi (o : float array) op ra rb =
           done
       | _ -> assert false)
 
-(* Float comparison into an int field (IEEE: NaN compares unequal). *)
-let cmp_float all (m : bool array) lo hi (o : int array) op ra rb =
+(* Float comparison into an int field (IEEE: NaN compares unequal),
+   typed for a field against a field or a scalar; a scalar first operand
+   mirrors the order comparisons, which is exact on floats, NaN
+   included.  Other shapes (an int field read as floats) take the
+   generic loop. *)
+let cmp_ff all (m : bool array) lo hi (o : int array) op (a : float array)
+    (b : float array) =
   match op with
   | Eq ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p = fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p))
       done
   | Ne ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p <> fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <> b.%(p))
       done
   | Lt ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p < fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p))
       done
   | Le ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p <= fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <= b.%(p))
       done
   | Gt ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p > fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p))
       done
   | Ge ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (fget ra p >= fget rb p)
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) >= b.%(p))
       done
   | _ -> assert false
+
+let cmp_fk all (m : bool array) lo hi (o : int array) op (a : float array)
+    (k : float) =
+  match op with
+  | Eq ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) = k)
+      done
+  | Ne ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <> k)
+      done
+  | Lt ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) < k)
+      done
+  | Le ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <= k)
+      done
+  | Gt ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) > k)
+      done
+  | Ge ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- b2i (a.%(p) >= k)
+      done
+  | _ -> assert false
+
+let cmp_float all (m : bool array) lo hi (o : int array) op ra rb =
+  match ra, rb with
+  | FArr a, FArr b -> cmp_ff all m lo hi o op a b
+  | FArr a, FVal k -> cmp_fk all m lo hi o op a k
+  | FVal k, FArr b -> cmp_fk all m lo hi o (int_mirror op) b k
+  | _ -> (
+      match op with
+      | Eq ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p = fget rb p)
+          done
+      | Ne ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p <> fget rb p)
+          done
+      | Lt ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p < fget rb p)
+          done
+      | Le ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p <= fget rb p)
+          done
+      | Gt ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p > fget rb p)
+          done
+      | Ge ->
+          for%unroll p = lo to hi - 1 do
+            if all || m.%(p) then o.%(p) <- b2i (fget ra p >= fget rb p)
+          done
+      | _ -> assert false)
 
 (* Int unary operators; none faults, so a scalar operand is one value
    broadcast. *)
 let un_int all (m : bool array) lo hi (o : int array) op r =
   match r, op with
-  | IArr a, Neg -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- - a.%(p) done
+  | IArr a, Neg -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- - a.%(p) done
   | IArr a, Lnot ->
-      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- b2i (a.%(p) = 0) done
+      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- b2i (a.%(p) = 0) done
   | IArr a, Bnot ->
-      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- lnot a.%(p) done
-  | IArr a, Abs -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- abs a.%(p) done
+      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- lnot a.%(p) done
+  | IArr a, Abs -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- abs a.%(p) done
   | IVal v, _ -> mov_int all m lo hi o (IVal (int_unop op v))
   | IArr _, (ToInt | ToFloat) -> assert false
 
+(* Float unary operators; a scalar operand is one value broadcast. *)
 let un_float all (m : bool array) lo hi (o : float array) op r =
-  match op with
-  | Neg -> for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- -.fget r p done
-  | Abs ->
-      for p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- Float.abs (fget r p) done
-  | ToFloat -> mov_float all m lo hi o r
-  | Lnot | Bnot | ToInt -> assert false
+  match r, op with
+  | _, ToFloat -> mov_float all m lo hi o r
+  | FVal v, _ -> mov_float all m lo hi o (FVal (float_unop op v))
+  | FArr a, Neg -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- -.a.%(p) done
+  | FArr a, Abs ->
+      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- Float.abs a.%(p) done
+  | FIArr a, Neg ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- -.float_of_int a.%(p)
+      done
+  | FIArr a, Abs ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- Float.abs (float_of_int a.%(p))
+      done
+  | _, (Lnot | Bnot | ToInt) -> assert false
 
 let toint_loop all (m : bool array) lo hi (o : int array) r =
-  for p = lo to hi - 1 do
-    if all || m.%(p) then o.%(p) <- int_of_float (fget r p)
-  done
+  match r with
+  | FArr a ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- int_of_float a.%(p)
+      done
+  | FIArr a ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- int_of_float (float_of_int a.%(p))
+      done
+  | FVal v -> mov_int all m lo hi o (IVal (int_of_float v))
 
+(* Selects: a scalar condition is a move of one operand; an int field
+   condition (what comparisons produce) has typed loops per operand
+   shape; any other condition, and an int field read as a float
+   operand, takes the generic loop. *)
 let[@inline] sel_test rc p =
   match rc with
   | FArr c -> c.%(p) <> 0.0
@@ -1163,23 +1255,54 @@ let[@inline] sel_test rc p =
   | FVal v -> v <> 0.0
 
 let sel_int all (m : bool array) lo hi (o : int array) rc ra rb =
-  match rc with
-  | FIArr c ->
-      for p = lo to hi - 1 do
-        if all || m.%(p) then
-          o.%(p) <- (if c.%(p) <> 0 then iget ra p else iget rb p)
+  match rc, ra, rb with
+  | FVal v, _, _ -> mov_int all m lo hi o (if v <> 0.0 then ra else rb)
+  | FIArr c, IArr a, IArr b ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p))
+      done
+  | FIArr c, IArr a, IVal k ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k)
+      done
+  | FIArr c, IVal j, IArr b ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else b.%(p))
+      done
+  | FIArr c, IVal j, IVal k ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else k)
       done
   | _ ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then
           o.%(p) <- (if sel_test rc p then iget ra p else iget rb p)
       done
 
 let sel_float all (m : bool array) lo hi (o : float array) rc ra rb =
-  for p = lo to hi - 1 do
-    if all || m.%(p) then
-      o.%(p) <- (if sel_test rc p then fget ra p else fget rb p)
-  done
+  match rc, ra, rb with
+  | FVal v, _, _ -> mov_float all m lo hi o (if v <> 0.0 then ra else rb)
+  | FIArr c, FArr a, FArr b ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p))
+      done
+  | FIArr c, FArr a, FVal k ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k)
+      done
+  | FIArr c, FVal j, FArr b ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else b.%(p))
+      done
+  | FIArr c, FVal j, FVal k ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else k)
+      done
+  | _ ->
+      for%unroll p = lo to hi - 1 do
+        if all || m.%(p) then
+          o.%(p) <- (if sel_test rc p then fget ra p else fget rb p)
+      done
 
 (* Ranged coordinate fill (Pcoord's loop body): [p / stride mod extent]
    is constant on each run of [stride] positions, so the loop fills runs
@@ -1190,12 +1313,12 @@ let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
   if stride = 1 then begin
     let c = ref (lo mod extent) in
     if all then
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         o.%(p) <- !c;
         c := if !c + 1 = extent then 0 else !c + 1
       done
     else
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if m.%(p) then o.%(p) <- !c;
         c := if !c + 1 = extent then 0 else !c + 1
       done
@@ -1205,8 +1328,8 @@ let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
     let s = ref lo in
     while !s < hi do
       let e = Int.min hi (!s - (!s mod stride) + stride) and v = !c in
-      if all then for p = !s to e - 1 do o.%(p) <- v done
-      else for p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
+      if all then for%unroll p = !s to e - 1 do o.%(p) <- v done
+      else for%unroll p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
       s := e;
       c := if v + 1 = extent then 0 else v + 1
     done
@@ -1214,9 +1337,9 @@ let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
 
 (* Ranged context read (Cread's loop body). *)
 let cread_loop all (m : bool array) lo hi (o : int array) =
-  if all then for p = lo to hi - 1 do o.%(p) <- 1 done
+  if all then for%unroll p = lo to hi - 1 do o.%(p) <- 1 done
   else
-    for p = lo to hi - 1 do o.%(p) <- b2i m.%(p) done
+    for%unroll p = lo to hi - 1 do o.%(p) <- b2i m.%(p) done
 
 (* Masked folds of [a.(lo .. hi - 1)] starting from [acc], for every
    operator with an identity: a sequential left fold, as the operator
@@ -1225,32 +1348,32 @@ let ired all (m : bool array) lo hi op acc (a : int array) =
   let acc = ref acc in
   (match op with
   | Add ->
-      if all then for p = lo to hi - 1 do acc := !acc + a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc + a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc + a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc + a.%(p) done
   | Mul ->
-      if all then for p = lo to hi - 1 do acc := !acc * a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc * a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc * a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc * a.%(p) done
   | Min ->
-      if all then for p = lo to hi - 1 do acc := Int.min !acc a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := Int.min !acc a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := Int.min !acc a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := Int.min !acc a.%(p) done
   | Max ->
-      if all then for p = lo to hi - 1 do acc := Int.max !acc a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := Int.max !acc a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := Int.max !acc a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := Int.max !acc a.%(p) done
   | Band ->
-      if all then for p = lo to hi - 1 do acc := !acc land a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc land a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc land a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc land a.%(p) done
   | Bor ->
-      if all then for p = lo to hi - 1 do acc := !acc lor a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc lor a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc lor a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc lor a.%(p) done
   | Bxor ->
-      if all then for p = lo to hi - 1 do acc := !acc lxor a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc lxor a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc lxor a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc lxor a.%(p) done
   | Land ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then acc := b2i (!acc <> 0 && a.%(p) <> 0)
       done
   | Lor ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then acc := b2i (!acc <> 0 || a.%(p) <> 0)
       done
   | _ -> assert false);
@@ -1263,17 +1386,17 @@ let fred all (m : bool array) lo hi op acc (a : float array) (out : float array)
   let acc = ref acc in
   (match op with
   | Add ->
-      if all then for p = lo to hi - 1 do acc := !acc +. a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc +. a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc +. a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc +. a.%(p) done
   | Mul ->
-      if all then for p = lo to hi - 1 do acc := !acc *. a.%(p) done
-      else for p = lo to hi - 1 do if m.%(p) then acc := !acc *. a.%(p) done
+      if all then for%unroll p = lo to hi - 1 do acc := !acc *. a.%(p) done
+      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc *. a.%(p) done
   | Min ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then acc := Float.min !acc a.%(p)
       done
   | Max ->
-      for p = lo to hi - 1 do
+      for%unroll p = lo to hi - 1 do
         if all || m.%(p) then acc := Float.max !acc a.%(p)
       done
   | _ -> assert false);
@@ -1659,7 +1782,7 @@ let decode m layouts code_len instr : unit -> unit =
             if not len_ok then
               error "ptable: table length does not match the VP set";
             Cost.charge_pe meter ~size:nv;
-            for p = 0 to nv - 1 do out.%(p) <- table.%(p) done
+            for%unroll p = 0 to nv - 1 do out.%(p) <- table.%(p) done
       | FFloat _ ->
           fun () ->
             check_cur vp "ptable" dst;

@@ -46,26 +46,26 @@ let shift_sub (type a) (k : a elt) ?mask g ~axis ~delta ~lo ~hi
       if s < e then
         match mask, k with
         | None, EInt ->
-            for p = s to e - 1 do
+            for%unroll p = s to e - 1 do
               Array.unsafe_set dst p (Array.unsafe_get src (p + off))
             done;
             updated := !updated + (e - s)
         | None, EFloat ->
             if src != dst || delta >= 0 then Array.blit src (s + off) dst s (e - s)
             else
-              for p = s to e - 1 do
+              for%unroll p = s to e - 1 do
                 Array.unsafe_set dst p (Array.unsafe_get src (p + off))
               done;
             updated := !updated + (e - s)
         | Some m, EInt ->
-            for p = s to e - 1 do
+            for%unroll p = s to e - 1 do
               if Array.unsafe_get m p then begin
                 Array.unsafe_set dst p (Array.unsafe_get src (p + off));
                 incr updated
               end
             done
         | Some m, EFloat ->
-            for p = s to e - 1 do
+            for%unroll p = s to e - 1 do
               if Array.unsafe_get m p then begin
                 Array.unsafe_set dst p (Array.unsafe_get src (p + off));
                 incr updated

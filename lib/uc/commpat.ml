@@ -162,14 +162,13 @@ let max_multiplicity addrs =
    space is too big to enumerate.  The walk reuses one coordinate and
    one subscript array and counts with Router's epoch-tagged counters,
    so a point costs no allocation. *)
-let estimate_fanin ?scratch (a : access) (layout : Mapping.layout) :
-    int * int =
+let estimate_fanin ?scratch (a : access) (layout : Mapping.layout) : int =
   let layout = Mapping.normalize layout in
   let size = List.fold_left ( * ) 1 a.aspace in
   if
     size <= 0 || size > 65536
     || List.exists (function Sopaque None -> true | _ -> false) a.asubs
-  then (size, 1)
+  then 1
   else begin
     let g = Cm.Geometry.create a.aspace in
     let dims = Array.of_list a.adims in
@@ -225,7 +224,7 @@ let estimate_fanin ?scratch (a : access) (layout : Mapping.layout) :
       Cm.Geometry.next_coords g coords
     done;
     if not counted then fanin := max_multiplicity (Array.sub addrs 0 !valid);
-    (!valid, !fanin)
+    !fanin
   end
 
 (* ---------------- entry point ---------------- *)

@@ -71,15 +71,15 @@ type prediction = {
     ([router_ops]/[news_ops]) exactly. *)
 val predict : summary -> Mapping.table -> prediction
 
-(** [(messages, max_fanin)] of a router access under a layout,
+(** The destination fan-in of a router access under a layout,
     estimated by evaluating the subscripts over every space point
     (capped: a space of more than 65536 points, or a subscript that
-    depends on runtime values, gives [(size, 1)]).  Destinations are
+    depends on runtime values, gives 1).  Destinations are
     counted with {!Cm.Router.prepare}/{!Cm.Router.bump} on [?scratch]
     (a fresh one when omitted), so a caller estimating many accesses
     shares one set of counters. *)
 val estimate_fanin :
-  ?scratch:Cm.Router.scratch -> access -> Mapping.layout -> int * int
+  ?scratch:Cm.Router.scratch -> access -> Mapping.layout -> int
 
 (** Record the events of a transformed, constant-folded program (the
     exact input {!Codegen.compile} takes) with {!Codegen.record}.

@@ -5,9 +5,9 @@ open Commpat
    Enumerates candidate layouts per array and scores each one
    *statically* against the calibrated cost model: every communication
    event Codegen recorded is re-classified under the candidate and
-   charged to a fresh Cm.Cost meter exactly the way the machine would
-   charge the corresponding Paris instruction.  No candidate is lowered
-   or run.
+   priced with Cm.Cost exactly the way the machine's meter would charge
+   the corresponding Paris instruction.  No candidate is lowered or
+   run.
 
    The per-array search is independent because the objective is
    separable: an event's cost depends only on the layout of the array
@@ -48,8 +48,6 @@ let address_pe_ops layout rank =
   | Mapping.Folded _ -> base + 4
   | Mapping.Copied _ -> base + 6
 
-let charge_n f n = for _ = 1 to n do f () done
-
 (* [fanins n] is an [estimate_fanin] for the events of a summary of [n]
    events, taking the event's number: one search scores an access under
    every candidate of its array and again under the chosen and default
@@ -66,59 +64,61 @@ let fanins n =
         memo.(i) <- (layout, r) :: memo.(i);
         r
 
-(* charge event number [i] under [table] to [m]; mirrors
-   Machine.exec_pget / exec_psend / exec_pnews charging *)
-let charge_event m ~fanin ~news_opt table (i, ev) =
-  match ev with
+(* Add event number [i]'s predicted ns under [table] to [ns.(0)]: the
+   charges Machine.exec_pget / exec_psend / exec_pnews would make, one
+   per trip, added in the order the meter would add them, so the sum is
+   the meter's [elapsed_ns] bit for bit.  The running sum is a local
+   float and [ns] a float array, so no charge allocates. *)
+let charge_event params (ns : float array) ~fanin ~news_opt table (i, ev) =
+  let acc = ref ns.(0) in
+  (match ev with
   | Access a -> (
       let layout = Mapping.find table a.aname in
       let size = List.fold_left ( * ) 1 a.aspace in
       match pat_of ~news_opt a layout with
       | Local -> ()
-      | News _ -> charge_n (fun () -> Cm.Cost.charge_news m ~size) a.atrips
+      | News _ ->
+          let dt = Cm.Cost.news_dt params ~size in
+          for _ = 1 to a.atrips do acc := !acc +. dt done
       | Router ->
-          let messages, max_fanin = fanin i a layout in
-          let messages = max 1 messages in
+          let max_fanin = fanin i a layout in
           let copies =
             match a.arw, layout with
             | `Write, Mapping.Copied c -> c
             | _ -> 1
           in
-          let rank = List.length a.adims in
-          charge_n
-            (fun () ->
-              charge_n (fun () -> Cm.Cost.charge_pe m ~size)
-                (address_pe_ops layout rank);
-              for _ = 1 to copies do
-                (* writes check-combine at their real fan-in; a read's
-                   gather also pays its fan-in serialization *)
-                Cm.Cost.charge_router m ~size ~messages ~max_fanin
-              done)
-            a.atrips)
+          let ops = address_pe_ops layout (List.length a.adims) in
+          let pe = Cm.Cost.pe_dt params ~size in
+          (* writes check-combine at their real fan-in; a read's gather
+             also pays its fan-in serialization *)
+          let router = Cm.Cost.router_dt params ~size ~max_fanin in
+          for _ = 1 to a.atrips do
+            for _ = 1 to ops do acc := !acc +. pe done;
+            for _ = 1 to copies do acc := !acc +. router done
+          done)
   | Activity { trips; size; _ } ->
-      charge_n
-        (fun () -> Cm.Cost.charge_router m ~size ~messages:size ~max_fanin:1)
-        trips
+      let dt = Cm.Cost.router_dt params ~size ~max_fanin:1 in
+      for _ = 1 to trips do acc := !acc +. dt done
   | Hist_send { trips; isize; _ } ->
       (* combining send: fan-in 1 by construction *)
-      charge_n
-        (fun () ->
-          Cm.Cost.charge_router m ~size:isize ~messages:isize ~max_fanin:1)
-        trips
+      let dt = Cm.Cost.router_dt params ~size:isize ~max_fanin:1 in
+      for _ = 1 to trips do acc := !acc +. dt done
   | Fe_access { fename; ferw; fetrips } ->
       let layout = Mapping.find table fename in
       let copies =
         match ferw, layout with `Write, Mapping.Copied c -> c | _ -> 1
       in
-      charge_n (fun () -> Cm.Cost.charge_fe_cm m) (fetrips * copies)
+      let dt = params.Cm.Cost.fe_cm_ns in
+      for _ = 1 to fetrips * copies do acc := !acc +. dt done);
+  ns.(0) <- !acc
 
 (* predicted communication cost (simulated ns) of numbered [events]
    under [table] *)
 let score_numbered params ~fanin summary table events =
-  let m = Cm.Cost.meter params in
+  let ns = [| 0.0 |] in
   let news_opt = summary.options.Codegen.news_opt in
-  List.iter (charge_event m ~fanin ~news_opt table) events;
-  m.Cm.Cost.elapsed_ns
+  List.iter (charge_event params ns ~fanin ~news_opt table) events;
+  ns.(0)
 
 let score ?(params = Cm.Cost.cm2_16k) summary table events =
   score_numbered params
@@ -169,7 +169,7 @@ let copy_candidates ~fanin name events =
       (function
         | i, Access ({ arw = `Read; _ } as a) when a.aname = name -> (
             match classify ~news_opt:true a Mapping.Default with
-            | Router -> snd (fanin i a Mapping.Default) >= 2
+            | Router -> fanin i a Mapping.Default >= 2
             | _ -> false)
         | _ -> false)
       events

@@ -927,9 +927,21 @@ let listen_unix path =
      replace it (two live daemons on one path is an operator error the
      second bind cannot detect portably) *)
   (try if Sys.file_exists path then Unix.unlink path with _ -> ());
+  (* [bind] creates the socket file before [listen] lets it accept, and
+     a client that sees the file in between is refused; so bind a
+     temporary name in the same directory and rename it into place once
+     it listens *)
+  let tmp = path ^ ".tmp" in
+  (try Unix.unlink tmp with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
+  Unix.bind fd (Unix.ADDR_UNIX tmp);
+  (try
+     Unix.listen fd 64;
+     Unix.rename tmp path
+   with e ->
+     Unix.close fd;
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     raise e);
   fd
 
 let listen_tcp port =

@@ -4,14 +4,20 @@
    The grid runs every elementwise, NEWS, router, reduction and
    coordinate operator on every operand shape (field/field, field/imm,
    imm/field, register, imm/imm) and field kind, once on a fully active
-   VP set and once under a context mask, on `Reference, `Fast and
-   `Sharded 3.  The VP counts are not multiples of 3, so the
-   three sharded chunks are ragged, and one geometry is large enough
-   for the sharded engine to fan its chunks out to worker domains.
+   VP set and once under each of two context masks, on `Reference, `Fast and
+   `Sharded 3.  The kernels' element loops run four elements per trip
+   and then a remainder of up to three, so the VP counts run from 1 to
+   9 and beyond, and between them the whole-range and sharded chunks
+   start and end at every residue mod 4 (checked below); one geometry
+   is large enough for the sharded engine to fan its chunks out to
+   worker domains.  The masked runs use two masks: an irregular one,
+   and one whose inactive element moves through every lane position of
+   the four-element groups.
    Inputs include NaN (two payloads), +-0.0, +-infinity, subnormals,
    max_int/min_int wraparound and float division by zero; the faulting
    int cases (division and modulo by zero, an out-of-range shift) run
-   as programs of their own.  Every case writes its own destination
+   as programs of their own, one of them faulting on the third element
+   of an unrolled group.  Every case writes its own destination
    field (or register), so a divergence names the case; every field,
    register, the output, the meter and the error must be bit-identical
    to the reference.
@@ -68,6 +74,8 @@ type sec = {
   iaddr : int;  (* addresses with fan-in *)
   iperm : int;  (* a permutation *)
   imask : int;
+  ilanes : int;  (* inactive on lane g mod 4 of group g *)
+  izero : int;  (* nonzero but for element 6: lane 2 of the second group *)
   fa : int;
   fb : int;
   ri : int;  (* max_int *)
@@ -100,7 +108,7 @@ let section name dims =
     {
       b; vp; nv; rank = List.length dims; inits = []; labels = []; code = [];
       ia = 0; ib = 0; inz = 0; ish = 0; iaddr = 0; iperm = 0; imask = 0;
-      fa = 0; fb = 0; ri = 0; rnz = 0; rsh = 0; rf = 0; rn = 0;
+      ilanes = 0; izero = 0; fa = 0; fb = 0; ri = 0; rnz = 0; rsh = 0; rf = 0; rn = 0;
     }
   in
   let inp kind data =
@@ -117,6 +125,8 @@ let section name dims =
   let iaddr = ints (fun p -> p * p mod nv) in
   let iperm = ints (fun p -> nv - 1 - p) in
   let imask = ints (fun p -> if p mod 3 = 1 || p mod 7 = 5 then 0 else 1) in
+  let ilanes = ints (fun p -> if p mod 4 = p / 4 mod 4 then 0 else 1) in
+  let izero = ints (fun p -> if p = 6 then 0 else cycle nonzero p) in
   let fa = floats (cycle float_vals) in
   let fb = floats (fun p -> cycle float_vals2 (p + 2)) in
   let reg v =
@@ -130,31 +140,32 @@ let section name dims =
   let rsh = reg (SInt 3) in
   let rf = reg (SFloat (-0.0)) in
   let rn = reg (SFloat nan) in
-  { s0 with ia; ib; inz; ish; iaddr; iperm; imask; fa; fb; ri; rnz; rsh; rf; rn }
+  { s0 with ia; ib; inz; ish; iaddr; iperm; imask; ilanes; izero; fa; fb; ri; rnz;
+    rsh; rf; rn }
 
-(* One case, dense and masked: [mk d] writes destination [d]. *)
+(* Each case runs dense and under each mask. *)
+let masks s = [ (" dense", None); (" masked", Some s.imask); (" lane-masked", Some s.ilanes) ]
+
+let under mask is =
+  match mask with None -> is | Some f -> [ Cpush; Cand f ] @ is @ [ Cpop ]
+
+(* One case: [mk d] writes destination [d]. *)
 let case s label kind mk =
   List.iter
-    (fun masked ->
+    (fun (tag, mask) ->
       let d = new_field s kind in
-      s.labels <-
-        (Printf.sprintf "f%d" d, label ^ if masked then " masked" else " dense")
-        :: s.labels;
-      if masked then emit s ([ Cpush; Cand s.imask ] @ mk d @ [ Cpop ])
-      else emit s (mk d))
-    [ false; true ]
+      s.labels <- (Printf.sprintf "f%d" d, label ^ tag) :: s.labels;
+      emit s (under mask (mk d)))
+    (masks s)
 
 (* A reduction case writes a fresh register instead. *)
 let reg_case s label mk =
   List.iter
-    (fun masked ->
+    (fun (tag, mask) ->
       let r = Builder.reg s.b in
-      s.labels <-
-        (Printf.sprintf "r%d" r, label ^ if masked then " masked" else " dense")
-        :: s.labels;
-      if masked then emit s ([ Cpush; Cand s.imask ] @ mk r @ [ Cpop ])
-      else emit s (mk r))
-    [ false; true ]
+      s.labels <- (Printf.sprintf "r%d" r, label ^ tag) :: s.labels;
+      emit s (under mask (mk r)))
+    (masks s)
 
 let shapes s ~a ~b ~k ~r =
   [
@@ -266,7 +277,8 @@ let comm s =
           (fun d -> [ Pmov (d, Fld s.ia); Pnews (d, d, axis, delta) ]);
         case s ("pnews float in place " ^ tag) KFloat
           (fun d -> [ Pmov (d, Fld s.fa); Pnews (d, d, axis, delta) ]))
-      [ -1; 1; -2 ]
+      (* an in-place shift by -5 reads what the group before wrote *)
+      [ -1; 1; -2; -5 ]
   done;
   case s "pget int" KInt (fun d -> [ Pget (d, s.ia, s.iaddr) ]);
   case s "pget float" KFloat (fun d -> [ Pget (d, s.fa, s.iaddr) ]);
@@ -303,6 +315,7 @@ let reduce_coord s =
 let faulting =
   [
     ("pbin.div by zero", fun s d -> [ Pbin (Div, d, Fld s.ia, Fld s.ib) ]);
+    ("pbin.div by zero on lane 2", fun s d -> [ Pbin (Div, d, Fld s.ia, Fld s.izero) ]);
     ("pbin.mod by zero", fun s d -> [ Pbin (Mod, d, Fld s.ia, Fld s.ib) ]);
     ("pbin.shl out of range", fun s d -> [ Pbin (Shl, d, Fld s.ia, Fld s.ib) ]);
   ]
@@ -391,7 +404,54 @@ let check_section s =
       | Some msg -> Alcotest.failf "%s: %s differs from reference: %s" prog.name ename msg)
     engines
 
-let geometries = [ [ 11 ]; [ 4; 5 ]; [ 41; 53 ] ]
+let geometries =
+  List.init 9 (fun n -> [ n + 1 ]) @ [ [ 11 ]; [ 4; 5 ]; [ 41; 53 ] ]
+
+(* The chunks the grid's engines run (one whole range on fast, three
+   chunks on sharded:3) start and have lengths at every residue mod 4,
+   so every unrolled loop runs with every remainder and group phase. *)
+let chunk_coverage () =
+  let starts = Array.make 4 false and lengths = Array.make 4 false in
+  List.iter
+    (fun dims ->
+      let nv = List.fold_left ( * ) 1 dims in
+      List.iter
+        (fun shards ->
+          Array.iter
+            (fun (lo, hi) ->
+              starts.(lo mod 4) <- true;
+              lengths.((hi - lo) mod 4) <- true)
+            (Cm.Shard.layout ~shards nv))
+        (List.map (function _, `Sharded n -> n | _ -> 1) engines))
+    geometries;
+  if not (Array.for_all Fun.id starts && Array.for_all Fun.id lengths) then
+    Alcotest.fail "the grid's chunks miss a residue mod 4"
+
+(* The [for%unroll] rewrite itself, on every range length from empty to
+   12 at every start residue: it visits the indices a plain loop visits,
+   in the same order, and a body that raises at index [stop] leaves
+   exactly the visits before it. *)
+let unroll_test () =
+  for lo = 0 to 3 do
+    for len = -2 to 12 do
+      let hi = lo + len in
+      for stop = lo - 1 to hi do
+        let seen = ref [] in
+        (try
+           for%unroll p = lo to hi - 1 do
+             if p = stop then raise Exit;
+             seen := p :: !seen
+           done
+         with Exit -> ());
+        let expect =
+          List.filter (fun p -> p < stop || stop < lo) (List.init (max 0 len) (( + ) lo))
+        in
+        if List.rev !seen <> expect then
+          Alcotest.failf "for%%unroll over [%d, %d) stopping at %d visited [%s]" lo hi stop
+            (String.concat "; " (List.rev_map string_of_int !seen))
+      done
+    done
+  done
 
 let grid_test (sname, fill) =
   Alcotest.test_case sname `Quick (fun () ->
@@ -415,7 +475,7 @@ let fault_test (label, mk) =
           let s = section label dims in
           let d = new_field s KInt in
           s.labels <- [ (Printf.sprintf "f%d" d, label) ];
-          emit s (if masked then [ Cpush; Cand s.imask ] @ mk s d @ [ Cpop ] else mk s d);
+          emit s (under (if masked then Some s.imask else None) (mk s d));
           let prog = finish s in
           let ref_run = run `Reference s prog in
           let st = fst ref_run in
@@ -487,6 +547,11 @@ let () =
             ("pnews pget psend", comm);
             ("preduce pcoord", reduce_coord);
           ] );
+      ( "unrolled loops",
+        [
+          Alcotest.test_case "rewrite keeps order and partial effects" `Quick unroll_test;
+          Alcotest.test_case "grid chunks cover every residue mod 4" `Quick chunk_coverage;
+        ] );
       ("faults", List.map fault_test faulting);
       ("allocation", [ Alcotest.test_case "independent of VP count" `Quick alloc_test ]);
     ]
