@@ -54,7 +54,8 @@ ci-faultgate: build
 
 # Sharded-engine gate: the whole corpus bit-identical between
 # --engine fast and --engine sharded at 3 and 4 shards, traced and
-# untraced (rows compared minus digest/engine labels and wall-clock
+# untraced, and between fast and --engine reference, which shares no
+# kernel with them (rows compared minus digest/engine labels and wall-clock
 # provenance; output, simulated seconds and all deterministic metrics
 # must agree byte for byte).
 ci-sharded: build

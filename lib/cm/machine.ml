@@ -808,14 +808,16 @@ let[@inline] fget r p =
    operator and the operand shapes once, outside its loop, and then runs
    a loop that only loads, computes and stores: no closure call per
    element, no polymorphic array access, no allocation that grows with
-   the VP count.  Operators and shapes outside the typed loops (the
-   faultable int operators, a scalar-scalar operand pair, int fields
-   read as floats) fall back to a generic loop that keeps the same
-   properties for floats and calls the operator table for ints.  Every
-   element loop is a [for%unroll] (lib/cm/unroll): four elements per
-   trip, then at most three more, in ascending order, so a fold keeps
-   its order and a faulting element leaves exactly the writes before
-   it.
+   the VP count.  The loops are generated at build time (lib/cm/unroll)
+   from the operator tables below: a [match%table] case is one loop per
+   row of its tables, and a [for%kernel] loop is one all-active and one
+   masked [for%unroll] loop, four elements per trip, then at most three
+   more, in ascending order, so a fold keeps its order and a faulting
+   element leaves exactly the writes before it.  Operators and shapes
+   without a table row (the faultable int operators, a scalar-scalar
+   int pair) take Paris's closure; an int field read as floats takes
+   the generic float loop, which matches the operand shape per
+   element.
 
    Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
    hi <= nv where nv is the VP-set size.  Decode only admits field
@@ -826,423 +828,119 @@ let[@inline] fget r p =
    and cover [0, nv), so the union of the writes is the same at every
    chunk count. *)
 
-let mov_int all (m : bool array) lo hi (o : int array) r =
-  if all then
-    match r with
-    | IArr a -> for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) done
-    | IVal v -> for%unroll p = lo to hi - 1 do o.%(p) <- v done
-  else
-    match r with
-    | IArr a -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
-    | IVal v -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
-
-let mov_float all (m : bool array) lo hi (o : float array) r =
-  if all then
-    match r with
-    | FArr a -> Array.blit a lo o lo (hi - lo) (* a float blit is a memmove *)
-    | FVal v -> for%unroll p = lo to hi - 1 do o.%(p) <- v done
-    | FIArr a -> for%unroll p = lo to hi - 1 do o.%(p) <- float_of_int a.%(p) done
-  else
-    match r with
-    | FArr a -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) done
-    | FVal v -> for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- v done
-    | FIArr a ->
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- float_of_int a.%(p)
-        done
-
-(* Int operators with typed loops.  They never fault, so they also run
-   chunked; Band/Bor/Bxor and the faultable operators take the operator
-   table's closure. *)
-let int_typed = function
-  | Add | Sub | Mul | Min | Max | Land | Lor | Eq | Ne | Lt | Le | Gt | Ge ->
-      true
-  | _ -> false
-
-(* [k op b] as [b op' k]: every typed operator but Sub commutes, up to
-   mirroring the order comparisons. *)
-let int_mirror = function Lt -> Gt | Gt -> Lt | Le -> Ge | Ge -> Le | op -> op
-
 let b2i = Bool.to_int
 
-(* [o.(p) <- a.(p) op b.(p)] *)
-let bin_ii all (m : bool array) lo hi (o : int array) op (a : int array)
-    (b : int array) =
-  match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) + b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + b.%(p) done
-  | Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) - b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - b.%(p) done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) * b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * b.%(p) done
-  | Min ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) b.%(p) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- Int.min a.%(p) b.%(p)
-        done
-  | Max ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) b.%(p) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- Int.max a.%(p) b.%(p)
-        done
-  | Land ->
-      if all then
-        for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 && b.%(p) <> 0)
-        done
-  | Lor ->
-      if all then
-        for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0 || b.%(p) <> 0)
-        done
-  | Eq ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p)) done
-  | Ne ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <> b.%(p))
-        done
-  | Lt ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p)) done
-  | Le ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <= b.%(p))
-        done
-  | Gt ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p)) done
-  | Ge ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= b.%(p)) done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) >= b.%(p))
-        done
-  | _ -> assert false
+(* The operator tables: one row per operator, its element expression
+   over [x] and [y], as [Paris.int_binop], [float_binop], [float_cmp],
+   [int_unop] and [float_unop] compute it.  Operands are never swapped:
+   with two NaN operands a float result's payload depends on their
+   order. *)
+let%table int_op = function
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Min -> Int.min x y
+  | Max -> Int.max x y
+  | Land -> b2i (x <> 0 && y <> 0)
+  | Lor -> b2i (x <> 0 || y <> 0)
+  | Band -> x land y
+  | Bor -> x lor y
+  | Bxor -> x lxor y
 
-(* [o.(p) <- a.(p) op k] *)
-let bin_ik all (m : bool array) lo hi (o : int array) op (a : int array) k =
-  match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) + k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) + k done
-  | Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) - k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) - k done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) * k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) * k done
-  | Min ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.min a.%(p) k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.min a.%(p) k done
-  | Max ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- Int.max a.%(p) k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- Int.max a.%(p) k done
-  | Land ->
-      let k = b2i (k <> 0) in
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) land k done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) land k
-        done
-  | Lor ->
-      let k = b2i (k <> 0) in
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> 0) lor k done
-      else
-        for%unroll p = lo to hi - 1 do
-          if m.%(p) then o.%(p) <- b2i (a.%(p) <> 0) lor k
-        done
-  | Eq ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) = k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) = k) done
-  | Ne ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <> k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <> k) done
-  | Lt ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) < k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) < k) done
-  | Le ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) <= k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) <= k) done
-  | Gt ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) > k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) > k) done
-  | Ge ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- b2i (a.%(p) >= k) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- b2i (a.%(p) >= k) done
-  | _ -> assert false
+(* on ints or on floats (IEEE: NaN compares unequal) *)
+let%table cmp = function
+  | Eq -> b2i (x = y)
+  | Ne -> b2i (x <> y)
+  | Lt -> b2i (x < y)
+  | Le -> b2i (x <= y)
+  | Gt -> b2i (x > y)
+  | Ge -> b2i (x >= y)
 
-(* [f] is the operator table's closure for [op]: the loop of every
-   operator without a typed one.  A faultable operator raises at the
-   first faulting active element, after the writes before it. *)
-let bin_int all (m : bool array) lo hi (o : int array) op (f : int -> int -> int) ra rb =
-  match ra, rb with
-  | IArr a, IArr b when int_typed op -> bin_ii all m lo hi o op a b
-  | IArr a, IVal k when int_typed op -> bin_ik all m lo hi o op a k
-  | IVal k, IArr b when int_typed op && op <> Sub ->
-      bin_ik all m lo hi o (int_mirror op) b k
-  | IVal k, IArr b when op = Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k - b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k - b.%(p) done
+let%table float_op = function Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y
+
+(* These rows call C per element ([fmod], and [signbit] inside
+   [Float.min] and [max]).  With a call in the same function, ocamlopt
+   keeps a kernel's arrays in stack slots, reloaded on every element of
+   every loop, so [bin_fcall] holds their elementwise loops. *)
+let%table float_call = function Mod -> Float.rem x y | Min -> Float.min x y | Max -> Float.max x y
+
+let%table int_un = function Neg -> -x | Lnot -> b2i (x = 0) | Bnot -> lnot x | Abs -> abs x
+let%table float_un = function Neg -> -.x | Abs -> Float.abs x
+
+(* The elementwise kernels take their operands first and the chunk
+   ([all], the flags [m], [lo, hi)) last, so decode applies them to the
+   resolved operands and hands the rest to the chunk sweep. *)
+let mov_int (o : int array) r all (m : bool array) lo hi =
+  match r with
+  | IArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- a.%(p) done
+  | IVal v -> for%kernel p = lo to hi - 1 do o.%(p) <- v done
+
+let mov_float (o : float array) r all (m : bool array) lo hi =
+  match r with
+  | FArr a when all -> Array.blit a lo o lo (hi - lo) (* a float blit is a memmove *)
+  | FArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- a.%(p) done
+  | FVal v -> for%kernel p = lo to hi - 1 do o.%(p) <- v done
+  | FIArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- float_of_int a.%(p) done
+
+(* [f] is Paris's closure for [op]: the loop of an operator without a
+   row, or of two scalars.  A faultable operator raises at the first
+   faulting active element, after the writes before it. *)
+let bin_int (o : int array) op (f : int -> int -> int) ra rb all (m : bool array) lo hi =
+  match%table op, ra, rb with
+  | (int_op | cmp), IArr a, IArr b ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) b.%(p) done
+  | (int_op | cmp), IArr a, IVal k -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) k done
+  | (int_op | cmp), IVal k, IArr b -> for%kernel p = lo to hi - 1 do o.%(p) <- op k b.%(p) done
   | _ ->
       for%unroll p = lo to hi - 1 do
         if all || m.%(p) then o.%(p) <- f (iget ra p) (iget rb p)
       done
 
-(* Float operators with typed loops per operand shape; a float operator
-   never faults.  Operands are never swapped: with two NaN operands the
-   result's payload depends on their order. *)
-let bin_ff all (m : bool array) lo hi (o : float array) op (a : float array)
-    (b : float array) =
-  match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) +. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. b.%(p) done
-  | Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) -. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. b.%(p) done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) *. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. b.%(p) done
-  | Div ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) /. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. b.%(p) done
-  | _ -> assert false
-
-let bin_fk all (m : bool array) lo hi (o : float array) op (a : float array)
-    (k : float) =
-  match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) +. k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) +. k done
-  | Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) -. k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) -. k done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) *. k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) *. k done
-  | Div ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- a.%(p) /. k done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- a.%(p) /. k done
-  | _ -> assert false
-
-let bin_kf all (m : bool array) lo hi (o : float array) op (k : float)
-    (b : float array) =
-  match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k +. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k +. b.%(p) done
-  | Sub ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k -. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k -. b.%(p) done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k *. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k *. b.%(p) done
-  | Div ->
-      if all then for%unroll p = lo to hi - 1 do o.%(p) <- k /. b.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then o.%(p) <- k /. b.%(p) done
+let bin_fcall (o : float array) op ra rb all (m : bool array) lo hi =
+  match%table op with
+  | float_call -> for%kernel p = lo to hi - 1 do o.%(p) <- op (fget ra p) (fget rb p) done
   | _ -> assert false
 
 (* [op] must be valid on floats (the caller forced [float_binop op]). *)
-let bin_float all (m : bool array) lo hi (o : float array) op ra rb =
-  let arith = match op with Add | Sub | Mul | Div -> true | _ -> false in
-  match ra, rb with
-  | FArr a, FArr b when arith -> bin_ff all m lo hi o op a b
-  | FArr a, FVal k when arith -> bin_fk all m lo hi o op a k
-  | FVal k, FArr b when arith -> bin_kf all m lo hi o op k b
-  | _ -> (
-      match op with
-      | Add ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- fget ra p +. fget rb p
-          done
-      | Sub ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- fget ra p -. fget rb p
-          done
-      | Mul ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- fget ra p *. fget rb p
-          done
-      | Div ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- fget ra p /. fget rb p
-          done
-      | Mod ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- Float.rem (fget ra p) (fget rb p)
-          done
-      (* Float.min/max box operands that are not let-bound *)
-      | Min ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then begin
-              let x = fget ra p and y = fget rb p in
-              o.%(p) <- Float.min x y
-            end
-          done
-      | Max ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then begin
-              let x = fget ra p and y = fget rb p in
-              o.%(p) <- Float.max x y
-            end
-          done
-      | _ -> assert false)
+let bin_float (o : float array) op ra rb all (m : bool array) lo hi =
+  match%table op, ra, rb with
+  | float_op, FArr a, FArr b -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) b.%(p) done
+  | float_op, FArr a, FVal k -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) k done
+  | float_op, FVal k, FArr b -> for%kernel p = lo to hi - 1 do o.%(p) <- op k b.%(p) done
+  | float_op, _, _ ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- op (fget ra p) (fget rb p) done
+  | _ -> bin_fcall o op ra rb all m lo hi
 
-(* Float comparison into an int field (IEEE: NaN compares unequal),
-   typed for a field against a field or a scalar; a scalar first operand
-   mirrors the order comparisons, which is exact on floats, NaN
-   included.  Other shapes (an int field read as floats) take the
-   generic loop. *)
-let cmp_ff all (m : bool array) lo hi (o : int array) op (a : float array)
-    (b : float array) =
-  match op with
-  | Eq ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) = b.%(p))
-      done
-  | Ne ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <> b.%(p))
-      done
-  | Lt ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) < b.%(p))
-      done
-  | Le ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <= b.%(p))
-      done
-  | Gt ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) > b.%(p))
-      done
-  | Ge ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) >= b.%(p))
-      done
+(* Float comparison into an int field. *)
+let cmp_float (o : int array) op ra rb all (m : bool array) lo hi =
+  match%table op, ra, rb with
+  | cmp, FArr a, FArr b -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) b.%(p) done
+  | cmp, FArr a, FVal k -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) k done
+  | cmp, FVal k, FArr b -> for%kernel p = lo to hi - 1 do o.%(p) <- op k b.%(p) done
+  | cmp, _, _ -> for%kernel p = lo to hi - 1 do o.%(p) <- op (fget ra p) (fget rb p) done
   | _ -> assert false
 
-let cmp_fk all (m : bool array) lo hi (o : int array) op (a : float array)
-    (k : float) =
-  match op with
-  | Eq ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) = k)
-      done
-  | Ne ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <> k)
-      done
-  | Lt ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) < k)
-      done
-  | Le ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) <= k)
-      done
-  | Gt ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) > k)
-      done
-  | Ge ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- b2i (a.%(p) >= k)
-      done
-  | _ -> assert false
-
-let cmp_float all (m : bool array) lo hi (o : int array) op ra rb =
-  match ra, rb with
-  | FArr a, FArr b -> cmp_ff all m lo hi o op a b
-  | FArr a, FVal k -> cmp_fk all m lo hi o op a k
-  | FVal k, FArr b -> cmp_fk all m lo hi o (int_mirror op) b k
-  | _ -> (
-      match op with
-      | Eq ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p = fget rb p)
-          done
-      | Ne ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p <> fget rb p)
-          done
-      | Lt ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p < fget rb p)
-          done
-      | Le ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p <= fget rb p)
-          done
-      | Gt ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p > fget rb p)
-          done
-      | Ge ->
-          for%unroll p = lo to hi - 1 do
-            if all || m.%(p) then o.%(p) <- b2i (fget ra p >= fget rb p)
-          done
-      | _ -> assert false)
-
-(* Int unary operators; none faults, so a scalar operand is one value
+(* Unary operators; none faults, so a scalar operand is one value
    broadcast. *)
-let un_int all (m : bool array) lo hi (o : int array) op r =
-  match r, op with
-  | IArr a, Neg -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- - a.%(p) done
-  | IArr a, Lnot ->
-      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- b2i (a.%(p) = 0) done
-  | IArr a, Bnot ->
-      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- lnot a.%(p) done
-  | IArr a, Abs -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- abs a.%(p) done
-  | IVal v, _ -> mov_int all m lo hi o (IVal (int_unop op v))
-  | IArr _, (ToInt | ToFloat) -> assert false
+let un_int (o : int array) op r all (m : bool array) lo hi =
+  match%table op, r with
+  | _, IVal v -> mov_int o (IVal (int_unop op v)) all m lo hi
+  | int_un, IArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) done
+  | _ -> assert false
 
-(* Float unary operators; a scalar operand is one value broadcast. *)
-let un_float all (m : bool array) lo hi (o : float array) op r =
-  match r, op with
-  | _, ToFloat -> mov_float all m lo hi o r
-  | FVal v, _ -> mov_float all m lo hi o (FVal (float_unop op v))
-  | FArr a, Neg -> for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- -.a.%(p) done
-  | FArr a, Abs ->
-      for%unroll p = lo to hi - 1 do if all || m.%(p) then o.%(p) <- Float.abs a.%(p) done
-  | FIArr a, Neg ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- -.float_of_int a.%(p)
-      done
-  | FIArr a, Abs ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- Float.abs (float_of_int a.%(p))
-      done
-  | _, (Lnot | Bnot | ToInt) -> assert false
+let un_float (o : float array) op r all (m : bool array) lo hi =
+  match%table op, r with
+  | ToFloat, _ -> mov_float o r all m lo hi
+  | _, FVal v -> mov_float o (FVal (float_unop op v)) all m lo hi
+  | float_un, FArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- op a.%(p) done
+  | float_un, _ -> for%kernel p = lo to hi - 1 do o.%(p) <- op (fget r p) done
+  | _ -> assert false
 
-let toint_loop all (m : bool array) lo hi (o : int array) r =
+let toint_loop (o : int array) r all (m : bool array) lo hi =
   match r with
-  | FArr a ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- int_of_float a.%(p)
-      done
-  | FIArr a ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- int_of_float (float_of_int a.%(p))
-      done
-  | FVal v -> mov_int all m lo hi o (IVal (int_of_float v))
+  | FVal v -> mov_int o (IVal (int_of_float v)) all m lo hi
+  | FArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- int_of_float a.%(p) done
+  | FIArr _ -> for%kernel p = lo to hi - 1 do o.%(p) <- int_of_float (fget r p) done
 
 (* Selects: a scalar condition is a move of one operand; an int field
    condition (what comparisons produce) has typed loops per operand
@@ -1254,62 +952,46 @@ let[@inline] sel_test rc p =
   | FIArr c -> c.%(p) <> 0
   | FVal v -> v <> 0.0
 
-let sel_int all (m : bool array) lo hi (o : int array) rc ra rb =
-  match rc, ra, rb with
-  | FVal v, _, _ -> mov_int all m lo hi o (if v <> 0.0 then ra else rb)
-  | FIArr c, IArr a, IArr b ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p))
-      done
-  | FIArr c, IArr a, IVal k ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k)
-      done
-  | FIArr c, IVal j, IArr b ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else b.%(p))
-      done
-  | FIArr c, IVal j, IVal k ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else k)
-      done
-  | _ ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then
-          o.%(p) <- (if sel_test rc p then iget ra p else iget rb p)
-      done
+(* The generic loops are functions of their own: with one beside them,
+   the typed loops reload [o] from the stack on every element. *)
+let sel_int_generic (o : int array) rc ra rb all (m : bool array) lo hi =
+  for%kernel p = lo to hi - 1 do o.%(p) <- (if sel_test rc p then iget ra p else iget rb p) done
 
-let sel_float all (m : bool array) lo hi (o : float array) rc ra rb =
+let sel_float_generic (o : float array) rc ra rb all (m : bool array) lo hi =
+  for%kernel p = lo to hi - 1 do o.%(p) <- (if sel_test rc p then fget ra p else fget rb p) done
+
+let sel_int (o : int array) rc ra rb all (m : bool array) lo hi =
   match rc, ra, rb with
-  | FVal v, _, _ -> mov_float all m lo hi o (if v <> 0.0 then ra else rb)
+  | FVal v, _, _ -> mov_int o (if v <> 0.0 then ra else rb) all m lo hi
+  | FIArr c, IArr a, IArr b ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p)) done
+  | FIArr c, IArr a, IVal k ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k) done
+  | FIArr c, IVal j, IArr b ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then j else b.%(p)) done
+  | FIArr c, IVal j, IVal k ->
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then j else k) done
+  | _ -> sel_int_generic o rc ra rb all m lo hi
+
+let sel_float (o : float array) rc ra rb all (m : bool array) lo hi =
+  match rc, ra, rb with
+  | FVal v, _, _ -> mov_float o (if v <> 0.0 then ra else rb) all m lo hi
   | FIArr c, FArr a, FArr b ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p))
-      done
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then a.%(p) else b.%(p)) done
   | FIArr c, FArr a, FVal k ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k)
-      done
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then a.%(p) else k) done
   | FIArr c, FVal j, FArr b ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else b.%(p))
-      done
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then j else b.%(p)) done
   | FIArr c, FVal j, FVal k ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then o.%(p) <- (if c.%(p) <> 0 then j else k)
-      done
-  | _ ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then
-          o.%(p) <- (if sel_test rc p then fget ra p else fget rb p)
-      done
+      for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then j else k) done
+  | _ -> sel_float_generic o rc ra rb all m lo hi
 
 (* Ranged coordinate fill (Pcoord's loop body): [p / stride mod extent]
    is constant on each run of [stride] positions, so the loop fills runs
    and steps the coordinate between them.  On the last axis (stride 1)
    every run is one position: the coordinate counts up from
    [lo mod extent] and wraps at [extent]. *)
-let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
+let coord_loop (o : int array) ~stride ~extent all (m : bool array) lo hi =
   if stride = 1 then begin
     let c = ref (lo mod extent) in
     if all then
@@ -1328,15 +1010,14 @@ let coord_loop all (m : bool array) lo hi (o : int array) ~stride ~extent =
     let s = ref lo in
     while !s < hi do
       let e = Int.min hi (!s - (!s mod stride) + stride) and v = !c in
-      if all then for%unroll p = !s to e - 1 do o.%(p) <- v done
-      else for%unroll p = !s to e - 1 do if m.%(p) then o.%(p) <- v done;
+      for%kernel p = !s to e - 1 do o.%(p) <- v done;
       s := e;
       c := if v + 1 = extent then 0 else v + 1
     done
   end
 
 (* Ranged context read (Cread's loop body). *)
-let cread_loop all (m : bool array) lo hi (o : int array) =
+let cread_loop (o : int array) all (m : bool array) lo hi =
   if all then for%unroll p = lo to hi - 1 do o.%(p) <- 1 done
   else
     for%unroll p = lo to hi - 1 do o.%(p) <- b2i m.%(p) done
@@ -1346,59 +1027,17 @@ let cread_loop all (m : bool array) lo hi (o : int array) =
    table's closure would compute it. *)
 let ired all (m : bool array) lo hi op acc (a : int array) =
   let acc = ref acc in
-  (match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc + a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc + a.%(p) done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc * a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc * a.%(p) done
-  | Min ->
-      if all then for%unroll p = lo to hi - 1 do acc := Int.min !acc a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := Int.min !acc a.%(p) done
-  | Max ->
-      if all then for%unroll p = lo to hi - 1 do acc := Int.max !acc a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := Int.max !acc a.%(p) done
-  | Band ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc land a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc land a.%(p) done
-  | Bor ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc lor a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc lor a.%(p) done
-  | Bxor ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc lxor a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc lxor a.%(p) done
-  | Land ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then acc := b2i (!acc <> 0 && a.%(p) <> 0)
-      done
-  | Lor ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then acc := b2i (!acc <> 0 || a.%(p) <> 0)
-      done
+  (match%table op with
+  | int_op -> for%kernel p = lo to hi - 1 do acc := op !acc a.%(p) done
   | _ -> assert false);
   !acc
 
 (* The float fold stores its result into [out.(i)]: a returned float
    would be boxed, once per call. *)
-let fred all (m : bool array) lo hi op acc (a : float array) (out : float array)
-    i =
+let fred all (m : bool array) lo hi op acc (a : float array) (out : float array) i =
   let acc = ref acc in
-  (match op with
-  | Add ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc +. a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc +. a.%(p) done
-  | Mul ->
-      if all then for%unroll p = lo to hi - 1 do acc := !acc *. a.%(p) done
-      else for%unroll p = lo to hi - 1 do if m.%(p) then acc := !acc *. a.%(p) done
-  | Min ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then acc := Float.min !acc a.%(p)
-      done
-  | Max ->
-      for%unroll p = lo to hi - 1 do
-        if all || m.%(p) then acc := Float.max !acc a.%(p)
-      done
+  (match%table op with
+  | float_op | float_call -> for%kernel p = lo to hi - 1 do acc := op !acc a.%(p) done
   | _ -> assert false);
   out.%(i) <- !acc
 
@@ -1529,6 +1168,18 @@ let decode m layouts code_len instr : unit -> unit =
         body all mask lo hi)
   in
   let pfield f = kpfield m f in
+  (* An elementwise instruction writing [dst]: the reference's VP-set
+     check and charge, then [body ()] resolves the operands (raising
+     where the reference does) and returns the kernel [sweep] runs on
+     each chunk. *)
+  let pe ?(whole_range = false) what dst body =
+    let vp, nv, ctx, _ = pfield dst in
+    let layout, run = if whole_range then whole nv else chunked vp nv in
+    fun () ->
+      check_cur vp what dst;
+      Cost.charge_pe meter ~size:nv;
+      sweep layout run ctx (body ())
+  in
   let dec_fe op =
     match op with
     | Reg r -> fun () -> m.regs.(r)
@@ -1641,202 +1292,134 @@ let decode m layouts code_len instr : unit -> unit =
           m.pc <- target
         end
   | Pmov (dst, a) -> (
-      let vp, nv, ctx, fd = pfield dst in
-      let layout, run = chunked vp nv in
-      match fd with
+      let vp = field_vpset m dst in
+      match field_data m dst with
       | FInt out ->
           let ga = dec_int m vp a in
-          fun () ->
-            check_cur vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            sweep layout run ctx (fun all mk lo hi ->
-                mov_int all mk lo hi out r)
+          pe "pmov" dst (fun () -> mov_int out (ga ()))
       | FFloat out ->
           let ga = dec_float m vp a in
-          fun () ->
-            check_cur vp "pmov" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            sweep layout run ctx (fun all mk lo hi ->
-                mov_float all mk lo hi out r))
+          pe "pmov" dst (fun () -> mov_float out (ga ())))
   | Pbin (op, dst, a, b) -> (
-      let vp, nv, ctx, fd = pfield dst in
-      let layout, run = chunked vp nv in
-      match fd with
+      let vp = field_vpset m dst in
+      match field_data m dst with
       | FFloat out ->
           let lop = lazy (float_binop op) in
           let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            check_cur vp "pbin" dst;
-            Cost.charge_pe meter ~size:nv;
-            let (_ : float -> float -> float) = Lazy.force lop in
-            let ra = ga () in
-            let rb = gb () in
-            sweep layout run ctx (fun all mk lo hi ->
-                bin_float all mk lo hi out op ra rb)
-      | FInt out ->
-          if is_cmp op then begin
-            (* float compare if either operand is float-kinded; decided
-               statically unless a register is involved *)
-            let iop = int_binop op in
-            let fa = dec_float m vp a and fb = dec_float m vp b in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            let floatness =
-              match static_is_float m a, static_is_float m b with
-              | Some true, _ | _, Some true -> fun () -> true
-              | Some false, Some false -> fun () -> false
-              | _ -> fun () -> operand_is_float m a || operand_is_float m b
-            in
-            fun () ->
-              check_cur vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
-              if floatness () then begin
+          pe "pbin" dst (fun () ->
+              let (_ : float -> float -> float) = Lazy.force lop in
+              let ra = ga () in
+              let rb = gb () in
+              bin_float out op ra rb)
+      | FInt out when is_cmp op ->
+          (* float compare if either operand is float-kinded; decided
+             statically unless a register is involved *)
+          let iop = int_binop op in
+          let fa = dec_float m vp a and fb = dec_float m vp b in
+          let ia = dec_int m vp a and ib = dec_int m vp b in
+          let floatness =
+            match static_is_float m a, static_is_float m b with
+            | Some true, _ | _, Some true -> fun () -> true
+            | Some false, Some false -> fun () -> false
+            | _ -> fun () -> operand_is_float m a || operand_is_float m b
+          in
+          pe "pbin" dst (fun () ->
+              if floatness () then
                 let ra = fa () in
                 let rb = fb () in
-                sweep layout run ctx (fun all mk lo hi ->
-                    cmp_float all mk lo hi out op ra rb)
-              end
-              else begin
+                cmp_float out op ra rb
+              else
                 let ra = ia () in
                 let rb = ib () in
-                sweep layout run ctx (fun all mk lo hi ->
-                    bin_int all mk lo hi out op iop ra rb)
-              end
-          end
-          else
-            let lop = lazy (int_binop op) in
-            let ia = dec_int m vp a and ib = dec_int m vp b in
-            (* a faulting element must leave exactly the writes before it,
-               which only one ascending whole-range sweep reproduces *)
-            let layout, run =
-              if int_op_total op b then (layout, run) else whole nv
-            in
-            fun () ->
-              check_cur vp "pbin" dst;
-              Cost.charge_pe meter ~size:nv;
+                bin_int out op iop ra rb)
+      | FInt out ->
+          let lop = lazy (int_binop op) in
+          let ia = dec_int m vp a and ib = dec_int m vp b in
+          (* a faulting element must leave exactly the writes before it,
+             which only one ascending whole-range sweep reproduces *)
+          pe ~whole_range:(not (int_op_total op b)) "pbin" dst (fun () ->
               let f = Lazy.force lop in
               let ra = ia () in
               let rb = ib () in
-              sweep layout run ctx (fun all mk lo hi ->
-                  bin_int all mk lo hi out op f ra rb))
+              bin_int out op f ra rb))
   | Punop (op, dst, a) -> (
-      let vp, nv, ctx, fd = pfield dst in
-      let layout, run = chunked vp nv in
-      match fd, op with
+      let vp = field_vpset m dst in
+      match field_data m dst, op with
       | FInt out, ToInt ->
           let ga = dec_float m vp a in
-          fun () ->
-            check_cur vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let r = ga () in
-            sweep layout run ctx (fun all mk lo hi ->
-                toint_loop all mk lo hi out r)
+          pe "punop" dst (fun () -> toint_loop out (ga ()))
       | FInt out, _ ->
           let ga = dec_int m vp a in
-          fun () ->
-            check_cur vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            (* reference order: operand first, then the operator check *)
-            let ra = ga () in
-            ignore (int_unop op : int -> int);
-            sweep layout run ctx (fun all mk lo hi ->
-                un_int all mk lo hi out op ra)
+          pe "punop" dst (fun () ->
+              (* reference order: operand first, then the operator check *)
+              let ra = ga () in
+              ignore (int_unop op : int -> int);
+              un_int out op ra)
       | FFloat out, _ ->
           let ga = dec_float m vp a in
-          fun () ->
-            check_cur vp "punop" dst;
-            Cost.charge_pe meter ~size:nv;
-            let ra = ga () in
-            ignore (float_unop op : float -> float);
-            sweep layout run ctx (fun all mk lo hi ->
-                un_float all mk lo hi out op ra))
-  | Pcoord (dst, axis) -> (
+          pe "punop" dst (fun () ->
+              let ra = ga () in
+              ignore (float_unop op : float -> float);
+              un_float out op ra))
+  | Pcoord (dst, axis) ->
       let vp, nv, ctx, fd = pfield dst in
       let g = m.prog.geoms.(vp) in
       let axis_ok = axis >= 0 && axis < Geometry.rank g in
       let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
       let extent = if axis_ok then Geometry.dim g axis else 1 in
       let layout, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            sweep layout run ctx (fun all mk lo hi ->
-                coord_loop all mk lo hi out ~stride ~extent)
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "pcoord" dst;
-            if not axis_ok then error "pcoord: bad axis %d" axis;
-            Cost.charge_pe meter ~size:nv;
-            error "pcoord into a float field")
-  | Ptable (dst, table) -> (
+      fun () -> (
+        check_cur vp "pcoord" dst;
+        if not axis_ok then error "pcoord: bad axis %d" axis;
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out ->
+            sweep layout run ctx (coord_loop out ~stride ~extent)
+        | FFloat _ -> error "pcoord into a float field")
+  | Ptable (dst, table) ->
       let vp, nv, _, fd = pfield dst in
       let len_ok = Array.length table = nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "ptable" dst;
-            if not len_ok then
-              error "ptable: table length does not match the VP set";
-            Cost.charge_pe meter ~size:nv;
-            for%unroll p = 0 to nv - 1 do out.%(p) <- table.%(p) done
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "ptable" dst;
-            if not len_ok then
-              error "ptable: table length does not match the VP set";
-            Cost.charge_pe meter ~size:nv;
-            error "ptable into a float field")
-  | Prand (dst, modulus) -> (
+      fun () -> (
+        check_cur vp "ptable" dst;
+        if not len_ok then error "ptable: table length does not match the VP set";
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out -> for%unroll p = 0 to nv - 1 do out.%(p) <- table.%(p) done
+        | FFloat _ -> error "ptable into a float field")
+  | Prand (dst, modulus) ->
       let vp, nv, ctx, fd = pfield dst in
       let gm = dec_fe modulus in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "prand" dst;
-            let modv = to_int (gm ()) in
-            Cost.charge_pe meter ~size:nv;
-            if Context.all_active ctx then
-              for p = 0 to nv - 1 do out.%(p) <- rand_mod m modv done
-            else
-              let mask = Context.active ctx in
-              for p = 0 to nv - 1 do
-                if mask.%(p) then out.%(p) <- rand_mod m modv
-              done
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "prand" dst;
-            let _ = to_int (gm ()) in
-            Cost.charge_pe meter ~size:nv;
-            error "prand into a float field")
+      fun () -> (
+        check_cur vp "prand" dst;
+        let modv = to_int (gm ()) in
+        Cost.charge_pe meter ~size:nv;
+        match fd with
+        | FInt out when Context.all_active ctx ->
+            for p = 0 to nv - 1 do out.%(p) <- rand_mod m modv done
+        | FInt out ->
+            let mask = Context.active ctx in
+            for p = 0 to nv - 1 do
+              if mask.%(p) then out.%(p) <- rand_mod m modv
+            done
+        | FFloat _ -> error "prand into a float field")
   | Psel (dst, cnd, a, b) -> (
-      let vp, nv, ctx, fd = pfield dst in
-      let layout, run = chunked vp nv in
+      let vp = field_vpset m dst in
       let gc = dec_float m vp cnd in
-      match fd with
+      match field_data m dst with
       | FInt out ->
           let ga = dec_int m vp a and gb = dec_int m vp b in
-          fun () ->
-            check_cur vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            sweep layout run ctx (fun all mk lo hi ->
-                sel_int all mk lo hi out rc ra rb)
+          pe "psel" dst (fun () ->
+              let rc = gc () in
+              let ra = ga () in
+              let rb = gb () in
+              sel_int out rc ra rb)
       | FFloat out ->
           let ga = dec_float m vp a and gb = dec_float m vp b in
-          fun () ->
-            check_cur vp "psel" dst;
-            Cost.charge_pe meter ~size:nv;
-            let rc = gc () in
-            let ra = ga () in
-            let rb = gb () in
-            sweep layout run ctx (fun all mk lo hi ->
-                sel_float all mk lo hi out rc ra rb))
+          pe "psel" dst (fun () ->
+              let rc = gc () in
+              let ra = ga () in
+              let rb = gb () in
+              sel_float out rc ra rb))
   | Pget (dst, src, addr) ->
       let vp, nv, ctx, fd_dst = pfield dst in
       let fd_src = field_data m src in
@@ -2070,21 +1653,15 @@ let decode m layouts code_len instr : unit -> unit =
       fun () ->
         Cost.charge_context meter ~size:(cur_size m);
         Context.reset (cur_ctx m)
-  | Cread fld -> (
+  | Cread fld ->
       let vp, nv, ctx, fd = pfield fld in
       let layout, run = chunked vp nv in
-      match fd with
-      | FInt out ->
-          fun () ->
-            check_cur vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            sweep layout run ctx (fun all mk lo hi ->
-                cread_loop all mk lo hi out)
-      | FFloat _ ->
-          fun () ->
-            check_cur vp "cread" fld;
-            Cost.charge_context meter ~size:nv;
-            error "cread into a float field")
+      fun () -> (
+        check_cur vp "cread" fld;
+        Cost.charge_context meter ~size:nv;
+        match fd with
+        | FInt out -> sweep layout run ctx (cread_loop out)
+        | FFloat _ -> error "cread into a float field")
 
 (* Decode the program once, for the chunk count the engine runs at; a
    no-op on the reference engine, which has no kernels. *)

@@ -91,6 +91,12 @@ let identity op kind =
   | Any, KFloat -> SFloat infinity
   | _ -> invalid_arg "Paris.identity: operator is not reducible at this kind"
 
+let binops =
+  [ Add; Sub; Mul; Div; Mod; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; Land; Lor;
+    Band; Bor; Bxor; Shl; Shr; Any ]
+
+let unops = [ Neg; Lnot; Bnot; ToFloat; ToInt; Abs ]
+
 let is_cmp = function Eq | Ne | Lt | Le | Gt | Ge -> true | _ -> false
 
 let int_op_total op b =

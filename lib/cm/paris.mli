@@ -109,6 +109,11 @@ val identity : binop -> kind -> scalar
 (** The UC predefined constant INF, as an int (floats use [infinity]). *)
 val inf_int : int
 
+(** Every binary and every unary operator, in declaration order: the
+    operator grids of the tests range over these. *)
+val binops : binop list
+val unops : unop list
+
 (** Whether the operator is a comparison (result 0 or 1). *)
 val is_cmp : binop -> bool
 

@@ -296,12 +296,6 @@ let edge_scalars =
     SFloat infinity; SFloat neg_infinity;
     SFloat (Int64.float_of_bits 1L) (* the smallest subnormal *) ]
 
-let all_binops =
-  [ Add; Sub; Mul; Div; Mod; Min; Max; Eq; Ne; Lt; Le; Gt; Ge; Land; Lor;
-    Band; Bor; Bxor; Shl; Shr; Any ]
-
-let all_unops = [ Neg; Lnot; Bnot; ToFloat; ToInt; Abs ]
-
 let show_scalar = function
   | SInt i -> string_of_int i
   | SFloat f -> Printf.sprintf "%h/%Lx" f (Int64.bits_of_float f)
@@ -381,7 +375,7 @@ let test_operator_parity () =
                   ~par:(fun d _ o -> Pbin (op, d, o.(0), o.(1))))
               edge_scalars)
           edge_scalars)
-      all_binops
+      binops
     @ List.concat_map
         (fun op ->
           List.concat_map
@@ -390,7 +384,7 @@ let test_operator_parity () =
                 ~fe:(fun _ r o -> Funop (op, r, o.(0)))
                 ~par:(fun d _ o -> Punop (op, d, o.(0))))
             edge_scalars)
-        all_unops
+        unops
   in
   let rewritten = ref 0 and diverged = ref [] in
   List.iter
