@@ -570,6 +570,16 @@ let socket_arg =
 let tcp_port_arg ~doc =
   Arg.(value & opt (some int) None & info [ "tcp" ] ~docv:"PORT" ~doc)
 
+(* the daemon a client command talks to: --tcp PORT, else --socket PATH *)
+let client_addr_term =
+  let addr socket = function
+    | Some port -> Ucd.Client.Tcp ("127.0.0.1", port)
+    | None -> Ucd.Client.Unix_path socket
+  in
+  Term.(
+    const addr $ socket_arg
+    $ tcp_port_arg ~doc:"Connect to loopback TCP port $(docv) instead")
+
 let serve_cmd =
   let jobs_arg =
     Arg.(
@@ -841,13 +851,8 @@ let submit_cmd =
              digest (the server deduplicates in-flight digests, so nothing \
              runs twice)")
   in
-  let run file socket tcp corpus name wait_for_reports trace tenant priority
+  let run file addr corpus name wait_for_reports trace tenant priority
       want_stats want_drain reconnect spec =
-    let addr =
-      match tcp with
-      | Some port -> Ucd.Client.Tcp ("127.0.0.1", port)
-      | None -> Ucd.Client.Unix_path socket
-    in
     let fail msg =
       Printf.eprintf "ucc submit: error: %s\n" msg;
       1
@@ -884,223 +889,74 @@ let submit_cmd =
           if want_stats || want_drain then Ok []
           else Error "nothing to do: pass FILE, --corpus, --stats or --drain"
     in
-    match submits with
+    let ( let* ) = Result.bind in
+    (* frames the session does not consume: trace events stream to
+       stderr, and a restart that --reconnect rides out is announced *)
+    let on_frame = function
+      | Ucd.Proto.Trace_event { job; event } ->
+          Printf.eprintf "%s\n%!"
+            (Ucd.Jsonu.to_string
+               (Ucd.Jsonu.Obj [ ("job", Ucd.Jsonu.Int job); ("trace", event) ]))
+      | Ucd.Proto.Shutdown { msg } when reconnect ->
+          Printf.eprintf "ucc submit: server restarting: %s\n%!" msg
+      | _ -> ()
+    in
+    let t0 = Unix.gettimeofday () in
+    let session =
+      let* submits = submits in
+      let* conn, outcomes =
+        Ucd.Client.submit_all ~tenant ~priority ~reconnect
+          ~wait:wait_for_reports ~trace ~other:on_frame addr submits
+      in
+      Fun.protect ~finally:(fun () -> Ucd.Client.close conn) @@ fun () ->
+      List.iter
+        (function
+          | Ucd.Client.Rejected { code; msg } ->
+              Printf.eprintf "ucc submit: rejected (%s): %s\n%!"
+                (Ucd.Proto.code_string code) msg
+          | _ -> ())
+        outcomes;
+      let* () =
+        if want_stats then
+          let* stats = Ucd.Client.stats ~other:on_frame conn in
+          Printf.eprintf "%s\n%!" (Ucd.Jsonu.to_string stats);
+          Ok ()
+        else Ok ()
+      in
+      let* () =
+        if want_drain then
+          let* in_flight = Ucd.Client.drain ~other:on_frame conn in
+          Printf.eprintf "ucc submit: server draining (%d job(s) in flight)\n%!"
+            in_flight;
+          Ok ()
+        else Ok ()
+      in
+      Ok outcomes
+    in
+    match session with
     | Error msg -> fail msg
-    | Ok submits -> (
-        let dial () =
-          if reconnect then
-            Ucd.Client.connect_retry ~attempts:12 ~tenant ~priority addr
-          else Ucd.Client.connect ~tenant ~priority addr
+    | Ok outcomes ->
+        let results =
+          List.filter_map
+            (function
+              | Ucd.Client.Row { row; result } ->
+                  print_endline (Ucd.Jsonu.to_string row);
+                  Some result
+              | _ -> None)
+            outcomes
         in
-        match dial () with
-        | Error msg -> fail msg
-        | Ok c0 -> (
-            let conn = ref c0 in
-            let finally () = Ucd.Client.close !conn in
-            Fun.protect ~finally @@ fun () ->
-            let t0 = Unix.gettimeofday () in
-            let n = List.length submits in
-            let rows = Array.make (max n 1) None in
-            let rejections = Array.make (max n 1) None in
-            let acked = Array.make (max n 1) false in
-            let job_index = Hashtbl.create 16 in
-            (* a fast job's report frame can overtake its accepted frame
-               (worker thread vs reader thread); park it and re-match
-               once the ack arrives *)
-            let orphans = ref [] in
-            let protocol_error = ref None in
-            let place job row =
-              match Hashtbl.find_opt job_index job with
-              | Some i when i < Array.length rows -> rows.(i) <- Some row
-              | _ -> orphans := (job, row) :: !orphans
-            in
-            let ack client_ref job =
-              Option.iter
-                (fun r ->
-                  match int_of_string_opt r with
-                  | Some i when i < Array.length acked ->
-                      acked.(i) <- true;
-                      Hashtbl.replace job_index job i;
-                      let mine, rest =
-                        List.partition (fun (j, _) -> j = job) !orphans
-                      in
-                      orphans := rest;
-                      List.iter (fun (j, row) -> place j row) mine
-                  | _ -> ())
-                client_ref
-            in
-            (* any frame not awaited by an rpc helper lands here *)
-            let on_frame = function
-              | Ucd.Proto.Accepted { client_ref; job; digest = _ }
-              | Ucd.Proto.Resumed { client_ref; job; digest = _ } ->
-                  ack client_ref job
-              | Ucd.Proto.Rejected { client_ref; code; msg } ->
-                  let tag = Ucd.Proto.code_string code in
-                  Printf.eprintf "ucc submit: rejected (%s): %s\n%!" tag msg;
-                  Option.iter
-                    (fun r ->
-                      match int_of_string_opt r with
-                      | Some i when i < Array.length rejections ->
-                          acked.(i) <- true;
-                          rejections.(i) <- Some (tag, msg)
-                      | _ -> ())
-                    client_ref
-              | Ucd.Proto.Report { job; row } -> place job row
-              | Ucd.Proto.Trace_event { job; event } ->
-                  Printf.eprintf "%s\n%!"
-                    (Ucd.Jsonu.to_string
-                       (Ucd.Jsonu.Obj
-                          [ ("job", Ucd.Jsonu.Int job); ("trace", event) ]))
-              | Ucd.Proto.Error { code; msg } ->
-                  protocol_error :=
-                    Some (Printf.sprintf "%s: %s" (Ucd.Proto.code_string code) msg)
-              | Ucd.Proto.Shutdown { msg } ->
-                  if reconnect then
-                    (* the EOF that follows triggers the reattach *)
-                    Printf.eprintf "ucc submit: server restarting: %s\n%!" msg
-                  else protocol_error := Some ("server shut down: " ^ msg)
-              | _ -> ()
-            in
-            let ( let* ) r f =
-              match r with Error e -> Error e | Ok v -> f v
-            in
-            let unfinished i = rows.(i) = None && rejections.(i) = None in
-            let send_submits which =
-              List.fold_left
-                (fun acc (i, s) ->
-                  let* () = acc in
-                  if which i then
-                    Ucd.Client.send !conn
-                      (Ucd.Proto.Submit
-                         {
-                           s with
-                           Ucd.Proto.client_ref = Some (string_of_int i);
-                         })
-                  else Ok ())
-                (Ok ())
-                (List.mapi (fun i s -> (i, s)) submits)
-            in
-            let set_trace_on () =
-              if trace then
-                Result.map ignore
-                  (Ucd.Client.set_trace ~other:on_frame !conn true)
-              else Ok ()
-            in
-            (* the connection died: dial again with backoff and resubmit
-               everything unfinished — the server's digest dedup turns
-               each resubmission into an attach to the still-running job
-               (or a cache hit), never a second run *)
-            let reattach () =
-              Ucd.Client.close !conn;
-              let* c =
-                Ucd.Client.connect_retry ~attempts:12 ~tenant ~priority addr
-              in
-              conn := c;
-              (* job ids do not survive a restart; digests do *)
-              Hashtbl.reset job_index;
-              orphans := [];
-              for i = 0 to n - 1 do
-                if unfinished i then acked.(i) <- false
-              done;
-              let* () = set_trace_on () in
-              send_submits unfinished
-            in
-            let pump_until done_ =
-              let rec go () =
-                if done_ () || !protocol_error <> None then Ok ()
-                else
-                  match Ucd.Client.recv !conn with
-                  | Ok msg ->
-                      on_frame msg;
-                      go ()
-                  | Error e ->
-                      if reconnect then
-                        let* () = reattach () in
-                        go ()
-                      else Error e
-              in
-              go ()
-            in
-            let all_acked () =
-              let ok = ref true in
-              for i = 0 to n - 1 do
-                if not acked.(i) then ok := false
-              done;
-              !ok
-            in
-            let all_finished () =
-              let ok = ref true in
-              for i = 0 to n - 1 do
-                if unfinished i then ok := false
-              done;
-              !ok
-            in
-            let outcome =
-              let* _ = set_trace_on () in
-              let* _ = send_submits (fun _ -> true) in
-              let* () = pump_until all_acked in
-              let* () =
-                if wait_for_reports then
-                  pump_until (fun () -> all_acked () && all_finished ())
-                else Ok ()
-              in
-              let* () =
-                if want_stats then
-                  let* stats = Ucd.Client.stats ~other:on_frame !conn in
-                  Printf.eprintf "%s\n%!" (Ucd.Jsonu.to_string stats);
-                  Ok ()
-                else Ok ()
-              in
-              let* () =
-                if want_drain then
-                  let* in_flight = Ucd.Client.drain ~other:on_frame !conn in
-                  Printf.eprintf
-                    "ucc submit: server draining (%d job(s) in flight)\n%!"
-                    in_flight;
-                  Ok ()
-                else Ok ()
-              in
-              Ok ()
-            in
-            match outcome with
-            | Error msg -> fail msg
-            | Ok () -> (
-                match !protocol_error with
-                | Some msg -> fail msg
-                | None ->
-                    let results = ref [] in
-                    Array.iteri
-                      (fun i row ->
-                        if i < n then
-                          match row with
-                          | Some row -> (
-                              print_endline (Ucd.Jsonu.to_string row);
-                              match Ucd.Report.of_json row with
-                              | Ok r -> results := r :: !results
-                              | Error _ -> ())
-                          | None -> ())
-                      rows;
-                    let results = List.rev !results in
-                    let rejected =
-                      Array.fold_left
-                        (fun k r -> if r = None then k else k + 1)
-                        0 rejections
-                    in
-                    if wait_for_reports && results <> [] then begin
-                      let elapsed = Unix.gettimeofday () -. t0 in
-                      Format.eprintf "submit: %a@." Ucd.Report.pp_summary
-                        (Ucd.Report.summarize ~elapsed results)
-                    end;
-                    let summary =
-                      Ucd.Report.summarize ~elapsed:0. results
-                    in
-                    if
-                      rejected > 0
-                      || summary.Ucd.Report.failed > 0
-                      || summary.Ucd.Report.timeout > 0
-                      || summary.Ucd.Report.faulted > 0
-                    then 2
-                    else 0)))
+        let summary =
+          Ucd.Report.summarize ~elapsed:(Unix.gettimeofday () -. t0) results
+        in
+        if wait_for_reports && results <> [] then
+          Format.eprintf "submit: %a@." Ucd.Report.pp_summary summary;
+        if
+          List.exists
+            (function Ucd.Client.Rejected _ -> true | _ -> false)
+            outcomes
+          || Ucd.Report.(summary.failed + summary.timeout + summary.faulted) > 0
+        then 2
+        else 0
   in
   Cmd.v
     (Cmd.info "submit"
@@ -1108,9 +964,7 @@ let submit_cmd =
          "Submit jobs to a running $(b,ucc serve) daemon and stream back \
           reports and traces")
     Term.(
-      const run $ file_arg $ socket_arg
-      $ tcp_port_arg ~doc:"Connect to loopback TCP port $(docv) instead"
-      $ corpus_arg $ name_arg $ wait_arg $ trace_flag $ tenant_arg
+      const run $ file_arg $ client_addr_term $ corpus_arg $ name_arg $ wait_arg $ trace_flag $ tenant_arg
       $ priority_arg $ server_stats_flag $ drain_flag $ reconnect_flag
       $ spec_term Ucd.Job.knobs)
 
@@ -1325,12 +1179,7 @@ let status_cmd =
             "Instead of the server snapshot, look up one job by its content \
              digest (prints state, and the report row when available)")
   in
-  let run socket tcp digest =
-    let addr =
-      match tcp with
-      | Some port -> Ucd.Client.Tcp ("127.0.0.1", port)
-      | None -> Ucd.Client.Unix_path socket
-    in
+  let run addr digest =
     match Ucd.Client.connect addr with
     | Error msg ->
         Printf.eprintf "ucc status: error: %s\n" msg;
@@ -1371,10 +1220,7 @@ let status_cmd =
          "Query a running $(b,ucc serve) daemon: uptime, pool and queue \
           depth, journal lag and per-tenant quota usage (JSON to stdout); \
           or one job's state by content digest")
-    Term.(
-      const run $ socket_arg
-      $ tcp_port_arg ~doc:"Connect to loopback TCP port $(docv) instead"
-      $ digest_arg)
+    Term.(const run $ client_addr_term $ digest_arg)
 
 let () =
   let doc = "UC compiler for the simulated Connection Machine" in

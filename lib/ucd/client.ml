@@ -1,16 +1,12 @@
-(* Client side of the serve protocol: connect, handshake, then a thin
-   send/recv surface over Proto.  Used by `ucc submit`, the loopback
-   tests, and the bench load generator.  Blocking and single-threaded
-   by design — one request pipeline per connection; callers wanting
-   concurrency open more connections. *)
+(* Client side of the serve protocol: connect, handshake, a thin
+   send/recv surface over Proto, and the one submit loop.  Used by `ucc
+   submit`, the loopback tests, and the bench load generator.  Blocking
+   and single-threaded by design — one request pipeline per connection;
+   callers wanting concurrency open more connections. *)
 
 type addr = Unix_path of string | Tcp of string * int
 
-type t = {
-  fd : Unix.file_descr;
-  reader : Proto.reader;
-  session : int;  (* session id granted by welcome *)
-}
+type t = { fd : Unix.file_descr; reader : Proto.reader }
 
 let write_all fd s =
   let b = Bytes.of_string s in
@@ -36,8 +32,7 @@ let recv t =
 
 let close t = try Unix.close t.fd with _ -> ()
 
-let connect ?(tenant = "anonymous") ?(priority = Proto.Normal)
-    ?max_frame addr =
+let connect ?(tenant = "anonymous") ?(priority = Proto.Normal) addr =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with _ -> ());
   let sock () =
     match addr with
@@ -58,7 +53,7 @@ let connect ?(tenant = "anonymous") ?(priority = Proto.Normal)
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "connect failed: %s" (Unix.error_message e))
   | fd -> (
-      let t0 = { fd; reader = Proto.reader ?max_frame fd; session = 0 } in
+      let t0 = { fd; reader = Proto.reader fd } in
       let hello =
         Proto.Hello { version = Proto.version; tenant; priority }
       in
@@ -68,8 +63,7 @@ let connect ?(tenant = "anonymous") ?(priority = Proto.Normal)
           Error e
       | Ok () -> (
           match recv t0 with
-          | Ok (Proto.Welcome { version = _; session; server = _ }) ->
-              Ok { t0 with session }
+          | Ok (Proto.Welcome _) -> Ok t0
           | Ok (Proto.Error { code; msg }) ->
               close t0;
               Error
@@ -82,42 +76,23 @@ let connect ?(tenant = "anonymous") ?(priority = Proto.Normal)
               close t0;
               Error e))
 
-let session t = t.session
+(* Capped exponential backoff between attempts: 50 ms doubling, capped
+   at 1 s, with Runner's seeded jitter so a fleet of identical clients
+   hammering a restarting daemon spreads out, reproducibly. *)
+let connect_attempts = 12
 
-(* Capped exponential backoff with deterministic seeded jitter
-   (Runner.backoff_delay's recipe): attempt [k] sleeps
-   [min cap (base * 2^k)] scaled into [0.5, 1.5), so a fleet of
-   identical clients hammering a restarting daemon spreads out,
-   reproducibly. *)
-let retry_delay ~base ~cap ~seed ~attempt =
-  if base <= 0. then 0.
-  else begin
-    let capped = Float.min cap (base *. (2. ** float_of_int attempt)) in
-    let h = ((seed * 1103515245) + 12345 + (attempt * 40503)) land 0x3FFFFFFF in
-    capped *. (0.5 +. (float_of_int (h land 0xFFFF) /. 65536.))
-  end
-
-let connect_retry ?tenant ?priority ?max_frame ?(attempts = 8)
-    ?(backoff_base = 0.05) ?(backoff_cap = 1.0) ?(seed = 1) addr =
-  let rec go k last =
-    match connect ?tenant ?priority ?max_frame addr with
+let connect_retry ?tenant ?priority addr =
+  let rec go k =
+    match connect ?tenant ?priority addr with
     | Ok t -> Ok t
-    | Error e ->
-        let k = k + 1 in
-        if k >= attempts then
-          Error
-            (Printf.sprintf "%s (after %d attempt%s)" e attempts
-               (if attempts = 1 then "" else "s"))
-        else begin
-          let d =
-            retry_delay ~base:backoff_base ~cap:backoff_cap ~seed
-              ~attempt:(k - 1)
-          in
-          if d > 0. then Unix.sleepf d;
-          go k e
-        end
+    | Error e when k + 1 >= connect_attempts ->
+        Error (Printf.sprintf "%s (after %d attempts)" e connect_attempts)
+    | Error _ ->
+        Unix.sleepf
+          (Runner.backoff_delay ~base:0.05 ~cap:1.0 ~seed:1 ~attempt:k);
+        go (k + 1)
   in
-  go 0 "never tried"
+  go 0
 
 (* Wait for a reply satisfying [want], handing every other frame to
    [other] (reports and trace events keep streaming while we wait for a
@@ -179,3 +154,125 @@ let set_trace ?(other = fun _ -> ()) t enable =
       recv_until t ~other (function
         | Proto.Trace_reply on -> Some on
         | _ -> None)
+
+type outcome =
+  | Row of { row : Jsonu.t; result : Report.result }
+  | Rejected of { code : Proto.error_code; msg : string }
+  | Pending
+
+(* One blocking submit session.  Submission [i] travels with ref "i";
+   [acks] maps a server job id to the indices acked with it whose row
+   has not come yet (one report arrives per ack), and [orphans] parks
+   rows that overtook their ack (worker thread vs reader thread on the
+   server).  Both are per connection: job ids do not survive a
+   restart, digests do, so a redial resubmits every unfinished index
+   and the server's digest dedup turns each into an attach to the
+   still-running job or a cache hit, never a second run. *)
+let submit_all ?tenant ?priority ?(reconnect = false) ?(wait = true)
+    ?(trace = false) ?(other = fun _ -> ()) addr submits =
+  let ( let* ) = Result.bind in
+  let subs = Array.of_list submits in
+  let n = Array.length subs in
+  let out = Array.make n Pending and acked = Array.make n false in
+  let acks = Hashtbl.create 16 and orphans = Hashtbl.create 4 in
+  let failure = ref None in
+  let fail msg = if !failure = None then failure := Some msg in
+  let index client_ref =
+    match Option.bind client_ref int_of_string_opt with
+    | Some i when i >= 0 && i < n -> Some i
+    | _ -> None
+  in
+  let place i row =
+    match Report.of_json row with
+    | Ok result -> out.(i) <- Row { row; result }
+    | Error e ->
+        fail
+          (Printf.sprintf "report row for job %s does not parse: %s"
+             subs.(i).Proto.name e)
+  in
+  let on_frame = function
+    | Proto.Accepted { client_ref; job; _ } | Proto.Resumed { client_ref; job; _ }
+      -> (
+        match index client_ref with
+        | None -> ()
+        | Some i -> (
+            acked.(i) <- true;
+            match Hashtbl.find_opt orphans job with
+            | Some row ->
+                Hashtbl.remove orphans job;
+                place i row
+            | None -> Hashtbl.add acks job i))
+    | Proto.Rejected { client_ref; code; msg } ->
+        Option.iter
+          (fun i ->
+            acked.(i) <- true;
+            out.(i) <- Rejected { code; msg })
+          (index client_ref)
+    | Proto.Report { job; row } -> (
+        match Hashtbl.find_opt acks job with
+        | Some i ->
+            Hashtbl.remove acks job;
+            place i row
+        | None -> Hashtbl.add orphans job row)
+    | Proto.Error { code; msg } ->
+        fail (Printf.sprintf "%s: %s" (Proto.code_string code) msg)
+    | Proto.Shutdown { msg } when not reconnect ->
+        fail ("server shut down: " ^ msg)
+    | msg -> other msg
+  in
+  let finished i = match out.(i) with Pending -> false | _ -> true in
+  let settled () =
+    let rec go i =
+      i = n || ((if wait then finished i else acked.(i)) && go (i + 1))
+    in
+    go 0
+  in
+  (* one connection's life: subscribe, send every unfinished index,
+     read until settled *)
+  let serve c =
+    Hashtbl.reset acks;
+    Hashtbl.reset orphans;
+    Array.iteri (fun i _ -> if not (finished i) then acked.(i) <- false) acked;
+    let rec submit i =
+      if i = n then Ok ()
+      else if finished i then submit (i + 1)
+      else
+        let* () =
+          send c
+            (Proto.Submit
+               { (subs.(i)) with Proto.client_ref = Some (string_of_int i) })
+        in
+        submit (i + 1)
+    in
+    let rec pump () =
+      if !failure <> None || settled () then Ok ()
+      else
+        let* msg = recv c in
+        on_frame msg;
+        pump ()
+    in
+    let sent =
+      let* () = if trace then send c (Proto.Trace true) else Ok () in
+      submit 0
+    in
+    (* after a failed send the frames already in flight are still read,
+       so a row that came before the connection died is not sent again *)
+    let read = pump () in
+    if Result.is_error sent then sent else read
+  in
+  let rec session c =
+    match (serve c, !failure) with
+    | Ok (), None -> Ok (c, Array.to_list out)
+    | Error _, None when reconnect ->
+        close c;
+        let* c = connect_retry ?tenant ?priority addr in
+        session c
+    | _, Some e | Error e, None ->
+        close c;
+        Error e
+  in
+  let* c =
+    if reconnect then connect_retry ?tenant ?priority addr
+    else connect ?tenant ?priority addr
+  in
+  session c

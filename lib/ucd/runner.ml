@@ -19,13 +19,12 @@ let default_policy =
 
 (* Capped exponential backoff with deterministic, seeded jitter: the
    sleep for attempt [k] is [min cap (base * 2^k)] scaled into
-   [0.5, 1.5) by a hash of (job seed, attempt), so colliding retries
-   from a fleet of identical jobs spread out, reproducibly. *)
-let backoff_delay policy ~seed ~attempt =
-  if policy.backoff_base <= 0. then 0.
+   [0.5, 1.5) by a hash of (seed, attempt), so colliding retries from a
+   fleet of identical jobs (or clients) spread out, reproducibly. *)
+let backoff_delay ~base ~cap ~seed ~attempt =
+  if base <= 0. then 0.
   else begin
-    let base = policy.backoff_base *. (2. ** float_of_int attempt) in
-    let capped = Float.min policy.backoff_cap base in
+    let capped = Float.min cap (base *. (2. ** float_of_int attempt)) in
     let h = ((seed * 1103515245) + 12345 + (attempt * 40503)) land 0x3FFFFFFF in
     let frac = float_of_int (h land 0xFFFF) /. 65536. in
     capped *. (0.5 +. frac)
@@ -187,7 +186,8 @@ let compute ~policy ~t0 ~obs ?ckpt ?on_checkpoint cache (job : Job.t) digest =
                     ("fault", Obs.Json.Str msg);
                   ];
             let delay =
-              backoff_delay policy ~seed:job.Job.seed ~attempt
+              backoff_delay ~base:policy.backoff_base ~cap:policy.backoff_cap
+                ~seed:job.Job.seed ~attempt
             in
             if delay > 0. then Unix.sleepf delay;
             attempt_run (attempt + 1) trace

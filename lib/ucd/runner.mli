@@ -34,6 +34,12 @@ type policy = {
     at 250ms. *)
 val default_policy : policy
 
+(** The retry sleep for attempt [attempt] (from 0): [min cap (base * 2^attempt)]
+    scaled into [\[0.5, 1.5)] by a hash of ([seed], [attempt]); 0 when
+    [base <= 0].  Job retries use the policy's base and cap with the
+    job's seed; {!Client}'s redial uses it too. *)
+val backoff_delay : base:float -> cap:float -> seed:int -> attempt:int -> float
+
 (** Run one job: cache lookup, else compile (via the staged
     {!Uc.Compile} API, memoizing AST and IR) and execute under the
     policy.

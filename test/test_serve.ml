@@ -395,57 +395,21 @@ let connect_exn ?tenant ?priority socket =
   | Ok c -> c
   | Error e -> Alcotest.failf "connect: %s" e
 
-(* submit the whole corpus by name over [c]; returns rows in submission
-   order as parsed results *)
-let submit_corpus_wait c =
-  let names = List.map fst Uc_programs.Programs.all_named in
-  List.iteri
-    (fun i n ->
-      match
-        Ucd.Client.send c
-          (Ucd.Proto.Submit
-             {
-               (Ucd.Proto.submit_defaults ~name:n
-                  ~source:(Ucd.Proto.Corpus n))
-               with
-               Ucd.Proto.client_ref = Some (string_of_int i);
-             })
-      with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "send: %s" e)
-    names;
-  let n = List.length names in
-  let rows = Array.make n None in
-  let job_index = Hashtbl.create 16 in
-  let orphans = ref [] in
-  let acks = ref 0 and reports = ref 0 in
-  while !acks < n || !reports < !acks do
-    match Ucd.Client.recv c with
-    | Error e -> Alcotest.failf "recv: %s" e
-    | Ok (Ucd.Proto.Accepted { client_ref = Some r; job; _ }) ->
-        incr acks;
-        Hashtbl.replace job_index job (int_of_string r)
-    | Ok (Ucd.Proto.Rejected { msg; _ }) -> Alcotest.failf "rejected: %s" msg
-    | Ok (Ucd.Proto.Report { job; row }) -> (
-        incr reports;
-        match Hashtbl.find_opt job_index job with
-        | Some i -> rows.(i) <- Some row
-        | None -> orphans := (job, row) :: !orphans)
-    | Ok _ -> ()
-  done;
-  List.iter
-    (fun (job, row) ->
-      match Hashtbl.find_opt job_index job with
-      | Some i -> rows.(i) <- Some row
-      | None -> Alcotest.fail "report for an unknown job")
-    !orphans;
-  Array.to_list rows
-  |> List.map (function
-       | None -> Alcotest.fail "missing report row"
-       | Some row -> (
-           match Ucd.Report.of_json row with
-           | Ok r -> r
-           | Error e -> Alcotest.failf "bad report row: %s" e))
+let corpus_submit name =
+  Ucd.Proto.submit_defaults ~name ~source:(Ucd.Proto.Corpus name)
+
+(* the parsed rows of a submit_all, in submission order; a rejection
+   fails the test *)
+let submitted_rows = function
+  | Error e -> Alcotest.failf "submit_all: %s" e
+  | Ok (c, outcomes) ->
+      Ucd.Client.close c;
+      List.map
+        (function
+          | Ucd.Client.Row { result; _ } -> result
+          | Ucd.Client.Rejected { msg; _ } -> Alcotest.failf "rejected: %s" msg
+          | Ucd.Client.Pending -> Alcotest.fail "missing report row")
+        outcomes
 
 let test_loopback_corpus_identical () =
   (* the acceptance criterion: a corpus submitted over the socket
@@ -461,9 +425,12 @@ let test_loopback_corpus_identical () =
   let srv = Ucd.Server.start (base_cfg socket) in
   Fun.protect ~finally:(fun () -> ignore (Ucd.Server.stop srv)) @@ fun () ->
   let compare_run tag expect_warm =
-    let c = connect_exn ~tenant:"ci" socket in
-    Fun.protect ~finally:(fun () -> Ucd.Client.close c) @@ fun () ->
-    let served = submit_corpus_wait c in
+    let served =
+      submitted_rows
+        (Ucd.Client.submit_all ~tenant:"ci" (Ucd.Client.Unix_path socket)
+           (List.map (fun (n, _) -> corpus_submit n)
+              Uc_programs.Programs.all_named))
+    in
     check Alcotest.int (tag ^ ": row count") (List.length reference)
       (List.length served);
     List.iter2
@@ -1324,52 +1291,268 @@ let test_chaos_soak_no_lost_jobs () =
     List.filteri (fun i _ -> i < 10)
       (List.map fst Uc_programs.Programs.all_named)
   in
-  let run_one name =
-    let rec attempt tries =
-      if tries = 0 then Alcotest.failf "%s never completed under chaos" name
-      else
-        match
-          Ucd.Client.connect_retry ~attempts:8 (Ucd.Client.Unix_path socket)
-        with
-        | Error e -> Alcotest.failf "connect under chaos: %s" e
-        | Ok c -> (
-            let outcome =
-              match
-                Ucd.Client.send c
-                  (Ucd.Proto.Submit
-                     (Ucd.Proto.submit_defaults ~name
-                        ~source:(Ucd.Proto.Corpus name)))
-              with
-              | Error _ -> None
-              | Ok () ->
-                  let rec pump () =
-                    match Ucd.Client.recv c with
-                    | Error _ -> None  (* reset or torn frame: resubmit *)
-                    | Ok (Ucd.Proto.Report { row; _ }) -> Some row
-                    | Ok (Ucd.Proto.Rejected { msg; _ }) ->
-                        Alcotest.failf "rejected under chaos: %s" msg
-                    | Ok _ -> pump ()
-                  in
-                  pump ()
-            in
-            Ucd.Client.close c;
-            match outcome with
-            | Some row -> row
-            | None -> attempt (tries - 1))
+  List.iter2
+    (fun name (r : Ucd.Report.result) ->
+      check Alcotest.string
+        (Printf.sprintf "chaos row for %s ≡ batch row" name)
+        (Ucd.Report.canonical_json (reference_row name))
+        (Ucd.Report.canonical_json { r with Ucd.Report.from_cache = false }))
+    names
+    (submitted_rows
+       (Ucd.Client.submit_all ~reconnect:true (Ucd.Client.Unix_path socket)
+          (List.map corpus_submit names)))
+
+(* ---------------- the client submit session ---------------- *)
+
+let test_malformed_report_row () =
+  (* a fake daemon acks the submit, then sends a report row that is not
+     a report: the session must fail naming the job, not count the row
+     as neither success nor failure *)
+  let socket = next_sock () in
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX socket);
+  Unix.listen lsock 1;
+  let fake () =
+    let fd, _ = Unix.accept lsock in
+    let r = Ucd.Proto.reader fd in
+    let reply msg =
+      let line = Ucd.Proto.server_line msg ^ "\n" in
+      ignore (Unix.write_substring fd line 0 (String.length line))
     in
-    attempt 30
+    ignore (Ucd.Proto.read_frame r);
+    reply (Ucd.Proto.Welcome { version = Ucd.Proto.version; session = 1; server = "fake" });
+    ignore (Ucd.Proto.read_frame r);
+    reply (Ucd.Proto.Accepted { client_ref = Some "0"; job = 1; digest = "d" });
+    reply
+      (Ucd.Proto.Report
+         { job = 1; row = Ucd.Jsonu.Obj [ ("job", Ucd.Jsonu.Str "matmul") ] });
+    (* until the client hangs up *)
+    ignore (Ucd.Proto.read_frame r);
+    Unix.close fd
+  in
+  let th = Thread.create fake () in
+  let result =
+    Ucd.Client.submit_all (Ucd.Client.Unix_path socket) [ corpus_submit "matmul" ]
+  in
+  Thread.join th;
+  Unix.close lsock;
+  Sys.remove socket;
+  match result with
+  | Ok _ -> Alcotest.fail "a malformed report row must be an error"
+  | Error e ->
+      check Alcotest.bool ("error names the job: " ^ e) true
+        (Astring.String.is_infix ~affix:"matmul" e)
+
+(* A frame-forwarding proxy on [front] in front of the daemon on [back].
+   Every frame is logged (connection number, direction, line) before it
+   is passed on, so a row the client read on one connection is logged
+   before the next connection's submits.  Returns the function that
+   stops it and hands back the log. *)
+let wire_proxy ~front ~back =
+  let log = ref [] and lock = Mutex.create () in
+  let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_UNIX front);
+  Unix.listen lsock 8;
+  let pipe conn dir src dst ends =
+    let r = Ucd.Proto.reader src in
+    let rec go () =
+      match Ucd.Proto.read_frame r with
+      | `Frame line ->
+          Mutex.protect lock (fun () -> log := (conn, dir, line) :: !log);
+          let s = line ^ "\n" in
+          if
+            try Unix.write_substring dst s 0 (String.length s) > 0
+            with Unix.Unix_error _ -> false
+          then go ()
+      | `Eof | `Oversized | (exception Unix.Unix_error _) -> ()
+    in
+    go ();
+    (* half-close, so the other direction still delivers what it has;
+       the second direction to end closes both *)
+    (try Unix.shutdown dst Unix.SHUTDOWN_SEND with _ -> ());
+    if Atomic.fetch_and_add ends 1 = 1 then List.iter Unix.close [ src; dst ]
+  in
+  let rec accept conn =
+    match Unix.accept lsock with
+    | exception Unix.Unix_error _ -> ()
+    | client, _ ->
+        let server = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        (match Unix.connect server (Unix.ADDR_UNIX back) with
+        | () ->
+            let ends = Atomic.make 0 in
+            List.iter
+              (fun (dir, src, dst) ->
+                ignore (Thread.create (fun () -> pipe conn dir src dst ends) ()))
+              [ (`Up, client, server); (`Down, server, client) ]
+        | exception Unix.Unix_error _ -> List.iter Unix.close [ client; server ]);
+        accept (conn + 1)
+  in
+  let th = Thread.create accept 0 in
+  fun () ->
+    Unix.shutdown lsock Unix.SHUTDOWN_ALL;
+    Unix.close lsock;
+    Thread.join th;
+    Sys.remove front;
+    List.rev !log
+
+(* Which submissions a connection finished: those it carried a
+   rejection for, or an ack and that job's row.  [ref -> first
+   connection]. *)
+let finished_on wire =
+  let finished = Hashtbl.create 16 and acks = ref [] and rows = ref [] in
+  let finish r conn =
+    match Hashtbl.find_opt finished r with
+    | Some c when c <= conn -> ()
+    | _ -> Hashtbl.replace finished r conn
   in
   List.iter
-    (fun name ->
-      let row = run_one name in
-      match Ucd.Report.of_json row with
-      | Error e -> Alcotest.failf "bad row under chaos: %s" e
-      | Ok r ->
-          check Alcotest.string
-            (Printf.sprintf "chaos row for %s ≡ batch row" name)
-            (Ucd.Report.canonical_json (reference_row name))
-            (Ucd.Report.canonical_json { r with Ucd.Report.from_cache = false }))
-    names
+    (fun (conn, dir, line) ->
+      match (dir, Ucd.Proto.server_of_line line) with
+      | `Down, Ok (Ucd.Proto.Accepted { client_ref = Some r; job; _ })
+      | `Down, Ok (Ucd.Proto.Resumed { client_ref = Some r; job; _ }) ->
+          acks := ((conn, job), r) :: !acks
+      | `Down, Ok (Ucd.Proto.Rejected { client_ref = Some r; _ }) -> finish r conn
+      | `Down, Ok (Ucd.Proto.Report { job; _ }) -> rows := (conn, job) :: !rows
+      | _ -> ())
+    wire;
+  List.iter
+    (fun (key, r) -> if List.mem key !rows then finish r (fst key))
+    !acks;
+  finished
+
+let qcheck_submit_all_under_chaos =
+  (* under random socket resets, torn frames and at most one daemon
+     restart, submit_all ~reconnect yields one row or typed rejection
+     per submit, in order, rows ≡ batch, and nothing runs twice *)
+  let corpus = List.map fst Uc_programs.Programs.all_named in
+  let reference =
+    lazy
+      (List.combine corpus
+         (Ucd.Runner.run_jobs ~domains:2 ~cache:(Ucd.Cache.create ())
+            (List.map
+               (fun (name, source) -> Ucd.Job.make ~name ~source ())
+               Uc_programs.Programs.all_named)))
+  in
+  (* one cache dir for every case: later cases hit the cache, which is
+     when rows overtake their acks *)
+  let dir = lazy (tmpdir ()) in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 9999)
+        (pair (int_bound 3) (int_bound 3))
+        (opt (float_bound_inclusive 0.05))
+        (map
+           (fun mask -> List.filteri (fun i _ -> mask land (1 lsl i) <> 0) corpus)
+           (int_bound ((1 lsl List.length corpus) - 1))))
+  in
+  let print (seed, (resets, frames), restart, names) =
+    Printf.sprintf "seed=%d resets=%d frames=%d restart=%s jobs=%s" seed resets
+      frames
+      (match restart with Some d -> Printf.sprintf "%.3fs" d | None -> "none")
+      (String.concat "," names)
+  in
+  QCheck.Test.make ~count:10 ~name:"submit_all under chaos and a restart"
+    (QCheck.make ~print gen)
+    (fun (seed, (resets, frames), restart, names) ->
+      let n = List.length names in
+      let chaos =
+        Result.get_ok
+          (Ucd.Chaos.parse
+             (Printf.sprintf "seed=%d;horizon=%d;resets=%d;frames=%d" seed
+                ((2 * n) + 4) resets frames))
+      in
+      let back = next_sock () and front = next_sock () in
+      let start () =
+        Ucd.Server.start ~cache_dir:(Lazy.force dir)
+          { (base_cfg back) with Ucd.Server.chaos = Some chaos }
+      in
+      let srv = ref (start ()) and misses = ref [] in
+      let stop () =
+        ignore (Ucd.Server.stop !srv);
+        match Ucd.Server.stats !srv with
+        | Ucd.Jsonu.Obj f -> (
+            match List.assoc "cache" f with
+            | Ucd.Jsonu.Obj c -> misses := List.assoc "run_misses" c :: !misses
+            | _ -> ())
+        | _ -> ()
+      in
+      let stop_proxy = wire_proxy ~front ~back in
+      let settled = Atomic.make false and timed_out = ref false in
+      (* the restart, then a watchdog that turns a hung session into a
+         failure: with the daemon gone for good, redialling gives up *)
+      let driver () =
+        Option.iter
+          (fun d ->
+            Thread.delay d;
+            stop ();
+            srv := start ())
+          restart;
+        let deadline = Unix.gettimeofday () +. 20. in
+        while (not (Atomic.get settled)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        if not (Atomic.get settled) then begin
+          timed_out := true;
+          stop ()
+        end
+      in
+      let th = Thread.create driver () in
+      let result =
+        Ucd.Client.submit_all ~reconnect:true (Ucd.Client.Unix_path front)
+          (List.map corpus_submit names)
+      in
+      Atomic.set settled true;
+      Thread.join th;
+      if not !timed_out then stop ();
+      let wire = stop_proxy () in
+      let outcomes =
+        match result with
+        | Ok (c, outcomes) ->
+            Ucd.Client.close c;
+            outcomes
+        | Error e ->
+            QCheck.Test.fail_reportf "submit_all failed%s: %s"
+              (if !timed_out then " (hung)" else "") e
+      in
+      if List.length outcomes <> n then
+        QCheck.Test.fail_reportf "%d outcomes for %d submits"
+          (List.length outcomes) n;
+      List.iter2
+        (fun name -> function
+          | Ucd.Client.Row { result; _ } ->
+              if
+                Ucd.Report.canonical_json result
+                <> Ucd.Report.canonical_json
+                     (List.assoc name (Lazy.force reference))
+              then QCheck.Test.fail_reportf "row for %s differs from batch" name
+          | Ucd.Client.Rejected _ -> ()
+          | Ucd.Client.Pending -> QCheck.Test.fail_reportf "no outcome for %s" name)
+        names outcomes;
+      let distinct =
+        List.length (List.sort_uniq compare (List.map corpus_digest names))
+      in
+      List.iter
+        (function
+          | Ucd.Jsonu.Int k when k <= distinct -> ()
+          | k ->
+              QCheck.Test.fail_reportf "run_misses %s for %d distinct digests"
+                (Ucd.Jsonu.to_string k) distinct)
+        !misses;
+      (* resubmit only unfinished: no submission is sent again on a
+         connection after the one that finished it *)
+      let finished = finished_on wire in
+      List.iter
+        (fun (conn, dir, line) ->
+          match (dir, Ucd.Proto.client_of_line line) with
+          | `Up, Ok (Ucd.Proto.Submit { client_ref = Some r; name; _ }) -> (
+              match Hashtbl.find_opt finished r with
+              | Some c when c < conn ->
+                  QCheck.Test.fail_reportf
+                    "%s sent again on connection %d, finished on %d" name conn c
+              | _ -> ())
+          | _ -> ())
+        wire;
+      true)
 
 let () =
   Alcotest.run "serve"
@@ -1454,5 +1637,11 @@ let () =
             test_server_status_over_socket;
           Alcotest.test_case "chaos soak: zero lost, rows ≡ batch" `Slow
             test_chaos_soak_no_lost_jobs;
+        ] );
+      ( "client",
+        [
+          Alcotest.test_case "malformed report row is a typed error" `Quick
+            test_malformed_report_row;
+          QCheck_alcotest.to_alcotest qcheck_submit_all_under_chaos;
         ] );
     ]
