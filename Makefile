@@ -3,7 +3,7 @@
 # a CLI sanity check, and the whole corpus run under a canned fault
 # plan with retries; it stops loudly at the first failing step.
 
-.PHONY: all build test ci ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-crash ci-tune bench batch clean
+.PHONY: all build test ci ci-faultgate ci-iropt ci-obs ci-serve ci-crash ci-tune bench batch clean
 
 all: build
 
@@ -13,7 +13,7 @@ build:
 test:
 	dune runtest
 
-ci: ci-faultgate ci-iropt ci-obs ci-serve ci-sharded ci-crash ci-tune
+ci: ci-faultgate ci-iropt ci-obs ci-serve ci-crash ci-tune
 	dune build
 	dune exec test/test_engine.exe -- test corpus
 	dune runtest
@@ -51,15 +51,6 @@ ci-faultgate: build
 	@grep -q '"summary":true' _ci_faultgate.jsonl
 	@echo "fault gate: every job ended Done or Faulted"
 	@rm -f _ci_faultgate.jsonl
-
-# Sharded-engine gate: the whole corpus bit-identical between
-# --engine fast and --engine sharded at 3 and 4 shards, traced and
-# untraced, and between fast and --engine reference, which shares no
-# kernel with them (rows compared minus digest/engine labels and wall-clock
-# provenance; output, simulated seconds and all deterministic metrics
-# must agree byte for byte).
-ci-sharded: build
-	timeout 300 bash test/ci_sharded.sh
 
 # Layout-tuner gate: `ucc tune` over the whole corpus (every emitted
 # map section re-parses and --apply is idempotent, predicted chosen

@@ -51,7 +51,6 @@ type t = {
   mutable region_name : string;  (* name region_acc accumulates into *)
   regions : (string, float ref) Hashtbl.t;  (* region -> elapsed ns *)
   mutable kernels : (unit -> unit) array option;  (* decoded, lazy *)
-  mutable steam : Shard.team option;  (* borrowed for a sharded exec *)
   mutable icount : int;  (* executed instruction serial, both engines *)
   fstate : fstate option;
   mutable fault_log : string list;  (* reversed, like output *)
@@ -130,7 +129,6 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     region_name = "(startup)";
     regions;
     kernels = None;
-    steam = None;
     icount = 0;
     fstate = Option.map (fstate_of_plan ~from:0) faults;
     fault_log = [];
@@ -772,14 +770,12 @@ let run_reference ?steps m =
     if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
   done
 
-(* ---- fast and sharded engines: pre-decoded instruction kernels ---- *)
+(* ---- fast engine: pre-decoded instruction kernels ---- *)
 
 (* [compile] translates the program once into an array of closures, one
    per instruction, with operand shapes, field kinds, VP-set ids, label
-   targets, geometry constants and chunk layouts resolved at decode time.
-   The run loop is then [kernels.(pc) ()] over monomorphic int/float
-   array loops.  The fast engine is the one-chunk case of the sharded
-   engine's kernels.
+   targets and geometry constants resolved at decode time.  The run loop
+   is then [kernels.(pc) ()] over monomorphic int/float array loops.
 
    The invariant (enforced by test/test_engine.ml) is bit-identical
    observable behaviour with [run_reference]: same register, field and
@@ -823,10 +819,9 @@ let[@inline] fget r p =
    hi <= nv where nv is the VP-set size.  Decode only admits field
    arrays of exactly that length, and the activity flags of a VP set
    have that length too, so the unchecked accesses are in bounds by
-   construction.  Each call covers one chunk of the VP set's layout
-   (the whole range [0, nv) on the fast engine); the chunks are disjoint
-   and cover [0, nv), so the union of the writes is the same at every
-   chunk count. *)
+   construction.  An instruction's kernel sweeps the whole range
+   [0, nv); a per-axis reduction folds one sub-range per outer
+   position. *)
 
 let b2i = Bool.to_int
 
@@ -867,9 +862,9 @@ let%table float_call = function Mod -> Float.rem x y | Min -> Float.min x y | Ma
 let%table int_un = function Neg -> -x | Lnot -> b2i (x = 0) | Bnot -> lnot x | Abs -> abs x
 let%table float_un = function Neg -> -.x | Abs -> Float.abs x
 
-(* The elementwise kernels take their operands first and the chunk
+(* The elementwise kernels take their operands first and the range
    ([all], the flags [m], [lo, hi)) last, so decode applies them to the
-   resolved operands and hands the rest to the chunk sweep. *)
+   resolved operands and hands the rest to the sweep. *)
 let mov_int (o : int array) r all (m : bool array) lo hi =
   match r with
   | IArr a -> for%kernel p = lo to hi - 1 do o.%(p) <- a.%(p) done
@@ -1114,71 +1109,26 @@ let kpfield m f =
   let vp = field_vpset m f in
   (vp, Geometry.size m.prog.geoms.(vp), m.contexts.(vp), field_data m f)
 
-(* VP sets at least this large fan their chunks out to the worker team;
-   smaller sets run the same chunks inline on the main domain.  Either
-   way the chunk layout alone determines the results (see Shard), so the
-   threshold is a pure scheduling knob. *)
-let shard_fanout_threshold = 2048
-
-(* Int reductions whose (operator, identity) pair is an exact monoid on
-   OCaml ints: per-chunk partial folds combined in ascending chunk order
-   reproduce the serial left fold bit-for-bit (63-bit wraparound
-   arithmetic is exactly associative; min/max are idempotent, so the
-   extra per-chunk identity seeds are absorbed; land/lor collapse to the
-   same all/any-nonzero answer under any bracketing).  Floats are NOT
-   here: float addition is not associative, so float reductions stay
-   whole-range. *)
-let int_reduce_exact = function
-  | Add | Mul | Min | Max | Band | Bor | Bxor | Land | Lor -> true
-  | _ -> false
-
-(* Decode one instruction into its kernel.  [layouts.(vp)] splits VP set
-   [vp]'s element range into contiguous chunks (see Shard.layout): one
-   chunk for the fast engine, [n] for
-   [`Sharded n].  Elementwise kernels resolve operands and take their
-   checks, charges and faults on the main domain in the reference's
-   order, then run the write loop once per chunk, fanned out to the
-   machine's worker team when the set is large enough; NEWS shifts
-   between distinct fields write per-chunk destination segments, and
-   exact int reductions fold per chunk and combine in ascending chunk
-   order.  Everything order-sensitive (faultable int operators, router
-   traffic, scans, the random stream, float and [Any] reductions,
-   in-place NEWS, kind and axis errors) is one whole-range kernel on the
-   main domain, between fan-outs — the barrier the CM's global ops
-   imply. *)
-let decode m layouts code_len instr : unit -> unit =
+(* Decode one instruction into its kernel.  Elementwise kernels resolve
+   operands and take their checks, charges and faults in the reference's
+   order, then run their write loop once over the VP set's whole element
+   range, in ascending order, so a faulting element leaves exactly the
+   writes before it. *)
+let decode m code_len instr : unit -> unit =
   let meter = m.meter in
   let check_cur vp what f = kcheck_cur m vp what f in
-  let chunked vp nv =
-    let layout = layouts.(vp) in
-    let nch = Array.length layout in
-    let fan_out = nv >= shard_fanout_threshold in
-    let run body =
-      if fan_out then Shard.run m.steam nch body
-      else for c = 0 to nch - 1 do body c done
-    in
-    (layout, run)
-  in
-  let whole nv = ([| (0, nv) |], fun body -> body 0) in
-  (* [body all mask lo hi] on every chunk, the context read once *)
-  let sweep layout run ctx body =
-    let all = Context.all_active ctx and mask = Context.active ctx in
-    run (fun c ->
-        let lo, hi = layout.(c) in
-        body all mask lo hi)
-  in
+  (* [body all mask 0 nv], the context read once *)
+  let sweep nv ctx body = body (Context.all_active ctx) (Context.active ctx) 0 nv in
   let pfield f = kpfield m f in
   (* An elementwise instruction writing [dst]: the reference's VP-set
      check and charge, then [body ()] resolves the operands (raising
-     where the reference does) and returns the kernel [sweep] runs on
-     each chunk. *)
-  let pe ?(whole_range = false) what dst body =
+     where the reference does) and returns the kernel [sweep] runs. *)
+  let pe what dst body =
     let vp, nv, ctx, _ = pfield dst in
-    let layout, run = if whole_range then whole nv else chunked vp nv in
     fun () ->
       check_cur vp what dst;
       Cost.charge_pe meter ~size:nv;
-      sweep layout run ctx (body ())
+      sweep nv ctx (body ())
   in
   let dec_fe op =
     match op with
@@ -1335,9 +1285,7 @@ let decode m layouts code_len instr : unit -> unit =
       | FInt out ->
           let lop = lazy (int_binop op) in
           let ia = dec_int m vp a and ib = dec_int m vp b in
-          (* a faulting element must leave exactly the writes before it,
-             which only one ascending whole-range sweep reproduces *)
-          pe ~whole_range:(not (int_op_total op b)) "pbin" dst (fun () ->
+          pe "pbin" dst (fun () ->
               let f = Lazy.force lop in
               let ra = ia () in
               let rb = ib () in
@@ -1367,14 +1315,13 @@ let decode m layouts code_len instr : unit -> unit =
       let axis_ok = axis >= 0 && axis < Geometry.rank g in
       let stride = if axis_ok then (Geometry.strides g).(axis) else 1 in
       let extent = if axis_ok then Geometry.dim g axis else 1 in
-      let layout, run = chunked vp nv in
       fun () -> (
         check_cur vp "pcoord" dst;
         if not axis_ok then error "pcoord: bad axis %d" axis;
         Cost.charge_pe meter ~size:nv;
         match fd with
         | FInt out ->
-            sweep layout run ctx (coord_loop out ~stride ~extent)
+            sweep nv ctx (coord_loop out ~stride ~extent)
         | FFloat _ -> error "pcoord into a float field")
   | Ptable (dst, table) ->
       let vp, nv, _, fd = pfield dst in
@@ -1477,22 +1424,12 @@ let decode m layouts code_len instr : unit -> unit =
       let vp_src = field_vpset m src in
       let fd_src = field_data m src in
       let g = m.prog.geoms.(vp) in
-      let axis_ok = axis >= 0 && axis < Geometry.rank g in
-      (* distinct field ids are distinct arrays, so per-chunk destination
-         writes never race with the shared reads; an in-place shift reads
-         what it writes, so it (like a bad axis, which raises) is one
-         whole-range call *)
-      let layout, run =
-        if dst = src || not axis_ok then whole nv else chunked vp nv
-      in
       let shift : type a. a elt -> a array -> a array -> unit =
        fun k s d ->
         let mask =
           if Context.all_active ctx then None else Some (Context.active ctx)
         in
-        run (fun c ->
-            let lo, hi = layout.(c) in
-            ignore (News.shift_sub k ?mask g ~axis ~delta ~lo ~hi s d))
+        ignore (News.shift k ?mask g ~axis ~delta s d)
       in
       fun () ->
         check_cur vp "pnews" dst;
@@ -1522,29 +1459,13 @@ let decode m layouts code_len instr : unit -> unit =
                (right-to-left application), so keep that fault order *)
             let lident = lazy (to_int (identity op KInt)) in
             let lop = lazy (int_binop op) in
-            (* an exact monoid folds per chunk; any other operator is one
-               whole-range left fold *)
-            let layout, run =
-              if int_reduce_exact op then chunked vp nv else whole nv
-            in
-            let nch = Array.length layout in
-            (* reused across executions; the join edge orders the worker
-               writes before the main-domain combine *)
-            let partials = Array.make nch 0 in
             fun () ->
               check_cur vp "preduce" fld;
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
-              let f = Lazy.force lop in
+              let (_ : int -> int -> int) = Lazy.force lop in
               let all = Context.all_active ctx and mask = Context.active ctx in
-              run (fun c ->
-                  let lo, hi = layout.(c) in
-                  partials.%(c) <- ired all mask lo hi op ident a);
-              let acc = ref partials.%(0) in
-              for c = 1 to nch - 1 do
-                acc := f !acc partials.%(c)
-              done;
-              m.regs.(r) <- SInt !acc
+              m.regs.(r) <- SInt (ired all mask 0 nv op ident a)
       | FFloat a ->
           if op = Any then
             fun () ->
@@ -1556,7 +1477,6 @@ let decode m layouts code_len instr : unit -> unit =
               in
               m.regs.(r) <- SFloat v
           else
-            (* float addition is not associative: one whole-range fold *)
             let lident = lazy (to_float (identity op KFloat)) in
             let cell = [| 0.0 |] in
             fun () ->
@@ -1655,39 +1575,32 @@ let decode m layouts code_len instr : unit -> unit =
         Context.reset (cur_ctx m)
   | Cread fld ->
       let vp, nv, ctx, fd = pfield fld in
-      let layout, run = chunked vp nv in
       fun () -> (
         check_cur vp "cread" fld;
         Cost.charge_context meter ~size:nv;
         match fd with
-        | FInt out -> sweep layout run ctx (cread_loop out)
+        | FInt out -> sweep nv ctx (cread_loop out)
         | FFloat _ -> error "cread into a float field")
 
-(* Decode the program once, for the chunk count the engine runs at; a
-   no-op on the reference engine, which has no kernels. *)
+(* Decode the program once; a no-op on the reference engine, which has
+   no kernels. *)
 let compile m =
   match m.engine, m.kernels with
   | `Reference, _ | _, Some _ -> ()
   | _, None ->
-      let shards = match m.engine with `Sharded s -> s | _ -> 1 in
       Obs.with_span m.obs "cm.decode" (fun () ->
           let code = m.prog.code in
           let n = Array.length code in
-          let layouts =
-            Array.map
-              (fun g -> Shard.layout ~shards (Geometry.size g))
-              m.prog.geoms
-          in
           m.kernels <-
             Some
               (Array.init n (fun i ->
                    (* a decode-time fault (e.g. an out-of-range field id in a
                       malformed program) becomes a kernel that re-raises it
                       when that instruction is reached *)
-                   try decode m layouts n code.(i)
+                   try decode m n code.(i)
                    with e -> fun () -> raise e)))
 
-(* The dispatch loop of the fast and sharded engines. *)
+(* The dispatch loop of the fast engine. *)
 let run_kernels ?steps m =
   compile m;
   let kernels = match m.kernels with Some k -> k | None -> assert false in
@@ -1709,26 +1622,19 @@ let run_kernels ?steps m =
     if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
   done
 
-(* [`Native] names the retired native engine; it runs on the fast
-   kernels.  [compile_native] stays for the benchmark harness until a
-   benchmark change drops it. *)
+(* [`Native] and [`Sharded n] name the retired native and sharded
+   engines; both run on the fast kernels.  [compile_native] stays for
+   the benchmark harness until a benchmark change drops it. *)
 let compile_native _ =
   Result.Error "native engine retired: runs on the fast kernels"
 
 let effective_engine m =
-  match m.engine with `Native -> `Fast | e -> e
+  match m.engine with `Native | `Sharded _ -> `Fast | e -> e
 
 let exec ?steps m =
   match m.engine with
   | `Reference -> run_reference ?steps m
-  | `Fast | `Native -> run_kernels ?steps m
-  | `Sharded shards ->
-      m.steam <- Shard.Pool.borrow ~want:(shards - 1) ();
-      Fun.protect
-        ~finally:(fun () ->
-          Shard.Pool.release m.steam;
-          m.steam <- None)
-        (fun () -> run_kernels ?steps m)
+  | `Fast | `Native | `Sharded _ -> run_kernels ?steps m
 
 let run m = exec m
 
@@ -1913,7 +1819,6 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     region_name = ck.ck_region;
     regions;
     kernels = None;
-    steam = None;
     icount = ck.ck_icount;
     fstate;
     fault_log = ck.ck_log;

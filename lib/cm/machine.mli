@@ -6,35 +6,28 @@
     fields before {!run}; results are read back from fields or registers
     afterwards.
 
-    Three engines execute the same program:
+    Two engines execute the same program:
 
-    - [`Sharded n] pre-decodes the program once ({!compile}) into an
-      array of specialized instruction kernels — operand shapes, field
-      kinds, VP-set checks, label targets, geometry constants and a
-      partition of each VP set's element range into [n] contiguous
-      chunks resolved at decode time.  Elementwise kernels run
-      monomorphic int/float loops once per chunk, fanned out across a
-      team of worker domains (see {!Shard}); NEWS shifts write per-chunk
-      destination segments; everything order-sensitive (router traffic,
-      scans, float reductions, the random stream, faults) is one
-      whole-range kernel on the main domain between fan-outs.  Results
-      depend only on the logical chunk count, never on how many worker
-      domains happen to be available.
-    - [`Fast] (the default) runs the same kernels with one chunk per VP
-      set, on the main domain.
+    - [`Fast] (the default) pre-decodes the program once ({!compile})
+      into an array of specialized instruction kernels — operand
+      shapes, field kinds, VP-set checks, label targets and geometry
+      constants resolved at decode time.  Each kernel runs monomorphic
+      int/float loops over its VP set's whole element range.
     - [`Reference] is the original per-instruction tree-walking
       interpreter, kept as the semantic baseline.
 
-    All engines are observably identical bit for bit — at every shard
-    count: registers, fields, output, statistics, simulated nanoseconds,
-    error messages and the random stream all agree (enforced
-    differentially by [test/test_engine.ml]).  The fast and sharded
-    engines are wall-clock optimizations only.
+    Both are observably identical bit for bit: registers, fields,
+    output, statistics, simulated nanoseconds, error messages and the
+    random stream all agree (enforced differentially by
+    [test/test_engine.ml]).  The fast engine is a wall-clock
+    optimization only.
 
-    [`Native] names the retired native engine (IR compiled to OCaml and
-    [Dynlink]ed), kept so that old inputs and digests stay valid: it
-    runs on the fast kernels, exactly like [`Fast], and
-    {!effective_engine} reports it as [`Fast]. *)
+    [`Native] and [`Sharded n] name the retired native engine (IR
+    compiled to OCaml and [Dynlink]ed) and the retired sharded engine
+    (the kernels fanned out over worker domains).  They are kept so
+    that old inputs, digests and checkpoints stay valid: both run on
+    the fast kernels, exactly like [`Fast], and {!effective_engine}
+    reports them as [`Fast]. *)
 
 (** Raised on any dynamic error: kind mismatch, address out of range,
     conflicting parallel assignment, missing [Cwith], division by zero,
@@ -77,9 +70,8 @@ val create :
 val program : t -> Paris.program
 val engine : t -> engine
 
-(** Pre-decode the program into the instruction kernels {!run} executes,
-    at the engine's chunk count (a no-op if already compiled, or for the
-    reference engine — {!run} compiles on first use; calling [compile]
+(** Pre-decode the program into the instruction kernels {!run} executes
+    (a no-op if already compiled, or for the reference engine — {!run} compiles on first use; calling [compile]
     beforehand just front-loads the work). *)
 val compile : t -> unit
 
@@ -87,8 +79,8 @@ val compile : t -> unit
     Kept for the benchmark harness until a benchmark change drops it. *)
 val compile_native : t -> (unit, string) result
 
-(** The engine that will actually execute: [`Native] resolves to
-    [`Fast]; every other engine is itself.  Batch/serve report rows
+(** The engine that will actually execute: [`Native] and [`Sharded n]
+    resolve to [`Fast]; every other engine is itself.  Batch/serve report rows
     record this as [engine_effective]. *)
 val effective_engine : t -> engine
 

@@ -16,17 +16,13 @@ let check g ~axis src dst =
 let bounds ~delta ~extent =
   (max 0 (-delta), min (extent - 1) (extent - 1 - delta))
 
-(* The shift writes only the destination positions in [lo, hi) and
-   returns how many it wrote; the whole-grid shift is the [0, total)
-   case.  Per-chunk calls on distinct arrays write disjoint ranges, so
-   they may run concurrently.  Every segment copy is an ascending
-   element loop, which is the reference semantics also in place
-   ([src == dst]): with [delta < 0] it reads positions it already
-   overwrote, so in-place calls must run in ascending range order,
-   never concurrently.  The walker is shared; the element copies are
-   typed per kind (a float copy that cannot overlap is a memmove). *)
-let shift_sub (type a) (k : a elt) ?mask g ~axis ~delta ~lo ~hi
-    (src : a array) (dst : a array) =
+(* The shift returns how many destination positions it wrote.  Every
+   segment copy is an ascending element loop, which is the reference
+   semantics also in place ([src == dst]): with [delta < 0] it reads
+   positions it already overwrote.  The walker is shared; the element
+   copies are typed per kind (a float copy that cannot overlap is a
+   memmove). *)
+let shift (type a) (k : a elt) ?mask g ~axis ~delta (src : a array) (dst : a array) =
   (match mask with
   | Some m when Array.length m <> Geometry.size g ->
       invalid_arg "News.shift_masked: mask size mismatch"
@@ -36,44 +32,40 @@ let shift_sub (type a) (k : a elt) ?mask g ~axis ~delta ~lo ~hi
   let extent = Geometry.dim g axis in
   let lo_c, hi_c = bounds ~delta ~extent in
   let updated = ref 0 in
-  if lo_c <= hi_c && lo < hi then begin
+  if lo_c <= hi_c then begin
     let block = stride * extent in
     let off = delta * stride in
     let seg = (hi_c - lo_c + 1) * stride in
-    for b = lo / block to (hi - 1) / block do
-      let start = (b * block) + (lo_c * stride) in
-      let s = max start lo and e = min (start + seg) hi in
-      if s < e then
-        match mask, k with
-        | None, EInt ->
+    for b = 0 to (Geometry.size g / block) - 1 do
+      let s = (b * block) + (lo_c * stride) in
+      let e = s + seg in
+      match mask, k with
+      | None, EInt ->
+          for%unroll p = s to e - 1 do
+            Array.unsafe_set dst p (Array.unsafe_get src (p + off))
+          done;
+          updated := !updated + (e - s)
+      | None, EFloat ->
+          if src != dst || delta >= 0 then Array.blit src (s + off) dst s (e - s)
+          else
             for%unroll p = s to e - 1 do
               Array.unsafe_set dst p (Array.unsafe_get src (p + off))
             done;
-            updated := !updated + (e - s)
-        | None, EFloat ->
-            if src != dst || delta >= 0 then Array.blit src (s + off) dst s (e - s)
-            else
-              for%unroll p = s to e - 1 do
-                Array.unsafe_set dst p (Array.unsafe_get src (p + off))
-              done;
-            updated := !updated + (e - s)
-        | Some m, EInt ->
-            for%unroll p = s to e - 1 do
-              if Array.unsafe_get m p then begin
-                Array.unsafe_set dst p (Array.unsafe_get src (p + off));
-                incr updated
-              end
-            done
-        | Some m, EFloat ->
-            for%unroll p = s to e - 1 do
-              if Array.unsafe_get m p then begin
-                Array.unsafe_set dst p (Array.unsafe_get src (p + off));
-                incr updated
-              end
-            done
+          updated := !updated + (e - s)
+      | Some m, EInt ->
+          for%unroll p = s to e - 1 do
+            if Array.unsafe_get m p then begin
+              Array.unsafe_set dst p (Array.unsafe_get src (p + off));
+              incr updated
+            end
+          done
+      | Some m, EFloat ->
+          for%unroll p = s to e - 1 do
+            if Array.unsafe_get m p then begin
+              Array.unsafe_set dst p (Array.unsafe_get src (p + off));
+              incr updated
+            end
+          done
     done
   end;
   !updated
-
-let shift k ?mask g ~axis ~delta src dst =
-  shift_sub k ?mask g ~axis ~delta ~lo:0 ~hi:(Geometry.size g) src dst

@@ -23,20 +23,3 @@ val shift :
   'a array ->
   'a array ->
   int
-
-(** [shift_sub] is {!shift} restricted to destination positions in
-    [\[lo, hi)]; {!shift} is its [\[0, size)] case.  Calls over disjoint
-    ranges of distinct arrays may run concurrently.  With [src == dst]
-    the ranges must run one after another in ascending order, which
-    reproduces the whole-grid in-place shift. *)
-val shift_sub :
-  'a Paris.elt ->
-  ?mask:bool array ->
-  Geometry.t ->
-  axis:int ->
-  delta:int ->
-  lo:int ->
-  hi:int ->
-  'a array ->
-  'a array ->
-  int

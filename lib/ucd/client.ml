@@ -202,6 +202,9 @@ let submit_all ?tenant ?priority ?(reconnect = false) ?(wait = true)
                 Hashtbl.remove orphans job;
                 place i row
             | None -> Hashtbl.add acks job i))
+    (* a draining daemon refuses new work; under [reconnect] the index
+       stays unfinished, so the next daemon gets the resubmission *)
+    | Proto.Rejected { code = Proto.Shutting_down; _ } when reconnect -> ()
     | Proto.Rejected { client_ref; code; msg } ->
         Option.iter
           (fun i ->

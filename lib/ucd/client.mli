@@ -81,7 +81,9 @@ type outcome =
     [~reconnect] survives dropped connections and daemon restarts: a
     dead connection is redialled with capped seeded-jitter backoff (12
     attempts, 50 ms doubling capped at 1 s), the trace subscription is
-    renewed, and only unfinished submissions are sent again — the server
+    renewed, and only unfinished submissions are sent again.  A
+    [shutting_down] rejection from a draining daemon leaves its
+    submission unfinished, so it goes to the next daemon — the server
     deduplicates in-flight digests and answers finished ones from its
     cache, so nothing runs twice.  [~trace] subscribes to the session's
     live trace events.  [other] receives every frame the session does

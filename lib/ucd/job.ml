@@ -189,11 +189,11 @@ let knobs =
       ~doc:
         (Printf.sprintf
            "Execution engine: %s.  $(b,fast) (the default) runs pre-decoded \
-            instruction kernels; $(b,sharded) fans the kernels out across \
-            $(b,--shards) worker domains; $(b,native) names the retired \
-            native engine and runs on $(b,fast); $(b,reference) is the \
-            tree-walking interpreter.  All engines produce bit-identical results, \
-            statistics and simulated time; only wall-clock speed differs."
+            instruction kernels; $(b,reference) is the tree-walking \
+            interpreter.  $(b,sharded) names the retired sharded engine and \
+            $(b,native) the retired native engine; both run on the fast \
+            kernels.  All engines produce bit-identical results, statistics \
+            and simulated time; only wall-clock speed differs."
            (String.concat ", " (List.map (Printf.sprintf "$(b,%s)") engine_names)))
       ~get:(fun t -> Some (engine_string t.engine))
       ~set:(fun s t ->
@@ -207,9 +207,10 @@ let knobs =
        the engine string carries the count *)
     knob int "shards" ~docv:"N"
       ~doc:
-        "Chunk count for $(b,--engine sharded) (default: this host's \
-         recommended domain count).  Results depend only on N, never on \
-         how many worker domains are actually available."
+        "Shard count for $(b,--engine sharded) (default: this host's \
+         recommended domain count).  It names the job and is part of its \
+         digest; the retired sharded engine runs on the fast kernels \
+         whatever N is."
       ~get:(fun _ -> None)
       ~set:(fun shards t ->
         match t.engine with

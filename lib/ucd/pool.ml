@@ -149,20 +149,10 @@ let publish_stats (s : stats) obs =
     Obs.count obs "ucd.pool.completed" s.completed;
     Obs.count obs "ucd.pool.blocked_pushes" s.blocked_pushes;
     Obs.count obs "ucd.pool.rejected_pushes" s.rejected_pushes;
-    Obs.count obs "ucd.pool.max_depth" s.max_depth;
-    (* sharded-engine worker budget: how much jobs x shards parallelism
-       was granted, clipped or denied (see Cm.Shard.Pool) *)
-    let sh = Cm.Shard.Pool.stats () in
-    Obs.count obs "ucd.pool.shard_limit" sh.Cm.Shard.Pool.limit;
-    Obs.count obs "ucd.pool.shard_workers" sh.Cm.Shard.Pool.workers;
-    Obs.count obs "ucd.pool.shard_borrows" sh.Cm.Shard.Pool.borrows;
-    Obs.count obs "ucd.pool.shard_spawns" sh.Cm.Shard.Pool.spawns;
-    Obs.count obs "ucd.pool.shard_capped" sh.Cm.Shard.Pool.capped;
-    Obs.count obs "ucd.pool.shard_denied" sh.Cm.Shard.Pool.denied
+    Obs.count obs "ucd.pool.max_depth" s.max_depth
   end
 
 let stats_fields (s : stats) =
-  let sh = Cm.Shard.Pool.stats () in
   [
     ("domains", Obs.Json.Int s.domains);
     ("queue_bound", Obs.Json.Int s.queue_bound);
@@ -174,23 +164,7 @@ let stats_fields (s : stats) =
     ("blocked_pushes", Obs.Json.Int s.blocked_pushes);
     ("rejected_pushes", Obs.Json.Int s.rejected_pushes);
     ("max_depth", Obs.Json.Int s.max_depth);
-    ("shard_limit", Obs.Json.Int sh.Cm.Shard.Pool.limit);
-    ("shard_workers", Obs.Json.Int sh.Cm.Shard.Pool.workers);
-    ("shard_borrows", Obs.Json.Int sh.Cm.Shard.Pool.borrows);
-    ("shard_spawns", Obs.Json.Int sh.Cm.Shard.Pool.spawns);
-    ("shard_capped", Obs.Json.Int sh.Cm.Shard.Pool.capped);
-    ("shard_denied", Obs.Json.Int sh.Cm.Shard.Pool.denied);
   ]
-
-(* Oversubscription guard: with [used] pool domains busy running jobs,
-   sharded machines may only spawn workers into what is left of the
-   host, so jobs x shards parallelism is capped at roughly the core
-   count (plus the pool domains themselves).  Borrows beyond the budget
-   run inline — same results, reported via the shard_capped /
-   shard_denied counters above. *)
-let cap_shard_budget ~used =
-  Cm.Shard.Pool.set_limit
-    (max 0 (Domain.recommended_domain_count () - 1 - used))
 
 (* ---- one-shot batch map ---- *)
 
@@ -225,14 +199,12 @@ let map ?domains ?queue_bound ?(obs = Obs.null) f items =
       in
       loop ()
     in
-    cap_shard_budget ~used:(min domains n);
     let workers =
       List.init (min domains n) (fun _ -> Domain.spawn worker)
     in
     List.iteri (fun i x -> q_push queue (i, x)) items;
     q_close queue;
     List.iter Domain.join workers;
-    cap_shard_budget ~used:0;
     publish_stats
       (q_stats ~domains:(min domains n) ~completed:(Atomic.get completed) queue)
       obs;
@@ -279,7 +251,6 @@ let service ?domains ?queue_bound () =
     in
     loop ()
   in
-  cap_shard_budget ~used:ndomains;
   {
     svc_queue = queue;
     svc_domains = List.init ndomains (fun _ -> Domain.spawn worker);
@@ -372,9 +343,6 @@ let shutdown svc =
   let join_now = not svc.svc_joined in
   svc.svc_joined <- true;
   Mutex.unlock svc.svc_lock;
-  if join_now then begin
-    List.iter Domain.join svc.svc_domains;
-    cap_shard_budget ~used:0
-  end
+  if join_now then List.iter Domain.join svc.svc_domains
 
 let publish svc obs = publish_stats (service_stats svc) obs

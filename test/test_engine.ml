@@ -1,27 +1,26 @@
 (* Differential testing of the Machine execution engines.
 
-   The contract (machine.mli) is that `Fast, `Reference and `Sharded n —
-   at every shard count n — are observably identical bit for bit:
-   registers, every field, printed output, meter statistics, simulated
-   nanoseconds, region accounting and — on faulting programs — the error
-   message and the partial state at the fault.  This file enforces the
-   contract several ways:
+   The contract (machine.mli) is that `Fast and `Reference, which share
+   no kernel, are observably identical bit for bit: registers, every
+   field, printed output, meter statistics, simulated nanoseconds,
+   region accounting and — on faulting programs — the error message and
+   the partial state at the fault.  This file enforces the contract
+   several ways:
 
    - a QCheck harness generating random small Paris programs (including
      deliberately faulting ones: shifts out of range, division by zero,
      conflicting Ccheck sends, bad axes) and comparing full snapshots
-     across all engines, with shard counts drawn from {1, 2, 3, 7,
-     ncores} so chunk-boundary edge cases (shards > VPs, ragged last
-     chunk) are hit;
+     across the engines;
    - whole-corpus equivalence over every named UC program in
-     lib/uc_programs and the C* baselines in lib/cstar;
-   - checkpoint-interrupt-resume runs that rotate through all three
-     engines at every slice boundary;
-   - `Native, the name of the retired native engine, checked to run
-     exactly as `Fast;
-   - targeted unit tests: the shift-range check on every engine, the
-     shard chunk layout, and a VP set big enough to cross the sharded
-     engine's fan-out threshold so the domain team really runs. *)
+     lib/uc_programs and the C* baselines in lib/cstar: every field a
+     run leaves, so a kernel bug that moves no printed output or meter
+     count still shows;
+   - checkpoint-interrupt-resume runs that alternate engines at every
+     slice boundary;
+   - `Native and `Sharded n, the names of the retired native and
+     sharded engines, checked to run exactly as `Fast;
+   - targeted unit tests: the shift-range check on every engine, and a
+     2560-VP set with every kind of instruction, dense and faulting. *)
 
 open Cm.Paris
 
@@ -75,18 +74,9 @@ let run_engine ~seed ~fuel ?faults engine prog =
   in
   status ^ "\n" ^ snapshot prog m
 
-let ncores = max 1 (Domain.recommended_domain_count ())
-
-(* 1 = degenerate, 2/3 = ragged chunks on most corpus geometries, 7 >
-   the smallest QCheck VP sets (more shards than VPs), ncores = what
-   `ucc run --engine sharded` defaults to on this host. *)
-let shard_counts = List.sort_uniq compare [ 1; 2; 3; 7; ncores ]
-
+(* `Sharded 3 names the retired sharded engine: it must run as `Fast. *)
 let other_engines : (string * Cm.Machine.engine) list =
-  ("reference", `Reference)
-  :: List.map
-       (fun s -> (Printf.sprintf "sharded:%d" s, `Sharded s))
-       shard_counts
+  [ ("reference", `Reference); ("sharded:3", `Sharded 3) ]
 
 (* Compare every engine against `Fast; report the first divergence. *)
 let engines_agree ~seed ~fuel ?faults prog =
@@ -628,7 +618,7 @@ let iropt_equiv ~seed ~fuel ~name prog =
           Alcotest.failf "%s (%s): simulated time rose %s -> %s ns" name ename
             (hex ns0) (hex ns1)
       end)
-    [ `Fast; `Reference; `Sharded 3 ]
+    [ `Fast; `Reference ]
 
 let iropt_differential_test =
   QCheck_alcotest.to_alcotest
@@ -704,18 +694,18 @@ let fault_differential_test =
 (* ------------------------------------------------------------------ *)
 
 (* Run in slices, serializing a checkpoint at every slice boundary and
-   restoring into a machine on ANOTHER engine (rotating through all
-   three, sharded at two different chunk counts), so the round-trip also
-   re-proves engine equivalence — and the shard-count independence of
-   the checkpoint blob — at every intermediate state. *)
-let engine_cycle : Cm.Machine.engine array =
-  [| `Reference; `Sharded 3; `Fast; `Sharded 2 |]
+   restoring into a machine on ANOTHER engine, so the round-trip also
+   re-proves engine equivalence at every intermediate state. *)
+let engine_cycle : Cm.Machine.engine array = [| `Reference; `Fast |]
 
-(* [`Native] names the retired native engine and runs on the fast
-   kernels: a checkpoint taken under it must restore on [`Fast] (and
-   the other way round) and finish identically *)
+(* [`Native] and [`Sharded n] name retired engines and run on the fast
+   kernels: a checkpoint taken under either must restore on [`Fast]
+   (and the other way round) and finish identically, because journals
+   may hold such checkpoints *)
 let native_cycle : Cm.Machine.engine array =
   [| `Native; `Fast; `Native; `Reference |]
+
+let sharded_cycle : Cm.Machine.engine array = [| `Sharded 3; `Fast; `Sharded 2 |]
 
 let run_checkpointed ?(cycle = engine_cycle) ~seed ~fuel ?faults ~slice prog =
   let m = ref (Cm.Machine.create ~seed ~fuel ~engine:`Fast ?faults prog) in
@@ -814,6 +804,36 @@ let native_alias_test =
            Test.fail_reportf
              "engines disagree@.--- fast ---@.%s@.--- native ---@.%s" fast
              native))
+
+(* [`Sharded n] names the retired sharded engine: it resolves to
+   [`Fast] and runs bit for bit like it, under fault plans too, and a
+   checkpoint taken under it restores on [`Fast]. *)
+let sharded_alias_test =
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:100 ~name:"random programs: sharded == fast"
+       ~print:print_ckpt_case gen_ckpt_case
+       (fun (dims, seed, nodes, spec, slice) ->
+         let prog = build dims nodes in
+         let faults = Option.map (Cm.Fault.instantiate ~attempt:0) spec in
+         let m = Cm.Machine.create ~engine:(`Sharded 3) ?faults prog in
+         if Cm.Machine.effective_engine m <> `Fast then
+           Test.fail_report "sharded:3 does not resolve to fast";
+         let fast = run_engine ~seed ~fuel:500_000 ?faults `Fast prog in
+         let sharded = run_engine ~seed ~fuel:500_000 ?faults (`Sharded 3) prog in
+         let sliced =
+           run_checkpointed ~cycle:sharded_cycle ~seed ~fuel:500_000 ?faults
+             ~slice prog
+         in
+         if not (String.equal fast sharded) then
+           Test.fail_reportf
+             "engines disagree@.--- fast ---@.%s@.--- sharded:3 ---@.%s" fast
+             sharded
+         else if not (String.equal fast sliced) then
+           Test.fail_reportf
+             "sharded-checkpointed run diverged@.--- straight ---@.%s@.--- \
+              sliced (slice=%d) ---@.%s"
+             fast slice sliced
+         else true))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-corpus equivalence                                           *)
@@ -934,45 +954,10 @@ let test_compile_idempotent () =
     [ (`Fast, 1); (`Sharded 3, 1); (`Native, 1); (`Reference, 0) ]
 
 (* ------------------------------------------------------------------ *)
-(* Sharded engine specifics                                           *)
+(* Engine names and a large VP set                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Chunk layouts: full disjoint coverage of [0, n), contiguous and in
-   order, never more chunks than elements, ragged chunks differ by at
-   most one element. *)
-let test_shard_layout () =
-  List.iter
-    (fun (shards, n) ->
-      let chunks = Cm.Shard.layout ~shards n in
-      let k = Array.length chunks in
-      Alcotest.(check bool)
-        (Printf.sprintf "layout %d %d: chunk count" shards n)
-        true
-        (k = min (max shards 1) (max n 1));
-      let pos = ref 0 in
-      Array.iter
-        (fun (lo, hi) ->
-          Alcotest.(check int)
-            (Printf.sprintf "layout %d %d: contiguous at %d" shards n lo)
-            !pos lo;
-          Alcotest.(check bool)
-            (Printf.sprintf "layout %d %d: ordered" shards n)
-            true (hi >= lo);
-          pos := hi)
-        chunks;
-      Alcotest.(check int) (Printf.sprintf "layout %d %d: covers" shards n) n
-        !pos;
-      if n > 0 then begin
-        let sizes = Array.map (fun (lo, hi) -> hi - lo) chunks in
-        let mn = Array.fold_left min max_int sizes in
-        let mx = Array.fold_left max 0 sizes in
-        Alcotest.(check bool)
-          (Printf.sprintf "layout %d %d: balanced" shards n)
-          true
-          (mx - mn <= 1 && mn >= 1)
-      end)
-    [ (1, 10); (3, 10); (4, 8); (7, 6); (8, 2560); (100, 7); (2, 0); (5, 1) ]
-
+(* A shard count still names a job, so an invalid one is refused. *)
 let test_bad_shard_count () =
   let prog = shift_prog Shl 2 in
   List.iter
@@ -982,11 +967,10 @@ let test_bad_shard_count () =
       | exception Invalid_argument _ -> ())
     [ 0; -1 ]
 
-(* A VP set big enough to cross the sharded engine's fan-out threshold,
-   so chunks really execute on worker domains: elementwise ops, NEWS on
-   both axes, selects, reductions, scans and router traffic over 2560
-   VPs, checked against `Fast at several shard counts (including more
-   shards than this host has cores). *)
+(* A VP set of 2560 VPs, above the retired sharded engine's fan-out
+   threshold (the two tests below keep their names): elementwise ops, NEWS
+   on both axes, selects, reductions, scans and router traffic, checked
+   between `Fast and `Reference. *)
 let big_prog () =
   let b = Builder.create "big" in
   let vp = Builder.vpset b (Cm.Geometry.create [ 64; 40 ]) in
@@ -1026,43 +1010,24 @@ let big_prog () =
     ];
   Builder.finish b
 
-(* Force real worker domains even on a single-core host (where the
-   default budget of recommended-1 is zero and every borrow is denied):
-   correctness never depends on the physical core count, and without
-   this the cross-domain path — spawn, job publish, park/wake, barrier,
-   failure CAS — would go untested on small CI machines. *)
-let with_forced_workers f () =
-  Cm.Shard.Pool.set_limit 3;
-  Fun.protect
-    ~finally:(fun () ->
-      (* kill the parked teams too: released teams are reused by later
-         borrows regardless of the limit, and these tests should not
-         change how the rest of the suite executes *)
-      Cm.Shard.Pool.shutdown_idle ();
-      Cm.Shard.Pool.set_limit
-        (max 0 (Domain.recommended_domain_count () - 1)))
-    f
+let test_sharded_fanout () =
+  assert_agree ~seed:4242 ~fuel:1_000_000 "big [64;40]" (big_prog ())
 
-let test_sharded_fanout =
-  with_forced_workers (fun () ->
-      assert_agree ~seed:4242 ~fuel:1_000_000 "big [64;40]" (big_prog ()))
-
-(* A chunk that faults mid-fan-out must surface the same error as the
-   serial engines, with the same partial state. *)
-let test_sharded_fault_parity =
-  with_forced_workers (fun () ->
-      let b = Builder.create "bigfault" in
-      let vp = Builder.vpset b (Cm.Geometry.create [ 2560 ]) in
-      let x = Builder.field b ~vpset:vp KInt in
-      List.iter (Builder.emit b)
-        [
-          Cwith vp;
-          Pcoord (x, 0);
-          (* shift amount out of range on every VP: can-fault op *)
-          Pbin (Shl, x, Fld x, Imm (SInt 400));
-        ];
-      assert_agree ~seed:1 ~fuel:1_000_000 "big faulting shl"
-        (Builder.finish b))
+(* A faulting sweep must surface the same error as the reference, with
+   the same partial state. *)
+let test_sharded_fault_parity () =
+  let b = Builder.create "bigfault" in
+  let vp = Builder.vpset b (Cm.Geometry.create [ 2560 ]) in
+  let x = Builder.field b ~vpset:vp KInt in
+  List.iter (Builder.emit b)
+    [
+      Cwith vp;
+      Pcoord (x, 0);
+      (* shift amount out of range on every VP: can-fault op *)
+      Pbin (Shl, x, Fld x, Imm (SInt 400));
+    ];
+  assert_agree ~seed:1 ~fuel:1_000_000 "big faulting shl"
+    (Builder.finish b)
 
 let () =
   Alcotest.run "engine"
@@ -1071,6 +1036,7 @@ let () =
         [
           differential_test;
           native_alias_test;
+          sharded_alias_test;
           iropt_differential_test;
           fault_differential_test;
           checkpoint_roundtrip_test;
@@ -1078,7 +1044,6 @@ let () =
           Alcotest.test_case "shift range faults" `Quick test_shift_range;
           Alcotest.test_case "compile idempotent" `Quick
             test_compile_idempotent;
-          Alcotest.test_case "shard chunk layout" `Quick test_shard_layout;
           Alcotest.test_case "invalid shard counts" `Quick
             test_bad_shard_count;
           Alcotest.test_case "sharded fan-out over 2560 VPs" `Quick

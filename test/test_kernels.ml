@@ -4,13 +4,12 @@
    The grid runs every elementwise, NEWS, router, reduction and
    coordinate operator on every operand shape (field/field, field/imm,
    imm/field, register, imm/imm) and field kind, once on a fully active
-   VP set and once under each of two context masks, on `Reference, `Fast and
-   `Sharded 3.  The kernels' element loops run four elements per trip
-   and then a remainder of up to three, so the VP counts run from 1 to
-   9 and beyond, and between them the whole-range and sharded chunks
-   start and end at every residue mod 4 (checked below); one geometry
-   is large enough for the sharded engine to fan its chunks out to
-   worker domains.  The masked runs use two masks: an irregular one,
+   VP set and once under each of two context masks, on `Reference and
+   `Fast.  The kernels' element loops run four elements per trip and
+   then a remainder of up to three, so the VP counts run from 1 to 9
+   and beyond, and between them the whole ranges have lengths at every
+   residue mod 4 (checked below); one geometry has 2173 VPs.  The
+   masked runs use two masks: an irregular one,
    and one whose inactive element moves through every lane position of
    the four-element groups.
    Inputs include NaN (three payloads, two of one sign), +-0.0,
@@ -23,7 +22,7 @@
    to the reference.
 
    The allocation test runs heat and stencil at two sizes on `Fast and
-   `Sharded 2 and requires the words allocated per run to stay the same
+   requires the words allocated per run to stay the same
    up to a small constant: the kernels allocate nothing per element. *)
 
 open Cm.Paris
@@ -335,8 +334,7 @@ let finish s =
 
 (* ---- running and comparing ---- *)
 
-let engines : (string * Cm.Machine.engine) list =
-  [ ("fast", `Fast); ("sharded:3", `Sharded 3) ]
+let engines : (string * Cm.Machine.engine) list = [ ("fast", `Fast) ]
 
 let run engine s prog =
   let m = Cm.Machine.create ~seed:11 ~engine prog in
@@ -416,25 +414,15 @@ let check_section s =
 let geometries =
   List.init 9 (fun n -> [ n + 1 ]) @ [ [ 11 ]; [ 4; 5 ]; [ 41; 53 ] ]
 
-(* The chunks the grid's engines run (one whole range on fast, three
-   chunks on sharded:3) start and have lengths at every residue mod 4,
-   so every unrolled loop runs with every remainder and group phase. *)
+(* The whole ranges the grid's kernels sweep have lengths at every
+   residue mod 4, so every unrolled loop runs with every remainder. *)
 let chunk_coverage () =
-  let starts = Array.make 4 false and lengths = Array.make 4 false in
+  let lengths = Array.make 4 false in
   List.iter
-    (fun dims ->
-      let nv = List.fold_left ( * ) 1 dims in
-      List.iter
-        (fun shards ->
-          Array.iter
-            (fun (lo, hi) ->
-              starts.(lo mod 4) <- true;
-              lengths.((hi - lo) mod 4) <- true)
-            (Cm.Shard.layout ~shards nv))
-        (List.map (function _, `Sharded n -> n | _ -> 1) engines))
+    (fun dims -> lengths.(List.fold_left ( * ) 1 dims mod 4) <- true)
     geometries;
-  if not (Array.for_all Fun.id starts && Array.for_all Fun.id lengths) then
-    Alcotest.fail "the grid's chunks miss a residue mod 4"
+  if not (Array.for_all Fun.id lengths) then
+    Alcotest.fail "the grid's ranges miss a residue mod 4"
 
 (* The [for%unroll] rewrite itself, on every range length from empty to
    12 at every start residue: it visits the indices a plain loop visits,
@@ -514,9 +502,8 @@ let run_words engine src =
   let minor1, promoted1, major1 = Gc.counters () in
   minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
 
-(* Both sizes of each program lie above the sharded engine's fan-out
-   threshold (2048 VPs), so the two runs execute the same instructions
-   with the same fan-outs and differ only in VP count.  What may differ
+(* The two runs of each program execute the same instructions and
+   differ only in VP count.  What may differ
    is one flag vector per context nesting level, allocated by a
    machine's first [Cpush] at that depth.  Before the kernels were made
    allocation-free, heat (20 steps) allocated ~1.7M words per run at
@@ -532,17 +519,14 @@ let alloc_test () =
     ]
   in
   List.iter
-    (fun (ename, engine) ->
-      List.iter
-        (fun (name, small, large) ->
-          let ws = run_words engine small and wl = run_words engine large in
-          if Float.abs (wl -. ws) >= alloc_bound then
-            Alcotest.failf
-              "%s on %s: %.0f words per run at the small size, %.0f at the \
-               large one (bound: a difference under %.0f)"
-              name ename ws wl alloc_bound)
-        progs)
-    [ ("fast", `Fast); ("sharded:2", `Sharded 2) ]
+    (fun (name, small, large) ->
+      let ws = run_words `Fast small and wl = run_words `Fast large in
+      if Float.abs (wl -. ws) >= alloc_bound then
+        Alcotest.failf
+          "%s: %.0f words per run at the small size, %.0f at the large one \
+           (bound: a difference under %.0f)"
+          name ws wl alloc_bound)
+    progs
 
 let () =
   Alcotest.run "kernels"

@@ -1,10 +1,12 @@
-(* Tests of `--engine native`, the name of the retired native engine.
+(* Tests of `--engine native` and `--engine sharded`, the names of the
+   retired native and sharded engines.
 
-   [`Native] now runs on the fast kernels: a native machine must give
-   bit for bit the results of a fast one, checkpoints must move freely
-   between the two names, and fault plans must leave it on [`Fast].
-   Random programs get the same checks in test_engine.ml; these cases
-   pin them on one hand-built program. *)
+   [`Native] and [`Sharded n] now run on the fast kernels: such a
+   machine must give bit for bit the results of a fast one, resolve to
+   [`Fast], and checkpoints must move freely between the names (a
+   journal may hold a checkpoint taken under either).  Random programs
+   get the same checks in test_engine.ml; these cases pin them on one
+   hand-built program. *)
 
 open Cm.Paris
 
@@ -133,6 +135,43 @@ let test_fault_injection_policy () =
   Alcotest.(check string) "native == fast under the plan" (with_plan `Fast)
     (with_plan `Native)
 
+(* ---- sharded ---- *)
+
+let test_sharded_matches_fast () =
+  let prog = sample_prog ~dims:[ 48; 48 ] () in
+  List.iter
+    (fun n ->
+      let m = Cm.Machine.create ~engine:(`Sharded n) prog in
+      Alcotest.(check bool)
+        (Printf.sprintf "sharded:%d resolves to fast" n)
+        true
+        (Cm.Machine.effective_engine m = `Fast);
+      Alcotest.(check string)
+        (Printf.sprintf "sharded:%d == fast" n)
+        (observation `Fast prog)
+        (observation (`Sharded n) prog))
+    [ 1; 2; 3; 7 ]
+
+let test_sharded_checkpoint_restores_on_fast () =
+  let prog = sample_prog () in
+  let straight = observation `Fast prog in
+  (* every other checkpoint is taken under sharded:3 and restored on fast *)
+  let engines = [| `Fast; `Sharded 3 |] in
+  let m = ref (Cm.Machine.create ~seed:7 ~fuel:1_000_000 ~engine:(`Sharded 3) prog) in
+  let i = ref 0 in
+  let status =
+    try
+      while Cm.Machine.run_slice !m ~fuel_slice:3 = `More do
+        let data = Cm.Machine.checkpoint !m in
+        m := Cm.Machine.restore ~engine:engines.(!i mod 2) prog data;
+        incr i
+      done;
+      "finished"
+    with Cm.Machine.Error msg -> "error: " ^ msg
+  in
+  Alcotest.(check string) "sliced sharded:3 == straight fast" straight
+    (snapshot prog status !m)
+
 let () =
   Alcotest.run "native"
     [
@@ -147,5 +186,12 @@ let () =
         [
           Alcotest.test_case "fault plans stay on fast" `Quick
             test_fault_injection_policy;
+        ] );
+      ( "sharded",
+        [
+          Alcotest.test_case "sharded == fast (sample)" `Quick
+            test_sharded_matches_fast;
+          Alcotest.test_case "checkpoint under sharded:3 restores on fast"
+            `Quick test_sharded_checkpoint_restores_on_fast;
         ] );
     ]

@@ -1272,24 +1272,41 @@ let test_chaos_soak_no_lost_jobs () =
   (* a chaotic server: resets, torn frames, stalls, disk failures and
      worker crashes — a persistent client that reconnects and resubmits
      by digest still lands every job, with rows identical to the
-     batch path *)
+     batch path.  The soak sends ~11 frames (hello, ten submits) and
+     receives ~21 (welcome, ten acks, ten rows), so events are drawn
+     over the first 11 serials of each: every scheduled reset and torn
+     frame lands on a frame the soak exchanges *)
+  let horizon = 11 in
   let spec =
     match
-      Ucd.Chaos.parse "seed=5;horizon=120;resets=4;frames=3;slow=3;disk=2;crash=3"
+      Ucd.Chaos.parse
+        (Printf.sprintf "seed=5;horizon=%d;resets=4;frames=3;slow=3;disk=2;crash=3"
+           horizon)
     with
     | Ok s -> s
     | Error e -> Alcotest.failf "chaos parse: %s" e
   in
+  (* the distinct serials the plan schedules, per category *)
+  let scheduled fires =
+    let c = Ucd.Chaos.instantiate spec in
+    List.length (List.filter (fun _ -> fires c ~obs:Obs.null) (List.init horizon Fun.id))
+  in
   let dir = tmpdir () in
   let socket = next_sock () in
+  let obs = Obs.create () in
   let srv =
-    Ucd.Server.start ~cache_dir:dir
+    Ucd.Server.start ~obs ~cache_dir:dir
       { (base_cfg socket) with Ucd.Server.chaos = Some spec }
   in
-  Fun.protect ~finally:(fun () -> ignore (Ucd.Server.stop srv)) @@ fun () ->
   let names =
     List.filteri (fun i _ -> i < 10)
       (List.map fst Uc_programs.Programs.all_named)
+  in
+  let rows =
+    Fun.protect ~finally:(fun () -> ignore (Ucd.Server.stop srv)) @@ fun () ->
+    submitted_rows
+      (Ucd.Client.submit_all ~reconnect:true (Ucd.Client.Unix_path socket)
+         (List.map corpus_submit names))
   in
   List.iter2
     (fun name (r : Ucd.Report.result) ->
@@ -1297,10 +1314,20 @@ let test_chaos_soak_no_lost_jobs () =
         (Printf.sprintf "chaos row for %s ≡ batch row" name)
         (Ucd.Report.canonical_json (reference_row name))
         (Ucd.Report.canonical_json { r with Ucd.Report.from_cache = false }))
-    names
-    (submitted_rows
-       (Ucd.Client.submit_all ~reconnect:true (Ucd.Client.Unix_path socket)
-          (List.map corpus_submit names)))
+    names rows;
+  let fired key =
+    match List.assoc_opt ("ucd.chaos." ^ key) (Obs.table obs) with
+    | Some (Obs.Json.Int n) -> n
+    | _ -> 0
+  in
+  let resets = scheduled Ucd.Chaos.fires_reset in
+  let frames = scheduled Ucd.Chaos.fires_frame in
+  check Alcotest.bool "the plan schedules resets and torn frames" true
+    (resets > 0 && frames > 0);
+  check Alcotest.int "all scheduled resets fired within the horizon" resets
+    (fired "resets");
+  check Alcotest.int "all scheduled torn frames fired within the horizon" frames
+    (fired "frames")
 
 (* ---------------- the client submit session ---------------- *)
 
@@ -1346,9 +1373,10 @@ let test_malformed_report_row () =
 (* A frame-forwarding proxy on [front] in front of the daemon on [back].
    Every frame is logged (connection number, direction, line) before it
    is passed on, so a row the client read on one connection is logged
-   before the next connection's submits.  Returns the function that
-   stops it and hands back the log. *)
-let wire_proxy ~front ~back =
+   before the next connection's submits.  [before_up] sees each client
+   frame before it is forwarded, and may hold it there.  Returns the
+   function that stops it and hands back the log. *)
+let wire_proxy ?(before_up = fun _ -> ()) ~front ~back () =
   let log = ref [] and lock = Mutex.create () in
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lsock (Unix.ADDR_UNIX front);
@@ -1358,6 +1386,7 @@ let wire_proxy ~front ~back =
     let rec go () =
       match Ucd.Proto.read_frame r with
       | `Frame line ->
+          if dir = `Up then before_up line;
           Mutex.protect lock (fun () -> log := (conn, dir, line) :: !log);
           let s = line ^ "\n" in
           if
@@ -1396,8 +1425,9 @@ let wire_proxy ~front ~back =
     List.rev !log
 
 (* Which submissions a connection finished: those it carried a
-   rejection for, or an ack and that job's row.  [ref -> first
-   connection]. *)
+   rejection for, or an ack and that job's row.  A draining daemon's
+   shutting_down rejection finishes nothing: the session resubmits it
+   to the next daemon.  [ref -> first connection]. *)
 let finished_on wire =
   let finished = Hashtbl.create 16 and acks = ref [] and rows = ref [] in
   let finish r conn =
@@ -1411,7 +1441,9 @@ let finished_on wire =
       | `Down, Ok (Ucd.Proto.Accepted { client_ref = Some r; job; _ })
       | `Down, Ok (Ucd.Proto.Resumed { client_ref = Some r; job; _ }) ->
           acks := ((conn, job), r) :: !acks
-      | `Down, Ok (Ucd.Proto.Rejected { client_ref = Some r; _ }) -> finish r conn
+      | `Down, Ok (Ucd.Proto.Rejected { client_ref = Some r; code; _ })
+        when code <> Ucd.Proto.Shutting_down ->
+          finish r conn
       | `Down, Ok (Ucd.Proto.Report { job; _ }) -> rows := (conn, job) :: !rows
       | _ -> ())
     wire;
@@ -1476,7 +1508,7 @@ let qcheck_submit_all_under_chaos =
             | _ -> ())
         | _ -> ()
       in
-      let stop_proxy = wire_proxy ~front ~back in
+      let stop_proxy = wire_proxy ~front ~back () in
       let settled = Atomic.make false and timed_out = ref false in
       (* the restart, then a watchdog that turns a hung session into a
          failure: with the daemon gone for good, redialling gives up *)
@@ -1525,6 +1557,10 @@ let qcheck_submit_all_under_chaos =
                 <> Ucd.Report.canonical_json
                      (List.assoc name (Lazy.force reference))
               then QCheck.Test.fail_reportf "row for %s differs from batch" name
+          | Ucd.Client.Rejected { code = Ucd.Proto.Shutting_down; _ } ->
+              (* the restart drains the daemon: a reconnecting session
+                 resubmits what the drain refused to the next one *)
+              QCheck.Test.fail_reportf "%s rejected as shutting_down" name
           | Ucd.Client.Rejected _ -> ()
           | Ucd.Client.Pending -> QCheck.Test.fail_reportf "no outcome for %s" name)
         names outcomes;
@@ -1553,6 +1589,69 @@ let qcheck_submit_all_under_chaos =
           | _ -> ())
         wire;
       true)
+
+let test_submit_all_rides_out_drain () =
+  (* a graceful restart: the daemon drains, kept open by a slow job in
+     flight, while a reconnecting session's submits arrive.  The drain
+     refuses them as shutting_down; submit_all must send them to the
+     next daemon and return their rows, not the refusals *)
+  let dir = tmpdir () in
+  let back = next_sock () and front = next_sock () in
+  let start () = Ucd.Server.start ~cache_dir:dir (base_cfg back) in
+  let srv = ref (start ()) in
+  let held = Atomic.make false and draining = Atomic.make false in
+  (* the client's first submit waits in the proxy until the drain began *)
+  let before_up line =
+    match Ucd.Proto.client_of_line line with
+    | Ok (Ucd.Proto.Submit _) ->
+        Atomic.set held true;
+        while not (Atomic.get draining) do Thread.delay 0.002 done
+    | _ -> ()
+  in
+  let stop_proxy = wire_proxy ~before_up ~front ~back () in
+  let slow = connect_exn back in
+  (match Ucd.Client.send slow (Ucd.Proto.Submit (slow_submit "slow")) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "slow submit: %s" e);
+  (match Ucd.Client.recv slow with
+  | Ok (Ucd.Proto.Accepted _) -> ()
+  | _ -> Alcotest.fail "slow job not accepted");
+  let restart () =
+    while not (Atomic.get held) do Thread.delay 0.002 done;
+    ignore (Ucd.Server.request_shutdown !srv);
+    Atomic.set draining true;
+    ignore (Ucd.Server.stop !srv);
+    srv := start ()
+  in
+  let th = Thread.create restart () in
+  let names = [ "matmul"; "ranksort"; "heat" ] in
+  let result =
+    Ucd.Client.submit_all ~reconnect:true (Ucd.Client.Unix_path front)
+      (List.map corpus_submit names)
+  in
+  Thread.join th;
+  Ucd.Client.close slow;
+  ignore (Ucd.Server.stop !srv);
+  let wire = stop_proxy () in
+  (* the drain did refuse the first connection's submits *)
+  let refused =
+    List.exists
+      (fun (conn, dir, line) ->
+        conn = 0 && dir = `Down
+        &&
+        match Ucd.Proto.server_of_line line with
+        | Ok (Ucd.Proto.Rejected { code = Ucd.Proto.Shutting_down; _ }) -> true
+        | _ -> false)
+      wire
+  in
+  check Alcotest.bool "the drain refused a submit" true refused;
+  List.iter2
+    (fun name (r : Ucd.Report.result) ->
+      check Alcotest.string
+        (Printf.sprintf "row for %s after the restart ≡ batch row" name)
+        (Ucd.Report.canonical_json (reference_row name))
+        (Ucd.Report.canonical_json { r with Ucd.Report.from_cache = false }))
+    names (submitted_rows result)
 
 let () =
   Alcotest.run "serve"
@@ -1643,5 +1742,7 @@ let () =
           Alcotest.test_case "malformed report row is a typed error" `Quick
             test_malformed_report_row;
           QCheck_alcotest.to_alcotest qcheck_submit_all_under_chaos;
+          Alcotest.test_case "submit_all rides out a graceful restart" `Quick
+            test_submit_all_rides_out_drain;
         ] );
     ]
