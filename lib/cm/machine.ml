@@ -264,7 +264,7 @@ let operand_is_float m = function
   | Imm (SInt _) -> false
   | Fld f -> ( match field_data m f with FFloat _ -> true | FInt _ -> false)
 
-(* ---- reference engine: per-instruction tree walking ---- *)
+(* ---- the reference executor, shared by both engines ---- *)
 
 let exec_pmov m dst a =
   check_on_current m dst "pmov";
@@ -500,7 +500,7 @@ let exec_preduce_axis m op dst src =
 
 (* Scans write [d] directly, in place when [d == s] (see Scan.scan_axis).
    A faultable int operator scans into the machine's scratch first, so a
-   fault mid-scan leaves [d] untouched.  Both engines use this. *)
+   fault mid-scan leaves [d] untouched. *)
 let scan_ints m g axis op (s : int array) (d : int array) =
   let f = int_binop op in
   (* total whatever the right operand *)
@@ -537,10 +537,11 @@ let exec_cand m fld =
 
 (* ---- fault injection ---- *)
 
-(* Both engines call [inject] at the same point — after the fuel check,
-   before any state of the instruction is touched — so a plan perturbs
-   them bit-identically, and a raised [Fault] leaves the machine exactly
-   at the pre-instruction state (resumable from an earlier checkpoint). *)
+(* The dispatch loop calls [inject] at one point for both engines —
+   after the fuel check, before any state of the instruction is
+   touched — so a plan perturbs them bit-identically, and a raised
+   [Fault] leaves the machine exactly at the pre-instruction state
+   (resumable from an earlier checkpoint). *)
 
 (* Memory bit flips resolve raw plan coordinates modulo the actual
    field/element/bit counts, so any integers address something real. *)
@@ -650,142 +651,134 @@ let inject m instr =
         | Ufe | Ufe_cm | Ufree -> ()
       end
 
-let run_reference ?steps m =
-  let code = m.prog.code in
-  let n = Array.length code in
-  let budget = ref (match steps with None -> max_int | Some s -> s) in
-  let jump l =
-    let target = m.labels.(l) in
-    if target < 0 then error "jump to unplaced label L%d" l;
-    m.pc <- target
-  in
-  while m.pc < n && !budget > 0 do
-    if m.fuel <= 0 then error "fuel exhausted (non-terminating program?)";
-    let i = m.pc in
-    inject m code.(i);
-    m.fuel <- m.fuel - 1;
-    m.icount <- m.icount + 1;
-    m.pc <- m.pc + 1;
-    decr budget;
-    let t0 = m.meter.Cost.elapsed_ns in
-    (match code.(i) with
-    | Label _ | Comment _ -> ()
-    | Region r -> set_region m r
-    | Fprint (s, a) ->
-        let line =
-          match a with
-          | None -> s
-          | Some op -> (
-              match fe_val m op with
-              | SInt i -> Printf.sprintf "%s%d" s i
-              | SFloat f -> Printf.sprintf "%s%g" s f)
-        in
-        m.output <- line :: m.output
-    | Halt -> m.pc <- n
-    | Fmov (r, a) ->
-        Cost.charge_fe m.meter;
-        m.regs.(r) <- fe_val m a
-    | Fbin (op, r, a, b) ->
-        Cost.charge_fe m.meter;
-        m.regs.(r) <- fe_bin op (fe_val m a) (fe_val m b)
-    | Funop (op, r, a) ->
-        Cost.charge_fe m.meter;
-        m.regs.(r) <- fe_unop op (fe_val m a)
-    | Frand (r, a) ->
-        Cost.charge_fe m.meter;
-        m.regs.(r) <- SInt (rand_mod m (to_int (fe_val m a)))
-    | Fread (r, fld, a) ->
-        Cost.charge_fe_cm m.meter;
-        let addr = to_int (fe_val m a) in
-        (match field_data m fld with
-        | FInt arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fread: address %d out of range on f%d" addr fld;
-            m.regs.(r) <- SInt arr.(addr)
-        | FFloat arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fread: address %d out of range on f%d" addr fld;
-            m.regs.(r) <- SFloat arr.(addr))
-    | Fwrite (fld, a, v) ->
-        Cost.charge_fe_cm m.meter;
-        let addr = to_int (fe_val m a) in
-        let value = fe_val m v in
-        (match field_data m fld with
-        | FInt arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fwrite: address %d out of range on f%d" addr fld;
-            arr.(addr) <- to_int value
-        | FFloat arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fwrite: address %d out of range on f%d" addr fld;
-            arr.(addr) <- to_float value)
-    | Jmp l ->
-        Cost.charge_fe m.meter;
-        jump l
-    | Jz (a, l) ->
-        Cost.charge_fe m.meter;
-        if not (truthy (fe_val m a)) then jump l
-    | Jnz (a, l) ->
-        Cost.charge_fe m.meter;
-        if truthy (fe_val m a) then jump l
-    | Pmov (dst, a) -> exec_pmov m dst a
-    | Pbin (op, dst, a, b) -> exec_pbin m op dst a b
-    | Punop (op, dst, a) -> exec_punop m op dst a
-    | Pcoord (dst, axis) -> exec_pcoord m dst axis
-    | Ptable (dst, table) -> exec_ptable m dst table
-    | Prand (dst, modulus) -> exec_prand m dst modulus
-    | Psel (dst, c, a, b) -> exec_psel m dst c a b
-    | Pget (dst, src, addr) -> exec_pget m dst src addr
-    | Psend (dst, src, addr, combine) -> exec_psend m dst src addr combine
-    | Pnews (dst, src, axis, delta) -> exec_pnews m dst src axis delta
-    | Preduce (op, r, fld) -> exec_preduce m op r fld
-    | Pcount r -> exec_pcount m r
-    | Preduce_axis (op, dst, src) -> exec_preduce_axis m op dst src
-    | Pscan (op, dst, src, axis) -> exec_pscan m op dst src axis
-    | Cwith vp ->
-        if vp < 0 || vp >= Array.length m.prog.geoms then
-          error "cwith: unknown VP set vp%d" vp;
-        Cost.charge_fe m.meter;
-        m.cur <- vp
-    | Cpush ->
-        Cost.charge_context m.meter ~size:(cur_size m);
-        Context.push (cur_ctx m)
-    | Cand fld -> exec_cand m fld
-    | Cpop ->
-        Cost.charge_context m.meter ~size:(cur_size m);
-        (try Context.pop (cur_ctx m)
-         with Failure _ -> error "cpop: context stack underflow")
-    | Creset ->
-        Cost.charge_context m.meter ~size:(cur_size m);
-        Context.reset (cur_ctx m)
-    | Cread fld ->
-        check_on_current m fld "cread";
-        Cost.charge_context m.meter ~size:(cur_size m);
-        (match field_data m fld with
-        | FInt out ->
-            let mask = Context.active (cur_ctx m) in
-            Array.iteri (fun p act -> out.(p) <- (if act then 1 else 0)) mask
-        | FFloat _ -> error "cread into a float field"));
-    let dt = m.meter.Cost.elapsed_ns -. t0 in
-    if dt > 0.0 then m.region_acc := !(m.region_acc) +. dt
-  done
+let jump m l =
+  let target = m.labels.(l) in
+  if target < 0 then error "jump to unplaced label L%d" l;
+  m.pc <- target
+
+(* One instruction, as the reference engine executes it.  The fast
+   engine runs it too, for every instruction it has no kernel for. *)
+let exec_instr m instr =
+  match instr with
+  | Label _ | Comment _ -> ()
+  | Region r -> set_region m r
+  | Fprint (s, a) ->
+      let line =
+        match a with
+        | None -> s
+        | Some op -> (
+            match fe_val m op with
+            | SInt i -> Printf.sprintf "%s%d" s i
+            | SFloat f -> Printf.sprintf "%s%g" s f)
+      in
+      m.output <- line :: m.output
+  | Halt -> m.pc <- Array.length m.prog.code
+  | Fmov (r, a) ->
+      Cost.charge_fe m.meter;
+      m.regs.(r) <- fe_val m a
+  | Fbin (op, r, a, b) ->
+      Cost.charge_fe m.meter;
+      m.regs.(r) <- fe_bin op (fe_val m a) (fe_val m b)
+  | Funop (op, r, a) ->
+      Cost.charge_fe m.meter;
+      m.regs.(r) <- fe_unop op (fe_val m a)
+  | Frand (r, a) ->
+      Cost.charge_fe m.meter;
+      m.regs.(r) <- SInt (rand_mod m (to_int (fe_val m a)))
+  | Fread (r, fld, a) ->
+      Cost.charge_fe_cm m.meter;
+      let addr = to_int (fe_val m a) in
+      (match field_data m fld with
+      | FInt arr ->
+          if addr < 0 || addr >= Array.length arr then
+            error "fread: address %d out of range on f%d" addr fld;
+          m.regs.(r) <- SInt arr.(addr)
+      | FFloat arr ->
+          if addr < 0 || addr >= Array.length arr then
+            error "fread: address %d out of range on f%d" addr fld;
+          m.regs.(r) <- SFloat arr.(addr))
+  | Fwrite (fld, a, v) ->
+      Cost.charge_fe_cm m.meter;
+      let addr = to_int (fe_val m a) in
+      let value = fe_val m v in
+      (match field_data m fld with
+      | FInt arr ->
+          if addr < 0 || addr >= Array.length arr then
+            error "fwrite: address %d out of range on f%d" addr fld;
+          arr.(addr) <- to_int value
+      | FFloat arr ->
+          if addr < 0 || addr >= Array.length arr then
+            error "fwrite: address %d out of range on f%d" addr fld;
+          arr.(addr) <- to_float value)
+  | Jmp l ->
+      Cost.charge_fe m.meter;
+      jump m l
+  | Jz (a, l) ->
+      Cost.charge_fe m.meter;
+      if not (truthy (fe_val m a)) then jump m l
+  | Jnz (a, l) ->
+      Cost.charge_fe m.meter;
+      if truthy (fe_val m a) then jump m l
+  | Pmov (dst, a) -> exec_pmov m dst a
+  | Pbin (op, dst, a, b) -> exec_pbin m op dst a b
+  | Punop (op, dst, a) -> exec_punop m op dst a
+  | Pcoord (dst, axis) -> exec_pcoord m dst axis
+  | Ptable (dst, table) -> exec_ptable m dst table
+  | Prand (dst, modulus) -> exec_prand m dst modulus
+  | Psel (dst, c, a, b) -> exec_psel m dst c a b
+  | Pget (dst, src, addr) -> exec_pget m dst src addr
+  | Psend (dst, src, addr, combine) -> exec_psend m dst src addr combine
+  | Pnews (dst, src, axis, delta) -> exec_pnews m dst src axis delta
+  | Preduce (op, r, fld) -> exec_preduce m op r fld
+  | Pcount r -> exec_pcount m r
+  | Preduce_axis (op, dst, src) -> exec_preduce_axis m op dst src
+  | Pscan (op, dst, src, axis) -> exec_pscan m op dst src axis
+  | Cwith vp ->
+      if vp < 0 || vp >= Array.length m.prog.geoms then
+        error "cwith: unknown VP set vp%d" vp;
+      Cost.charge_fe m.meter;
+      m.cur <- vp
+  | Cpush ->
+      Cost.charge_context m.meter ~size:(cur_size m);
+      Context.push (cur_ctx m)
+  | Cand fld -> exec_cand m fld
+  | Cpop ->
+      Cost.charge_context m.meter ~size:(cur_size m);
+      (try Context.pop (cur_ctx m)
+       with Failure _ -> error "cpop: context stack underflow")
+  | Creset ->
+      Cost.charge_context m.meter ~size:(cur_size m);
+      Context.reset (cur_ctx m)
+  | Cread fld ->
+      check_on_current m fld "cread";
+      Cost.charge_context m.meter ~size:(cur_size m);
+      (match field_data m fld with
+      | FInt out ->
+          let mask = Context.active (cur_ctx m) in
+          Array.iteri (fun p act -> out.(p) <- (if act then 1 else 0)) mask
+      | FFloat _ -> error "cread into a float field")
 
 (* ---- fast engine: pre-decoded instruction kernels ---- *)
 
 (* [compile] translates the program once into an array of closures, one
-   per instruction, with operand shapes, field kinds, VP-set ids, label
-   targets and geometry constants resolved at decode time.  The run loop
-   is then [kernels.(pc) ()] over monomorphic int/float array loops.
+   per instruction.  Only the instructions with a specialised loop or
+   fast path get a kernel of their own: Pmov, Pbin, Punop, Psel, Pcoord,
+   Ptable, Prand, Pnews (no mask when every VP is active), Preduce,
+   Preduce_axis, Cand and Cread, with operand shapes, field kinds, VP-set
+   ids and geometry constants resolved at decode time.  Every other
+   instruction (front end, jumps, router, scans, Pcount, the context
+   stack) decodes to [exec_instr], the reference engine's one
+   implementation.
 
-   The invariant (enforced by test/test_engine.ml) is bit-identical
-   observable behaviour with [run_reference]: same register, field and
-   output contents, same statistics and simulated nanoseconds, same
-   error messages, same LCG stream, including the exact order of
-   per-element effects (router deliveries, rand draws, partial writes
-   before a mid-loop fault).  Errors the reference discovers while
-   executing (bad operator for a kind, operand kind mismatch, ...) are
-   deferred here into lazy values forced at the same point of the
-   kernel, after the same checks and charges. *)
+   The invariant (enforced by test/test_engine.ml and test_kernels) is
+   that a kernel is bit-identical to [exec_instr] on its instruction:
+   same register, field and output contents, same statistics and
+   simulated nanoseconds, same error messages, same LCG stream,
+   including the exact order of per-element effects (rand draws,
+   partial writes before a mid-loop fault).  Errors the reference
+   discovers while executing (bad operator for a kind, operand kind
+   mismatch, ...) are deferred here into lazy values forced at the same
+   point of the kernel, after the same checks and charges. *)
 
 (* A parallel operand resolves once per execution (registers are read at
    execution time) to one of these shapes; the loops specialize on them. *)
@@ -1109,12 +1102,13 @@ let kpfield m f =
   let vp = field_vpset m f in
   (vp, Geometry.size m.prog.geoms.(vp), m.contexts.(vp), field_data m f)
 
-(* Decode one instruction into its kernel.  Elementwise kernels resolve
+(* Decode one instruction into its kernel, or into [exec_instr] where
+   there is no loop to specialise.  Elementwise kernels resolve
    operands and take their checks, charges and faults in the reference's
    order, then run their write loop once over the VP set's whole element
    range, in ascending order, so a faulting element leaves exactly the
    writes before it. *)
-let decode m code_len instr : unit -> unit =
+let decode m instr : unit -> unit =
   let meter = m.meter in
   let check_cur vp what f = kcheck_cur m vp what f in
   (* [body all mask 0 nv], the context read once *)
@@ -1130,117 +1124,7 @@ let decode m code_len instr : unit -> unit =
       Cost.charge_pe meter ~size:nv;
       sweep nv ctx (body ())
   in
-  let dec_fe op =
-    match op with
-    | Reg r -> fun () -> m.regs.(r)
-    | Imm s -> fun () -> s
-    | Fld f -> fun () -> error "field f%d used as a front-end operand" f
-  in
-  (* Resolve the address field of a router op against the executing VP
-     set, with [addr_array]'s error order: on-current first, then kind. *)
-  let dec_addr vp f =
-    if field_vpset m f <> vp then
-      fun () ->
-        (error "address: field f%d is not on the current VP set vp%d" f vp
-          : int array)
-    else
-      match field_data m f with
-      | FInt a -> fun () -> a
-      | FFloat _ -> fun () -> error "address field f%d must be an int field" f
-  in
   match instr with
-  | Label _ | Comment _ -> fun () -> ()
-  | Region r -> fun () -> set_region m r
-  | Fprint (s, None) -> fun () -> m.output <- s :: m.output
-  | Fprint (s, Some op) ->
-      let g = dec_fe op in
-      fun () ->
-        let line =
-          match g () with
-          | SInt i -> Printf.sprintf "%s%d" s i
-          | SFloat f -> Printf.sprintf "%s%g" s f
-        in
-        m.output <- line :: m.output
-  | Halt -> fun () -> m.pc <- code_len
-  | Fmov (r, a) ->
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe meter;
-        m.regs.(r) <- g ()
-  | Fbin (op, r, a, b) ->
-      let ga = dec_fe a and gb = dec_fe b in
-      fun () ->
-        Cost.charge_fe meter;
-        (* the reference evaluates [fe_bin op (fe_val a) (fe_val b)];
-           OCaml applies arguments right to left, so b's faults win *)
-        let vb = gb () in
-        let va = ga () in
-        m.regs.(r) <- fe_bin op va vb
-  | Funop (op, r, a) ->
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe meter;
-        m.regs.(r) <- fe_unop op (g ())
-  | Frand (r, a) ->
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe meter;
-        m.regs.(r) <- SInt (rand_mod m (to_int (g ())))
-  | Fread (r, fld, a) ->
-      let fd = field_data m fld in
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe_cm meter;
-        let addr = to_int (g ()) in
-        (match fd with
-        | FInt arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fread: address %d out of range on f%d" addr fld;
-            m.regs.(r) <- SInt arr.(addr)
-        | FFloat arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fread: address %d out of range on f%d" addr fld;
-            m.regs.(r) <- SFloat arr.(addr))
-  | Fwrite (fld, a, v) ->
-      let fd = field_data m fld in
-      let ga = dec_fe a and gv = dec_fe v in
-      fun () ->
-        Cost.charge_fe_cm meter;
-        let addr = to_int (ga ()) in
-        let value = gv () in
-        (match fd with
-        | FInt arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fwrite: address %d out of range on f%d" addr fld;
-            arr.(addr) <- to_int value
-        | FFloat arr ->
-            if addr < 0 || addr >= Array.length arr then
-              error "fwrite: address %d out of range on f%d" addr fld;
-            arr.(addr) <- to_float value)
-  | Jmp l ->
-      fun () ->
-        Cost.charge_fe meter;
-        let target = m.labels.(l) in
-        if target < 0 then error "jump to unplaced label L%d" l;
-        m.pc <- target
-  | Jz (a, l) ->
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe meter;
-        if not (truthy (g ())) then begin
-          let target = m.labels.(l) in
-          if target < 0 then error "jump to unplaced label L%d" l;
-          m.pc <- target
-        end
-  | Jnz (a, l) ->
-      let g = dec_fe a in
-      fun () ->
-        Cost.charge_fe meter;
-        if truthy (g ()) then begin
-          let target = m.labels.(l) in
-          if target < 0 then error "jump to unplaced label L%d" l;
-          m.pc <- target
-        end
   | Pmov (dst, a) -> (
       let vp = field_vpset m dst in
       match field_data m dst with
@@ -1335,10 +1219,9 @@ let decode m code_len instr : unit -> unit =
         | FFloat _ -> error "ptable into a float field")
   | Prand (dst, modulus) ->
       let vp, nv, ctx, fd = pfield dst in
-      let gm = dec_fe modulus in
       fun () -> (
         check_cur vp "prand" dst;
-        let modv = to_int (gm ()) in
+        let modv = to_int (fe_val m modulus) in
         Cost.charge_pe meter ~size:nv;
         match fd with
         | FInt out when Context.all_active ctx ->
@@ -1367,58 +1250,6 @@ let decode m code_len instr : unit -> unit =
               let ra = ga () in
               let rb = gb () in
               sel_float out rc ra rb))
-  | Pget (dst, src, addr) ->
-      let vp, nv, ctx, fd_dst = pfield dst in
-      let fd_src = field_data m src in
-      let gaddr = dec_addr vp addr in
-      fun () ->
-        check_cur vp "pget" dst;
-        let mask = Context.active ctx in
-        let addr = gaddr () in
-        let stats =
-          try
-            match fd_dst, fd_src with
-            | FInt d, FInt s ->
-                Router.get EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d ()
-            | FFloat d, FFloat s ->
-                Router.get EFloat ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-                  ()
-            | _ -> error "pget: kind mismatch between f%d and f%d" dst src
-          with Invalid_argument msg -> error "pget: %s" msg
-        in
-        Cost.charge_router meter ~size:nv ~messages:stats.messages
-          ~max_fanin:stats.max_fanin
-  | Psend (dst, src, addr, combine) ->
-      let vp, nv, ctx, fd_src = pfield src in
-      let fd_dst = field_data m dst in
-      let gaddr = dec_addr vp addr in
-      let checking = combine = Ccheck in
-      fun () ->
-        check_cur vp "psend" src;
-        let mask = Context.active ctx in
-        let addr = gaddr () in
-        let stats =
-          try
-            match fd_dst, fd_src with
-            | FInt d, FInt s ->
-                Router.send EInt ~scratch:m.scratch ~mask ~addr ~src:s ~dst:d
-                  ~combine ()
-            | FFloat d, FFloat s ->
-                check_float_combine combine;
-                Router.send EFloat ~scratch:m.scratch ~mask ~addr ~src:s
-                  ~dst:d ~combine ()
-            | _ -> error "psend: kind mismatch between f%d and f%d" dst src
-          with
-          | Invalid_argument msg -> error "psend: %s" msg
-          | Router.Conflict a ->
-              error
-                "parallel assignment conflict: multiple distinct values sent \
-                 to element %d of field f%d"
-                a dst
-        in
-        let fanin = if checking then stats.max_fanin else 1 in
-        Cost.charge_router meter ~size:nv ~messages:stats.messages
-          ~max_fanin:fanin
   | Pnews (dst, src, axis, delta) ->
       let vp, nv, ctx, fd_dst = pfield dst in
       let vp_src = field_vpset m src in
@@ -1486,10 +1317,6 @@ let decode m code_len instr : unit -> unit =
               let all = Context.all_active ctx and mask = Context.active ctx in
               fred all mask 0 nv op ident a cell 0;
               m.regs.(r) <- SFloat cell.(0))
-  | Pcount r ->
-      fun () ->
-        Cost.charge_reduce meter ~size:(cur_size m);
-        m.regs.(r) <- SInt (Context.count_active (cur_ctx m))
   | Preduce_axis (op, dst, src) ->
       let vp, nv, ctx, fd_src = pfield src in
       let dst_vp = field_vpset m dst in
@@ -1526,31 +1353,6 @@ let decode m code_len instr : unit -> unit =
                done
            | _ -> error "preduce-axis: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "preduce-axis: %s" msg)
-  | Pscan (op, dst, src, axis) ->
-      let vp, nv, _, fd_dst = pfield dst in
-      let vp_src = field_vpset m src in
-      let fd_src = field_data m src in
-      let g = m.prog.geoms.(vp) in
-      fun () ->
-        check_cur vp "pscan" dst;
-        check_cur vp_src "pscan" src;
-        Cost.charge_scan meter ~size:nv;
-        (try
-           match fd_dst, fd_src with
-           | FInt d, FInt s -> scan_ints m g axis op s d
-           | FFloat d, FFloat s -> Scan.scan_axis g axis (float_binop op) s d
-           | _ -> error "pscan: kind mismatch between f%d and f%d" dst src
-         with Invalid_argument msg -> error "pscan: %s" msg)
-  | Cwith vp ->
-      let ok = vp >= 0 && vp < Array.length m.prog.geoms in
-      fun () ->
-        if not ok then error "cwith: unknown VP set vp%d" vp;
-        Cost.charge_fe meter;
-        m.cur <- vp
-  | Cpush ->
-      fun () ->
-        Cost.charge_context meter ~size:(cur_size m);
-        Context.push (cur_ctx m)
   | Cand fld -> (
       let vp, nv, ctx, fd = pfield fld in
       match fd with
@@ -1564,15 +1366,6 @@ let decode m code_len instr : unit -> unit =
             check_cur vp "cand" fld;
             Cost.charge_context meter ~size:nv;
             Context.land_floats ctx a)
-  | Cpop ->
-      fun () ->
-        Cost.charge_context meter ~size:(cur_size m);
-        (try Context.pop (cur_ctx m)
-         with Failure _ -> error "cpop: context stack underflow")
-  | Creset ->
-      fun () ->
-        Cost.charge_context meter ~size:(cur_size m);
-        Context.reset (cur_ctx m)
   | Cread fld ->
       let vp, nv, ctx, fd = pfield fld in
       fun () -> (
@@ -1581,29 +1374,40 @@ let decode m code_len instr : unit -> unit =
         match fd with
         | FInt out -> sweep nv ctx (cread_loop out)
         | FFloat _ -> error "cread into a float field")
+  | Label _ | Comment _ | Region _ | Fprint _ | Halt | Fmov _ | Fbin _ | Funop _
+  | Frand _ | Fread _ | Fwrite _ | Jmp _ | Jz _ | Jnz _ | Pget _ | Psend _
+  | Pcount _ | Pscan _ | Cwith _ | Cpush | Cpop | Creset ->
+      fun () -> exec_instr m instr
 
-(* Decode the program once; a no-op on the reference engine, which has
-   no kernels. *)
-let compile m =
-  match m.engine, m.kernels with
-  | `Reference, _ | _, Some _ -> ()
-  | _, None ->
-      Obs.with_span m.obs "cm.decode" (fun () ->
-          let code = m.prog.code in
-          let n = Array.length code in
-          m.kernels <-
-            Some
-              (Array.init n (fun i ->
-                   (* a decode-time fault (e.g. an out-of-range field id in a
-                      malformed program) becomes a kernel that re-raises it
-                      when that instruction is reached *)
-                   try decode m n code.(i)
-                   with e -> fun () -> raise e)))
+(* The program's kernels, decoded on first use.  The reference engine's
+   decoder is [exec_instr] itself: it resolves nothing ahead of time, so
+   it opens no decode span. *)
+let kernels m =
+  match m.kernels with
+  | Some k -> k
+  | None ->
+      let code = m.prog.code in
+      let k =
+        match m.engine with
+        | `Reference -> Array.map (fun instr () -> exec_instr m instr) code
+        | `Fast | `Native | `Sharded _ ->
+            Obs.with_span m.obs "cm.decode" (fun () ->
+                Array.map
+                  (fun instr ->
+                    (* a decode-time fault (e.g. an out-of-range field id
+                       in a malformed program) becomes a kernel that
+                       re-raises it when that instruction is reached *)
+                    try decode m instr with e -> fun () -> raise e)
+                  code)
+      in
+      m.kernels <- Some k;
+      k
 
-(* The dispatch loop of the fast engine. *)
-let run_kernels ?steps m =
-  compile m;
-  let kernels = match m.kernels with Some k -> k | None -> assert false in
+let compile m = ignore (kernels m)
+
+(* The dispatch loop of both engines. *)
+let exec ?steps m =
+  let kernels = kernels m in
   let n = Array.length kernels in
   let meter = m.meter in
   let code = m.prog.code in
@@ -1630,11 +1434,6 @@ let compile_native _ =
 
 let effective_engine m =
   match m.engine with `Native | `Sharded _ -> `Fast | e -> e
-
-let exec ?steps m =
-  match m.engine with
-  | `Reference -> run_reference ?steps m
-  | `Fast | `Native | `Sharded _ -> run_kernels ?steps m
 
 let run m = exec m
 

@@ -8,18 +8,22 @@
 
     Two engines execute the same program:
 
-    - [`Fast] (the default) pre-decodes the program once ({!compile})
-      into an array of specialized instruction kernels — operand
-      shapes, field kinds, VP-set checks, label targets and geometry
-      constants resolved at decode time.  Each kernel runs monomorphic
-      int/float loops over its VP set's whole element range.
-    - [`Reference] is the original per-instruction tree-walking
-      interpreter, kept as the semantic baseline.
+    - [`Fast] (the default) pre-decodes the program once ({!compile}).
+      The instructions it has a specialised loop or fast path for —
+      [Pmov], [Pbin], [Punop], [Psel], [Pcoord], [Ptable], [Prand],
+      [Pnews], [Preduce], [Preduce_axis], [Cand] and [Cread] — become
+      kernels with operand shapes, field kinds, VP-set checks and
+      geometry constants resolved at decode time, each running
+      monomorphic int/float loops over its VP set's whole element
+      range.  Every other instruction runs the reference executor.
+    - [`Reference] is the per-instruction tree-walking interpreter,
+      kept as the semantic baseline for the kernels.
 
-    Both are observably identical bit for bit: registers, fields,
-    output, statistics, simulated nanoseconds, error messages and the
-    random stream all agree (enforced differentially by
-    [test/test_engine.ml]).  The fast engine is a wall-clock
+    Both engines share one dispatch loop and are observably identical
+    bit for bit: registers, fields, output, statistics, simulated
+    nanoseconds, error messages and the random stream all agree
+    (enforced differentially by [test/test_engine.ml] and
+    [test/test_kernels.ml]).  The fast engine is a wall-clock
     optimization only.
 
     [`Native] and [`Sharded n] name the retired native engine (IR
@@ -71,8 +75,10 @@ val program : t -> Paris.program
 val engine : t -> engine
 
 (** Pre-decode the program into the instruction kernels {!run} executes
-    (a no-op if already compiled, or for the reference engine — {!run} compiles on first use; calling [compile]
-    beforehand just front-loads the work). *)
+    (a no-op if already compiled).  {!run} compiles on first use;
+    calling [compile] beforehand just front-loads the work.  Only the
+    fast engine's decode opens a ["cm.decode"] span: the reference
+    engine's kernels are its executor, resolved at run time. *)
 val compile : t -> unit
 
 (** Always [Error "native engine retired: runs on the fast kernels"].

@@ -17,10 +17,12 @@ let prepare ?(obs = Obs.null) prog =
   let prog = Obs.with_span obs "compile.transform" (fun () -> Transform.apply prog) in
   Obs.with_span obs "compile.fold" (fun () -> Optimize.fold_program prog)
 
-let lower ?layouts ?options ?(obs = Obs.null) prog =
-  let prog = prepare ~obs prog in
+let lower_prepared ?layouts ?options ?(obs = Obs.null) prog =
   Obs.with_span obs "compile.codegen" (fun () ->
       Codegen.compile ?layouts ?options ~obs prog)
+
+let lower ?layouts ?options ?(obs = Obs.null) prog =
+  lower_prepared ?layouts ?options ~obs (prepare ~obs prog)
 
 let compile_source ?layouts ?options ?obs src =
   lower ?layouts ?options ?obs (parse_source ?obs src)

@@ -24,6 +24,16 @@ val parse_source : ?obs:Obs.t -> string -> Ast.program
     {!Codegen} takes. *)
 val prepare : ?obs:Obs.t -> Ast.program -> Ast.program
 
+(** Lower a program {!prepare} returned.  [layouts] is as for
+    {!lower}; a caller that also searches layouts over the prepared
+    program prepares it once for both. *)
+val lower_prepared :
+  ?layouts:Mapping.table ->
+  ?options:Codegen.options ->
+  ?obs:Obs.t ->
+  Ast.program ->
+  Codegen.compiled
+
 (** Transform, fold and lower an already-checked program.  [layouts]
     overrides the program's own map sections with an explicit layout
     table (see {!Codegen.compile}) — the hook [ucc tune] and tuned

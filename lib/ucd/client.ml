@@ -8,14 +8,8 @@ type addr = Unix_path of string | Tcp of string * int
 
 type t = { fd : Unix.file_descr; reader : Proto.reader }
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
 let send t msg =
-  match write_all t.fd (Proto.client_line msg ^ "\n") with
+  match Proto.write_all t.fd (Proto.client_line msg ^ "\n") with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, _) ->
       Error (Printf.sprintf "send failed: %s" (Unix.error_message e))

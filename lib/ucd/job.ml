@@ -47,7 +47,9 @@ let engine_of_name ~shards name : (Cm.Machine.engine, string) result =
         (Printf.sprintf "unknown engine %S (valid: %s)" s
            (String.concat ", " engine_names))
 
-let default_shards = max 1 (Domain.recommended_domain_count ())
+(* A bare [sharded] names one shard on every host: the count is part of
+   the job's digest and cache key, and no run depends on it. *)
+let default_shards = 1
 
 let faults_summary = function
   | None -> "none"
@@ -207,10 +209,9 @@ let knobs =
        the engine string carries the count *)
     knob int "shards" ~docv:"N"
       ~doc:
-        "Shard count for $(b,--engine sharded) (default: this host's \
-         recommended domain count).  It names the job and is part of its \
-         digest; the retired sharded engine runs on the fast kernels \
-         whatever N is."
+        "Shard count for $(b,--engine sharded) (default: 1).  It names \
+         the job and is part of its digest; the retired sharded engine \
+         runs on the fast kernels whatever N is."
       ~get:(fun _ -> None)
       ~set:(fun shards t ->
         match t.engine with

@@ -279,15 +279,6 @@ let replay_file ?(keep = fun ~digest:_ ~status:_ -> false) file =
 
 (* ---- appending ---- *)
 
-let write_all fd s =
-  let n = String.length s in
-  let rec go off =
-    if off < n then
-      let w = Unix.write_substring fd s off (n - off) in
-      go (off + w)
-  in
-  go 0
-
 let append t e =
   let line = line_of_entry e in
   Mutex.lock t.lock;
@@ -298,7 +289,7 @@ let append t e =
       | None -> ()
       | Some fd -> (
           try
-            write_all fd line;
+            Proto.write_all fd line;
             t.appended <- t.appended + 1;
             t.written <- t.written + String.length line;
             if t.fsync then begin

@@ -40,14 +40,19 @@ let q_accept_locked q x =
   if Queue.length q.buf > q.max_depth then q.max_depth <- Queue.length q.buf;
   Condition.signal q.not_empty
 
+(* Blocking push: waits for room; [false] only once the queue is
+   closed. *)
 let q_push q x =
   Mutex.lock q.lock;
-  if Queue.length q.buf >= q.bound then q.blocked <- q.blocked + 1;
-  while Queue.length q.buf >= q.bound do
+  if Queue.length q.buf >= q.bound && not q.closed then
+    q.blocked <- q.blocked + 1;
+  while Queue.length q.buf >= q.bound && not q.closed do
     Condition.wait q.not_full q.lock
   done;
-  q_accept_locked q x;
-  Mutex.unlock q.lock
+  let accepted = not q.closed in
+  if accepted then q_accept_locked q x;
+  Mutex.unlock q.lock;
+  accepted
 
 (* admission-control path: never blocks, never queues past the bound *)
 let q_try_push q x =
@@ -202,7 +207,7 @@ let map ?domains ?queue_bound ?(obs = Obs.null) f items =
     let workers =
       List.init (min domains n) (fun _ -> Domain.spawn worker)
     in
-    List.iteri (fun i x -> q_push queue (i, x)) items;
+    List.iteri (fun i x -> ignore (q_push queue (i, x) : bool)) items;
     q_close queue;
     List.iter Domain.join workers;
     publish_stats
@@ -264,24 +269,8 @@ let try_submit svc task = q_try_push svc.svc_queue task
 
 (* Blocking admission, used by journal recovery at startup: the replay
    may requeue more jobs than the queue bound, and rejecting them would
-   lose accepted work.  Waits for room; [false] only once closed. *)
-let submit svc task =
-  let q = svc.svc_queue in
-  Mutex.lock q.lock;
-  if Queue.length q.buf >= q.bound && not q.closed then
-    q.blocked <- q.blocked + 1;
-  while Queue.length q.buf >= q.bound && not q.closed do
-    Condition.wait q.not_full q.lock
-  done;
-  let accepted =
-    if q.closed then false
-    else begin
-      q_accept_locked q task;
-      true
-    end
-  in
-  Mutex.unlock q.lock;
-  accepted
+   lose accepted work. *)
+let submit svc task = q_push svc.svc_queue task
 
 let service_stats svc =
   q_stats ~domains:svc.svc_ndomains ~completed:(Atomic.get svc.svc_completed)

@@ -463,6 +463,13 @@ type reader = {
   mutable over : bool;  (* current frame already past the bound *)
 }
 
+let write_all fd s =
+  let n = String.length s in
+  let rec go off =
+    if off < n then go (off + Unix.write_substring fd s off (n - off))
+  in
+  go 0
+
 let reader ?(max_frame = default_max_frame) fd =
   {
     fd;

@@ -135,6 +135,11 @@ val server_of_line : string -> (server_msg, string) result
 
 (** {1 Framing} *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string, across short writes.  Frames go out
+    as [write_all fd (line ^ "\n")]; the journal appends its lines the
+    same way.  @raise Unix.Unix_error as [Unix.write] does. *)
+
 type reader
 
 val reader : ?max_frame:int -> Unix.file_descr -> reader

@@ -62,15 +62,16 @@ let compute ~policy ~t0 ~obs ?ckpt ?on_checkpoint cache (job : Job.t) digest =
     in
     let compiled =
       Cache.memo_ir cache ~source_digest ~options_key (fun () ->
+          let prepared = Uc.Compile.prepare ~obs ast in
           let layouts =
             if job.Job.tune then
               Some
-                (Uc.Layoutsel.search ~options:job.Job.options
-                   (Uc.Optimize.fold_program (Uc.Transform.apply ast)))
+                (Uc.Layoutsel.search ~options:job.Job.options prepared)
                   .Uc.Layoutsel.table
             else None
           in
-          Uc.Compile.lower ?layouts ~options:job.Job.options ~obs ast)
+          Uc.Compile.lower_prepared ?layouts ~options:job.Job.options ~obs
+            prepared)
     in
     let deadline_over () =
       match job.Job.deadline with

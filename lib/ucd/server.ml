@@ -148,16 +148,10 @@ let logf t fmt =
     (fun msg -> if t.cfg.verbose then Printf.eprintf "ucd: %s\n%!" msg)
     fmt
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off = if off < n then go (off + Unix.write fd b off (n - off)) in
-  go 0
-
 (* pre-session replies (hello errors) go straight to the socket: the
    writer thread does not exist yet *)
 let write_msg fd msg =
-  try write_all fd (Proto.server_line msg ^ "\n") with _ -> ()
+  try Proto.write_all fd (Proto.server_line msg ^ "\n") with _ -> ()
 
 let is_draining t = locked t.state_lock (fun () -> t.draining)
 
@@ -675,14 +669,14 @@ let writer_thread t sess fd =
           | None -> false
         in
         if torn then begin
-          (try write_all fd (String.sub line 0 (max 1 (String.length line / 2)))
+          (try Proto.write_all fd (String.sub line 0 (max 1 (String.length line / 2)))
            with _ -> ());
           Session.close_outbox sess;
           (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
           loop ()  (* drain the closed lane so producers never block *)
         end
         else
-          match write_all fd (line ^ "\n") with
+          match Proto.write_all fd (line ^ "\n") with
           | () -> loop ()
           | exception _ ->
               (* client gone: close the lane so producers stop, and keep

@@ -91,6 +91,19 @@ let test_golden () =
       | _ -> Alcotest.failf "malformed golden line %S" line)
     lines
 
+(* A bare [sharded] resolves the same way on every host, so a manifest
+   line keeps its digest and cache key across machines. *)
+let test_bare_sharded () =
+  let digest line =
+    match ok line (Ucd.Job.of_manifest_line line) with
+    | Some job -> Ucd.Job.digest job
+    | None -> Alcotest.failf "%s: no job" line
+  in
+  let bare = digest "quickstart engine=sharded" in
+  List.iter
+    (fun explicit -> check Alcotest.string explicit (digest explicit) bare)
+    [ "quickstart engine=sharded:1"; "quickstart engine=sharded shards=1" ]
+
 (* ---- one job from every surface ---- *)
 
 type draw = {
@@ -273,6 +286,8 @@ let () =
         [
           Alcotest.test_case "defaults are the make defaults" `Quick test_defaults;
           Alcotest.test_case "golden digests and frames" `Quick test_golden;
+          Alcotest.test_case "bare sharded digest is host-independent" `Quick
+            test_bare_sharded;
           QCheck_alcotest.to_alcotest qcheck_surfaces_agree;
         ] );
       ( "stamp",

@@ -19,7 +19,10 @@
    them faulting on the third element of an unrolled group.  Every case writes its own destination
    field (or register), so a divergence names the case; every field,
    register, the output, the meter and the error must be bit-identical
-   to the reference.
+   to the reference.  The router cases (pget, psend) have no kernel:
+   both engines run the one reference executor, so their destinations
+   are also checked against an in-test loop over the address field, the
+   mask and the combine.
 
    The allocation test runs heat and stencil at two sizes on `Fast and
    requires the words allocated per run to stay the same
@@ -65,6 +68,8 @@ type sec = {
   mutable inits : (int * [ `I of int array | `F of float array ]) list;
   mutable labels : (string * string) list;  (* "f12"/"r3" -> case *)
   mutable code : instr list;  (* reversed *)
+  mutable oracles : (int * [ `I of int array | `F of float array ]) list;
+      (* field -> its expected contents *)
   (* inputs *)
   ia : int;
   ib : int;
@@ -105,7 +110,7 @@ let section name dims =
   let nv = Cm.Geometry.size g in
   let s0 =
     {
-      b; vp; nv; rank = List.length dims; inits = []; labels = []; code = [];
+      b; vp; nv; rank = List.length dims; inits = []; labels = []; code = []; oracles = [];
       ia = 0; ib = 0; inz = 0; ish = 0; iaddr = 0; iperm = 0; imask = 0;
       ilanes = 0; izero = 0; fa = 0; fb = 0; ri = 0; rnz = 0; rsh = 0; rf = 0; rn = 0;
     }
@@ -148,12 +153,26 @@ let masks s = [ (" dense", None); (" masked", Some s.imask); (" lane-masked", So
 let under mask is =
   match mask with None -> is | Some f -> [ Cpush; Cand f ] @ is @ [ Cpop ]
 
-(* One case: [mk d] writes destination [d]. *)
-let case s label kind mk =
+let input s f = List.assoc f s.inits
+let as_ints = function `I a -> Array.copy a | `F _ -> invalid_arg "as_ints"
+let as_floats = function `F a -> Array.copy a | `I _ -> invalid_arg "as_floats"
+
+(* The activity flags a mask leaves on the fully active VP set. *)
+let active s = function
+  | None -> Array.make s.nv true
+  | Some f -> Array.map (fun v -> v <> 0) (as_ints (input s f))
+
+(* One case: [mk d] writes destination [d].  [expect act prior], when
+   given, is the destination's contents after the case from its
+   contents before and the activity flags. *)
+let case ?expect s label kind mk =
   List.iter
     (fun (tag, mask) ->
       let d = new_field s kind in
       s.labels <- (Printf.sprintf "f%d" d, label ^ tag) :: s.labels;
+      Option.iter
+        (fun f -> s.oracles <- (d, f (active s mask) (input s d)) :: s.oracles)
+        expect;
       emit s (under mask (mk d)))
     (masks s)
 
@@ -265,6 +284,43 @@ let unop_mov_sel s =
         (shapes s ~a:s.fa ~b:s.fb ~k:(Imm (SFloat (-0.0))) ~r:s.rn))
     conds
 
+(* The router oracles: the active positions in ascending order; a get
+   reads [src] at each one's address, a send delivers to it, where the
+   first value to reach a destination overwrites it and later ones
+   merge with the combine.  In place, [src] is [dst]. *)
+let get_oracle act addr src dst =
+  Array.iteri (fun p a -> if act.(p) then dst.(p) <- src.(a)) addr;
+  dst
+
+let send_oracle combine act addr src dst =
+  let seen = Array.make (Array.length dst) false in
+  Array.iteri
+    (fun p a ->
+      if act.(p) then begin
+        dst.(a) <- (if seen.(a) then combine dst.(a) src.(p) else src.(p));
+        seen.(a) <- true
+      end)
+    addr;
+  dst
+
+(* The checking combine only ever meets distinct destinations here
+   (its sends use a permutation). *)
+let int_combine = function
+  | Ccheck | Cover -> fun d _ -> d
+  | Cadd -> ( + )
+  | Cmin -> Int.min
+  | Cmax -> Int.max
+  | Cor -> ( lor )
+  | Cand -> ( land )
+  | Cxor -> ( lxor )
+
+let float_combine = function
+  | Ccheck | Cover -> fun d _ -> d
+  | Cadd -> ( +. )
+  | Cmin -> Float.min
+  | Cmax -> Float.max
+  | Cor | Cand | Cxor -> invalid_arg "float_combine"
+
 let comm s =
   for axis = 0 to s.rank - 1 do
     List.iter
@@ -279,19 +335,34 @@ let comm s =
       (* an in-place shift by -5 reads what the group before wrote *)
       [ -1; 1; -2; -5 ]
   done;
-  case s "pget int" KInt (fun d -> [ Pget (d, s.ia, s.iaddr) ]);
-  case s "pget float" KFloat (fun d -> [ Pget (d, s.fa, s.iaddr) ]);
+  let ia = as_ints (input s s.ia) and fa = as_floats (input s s.fa) in
+  let addr = as_ints (input s s.iaddr) in
+  let send_addr c = if c = Ccheck then s.iperm else s.iaddr in
+  case s "pget int" KInt
+    (fun d -> [ Pget (d, s.ia, s.iaddr) ])
+    ~expect:(fun act d -> `I (get_oracle act addr ia (as_ints d)));
+  case s "pget float" KFloat
+    (fun d -> [ Pget (d, s.fa, s.iaddr) ])
+    ~expect:(fun act d -> `F (get_oracle act addr fa (as_floats d)));
   case s "pget int in place" KInt
-    (fun d -> [ Pmov (d, Fld s.ia); Pget (d, d, s.iaddr) ]);
+    (fun d -> [ Pmov (d, Fld s.ia); Pget (d, d, s.iaddr) ])
+    ~expect:(fun act d ->
+      let d = as_ints d in
+      Array.iteri (fun p a -> if a then d.(p) <- ia.(p)) act;
+      `I (get_oracle act addr d d));
   List.iter
     (fun c ->
+      let addr = as_ints (input s (send_addr c)) in
       case s ("psend int " ^ combine_name c) KInt
-        (fun d -> [ Psend (d, s.ia, (if c = Ccheck then s.iperm else s.iaddr), c) ]))
+        (fun d -> [ Psend (d, s.ia, send_addr c, c) ])
+        ~expect:(fun act d -> `I (send_oracle (int_combine c) act addr ia (as_ints d))))
     [ Ccheck; Cover; Cadd; Cmin; Cmax; Cor; Cand; Cxor ];
   List.iter
     (fun c ->
+      let addr = as_ints (input s (send_addr c)) in
       case s ("psend float " ^ combine_name c) KFloat
-        (fun d -> [ Psend (d, s.fa, (if c = Ccheck then s.iperm else s.iaddr), c) ]))
+        (fun d -> [ Psend (d, s.fa, send_addr c, c) ])
+        ~expect:(fun act d -> `F (send_oracle (float_combine c) act addr fa (as_floats d))))
     [ Ccheck; Cover; Cadd; Cmin; Cmax ]
 
 let reduce_coord s =
@@ -401,12 +472,37 @@ let diff s prog (st0, m0) (st1, m1) =
   if Cm.Machine.icount m0 <> Cm.Machine.icount m1 then note "icount";
   !first
 
+(* The cases with an oracle, on one engine's run. *)
+let check_oracles s prog ename (_, m) =
+  List.iter
+    (fun (d, expected) ->
+      let name = List.assoc (Printf.sprintf "f%d" d) s.labels in
+      let differs p got want =
+        Alcotest.failf "%s: %s, %s (f%d) element %d: %s, the oracle %s" prog.name ename
+          name d p got want
+      in
+      match expected with
+      | `I want ->
+          let got = Cm.Machine.field_ints m d in
+          Array.iteri
+            (fun p w -> if got.(p) <> w then differs p (string_of_int got.(p)) (string_of_int w))
+            want
+      | `F want ->
+          let got = Cm.Machine.field_floats m d in
+          Array.iteri
+            (fun p w -> if bits got.(p) <> bits w then differs p (hex got.(p)) (hex w))
+            want)
+    (List.rev s.oracles)
+
 let check_section s =
   let prog = finish s in
   let ref_run = run `Reference s prog in
+  check_oracles s prog "reference" ref_run;
   List.iter
     (fun (ename, engine) ->
-      match diff s prog ref_run (run engine s prog) with
+      let run = run engine s prog in
+      check_oracles s prog ename run;
+      match diff s prog ref_run run with
       | None -> ()
       | Some msg -> Alcotest.failf "%s: %s differs from reference: %s" prog.name ename msg)
     engines
