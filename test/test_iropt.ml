@@ -670,23 +670,27 @@ let test_fixpoint_grid () =
 (* ---- the optimizer's output, pinned ----
 
    [test_iropt.exe pin] prints one line per program: the label, the
-   digest of the optimized program, and its instruction counts before
-   and after.  The programs are the generator grid under the default
+   digest of the optimized program, its instruction counts before and
+   after, and the digest of the unoptimized program (the lowering's
+   own output).  The programs are the generator grid under the default
    passes and the UC corpus under the default and each single-pass
    configuration; `dune runtest` diffs the lines against
    iropt_pin.expected. *)
 let print_pin () =
+  let digest (p : Cm.Paris.program) =
+    Digest.to_hex
+      (Digest.string
+         (Marshal.to_string
+            (p.geoms, p.fields, p.nregs, p.nlabels, p.code)
+            [ Marshal.No_sharing ]))
+  in
   let line label config (prog, fields, regs) =
+    let pre = digest prog in
     let opt, st =
       Cm.Iropt.run ~config ~live_out_fields:fields ~live_out_regs:regs prog
     in
-    Printf.printf "%s %s %d %d\n" label
-      (Digest.to_hex
-         (Digest.string
-            (Marshal.to_string
-               (opt.geoms, opt.fields, opt.nregs, opt.nlabels, opt.code)
-               [ Marshal.No_sharing ])))
-      st.Cm.Iropt.input_instrs st.Cm.Iropt.output_instrs
+    Printf.printf "%s %s %d %d %s\n" label (digest opt)
+      st.Cm.Iropt.input_instrs st.Cm.Iropt.output_instrs pre
   in
   List.iter
     (fun (label, src) -> line label Cm.Iropt.default (lowered src))
