@@ -185,6 +185,12 @@ let array_meta ctx loc name =
   | Barray m -> m
   | _ -> err loc "%s is not an array" name
 
+(* the name and storage of the array a subscripted expression indexes *)
+let indexed ctx base =
+  match base.e with
+  | Evar v -> (v, array_meta ctx base.eloc v)
+  | _ -> err base.eloc "only named arrays can be indexed"
+
 (* ---------------- types ---------------- *)
 
 let rec ty_of ctx e =
@@ -199,10 +205,7 @@ let rec ty_of ctx e =
       | Bparlocal (ty, _, _) -> ty
       | Barray _ -> err e.eloc "array %s used as a value" v
       | Bset _ -> err e.eloc "index set %s used as a value" v)
-  | Eindex (base, _) -> (
-      match base.e with
-      | Evar v -> (array_meta ctx base.eloc v).aty
-      | _ -> err base.eloc "only named arrays can be indexed")
+  | Eindex (base, _) -> (snd (indexed ctx base)).aty
   | Ebin ((Add | Sub | Mul | Div), a, b) ->
       if ty_of ctx a = Tfloat || ty_of ctx b = Tfloat then Tfloat else Tint
   | Ebin _ -> Tint
@@ -210,11 +213,11 @@ let rec ty_of ctx e =
   | Eun _ -> Tint
   | Econd (_, a, b) ->
       if ty_of ctx a = Tfloat || ty_of ctx b = Tfloat then Tfloat else Tint
-  | Ecall ("tofloat", _) -> Tfloat
-  | Ecall (("toint" | "power2" | "rand"), _) -> Tint
-  | Ecall (("abs" | "min" | "max"), args) ->
-      if List.exists (fun a -> ty_of ctx a = Tfloat) args then Tfloat else Tint
-  | Ecall (f, _) -> err e.eloc "call to %s survived inlining" f
+  | Ecall (f, args) -> (
+      match Builtins.lookup f with
+      | Some (Builtins.Value { result; _ }) ->
+          Builtins.result_ty result (ty_of ctx) args
+      | _ -> err e.eloc "call to %s survived inlining" f)
   | Ereduce r ->
       (* bind the reduction's elements for typing purposes only *)
       let saved = ctx.env in
@@ -373,8 +376,7 @@ let rec safe_expr ctx e =
   | Ebin (_, a, b) -> safe_expr ctx a && safe_expr ctx b
   | Eun (_, a) -> safe_expr ctx a
   | Econd (c, a, b) -> safe_expr ctx c && safe_expr ctx a && safe_expr ctx b
-  | Ecall (("power2" | "abs" | "min" | "max" | "tofloat" | "toint"), args) ->
-      List.for_all (safe_expr ctx) args
+  | Ecall (f, args) when Builtins.pure f -> List.for_all (safe_expr ctx) args
   | Ecall _ -> false
   | Ereduce _ -> false
 
@@ -445,325 +447,80 @@ let cse_worthwhile e =
   | Eint _ | Efloat _ | Estr _ | Einf | Evar _ -> false
   | _ -> true
 
-(* ---------------- front-end expressions ---------------- *)
+(* ---------------- expressions ----------------
 
-let rec eval_fe ctx e : P.operand =
-  match e.e with
-  | Eint i -> P.Imm (P.SInt i)
-  | Efloat f -> P.Imm (P.SFloat f)
-  | Einf -> P.Imm (P.SInt P.inf_int)
-  | Estr _ -> err e.eloc "string literal outside print"
-  | Evar v -> (
-      match lookup ctx e.eloc v with
-      | Bscalar m -> P.Reg m.sreg
-      | Belem_reg (r, _) -> P.Reg r
-      | Belem_axis _ ->
-          err e.eloc "index element %s used outside its parallel construct" v
-      | Bparlocal _ -> err e.eloc "par-local %s used on the front end" v
-      | Barray _ -> err e.eloc "array %s used as a value" v
-      | Bset _ -> err e.eloc "index set %s used as a value" v)
-  | Eindex (base, subs) ->
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> err base.eloc "only named arrays can be indexed"
-      in
-      let m = array_meta ctx base.eloc name in
-      let addr = fe_address ctx e.eloc m subs in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fread (r, m.afield, addr));
-      note ctx (fun () ->
-          Fe_access { fename = name; ferw = `Read; fetrips = ctx.mult });
-      P.Reg r
-  | Ebin (Land, a, b) ->
-      (* short-circuit on the front end via branches *)
-      let r = P.Builder.reg ctx.b in
-      let lfalse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
-      let va = eval_fe ctx a in
-      emit ctx (P.Jz (va, lfalse));
-      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
-      emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
-      emit ctx (P.Jmp lend);
-      P.Builder.place ctx.b lfalse;
-      emit ctx (P.Fmov (r, P.Imm (P.SInt 0)));
-      P.Builder.place ctx.b lend;
-      P.Reg r
-  | Ebin (Lor, a, b) ->
-      let r = P.Builder.reg ctx.b in
-      let ltrue = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
-      let va = eval_fe ctx a in
-      emit ctx (P.Jnz (va, ltrue));
-      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
-      emit ctx (P.Fbin (P.Ne, r, vb, P.Imm (P.SInt 0)));
-      emit ctx (P.Jmp lend);
-      P.Builder.place ctx.b ltrue;
-      emit ctx (P.Fmov (r, P.Imm (P.SInt 1)));
-      P.Builder.place ctx.b lend;
-      P.Reg r
-  | Ebin (op, a, b) ->
-      let va = eval_fe ctx a in
-      let vb = eval_fe ctx b in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fbin (fe_binop op, r, va, vb));
-      P.Reg r
-  | Eun (op, a) ->
-      let va = eval_fe ctx a in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Funop (fe_unop op, r, va));
-      P.Reg r
-  | Econd (c, a, b) ->
-      let r = P.Builder.reg ctx.b in
-      let lelse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
-      let vc = eval_fe ctx c in
-      emit ctx (P.Jz (vc, lelse));
-      let va = sometimes ctx (fun () -> eval_fe ctx a) in
-      emit ctx (P.Fmov (r, va));
-      emit ctx (P.Jmp lend);
-      P.Builder.place ctx.b lelse;
-      let vb = sometimes ctx (fun () -> eval_fe ctx b) in
-      emit ctx (P.Fmov (r, vb));
-      P.Builder.place ctx.b lend;
-      P.Reg r
-  | Ecall ("rand", []) ->
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Frand (r, P.Imm (P.SInt 0x40000000)));
-      P.Reg r
-  | Ecall ("power2", [ a ]) ->
-      let va = eval_fe ctx a in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fbin (P.Shl, r, P.Imm (P.SInt 1), va));
-      P.Reg r
-  | Ecall ("abs", [ a ]) ->
-      let va = eval_fe ctx a in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Funop (P.Abs, r, va));
-      P.Reg r
-  | Ecall (("min" | "max") as f, [ a; b ]) ->
-      let va = eval_fe ctx a in
-      let vb = eval_fe ctx b in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fbin ((if f = "min" then P.Min else P.Max), r, va, vb));
-      P.Reg r
-  | Ecall ("tofloat", [ a ]) ->
-      let va = eval_fe ctx a in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Funop (P.ToFloat, r, va));
-      P.Reg r
-  | Ecall ("toint", [ a ]) ->
-      let va = eval_fe ctx a in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Funop (P.ToInt, r, va));
-      P.Reg r
-  | Ecall (f, _) -> err e.eloc "call to %s survived inlining" f
-  | Ereduce r -> gen_reduce ctx e.eloc r
+   One lowering serves the front end and the PEs: [place] says where a
+   value lives, in a fresh register or in a fresh temp field on the
+   current space.  Literals, operators, builtins, reductions and array
+   addresses lower alike on both; variables, subscripts (Fread against
+   NEWS or the router), the short-circuit operators and ?: (jumps
+   against masks) lower apart. *)
 
-and fe_binop = function
-  | Add -> P.Add | Sub -> P.Sub | Mul -> P.Mul | Div -> P.Div | Mod -> P.Mod
-  | Eq -> P.Eq | Ne -> P.Ne | Lt -> P.Lt | Le -> P.Le | Gt -> P.Gt | Ge -> P.Ge
-  | Land -> P.Land | Lor -> P.Lor
-  | Band -> P.Band | Bor -> P.Bor | Bxor -> P.Bxor | Shl -> P.Shl | Shr -> P.Shr
+type place = Fe | Pe
 
-and fe_unop = function Neg -> P.Neg | Lnot -> P.Lnot | Bnot -> P.Bnot
+(* an operation the front end and the PEs both perform *)
+type op =
+  | Mov of P.operand
+  | Bin of P.binop * P.operand * P.operand
+  | Un of P.unop * P.operand
+  | Rnd of P.operand
 
-(* front-end address of an array element (logical subscripts -> physical
-   flat index, honouring the layout) *)
-and fe_address ctx loc m subs : P.operand =
-  let phys = Mapping.physical_dims m.alayout m.adims in
+let imm k = P.Imm (P.SInt k)
+let at place d = match place with Fe -> P.Reg d | Pe -> P.Fld d
+
+(* the field behind a PE operand that names one *)
+let field_of = function P.Fld f -> f | _ -> invalid_arg "Codegen.field_of"
+
+(* a fresh register, or a fresh temp field of [kind] on the current space *)
+let fresh ctx place kind =
+  match place with Fe -> P.Builder.reg ctx.b | Pe -> temp ctx kind
+
+(* emit [op] into register or field [d] *)
+let put ctx place d op =
+  emit ctx
+    (match place, op with
+    | Fe, Mov a -> P.Fmov (d, a)
+    | Pe, Mov a -> P.Pmov (d, a)
+    | Fe, Bin (o, a, b) -> P.Fbin (o, d, a, b)
+    | Pe, Bin (o, a, b) -> P.Pbin (o, d, a, b)
+    | Fe, Un (o, a) -> P.Funop (o, d, a)
+    | Pe, Un (o, a) -> P.Punop (o, d, a)
+    | Fe, Rnd a -> P.Frand (d, a)
+    | Pe, Rnd a -> P.Prand (d, a))
+
+(* [op] into a fresh register, or a fresh temp field of [e]'s type *)
+let compute ctx place e op =
+  let d =
+    match place with
+    | Fe -> P.Builder.reg ctx.b
+    | Pe -> temp ctx (kind_of_ty (ty_of ctx e))
+  in
+  put ctx place d op;
+  at place d
+
+(* copy a value into a fresh register or field; [v] runs after the
+   allocation *)
+let copy ctx place kind v =
+  let t = fresh ctx place kind in
+  put ctx place t (Mov (v ()));
+  at place t
+
+(* [store] a value at [addr] in [m], and in every other copy of a
+   Copied array *)
+let store_copies ctx place m addr store =
+  store addr;
   match m.alayout with
-  | Mapping.Default | Mapping.Copied _ ->
-      (* Copied: the front end reads/writes copy 0 (writes replicate below) *)
-      let base_dims = m.adims in
-      linear_fe ctx base_dims (List.map (eval_fe ctx) subs)
-  | Mapping.Shifted offs ->
-      let slots =
-        List.mapi
-          (fun k sub ->
-            let v = eval_fe ctx sub in
-            let n = List.nth m.adims k in
-            let off = offs.(k) in
-            if off = 0 then v
-            else begin
-              let r = P.Builder.reg ctx.b in
-              emit ctx (P.Fbin (P.Sub, r, v, P.Imm (P.SInt off)));
-              emit ctx (P.Fbin (P.Add, r, P.Reg r, P.Imm (P.SInt (2 * n))));
-              emit ctx (P.Fbin (P.Mod, r, P.Reg r, P.Imm (P.SInt n)));
-              P.Reg r
-            end)
-          subs
-      in
-      linear_fe ctx m.adims slots
-  | Mapping.Folded f -> (
-      match m.adims, subs with
-      | d0 :: _, s0 :: srest ->
-          let h = d0 / f in
-          let v0 = eval_fe ctx s0 in
-          let hi = P.Builder.reg ctx.b and lo = P.Builder.reg ctx.b in
-          emit ctx (P.Fbin (P.Mod, hi, v0, P.Imm (P.SInt h)));
-          emit ctx (P.Fbin (P.Div, lo, v0, P.Imm (P.SInt h)));
-          linear_fe ctx phys
-            (P.Reg hi :: P.Reg lo :: List.map (eval_fe ctx) srest)
-      | _ -> err loc "fold of a scalar")
-
-and linear_fe ctx dims slots : P.operand =
-  match dims, slots with
-  | [ _ ], [ s ] -> s
-  | _ ->
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fmov (r, P.Imm (P.SInt 0)));
-      List.iter2
-        (fun d s ->
-          emit ctx (P.Fbin (P.Mul, r, P.Reg r, P.Imm (P.SInt d)));
-          emit ctx (P.Fbin (P.Add, r, P.Reg r, s)))
-        dims slots;
-      P.Reg r
-
-(* ---------------- parallel expressions ---------------- *)
-
-(* evaluate in the current space, under the current machine context; pure
-   expressions already computed under an enclosing mask are reused (the
-   paper's common sub-expression detection) *)
-and eval_par ctx e : P.operand =
-  let sp = Option.get ctx.space in
-  if (not ctx.opts.cse) || (not (cse_worthwhile e)) || contains_rand e then
-    eval_par_raw ctx e
-  else begin
-    let hit =
-      List.find_opt
-        (fun (e', vp, path, _) ->
-          vp = sp.vp && is_prefix path ctx.mask_path && expr_equal e' e)
-        ctx.cse_table
-    in
-    match hit with
-    | Some (_, _, _, op) -> op
-    | None ->
-        let op = eval_par_raw ctx e in
-        (match op with
-        | P.Fld _ ->
-            ctx.cse_table <- (e, sp.vp, ctx.mask_path, op) :: ctx.cse_table
-        | _ -> ());
-        op
-  end
-
-and eval_par_raw ctx e : P.operand =
-  let sp = Option.get ctx.space in
-  match e.e with
-  | Eint i -> P.Imm (P.SInt i)
-  | Efloat f -> P.Imm (P.SFloat f)
-  | Einf -> P.Imm (P.SInt P.inf_int)
-  | Estr _ -> err e.eloc "string literal outside print"
-  | Evar v -> (
-      match lookup ctx e.eloc v with
-      | Bscalar m -> P.Reg m.sreg
-      | Belem_reg (r, _) -> P.Reg r
-      | Belem_axis ax -> P.Fld sp.value_fields.(ax)
-      | Bparlocal (_, f, vp) ->
-          if vp <> sp.vp then
-            err e.eloc
-              "par-local %s cannot be read from a nested construct's index \
-               space" v;
-          P.Fld f
-      | Barray _ -> err e.eloc "array %s used as a value" v
-      | Bset _ -> err e.eloc "index set %s used as a value" v)
-  | Eindex (base, subs) -> gen_read ctx e.eloc base subs
-  | Ebin (Land, a, b) when not (safe_expr ctx b) ->
-      (* short-circuit: evaluate b only where a holds *)
-      let va = eval_par ctx a in
-      let t = temp ctx P.KInt in
-      emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
-      let cond = land_field ctx va in
-      under_mask ctx cond (fun () ->
-          let vb = eval_par ctx b in
-          emit ctx (P.Pbin (P.Ne, t, vb, P.Imm (P.SInt 0))));
-      let r = temp ctx P.KInt in
-      emit ctx (P.Pbin (P.Land, r, va, P.Fld t));
-      P.Fld r
-  | Ebin (Lor, a, b) when not (safe_expr ctx b) ->
-      let va = eval_par ctx a in
-      let t = temp ctx P.KInt in
-      emit ctx (P.Pmov (t, P.Imm (P.SInt 0)));
-      let nota = temp ctx P.KInt in
-      emit ctx (P.Punop (P.Lnot, nota, va));
-      under_mask ctx nota (fun () ->
-          let vb = eval_par ctx b in
-          emit ctx (P.Pbin (P.Ne, t, vb, P.Imm (P.SInt 0))));
-      let r = temp ctx P.KInt in
-      emit ctx (P.Pbin (P.Lor, r, va, P.Fld t));
-      P.Fld r
-  | Ebin (op, a, b) ->
-      let va = eval_par ctx a in
-      let vb = eval_par ctx b in
-      let kind =
-        match op with
-        | Eq | Ne | Lt | Le | Gt | Ge | Land | Lor | Mod | Band | Bor | Bxor
-        | Shl | Shr ->
-            P.KInt
-        | Add | Sub | Mul | Div -> kind_of_ty (ty_of ctx e)
-      in
-      let t = temp ctx kind in
-      emit ctx (P.Pbin (fe_binop op, t, va, vb));
-      P.Fld t
-  | Eun (op, a) ->
-      let va = eval_par ctx a in
-      let t = temp ctx (kind_of_ty (ty_of ctx e)) in
-      emit ctx (P.Punop (fe_unop op, t, va));
-      P.Fld t
-  | Econd (c, a, b) ->
-      let vc = eval_par ctx c in
-      if safe_expr ctx a && safe_expr ctx b then begin
-        let va = eval_par ctx a in
-        let vb = eval_par ctx b in
-        let t = temp ctx (kind_of_ty (ty_of ctx e)) in
-        emit ctx (P.Psel (t, vc, va, vb));
-        P.Fld t
-      end
-      else begin
-        let t = temp ctx (kind_of_ty (ty_of ctx e)) in
-        let cond = land_field ctx vc in
-        under_mask ctx cond (fun () ->
-            let va = eval_par ctx a in
-            emit ctx (P.Pmov (t, va)));
-        let notc = temp ctx P.KInt in
-        emit ctx (P.Punop (P.Lnot, notc, vc));
-        under_mask ctx notc (fun () ->
-            let vb = eval_par ctx b in
-            emit ctx (P.Pmov (t, vb)));
-        P.Fld t
-      end
-  | Ecall ("rand", []) ->
-      let t = temp ctx P.KInt in
-      emit ctx (P.Prand (t, P.Imm (P.SInt 0x40000000)));
-      P.Fld t
-  | Ecall ("power2", [ a ]) ->
-      let va = eval_par ctx a in
-      let t = temp ctx P.KInt in
-      emit ctx (P.Pbin (P.Shl, t, P.Imm (P.SInt 1), va));
-      P.Fld t
-  | Ecall ("abs", [ a ]) ->
-      let va = eval_par ctx a in
-      let t = temp ctx (kind_of_ty (ty_of ctx e)) in
-      emit ctx (P.Punop (P.Abs, t, va));
-      P.Fld t
-  | Ecall (("min" | "max") as f, [ a; b ]) ->
-      let va = eval_par ctx a in
-      let vb = eval_par ctx b in
-      let t = temp ctx (kind_of_ty (ty_of ctx e)) in
-      emit ctx (P.Pbin ((if f = "min" then P.Min else P.Max), t, va, vb));
-      P.Fld t
-  | Ecall ("tofloat", [ a ]) ->
-      let va = eval_par ctx a in
-      let t = temp ctx P.KFloat in
-      emit ctx (P.Punop (P.ToFloat, t, va));
-      P.Fld t
-  | Ecall ("toint", [ a ]) ->
-      let va = eval_par ctx a in
-      let t = temp ctx P.KInt in
-      emit ctx (P.Punop (P.ToInt, t, va));
-      P.Fld t
-  | Ecall (f, _) -> err e.eloc "call to %s survived inlining" f
-  | Ereduce r -> gen_reduce ctx e.eloc r
+  | Mapping.Copied copies ->
+      let total = List.fold_left ( * ) 1 m.adims in
+      for c = 1 to copies - 1 do
+        let a = fresh ctx place P.KInt in
+        put ctx place a (Bin (P.Add, addr, imm (c * total)));
+        store (at place a)
+      done
+  | _ -> ()
 
 (* run [f] with the context narrowed by [field <> 0] *)
-and under_mask ctx field f =
+let under_mask ctx field f =
   emit ctx P.Cpush;
   emit ctx (P.Cand field);
   let saved = ctx.act_all in
@@ -772,24 +529,177 @@ and under_mask ctx field f =
   ctx.next_mask_id <- id + 1;
   let saved_path = ctx.mask_path in
   ctx.mask_path <- ctx.mask_path @ [ id ];
-  f ();
+  let r = f () in
   (* drop cache entries made under the narrower mask *)
   ctx.cse_table <-
     List.filter (fun (_, _, path, _) -> is_prefix path saved_path) ctx.cse_table;
   ctx.mask_path <- saved_path;
   ctx.act_all <- saved;
-  emit ctx P.Cpop
+  emit ctx P.Cpop;
+  r
 
 (* materialise an operand as an int field suitable for Cand *)
-and land_field ctx (op : P.operand) : int =
+let land_field ctx (op : P.operand) : int =
   match op with
   | P.Fld f when snd (P.Builder.field_info ctx.b f) = P.KInt -> f
   | _ ->
       let t = temp ctx P.KInt in
-      emit ctx (P.Pbin (P.Ne, t, op, P.Imm (P.SInt 0)));
+      emit ctx (P.Pbin (P.Ne, t, op, imm 0));
       t
 
-(* ---------------- array addressing (parallel) ---------------- *)
+(* an int field holding !op *)
+let not_field ctx (op : P.operand) : int =
+  let t = temp ctx P.KInt in
+  emit ctx (P.Punop (P.Lnot, t, op));
+  t
+
+let paris_binop = function
+  | Add -> P.Add | Sub -> P.Sub | Mul -> P.Mul | Div -> P.Div | Mod -> P.Mod
+  | Eq -> P.Eq | Ne -> P.Ne | Lt -> P.Lt | Le -> P.Le | Gt -> P.Gt | Ge -> P.Ge
+  | Land -> P.Land | Lor -> P.Lor
+  | Band -> P.Band | Bor -> P.Bor | Bxor -> P.Bxor | Shl -> P.Shl | Shr -> P.Shr
+
+let paris_unop = function Neg -> P.Neg | Lnot -> P.Lnot | Bnot -> P.Bnot
+
+(* evaluate [e] at [place]; on the PEs, pure expressions already computed
+   under an enclosing mask are reused (the paper's common sub-expression
+   detection) *)
+let rec eval ctx place e : P.operand =
+  match place with
+  | Fe -> lower_expr ctx Fe e
+  | Pe ->
+      let sp = Option.get ctx.space in
+      if (not ctx.opts.cse) || (not (cse_worthwhile e)) || contains_rand e then
+        lower_expr ctx Pe e
+      else begin
+        let hit =
+          List.find_opt
+            (fun (e', vp, path, _) ->
+              vp = sp.vp && is_prefix path ctx.mask_path && expr_equal e' e)
+            ctx.cse_table
+        in
+        match hit with
+        | Some (_, _, _, op) -> op
+        | None ->
+            let op = lower_expr ctx Pe e in
+            (match op with
+            | P.Fld _ ->
+                ctx.cse_table <- (e, sp.vp, ctx.mask_path, op) :: ctx.cse_table
+            | _ -> ());
+            op
+      end
+
+and lower_expr ctx place e : P.operand =
+  match e.e, place with
+  | Eint i, _ -> imm i
+  | Efloat f, _ -> P.Imm (P.SFloat f)
+  | Einf, _ -> imm P.inf_int
+  | Estr _, _ -> err e.eloc "string literal outside print"
+  | Evar v, _ -> (
+      match lookup ctx e.eloc v, place with
+      | Bscalar m, _ -> P.Reg m.sreg
+      | Belem_reg (r, _), _ -> P.Reg r
+      | Belem_axis ax, Pe -> P.Fld (Option.get ctx.space).value_fields.(ax)
+      | Belem_axis _, Fe ->
+          err e.eloc "index element %s used outside its parallel construct" v
+      | Bparlocal (_, f, vp), Pe ->
+          if vp <> (Option.get ctx.space).vp then
+            err e.eloc
+              "par-local %s cannot be read from a nested construct's index \
+               space" v;
+          P.Fld f
+      | Bparlocal _, Fe -> err e.eloc "par-local %s used on the front end" v
+      | Barray _, _ -> err e.eloc "array %s used as a value" v
+      | Bset _, _ -> err e.eloc "index set %s used as a value" v)
+  | Eindex (base, subs), Fe ->
+      let name, m = indexed ctx base in
+      let addr = address ctx Fe e.eloc m subs in
+      let r = P.Builder.reg ctx.b in
+      emit ctx (P.Fread (r, m.afield, addr));
+      note ctx (fun () ->
+          Fe_access { fename = name; ferw = `Read; fetrips = ctx.mult });
+      P.Reg r
+  | Eindex (base, subs), Pe -> gen_read ctx e.eloc base subs
+  | Ebin (((Land | Lor) as op), a, b), Fe ->
+      (* short-circuit on the front end via branches *)
+      let r = P.Builder.reg ctx.b in
+      let ldecided = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
+      let va = eval ctx Fe a in
+      emit ctx (if op = Land then P.Jz (va, ldecided) else P.Jnz (va, ldecided));
+      let vb = sometimes ctx (fun () -> eval ctx Fe b) in
+      emit ctx (P.Fbin (P.Ne, r, vb, imm 0));
+      emit ctx (P.Jmp lend);
+      P.Builder.place ctx.b ldecided;
+      emit ctx (P.Fmov (r, imm (if op = Land then 0 else 1)));
+      P.Builder.place ctx.b lend;
+      P.Reg r
+  | Ebin (((Land | Lor) as op), a, b), Pe when not (safe_expr ctx b) ->
+      (* short-circuit: evaluate b only where a leaves the result open *)
+      let va = eval ctx Pe a in
+      let t = temp ctx P.KInt in
+      emit ctx (P.Pmov (t, imm 0));
+      let undecided = if op = Land then land_field ctx va else not_field ctx va in
+      under_mask ctx undecided (fun () ->
+          let vb = eval ctx Pe b in
+          emit ctx (P.Pbin (P.Ne, t, vb, imm 0)));
+      let r = temp ctx P.KInt in
+      emit ctx (P.Pbin (paris_binop op, r, va, P.Fld t));
+      P.Fld r
+  | Ebin (op, a, b), _ ->
+      let va = eval ctx place a in
+      let vb = eval ctx place b in
+      compute ctx place e (Bin (paris_binop op, va, vb))
+  | Eun (op, a), _ ->
+      let va = eval ctx place a in
+      compute ctx place e (Un (paris_unop op, va))
+  | Econd (c, a, b), Fe ->
+      let r = P.Builder.reg ctx.b in
+      let lelse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
+      let vc = eval ctx Fe c in
+      emit ctx (P.Jz (vc, lelse));
+      let va = sometimes ctx (fun () -> eval ctx Fe a) in
+      emit ctx (P.Fmov (r, va));
+      emit ctx (P.Jmp lend);
+      P.Builder.place ctx.b lelse;
+      let vb = sometimes ctx (fun () -> eval ctx Fe b) in
+      emit ctx (P.Fmov (r, vb));
+      P.Builder.place ctx.b lend;
+      P.Reg r
+  | Econd (c, a, b), Pe ->
+      let vc = eval ctx Pe c in
+      if safe_expr ctx a && safe_expr ctx b then begin
+        let va = eval ctx Pe a in
+        let vb = eval ctx Pe b in
+        let t = temp ctx (kind_of_ty (ty_of ctx e)) in
+        emit ctx (P.Psel (t, vc, va, vb));
+        P.Fld t
+      end
+      else begin
+        let t = temp ctx (kind_of_ty (ty_of ctx e)) in
+        let cond = land_field ctx vc in
+        under_mask ctx cond (fun () ->
+            let va = eval ctx Pe a in
+            emit ctx (P.Pmov (t, va)));
+        under_mask ctx (not_field ctx vc) (fun () ->
+            let vb = eval ctx Pe b in
+            emit ctx (P.Pmov (t, vb)));
+        P.Fld t
+      end
+  | Ecall (f, args), _ -> (
+      match Builtins.lookup f with
+      | Some (Builtins.Value { paris; _ }) -> (
+          let vs = List.map (eval ctx place) args in
+          match paris, vs with
+          | Builtins.Unop o, [ a ] -> compute ctx place e (Un (o, a))
+          | Builtins.Binop o, [ a; b ] -> compute ctx place e (Bin (o, a, b))
+          | Builtins.Const_binop (k, o), [ a ] ->
+              compute ctx place e (Bin (o, imm k, a))
+          | Builtins.Rand n, [] -> compute ctx place e (Rnd (imm n))
+          | _ -> err e.eloc "call to %s survived inlining" f)
+      | _ -> err e.eloc "call to %s survived inlining" f)
+  | Ereduce r, _ -> gen_reduce ctx e.eloc r
+
+(* ---------------- array addressing ---------------- *)
 
 (* Decide how to access array [m] at logical subscripts [subs] from the
    current space. *)
@@ -798,8 +708,6 @@ and access_plan ctx loc m subs =
   let n_subs = List.length subs in
   if n_subs <> List.length m.adims then err loc "wrong number of subscripts";
   let affs = List.map (affine_sub ctx) subs in
-  let same_shape = m.adims = sp.dims && m.alayout <> Mapping.Folded 0 in
-  ignore same_shape;
   (* identity / news candidates need the array to live on the space's
      shape and every subscript affine on the matching axis *)
   let aligned_candidate =
@@ -848,61 +756,57 @@ and access_plan ctx loc m subs =
   end
   else `General
 
-(* compute the physical flat address of [m] at [subs] as an int field on
-   the current space *)
-and gen_phys_address ctx loc m subs : int =
-  let slot_ops =
+(* the physical flat address of [m] at logical [subs], honouring the
+   layout; a Copied array's copy is chosen by the caller.  The front end
+   indexes a 1-D array by its subscript alone. *)
+and address ctx place loc m subs : P.operand =
+  let slots, dims =
     match m.alayout with
     | Mapping.Default | Mapping.Copied _ ->
-        List.map (fun s -> eval_par ctx s) subs
+        (List.map (eval ctx place) subs, m.adims)
     | Mapping.Shifted offs ->
-        List.mapi
-          (fun k sub ->
-            let v = eval_par ctx sub in
-            let n = List.nth m.adims k in
-            let off = offs.(k) in
-            if off = 0 then v
-            else begin
-              let t = temp ctx P.KInt in
-              emit ctx (P.Pbin (P.Sub, t, v, P.Imm (P.SInt off)));
-              emit ctx (P.Pbin (P.Add, t, P.Fld t, P.Imm (P.SInt (2 * n))));
-              emit ctx (P.Pbin (P.Mod, t, P.Fld t, P.Imm (P.SInt n)));
-              P.Fld t
-            end)
-          subs
+        ( List.mapi
+            (fun k sub ->
+              let v = eval ctx place sub in
+              let n = List.nth m.adims k in
+              let off = offs.(k) in
+              if off = 0 then v
+              else begin
+                let t = fresh ctx place P.KInt in
+                put ctx place t (Bin (P.Sub, v, imm off));
+                put ctx place t (Bin (P.Add, at place t, imm (2 * n)));
+                put ctx place t (Bin (P.Mod, at place t, imm n));
+                at place t
+              end)
+            subs,
+          m.adims )
     | Mapping.Folded f -> (
         match m.adims, subs with
         | d0 :: _, s0 :: srest ->
             let h = d0 / f in
-            let v0 = eval_par ctx s0 in
-            let hi = temp ctx P.KInt and lo = temp ctx P.KInt in
-            emit ctx (P.Pbin (P.Mod, hi, v0, P.Imm (P.SInt h)));
-            emit ctx (P.Pbin (P.Div, lo, v0, P.Imm (P.SInt h)));
-            P.Fld hi :: P.Fld lo :: List.map (fun s -> eval_par ctx s) srest
+            let v0 = eval ctx place s0 in
+            let hi = fresh ctx place P.KInt and lo = fresh ctx place P.KInt in
+            put ctx place hi (Bin (P.Mod, v0, imm h));
+            put ctx place lo (Bin (P.Div, v0, imm h));
+            ( at place hi :: at place lo :: List.map (eval ctx place) srest,
+              Mapping.physical_dims m.alayout m.adims )
         | _ -> err loc "fold of a scalar")
   in
-  let dims =
-    match m.alayout with
-    | Mapping.Copied _ -> m.adims  (* copy selection is added by callers *)
-    | l -> Mapping.physical_dims l m.adims
-  in
-  let addr = temp ctx P.KInt in
-  emit ctx (P.Pmov (addr, P.Imm (P.SInt 0)));
-  List.iter2
-    (fun d s ->
-      emit ctx (P.Pbin (P.Mul, addr, P.Fld addr, P.Imm (P.SInt d)));
-      emit ctx (P.Pbin (P.Add, addr, P.Fld addr, s)))
-    dims slot_ops;
-  addr
+  match place, slots with
+  | Fe, [ s ] -> s
+  | _ ->
+      let a = fresh ctx place P.KInt in
+      put ctx place a (Mov (imm 0));
+      List.iter2
+        (fun d s ->
+          put ctx place a (Bin (P.Mul, at place a, imm d));
+          put ctx place a (Bin (P.Add, at place a, s)))
+        dims slots;
+      at place a
 
 (* read one array element per active VP *)
 and gen_read ctx loc base subs : P.operand =
-  let name =
-    match base.e with
-    | Evar v -> v
-    | _ -> err base.eloc "only named arrays can be indexed"
-  in
-  let m = array_meta ctx base.eloc name in
+  let name, m = indexed ctx base in
   let op =
     match access_plan ctx loc m subs with
     | `Aligned -> P.Fld m.afield
@@ -922,7 +826,7 @@ and gen_read ctx loc base subs : P.operand =
 
 (* a router read: the address first (subscripts, copy selection) *)
 and gen_general_read ctx loc m subs =
-  let addr = gen_phys_address ctx loc m subs in
+  let addr = field_of (address ctx Pe loc m subs) in
   let addr =
     match m.alayout with
     | Mapping.Copied copies ->
@@ -1042,8 +946,6 @@ and enter_space ctx loc set_names =
   (match amb_act with
   | None -> ()
   | Some (amb_sp, actf) ->
-      let inner = List.fold_left (fun acc (_, v) -> acc * Array.length v) 1 sets in
-      ignore inner;
       (* prefix-linear index of each VP = linear combination of the
          leading (ambient) coordinates *)
       let addr = P.Builder.field ctx.b ~vpset:vp P.KInt in
@@ -1098,7 +1000,9 @@ and gen_reduce ctx loc r : P.operand =
   (* the processor optimization turns histogram-style reductions into a
      combining send; recognised at the assignment level in gen_assign *)
   let ambient = ctx.space in
-  let saved, space = enter_space ctx loc r.rsets in
+  (* the result lives on the front end or on the ambient space *)
+  let place = if ambient = None then Fe else Pe in
+  let saved, _ = enter_space ctx loc r.rsets in
   let result_kind =
     let tys =
       List.map (fun (_, ex) -> ty_of ctx ex) r.rbranches
@@ -1107,41 +1011,33 @@ and gen_reduce ctx loc r : P.operand =
     if List.mem Tfloat tys then P.KFloat else P.KInt
   in
   let rop = redop_binop r.rop in
-  let amb_result ambient =
+  (* reduce field [src] with [op] into a fresh register or ambient field *)
+  let reduce op src =
     match ambient with
-    | None -> `Reg (P.Builder.reg ctx.b)
-    | Some sp -> `Fld (P.Builder.field ctx.b ~vpset:sp.vp result_kind)
+    | None ->
+        let reg = P.Builder.reg ctx.b in
+        emit ctx (P.Preduce (op, reg, src));
+        reg
+    | Some sp ->
+        let f = P.Builder.field ctx.b ~vpset:sp.vp result_kind in
+        emit ctx (P.Preduce_axis (op, f, src));
+        f
+  in
+  let reduce_value expr =
+    let v = eval ctx Pe expr in
+    let tmpf = temp ctx result_kind in
+    emit ctx (P.Pmov (tmpf, v));
+    reduce rop tmpf
   in
   (* evaluate each branch: predicate field + reduced value *)
   let branch_results =
     List.map
       (fun (pred, expr) ->
-        let predf =
-          match pred with
-          | None -> None
-          | Some p ->
-              let v = eval_par ctx p in
-              Some (land_field ctx v)
-        in
-        let body () =
-          let v = eval_par ctx expr in
-          let tmpf = temp ctx result_kind in
-          emit ctx (P.Pmov (tmpf, v));
-          let res = amb_result ambient in
-          (match res with
-          | `Reg reg -> emit ctx (P.Preduce (rop, reg, tmpf))
-          | `Fld f -> emit ctx (P.Preduce_axis (rop, f, tmpf)));
-          res
-        in
-        let res =
-          match predf with
-          | Some f ->
-              let out = ref None in
-              under_mask ctx f (fun () -> out := Some (body ()));
-              Option.get !out
-          | None -> body ()
-        in
-        (predf, res))
+        match pred with
+        | None -> (None, reduce_value expr)
+        | Some p ->
+            let f = land_field ctx (eval ctx Pe p) in
+            (Some f, under_mask ctx f (fun () -> reduce_value expr)))
       r.rbranches
   in
   (* the others branch covers elements enabled by no predicate *)
@@ -1154,17 +1050,8 @@ and gen_reduce ctx loc r : P.operand =
         emit ctx (P.Pmov (nor, P.Imm (P.SInt 0)));
         List.iter (fun f -> emit ctx (P.Pbin (P.Lor, nor, P.Fld nor, P.Fld f))) preds;
         emit ctx (P.Punop (P.Lnot, nor, P.Fld nor));
-        let out = ref None in
-        under_mask ctx nor (fun () ->
-            let v = eval_par ctx expr in
-            let tmpf = temp ctx result_kind in
-            emit ctx (P.Pmov (tmpf, v));
-            let res = amb_result ambient in
-            (match res with
-            | `Reg reg -> emit ctx (P.Preduce (rop, reg, tmpf))
-            | `Fld f -> emit ctx (P.Preduce_axis (rop, f, tmpf)));
-            out := Some res);
-        branch_results @ [ (Some nor, Option.get !out) ]
+        let res = under_mask ctx nor (fun () -> reduce_value expr) in
+        branch_results @ [ (Some nor, res) ]
   in
   (* per-branch "was anything enabled" flags, needed to combine $, *)
   let has_any =
@@ -1175,28 +1062,16 @@ and gen_reduce ctx loc r : P.operand =
           (match predf with
           | Some f -> emit ctx (P.Pmov (onef, P.Fld f))
           | None -> emit ctx (P.Pmov (onef, P.Imm (P.SInt 1))));
-          let res = amb_result ambient in
-          (match res with
-          | `Reg reg -> emit ctx (P.Preduce (P.Lor, reg, onef))
-          | `Fld f -> emit ctx (P.Preduce_axis (P.Lor, f, onef)));
-          res)
+          reduce P.Lor onef)
         branch_results
     else []
   in
-  ignore space;
   leave_space ctx saved;
   (* combine the per-branch results on the ambient space / front end *)
   let combine_two a b =
-    match ambient, a, b with
-    | None, `Reg ra, `Reg rb ->
-        let r' = P.Builder.reg ctx.b in
-        emit ctx (P.Fbin (rop, r', P.Reg ra, P.Reg rb));
-        `Reg r'
-    | Some sp, `Fld fa, `Fld fb ->
-        let f = P.Builder.field ctx.b ~vpset:sp.vp result_kind in
-        emit ctx (P.Pbin (rop, f, P.Fld fa, P.Fld fb));
-        `Fld f
-    | _ -> assert false
+    let d = fresh ctx place result_kind in
+    put ctx place d (Bin (rop, at place a, at place b));
+    d
   in
   let final =
     match branch_results with
@@ -1208,32 +1083,28 @@ and gen_reduce ctx loc r : P.operand =
           let rec chain results flags =
             match results, flags with
             | [ (_, res) ], [ _ ] -> res
-            | (_, res) :: rest, flag :: frest -> (
+            | (_, res) :: rest, flag :: frest ->
                 let tail = chain rest frest in
-                match ambient, res, tail, flag with
-                | Some sp, `Fld fr, `Fld ft, `Fld ff ->
-                    let out = P.Builder.field ctx.b ~vpset:sp.vp result_kind in
-                    emit ctx (P.Psel (out, P.Fld ff, P.Fld fr, P.Fld ft));
-                    `Fld out
-                | None, `Reg rr, `Reg rt, `Reg rf ->
-                    let out = P.Builder.reg ctx.b in
+                let out = fresh ctx place result_kind in
+                (match place with
+                | Pe -> emit ctx (P.Psel (out, P.Fld flag, P.Fld res, P.Fld tail))
+                | Fe ->
                     let lelse = P.Builder.label ctx.b in
                     let lend = P.Builder.label ctx.b in
-                    emit ctx (P.Jz (P.Reg rf, lelse));
-                    emit ctx (P.Fmov (out, P.Reg rr));
+                    emit ctx (P.Jz (P.Reg flag, lelse));
+                    emit ctx (P.Fmov (out, P.Reg res));
                     emit ctx (P.Jmp lend);
                     P.Builder.place ctx.b lelse;
-                    emit ctx (P.Fmov (out, P.Reg rt));
-                    P.Builder.place ctx.b lend;
-                    `Reg out
-                | _ -> assert false)
+                    emit ctx (P.Fmov (out, P.Reg tail));
+                    P.Builder.place ctx.b lend);
+                out
             | _ -> assert false
           in
           chain branch_results has_any
         end
         else List.fold_left (fun acc (_, res) -> combine_two acc res) first rest
   in
-  match final with `Reg r' -> P.Reg r' | `Fld f -> P.Fld f
+  at place final
 
 (* ---------------- assignment targets ---------------- *)
 
@@ -1263,19 +1134,14 @@ let gen_target ctx loc lhs : target =
           Tparlocal (ty, f)
       | _ -> err loc "%s is not assignable in a parallel construct" v)
   | Eindex (base, subs) -> (
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> err base.eloc "only named arrays can be indexed"
-      in
-      let m = array_meta ctx base.eloc name in
+      let name, m = indexed ctx base in
       let a =
         if ctx.live then Some (access_of ctx loc name m subs `Write) else None
       in
       match access_plan ctx loc m subs with
       | `Aligned -> Taligned (m, a)
       | `News _ | `News_prefill _ | `General ->
-          Tremote (m, gen_phys_address ctx loc m subs, a))
+          Tremote (m, field_of (address ctx Pe loc m subs), a))
   | _ -> err loc "invalid assignment target"
 
 let target_kind = function
@@ -1298,7 +1164,7 @@ let target_read ctx target : P.operand =
       emit ctx (P.Pget (t, m.afield, addr));
       P.Fld t
 
-let target_write ctx loc target (value : P.operand) =
+let target_write ctx target (value : P.operand) =
   clear_cse ctx;
   note_target ctx `Write target;
   match target with
@@ -1308,20 +1174,26 @@ let target_write ctx loc target (value : P.operand) =
       (* the router needs a source field of the destination kind *)
       let src = temp ctx (kind_of_ty m.aty) in
       emit ctx (P.Pmov (src, value));
-      (match m.alayout with
-      | Mapping.Copied copies ->
-          (* writes update every copy *)
-          let total = List.fold_left ( * ) 1 m.adims in
-          for c = 0 to copies - 1 do
-            if c = 0 then emit ctx (P.Psend (m.afield, src, addr, P.Ccheck))
-            else begin
-              let a = temp ctx P.KInt in
-              emit ctx (P.Pbin (P.Add, a, P.Fld addr, P.Imm (P.SInt (c * total))));
-              emit ctx (P.Psend (m.afield, src, a, P.Ccheck))
-            end
-          done
-      | _ -> emit ctx (P.Psend (m.afield, src, addr, P.Ccheck)));
-      ignore loc
+      store_copies ctx Pe m (P.Fld addr) (fun a ->
+          emit ctx (P.Psend (m.afield, src, field_of a, P.Ccheck)))
+
+(* swap: copy both sides, each a (kind, read, write), before writing
+   either (a synchronous exchange) *)
+let gen_swap ctx place (kind_a, read_a, write_a) (kind_b, read_b, write_b) =
+  let va = copy ctx place kind_a read_a in
+  let vb = copy ctx place kind_b read_b in
+  write_a vb;
+  write_b va
+
+(* lhs op= rhs from the target's current value [old]: the old value is
+   copied first, since an aligned PE target's read aliases the array the
+   write clobbers *)
+let gen_update ctx place kind op old rhs write =
+  let t = copy ctx place kind (fun () -> old) in
+  let v = eval ctx place rhs in
+  let r = fresh ctx place kind in
+  put ctx place r (Bin (paris_assign_op op, t, v));
+  write (at place r)
 
 (* ---------------- the processor optimization (paper section 4) ----------
 
@@ -1377,21 +1249,17 @@ let try_histogram ctx loc lhs rhs : bool =
         match jelem_ok, cname, pred.e with
         | true, Some cname, Ebin (Eq, a, b) -> (
             let m = array_meta ctx base.eloc cname in
-            let key, jside =
+            let key =
               match a.e, b.e with
-              | _, Evar v when v = jvar -> (Some a, true)
-              | Evar v, _ when v = jvar -> (Some b, true)
-              | _ -> (None, false)
+              | _, Evar v when v = jvar -> Some a
+              | Evar v, _ when v = jvar -> Some b
+              | _ -> None
             in
-            ignore jside;
             match key, m.alayout, m.adims with
             | Some key, Mapping.Default, [ extent ] ->
-                let _, ivalues = lookup_set ctx loc iset in
-                let ielem, _ = lookup_set ctx loc iset in
                 (* the key and contribution may only mention the inner
                    element *)
                 let mentions_j e = List.mem jvar (free_elems [] e) in
-                ignore ielem;
                 if mentions_j key || mentions_j contrib then false
                 else begin
                   (* zero the histogram, then combine-send over I *)
@@ -1403,8 +1271,7 @@ let try_histogram ctx loc lhs rhs : bool =
                   let ambient_space = ctx.space in
                   ctx.space <- None;
                   let saved, space = enter_space ctx loc [ iset ] in
-                  ignore ivalues;
-                  let keyop = eval_par ctx key in
+                  let keyop = eval ctx Pe key in
                   let addr = temp ctx P.KInt in
                   emit ctx (P.Pmov (addr, keyop));
                   (* drop keys outside the histogram's range *)
@@ -1414,7 +1281,7 @@ let try_histogram ctx loc lhs rhs : bool =
                   emit ctx (P.Pbin (P.Lt, hi, P.Fld addr, P.Imm (P.SInt extent)));
                   emit ctx (P.Pbin (P.Land, inrange, P.Fld inrange, P.Fld hi));
                   under_mask ctx inrange (fun () ->
-                      let c = eval_par ctx contrib in
+                      let c = eval ctx Pe contrib in
                       let src = temp ctx P.KInt in
                       emit ctx (P.Pmov (src, c));
                       emit ctx (P.Psend (m.afield, src, addr, P.Cadd));
@@ -1495,6 +1362,13 @@ let for_trips init cond step body =
       | _ -> None)
   | _ -> None
 
+(* bind index set [def]; an alias names a set in scope *)
+let declare_set ctx def =
+  let values =
+    Sema.set_values (fun other -> snd (lookup_set ctx def.iloc other)) def
+  in
+  ctx.env <- (def.set_name, Bset (def.elem_name, values)) :: ctx.env
+
 (* ---------------- parallel statements ---------------- *)
 
 let rec gen_stmt_par ctx st =
@@ -1502,26 +1376,21 @@ let rec gen_stmt_par ctx st =
   | Sempty -> ()
   | Sassign (op, lhs, rhs) -> gen_assign_par ctx st.sloc op lhs rhs
   | Sexpr { e = Ecall ("swap", [ la; lb ]); eloc } ->
-      let ta = gen_target ctx eloc la in
-      let tb = gen_target ctx eloc lb in
-      (* read both before writing either (synchronous exchange) *)
-      let va = temp ctx (target_kind ta) in
-      emit ctx (P.Pmov (va, target_read ctx ta));
-      let vb = temp ctx (target_kind tb) in
-      emit ctx (P.Pmov (vb, target_read ctx tb));
-      target_write ctx eloc ta (P.Fld vb);
-      target_write ctx eloc tb (P.Fld va)
-  | Sexpr e -> ignore (eval_par ctx e)
+      let side l =
+        let t = gen_target ctx eloc l in
+        (target_kind t, (fun () -> target_read ctx t), target_write ctx t)
+      in
+      let a = side la in
+      let b = side lb in
+      gen_swap ctx Pe a b
+  | Sexpr e -> ignore (eval ctx Pe e)
   | Sblock b -> gen_block_par ctx b
   | Sif (c, then_, else_) ->
-      let vc = eval_par ctx c in
+      let vc = eval ctx Pe c in
       let cf = land_field ctx vc in
       under_mask ctx cf (fun () -> gen_stmt_par ctx then_);
       (match else_ with
-      | Some s ->
-          let notc = temp ctx P.KInt in
-          emit ctx (P.Punop (P.Lnot, notc, P.Fld cf));
-          under_mask ctx notc (fun () -> gen_stmt_par ctx s)
+      | Some s -> under_mask ctx (not_field ctx (P.Fld cf)) (fun () -> gen_stmt_par ctx s)
       | None -> ())
   | Swhile (c, body) ->
       emit ctx P.Cpush;
@@ -1532,7 +1401,7 @@ let rec gen_stmt_par ctx st =
       clear_cse ctx;
       iterated ctx true (fun () ->
           P.Builder.place ctx.b top;
-          let vc = eval_par ctx c in
+          let vc = eval ctx Pe c in
           let cf = land_field ctx vc in
           emit ctx (P.Cand cf);
           let r = P.Builder.reg ctx.b in
@@ -1556,19 +1425,10 @@ and gen_assign_par ctx loc op lhs rhs =
   else begin
     let target = gen_target ctx loc lhs in
     match op with
-    | Aset ->
-        let v = eval_par ctx rhs in
-        target_write ctx loc target v
+    | Aset -> target_write ctx target (eval ctx Pe rhs)
     | _ ->
         let old = target_read ctx target in
-        (* keep the old value: target_read of an aligned target aliases the
-           array, which the write would clobber *)
-        let oldt = temp ctx (target_kind target) in
-        emit ctx (P.Pmov (oldt, old));
-        let v = eval_par ctx rhs in
-        let combined = temp ctx (target_kind target) in
-        emit ctx (P.Pbin (paris_assign_op op, combined, P.Fld oldt, v));
-        target_write ctx loc target (P.Fld combined)
+        gen_update ctx Pe (target_kind target) op old rhs (target_write ctx target)
   end
 
 and gen_block_par ctx b =
@@ -1589,12 +1449,7 @@ and gen_block_par ctx b =
               emit ctx (P.Pmov (f, P.Imm (P.SInt 0)));
               ctx.env <- (dd.dname, Bparlocal (ty, f, sp.vp)) :: ctx.env)
             ds
-      | Dindexset defs ->
-          List.iter
-            (fun def ->
-              let values = resolve_set_values ctx def in
-              ctx.env <- (def.set_name, Bset (def.elem_name, values)) :: ctx.env)
-            defs)
+      | Dindexset defs -> List.iter (declare_set ctx) defs)
     b.bdecls;
   (* initialisers execute synchronously, like assignments *)
   List.iter
@@ -1614,16 +1469,6 @@ and gen_block_par ctx b =
     b.bdecls;
   List.iter (gen_stmt_par ctx) b.bstmts;
   ctx.env <- saved_env
-
-and resolve_set_values ctx def =
-  match def.ispec with
-  | Irange (lo, hi) ->
-      let lo = Sema.const_eval lo and hi = Sema.const_eval hi in
-      Array.init (hi - lo + 1) (fun k -> lo + k)
-  | Ilist es -> Array.of_list (List.map Sema.const_eval es)
-  | Ialias other ->
-      let _, values = lookup_set ctx def.iloc other in
-      values
 
 (* ---------------- par / oneof / seq constructs ---------------- *)
 
@@ -1645,40 +1490,10 @@ and gen_par ctx loc ps =
     else None
   in
   let round any_reg =
-    List.iter
-      (fun (pred, body) ->
-        match pred with
-        | Some p ->
-            let pf = land_field ctx (eval_par ctx p) in
-            (match orf with
-            | Some f -> emit ctx (P.Pbin (P.Lor, f, P.Fld f, P.Fld pf))
-            | None -> ());
-            (match any_reg with
-            | Some any ->
-                let r = P.Builder.reg ctx.b in
-                emit ctx (P.Preduce (P.Lor, r, pf));
-                emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
-            | None -> ());
-            under_mask ctx pf (fun () -> gen_stmt_par ctx body)
-        | None ->
-            (match orf with
-            | Some f -> emit ctx (P.Pmov (f, P.Imm (P.SInt 1)))
-            | None -> ());
-            (match any_reg with
-            | Some any ->
-                let r = P.Builder.reg ctx.b in
-                emit ctx (P.Pcount r);
-                let nz = P.Builder.reg ctx.b in
-                emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
-                emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
-            | None -> ());
-            gen_stmt_par ctx body)
-      ps.pbranches;
+    List.iter (gen_branch ctx ~orf ~any_reg) ps.pbranches;
     match ps.pothers, orf with
     | Some body, Some f ->
-        let notf = temp ctx P.KInt in
-        emit ctx (P.Punop (P.Lnot, notf, P.Fld f));
-        under_mask ctx notf (fun () -> gen_stmt_par ctx body);
+        under_mask ctx (not_field ctx (P.Fld f)) (fun () -> gen_stmt_par ctx body);
         (* reset for the next iteration *)
         emit ctx (P.Pmov (f, P.Imm (P.SInt 0)))
     | _ -> ()
@@ -1715,7 +1530,7 @@ and gen_oneof ctx loc ps =
         (fun i (pred, _) ->
           let pf =
             match pred with
-            | Some p -> land_field ctx (eval_par ctx p)
+            | Some p -> land_field ctx (eval ctx Pe p)
             | None ->
                 let f = temp ctx P.KInt in
                 emit ctx (P.Pmov (f, P.Imm (P.SInt 1)));
@@ -1801,7 +1616,7 @@ and gen_seq ctx loc ps =
                     let skip = P.Builder.label ctx.b in
                     (match pred with
                     | Some p ->
-                        let vc = eval_fe ctx p in
+                        let vc = eval ctx Fe p in
                         emit ctx (P.Jz (vc, skip))
                     | None -> ());
                     (match any_reg with
@@ -1812,32 +1627,38 @@ and gen_seq ctx loc ps =
                     | None -> gen_stmt_fe ctx body);
                     P.Builder.place ctx.b skip
                   end
-                  else begin
-                    match pred with
-                    | Some p ->
-                        let pf = land_field ctx (eval_par ctx p) in
-                        (match any_reg with
-                        | Some any ->
-                            let r = P.Builder.reg ctx.b in
-                            emit ctx (P.Preduce (P.Lor, r, pf));
-                            emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r))
-                        | None -> ());
-                        under_mask ctx pf (fun () -> gen_stmt_par ctx body)
-                    | None ->
-                        (match any_reg with
-                        | Some any ->
-                            let r = P.Builder.reg ctx.b in
-                            emit ctx (P.Pcount r);
-                            let nz = P.Builder.reg ctx.b in
-                            emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
-                            emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz))
-                        | None -> ());
-                        gen_stmt_par ctx body
-                  end)
+                  else gen_branch ctx ~orf:None ~any_reg (pred, body))
                 ps.pbranches));
       match any_reg with
       | Some any -> emit ctx (P.Jnz (P.Reg any, top))
       | None -> ())
+
+(* one branch of a par or seq round on the PEs: [body] runs where its
+   predicate holds; [orf] (par's others flag) collects the predicate and
+   [any_reg] (an iterated construct's) learns whether any element ran *)
+and gen_branch ctx ~orf ~any_reg (pred, body) =
+  match pred with
+  | Some p ->
+      let pf = land_field ctx (eval ctx Pe p) in
+      Option.iter (fun f -> emit ctx (P.Pbin (P.Lor, f, P.Fld f, P.Fld pf))) orf;
+      Option.iter
+        (fun any ->
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Preduce (P.Lor, r, pf));
+          emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg r)))
+        any_reg;
+      under_mask ctx pf (fun () -> gen_stmt_par ctx body)
+  | None ->
+      Option.iter (fun f -> emit ctx (P.Pmov (f, P.Imm (P.SInt 1)))) orf;
+      Option.iter
+        (fun any ->
+          let r = P.Builder.reg ctx.b in
+          emit ctx (P.Pcount r);
+          let nz = P.Builder.reg ctx.b in
+          emit ctx (P.Fbin (P.Ne, nz, P.Reg r, P.Imm (P.SInt 0)));
+          emit ctx (P.Fbin (P.Lor, any, P.Reg any, P.Reg nz)))
+        any_reg;
+      gen_stmt_par ctx body
 
 (* ---------------- front-end statements ---------------- *)
 
@@ -1853,23 +1674,20 @@ and gen_stmt_fe ctx st =
       let rec split prefix = function
         | [] -> (prefix, None)
         | [ ({ e = Estr s; _ } : expr) ] -> (prefix ^ s, None)
-        | [ last ] -> (prefix, Some (eval_fe ctx last))
+        | [ last ] -> (prefix, Some (eval ctx Fe last))
         | { e = Estr s; _ } :: rest -> split (prefix ^ s) rest
         | _ -> err eloc "print expects string literals and a final value"
       in
       let prefix, v = split "" args in
       emit ctx (P.Fprint (prefix, v))
   | Sexpr { e = Ecall ("swap", [ la; lb ]); eloc } ->
-      let ra = eval_fe ctx la in
-      let rb = eval_fe ctx lb in
-      let ta = P.Builder.reg ctx.b and tb = P.Builder.reg ctx.b in
-      emit ctx (P.Fmov (ta, ra));
-      emit ctx (P.Fmov (tb, rb));
-      gen_assign_fe_value ctx eloc la (P.Reg tb);
-      gen_assign_fe_value ctx eloc lb (P.Reg ta)
-  | Sexpr e -> ignore (eval_fe ctx e)
+      let side l v = (P.KInt, (fun () -> v), gen_assign_fe_value ctx eloc l) in
+      let va = eval ctx Fe la in
+      let vb = eval ctx Fe lb in
+      gen_swap ctx Fe (side la va) (side lb vb)
+  | Sexpr e -> ignore (eval ctx Fe e)
   | Sif (c, then_, else_) ->
-      let vc = eval_fe ctx c in
+      let vc = eval ctx Fe c in
       let lelse = P.Builder.label ctx.b in
       let lend = P.Builder.label ctx.b in
       (* a constant condition selects its branch statically *)
@@ -1892,7 +1710,7 @@ and gen_stmt_fe ctx st =
       let out = P.Builder.label ctx.b in
       iterated ctx true (fun () ->
           P.Builder.place ctx.b top;
-          let vc = eval_fe ctx c in
+          let vc = eval ctx Fe c in
           emit ctx (P.Jz (vc, out));
           ctx.break_labels <- out :: ctx.break_labels;
           ctx.continue_labels <- top :: ctx.continue_labels;
@@ -1910,7 +1728,7 @@ and gen_stmt_fe ctx st =
         P.Builder.place ctx.b top;
         (match cond with
         | Some c ->
-            let vc = eval_fe ctx c in
+            let vc = eval ctx Fe c in
             emit ctx (P.Jz (vc, out))
         | None -> ());
         ctx.break_labels <- out :: ctx.break_labels;
@@ -1951,16 +1769,11 @@ and gen_stmt_fe ctx st =
 and gen_assign_fe ctx loc op lhs rhs =
   match op with
   | Aset ->
-      let v = eval_fe ctx rhs in
+      let v = eval ctx Fe rhs in
       gen_assign_fe_value ctx loc lhs v
   | _ ->
-      let old = eval_fe ctx lhs in
-      let oldr = P.Builder.reg ctx.b in
-      emit ctx (P.Fmov (oldr, old));
-      let v = eval_fe ctx rhs in
-      let r = P.Builder.reg ctx.b in
-      emit ctx (P.Fbin (paris_assign_op op, r, P.Reg oldr, v));
-      gen_assign_fe_value ctx loc lhs (P.Reg r)
+      let old = eval ctx Fe lhs in
+      gen_update ctx Fe P.KInt op old rhs (gen_assign_fe_value ctx loc lhs)
 
 and gen_assign_fe_value ctx loc lhs value =
   clear_cse ctx;
@@ -1980,28 +1793,12 @@ and gen_assign_fe_value ctx loc lhs value =
               emit ctx (P.Fmov (m.sreg, P.Reg r)))
       | Belem_reg _ -> err loc "index element %s cannot be assigned" v
       | _ -> err loc "%s is not assignable here" v)
-  | Eindex (base, subs) -> (
-      let name =
-        match base.e with
-        | Evar v -> v
-        | _ -> err base.eloc "only named arrays can be indexed"
-      in
-      let m = array_meta ctx base.eloc name in
-      let addr = fe_address ctx loc m subs in
+  | Eindex (base, subs) ->
+      let name, m = indexed ctx base in
+      let addr = address ctx Fe loc m subs in
       note ctx (fun () ->
           Fe_access { fename = name; ferw = `Write; fetrips = ctx.mult });
-      match m.alayout with
-      | Mapping.Copied copies ->
-          let total = List.fold_left ( * ) 1 m.adims in
-          for c = 0 to copies - 1 do
-            if c = 0 then emit ctx (P.Fwrite (m.afield, addr, value))
-            else begin
-              let a = P.Builder.reg ctx.b in
-              emit ctx (P.Fbin (P.Add, a, addr, P.Imm (P.SInt (c * total))));
-              emit ctx (P.Fwrite (m.afield, P.Reg a, value))
-            end
-          done
-      | _ -> emit ctx (P.Fwrite (m.afield, addr, value)))
+      store_copies ctx Fe m addr (fun a -> emit ctx (P.Fwrite (m.afield, a, value)))
   | _ -> err loc "invalid assignment target"
 
 and gen_block_fe ctx b =
@@ -2053,12 +1850,7 @@ and declare_fe ctx d =
             | None -> ()
           end)
         ds
-  | Dindexset defs ->
-      List.iter
-        (fun def ->
-          let values = resolve_set_values ctx def in
-          ctx.env <- (def.set_name, Bset (def.elem_name, values)) :: ctx.env)
-        defs
+  | Dindexset defs -> List.iter (declare_set ctx) defs
 
 (* ---------------- program ---------------- *)
 

@@ -121,15 +121,12 @@ and reduction st r =
   Printf.sprintf "(%s [with %s] %s%s)" (red_cstar_op r.rop) sets body others
 
 let resolve_set_values st def =
-  match def.ispec with
-  | Irange (lo, hi) ->
-      let lo = Sema.const_eval lo and hi = Sema.const_eval hi in
-      Array.init (hi - lo + 1) (fun k -> lo + k)
-  | Ilist es -> Array.of_list (List.map Sema.const_eval es)
-  | Ialias other -> (
+  Sema.set_values
+    (fun other ->
       match List.assoc_opt other st.sets with
       | Some (_, values) -> values
       | None -> [||])
+    def
 
 (* ---------------- statements ---------------- *)
 

@@ -11,8 +11,7 @@ let rec pure e =
   | Ebin (_, a, b) -> pure a && pure b
   | Eun (_, a) -> pure a
   | Econd (c, a, b) -> pure c && pure a && pure b
-  | Ecall (("power2" | "abs" | "min" | "max" | "tofloat" | "toint"), args) ->
-      List.for_all pure args
+  | Ecall (f, args) when Builtins.pure f -> List.for_all pure args
   | Ecall _ -> false
   | Ereduce _ -> false
 

@@ -53,6 +53,17 @@ let rec const_eval e =
         "expression is not a compile-time constant (index-set bounds and \
          array dimensions must be constant)"
 
+(* the values of index set [def]; [alias] gives the values of the set
+   an alias names *)
+let set_values alias def =
+  match def.ispec with
+  | Irange (lo, hi) ->
+      let lo = const_eval lo and hi = const_eval hi in
+      if hi < lo then Loc.error def.iloc "empty index-set range {%d .. %d}" lo hi;
+      Array.init (hi - lo + 1) (fun k -> lo + k)
+  | Ilist es -> Array.of_list (List.map const_eval es)
+  | Ialias other -> alias other
+
 (* ---------------- environment ---------------- *)
 
 type binding =
@@ -168,23 +179,19 @@ let rec type_of env e =
 
 and type_of_call env loc name args =
   match Builtins.lookup name with
-  | Some (Builtins.Pure arity) ->
+  | Some (Builtins.Value { args = params; result; _ }) ->
+      let arity = List.length params in
+      if arity = 0 && args <> [] then Loc.error loc "%s takes no arguments" name;
       if List.length args <> arity then
         Loc.error loc "%s expects %d arguments, got %d" name arity
           (List.length args);
       let tys = List.map (type_of env) args in
-      (match name, tys with
-      | "power2", [ t ] ->
-          if t <> Tint then Loc.error loc "power2 requires an int argument";
-          Tint
-      | "abs", [ t ] -> t
-      | ("min" | "max"), [ a; b ] -> lub a b
-      | "tofloat", [ _ ] -> Tfloat
-      | "toint", [ _ ] -> Tint
-      | _ -> assert false)
-  | Some Builtins.Rand ->
-      if args <> [] then Loc.error loc "rand takes no arguments";
-      Tint
+      List.iter2
+        (fun p t ->
+          if p = Builtins.Int && t <> Tint then
+            Loc.error loc "%s requires an int argument" name)
+        params tys;
+      Builtins.result_ty result Fun.id tys
   | Some Builtins.Swap -> Loc.error loc "swap is a statement, not an expression"
   | Some Builtins.Print -> Loc.error loc "print is a statement, not an expression"
   | None -> (
@@ -376,7 +383,7 @@ and check_expr_stmt env loc e =
       | _ -> Loc.error loc "swap expects exactly two lvalue arguments")
   | Ecall (name, args) -> (
       match Builtins.lookup name with
-      | Some (Builtins.Pure _ | Builtins.Rand) -> ignore (type_of env e)
+      | Some (Builtins.Value _) -> ignore (type_of env e)
       | Some _ -> assert false
       | None -> (
           match List.assoc_opt name env.funcs with
@@ -480,16 +487,7 @@ and check_decl env d =
       List.iter
         (fun def ->
           let values =
-            match def.ispec with
-            | Irange (lo, hi) ->
-                let lo = const_eval lo and hi = const_eval hi in
-                if hi < lo then
-                  Loc.error def.iloc "empty index-set range {%d .. %d}" lo hi;
-                Array.init (hi - lo + 1) (fun k -> lo + k)
-            | Ilist es -> Array.of_list (List.map const_eval es)
-            | Ialias other ->
-                let _, values = lookup_set env def.iloc other in
-                values
+            set_values (fun other -> snd (lookup_set env def.iloc other)) def
           in
           bind env def.iloc def.set_name (Bset (def.elem_name, values)))
         defs

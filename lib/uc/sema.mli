@@ -35,3 +35,9 @@ val check : ?eof:Loc.t -> Ast.program -> info
 (** [const_eval e] evaluates a compile-time constant integer expression.
     @raise Loc.Error if the expression is not constant. *)
 val const_eval : Ast.expr -> int
+
+(** [set_values alias def] evaluates an index-set definition: the values
+    of a constant range or list, or [alias s] when [def] aliases set [s].
+    The one evaluator of index-set values outside {!Interp}.
+    @raise Loc.Error on a non-constant bound or an empty range. *)
+val set_values : (string -> int array) -> Ast.iset_def -> int array

@@ -602,48 +602,22 @@ and map_par f ps =
 
 (* ---------------- program ---------------- *)
 
+(* the program's global index sets, latest first, each alias resolved
+   through the sets declared before it *)
 let global_sets prog =
-  List.concat_map
-    (function
-      | Tdecl (Dindexset defs) ->
-          List.filter_map
-            (fun def ->
-              try
-                let values =
-                  match def.ispec with
-                  | Irange (lo, hi) ->
-                      let lo = Sema.const_eval lo and hi = Sema.const_eval hi in
-                      Array.init (hi - lo + 1) (fun k -> lo + k)
-                  | Ilist es -> Array.of_list (List.map Sema.const_eval es)
-                  | Ialias _ -> raise Exit
-                in
-                Some (def.set_name, (def.elem_name, values))
-              with _ -> None)
-            defs
-      | _ -> [])
-    prog
-
-let resolve_aliases prog sets =
-  (* second pass so J:j = I resolves *)
-  List.concat_map
-    (function
-      | Tdecl (Dindexset defs) ->
-          List.filter_map
-            (fun def ->
-              match def.ispec with
-              | Ialias other -> (
-                  match List.assoc_opt other sets with
-                  | Some (_, values) -> Some (def.set_name, (def.elem_name, values))
-                  | None -> None)
-              | _ -> None)
-            defs
-      | _ -> [])
-    prog
-  @ sets
+  let add sets def =
+    match Sema.set_values (fun other -> snd (List.assoc other sets)) def with
+    | values -> (def.set_name, (def.elem_name, values)) :: sets
+    | exception _ -> sets
+  in
+  List.fold_left
+    (fun sets -> function
+      | Tdecl (Dindexset defs) -> List.fold_left add sets defs
+      | _ -> sets)
+    [] prog
 
 let apply ?(schedule_solve = true) prog =
   let sets = global_sets prog in
-  let sets = resolve_aliases prog sets in
   let funcs = ref [] in
   let out =
     List.filter_map

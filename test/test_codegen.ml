@@ -357,6 +357,24 @@ void main() {
   check (Alcotest.float 1e-9) "interp" 16.0 iv;
   check (Alcotest.float 1e-9) "machine" 16.0 mv
 
+(* min and max of an int and a float are floats, whichever argument is
+   the float: [body] computes them on the front end (reduction results)
+   or on the PEs *)
+let mixed_min_max body =
+  Printf.sprintf
+    {|
+#define N 6
+index-set I:i = {0..N-1}, J:j = I;
+float b[N], c[N], d[N];
+float lo, hi;
+
+void main() {
+  par (I) b[i] = tofloat(i) / 4.0 - 0.3;
+  %s
+}
+|}
+    body
+
 let test_multiset_reduction () =
   (* Cartesian-product reductions, front-end and nested in par *)
   let src =
@@ -428,6 +446,18 @@ let () =
         [
           case "rows in par" test_float_reduction_in_par;
           case "mixed promotion" test_mixed_int_float_reduction;
+          case "min/max kind, front end"
+            (differential ~arrays:[] ~float_scalars:[ "lo"; "hi" ]
+               (mixed_min_max
+                  "lo = $+(I; min(1, b[i]));\n\
+                  \  hi = $+(I; max(i, b[i]) + min(b[i], 2));"));
+          case "min/max kind, PEs"
+            (differential ~arrays:[] ~float_arrays:[ "c"; "d" ]
+               (mixed_min_max
+                  "par (I) {\n\
+                  \    c[i] = max(1, b[i]) + min(i, b[i] * 3.0);\n\
+                  \    d[i] = $+(J; max(j, b[i]));\n\
+                  \  }"));
         ] );
       ( "optimizations",
         [

@@ -253,6 +253,45 @@ let test_fold_same_results_as_unfolded () =
   check ints "a" (Uc.Compile.int_array m1 "a") (Uc.Compile.int_array m2 "a");
   check ints "b" (Uc.Compile.int_array m1 "b") (Uc.Compile.int_array m2 "b")
 
+(* ---------------- end-to-end: front-end access ---------------- *)
+
+(* the front end reads and writes a shifted [b] and a folded [a] element
+   by element, between parallel writes and reads of both *)
+let test_front_end_access () =
+  differential "1-D"
+    {|
+#define N 8
+index-set I:i = {0..N-1};
+int a[N], b[N];
+map (I) { permute (I) b[i+1] :- a[i]; fold a by 2; }
+void main() {
+  int k;
+  par (I) b[i] = 10 * i + 1;
+  for (k = 0; k < N; k = k + 1)
+    a[k] = b[(k + 3) % N] + k;
+  b[0] = a[5] + b[N - 1];
+  a[N - 1] = a[2] - b[0];
+  par (I) a[i] = a[i] + b[(i + 2) % N];
+}
+|};
+  differential "2-D"
+    {|
+#define N 4
+index-set I:i = {0..N-1}, J:j = {0..N-1};
+int a[N][N], b[N][N];
+map (I, J) { permute (I, J) b[i+1][j+2] :- a[i][j]; fold a by 2; }
+void main() {
+  int k, l;
+  par (I, J) b[i][j] = 10 * i + j;
+  for (k = 0; k < N; k = k + 1)
+    for (l = 0; l < N; l = l + 1)
+      a[k][l] = b[(k + 1) % N][(l + 3) % N] + k * l;
+  b[0][N - 1] = a[3][1] + b[N - 1][0];
+  a[N - 1][0] = a[1][2] - b[0][N - 1];
+  par (I, J) a[i][j] = a[i][j] + b[(i + 2) % N][j];
+}
+|}
+
 (* ---------------- end-to-end: copy ---------------- *)
 
 let test_copy_differential () =
@@ -310,6 +349,8 @@ let () =
           Alcotest.test_case "differential" `Quick test_fold_differential;
           Alcotest.test_case "same as unfolded" `Quick test_fold_same_results_as_unfolded;
         ] );
+      ( "front end",
+        [ Alcotest.test_case "shifted and folded access" `Quick test_front_end_access ] );
       ( "copy",
         [
           Alcotest.test_case "differential" `Quick test_copy_differential;

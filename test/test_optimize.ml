@@ -249,6 +249,27 @@ let test_scheduled_solve_equals_fixpoint () =
     (Alcotest.array Alcotest.int)
     "identical solutions" (run ~schedule:false) (run ~schedule:true)
 
+let test_chained_alias_scheduled () =
+  (* J aliases K, which aliases I: the wavefront over (I, J) is scheduled
+     over diagonals exactly as it is with J:j = I *)
+  let direct = Uc_programs.Programs.wavefront ~n:7 in
+  let chained =
+    Astring.String.cuts ~sep:"J:j = I;" direct
+    |> String.concat "K:k = I, J:j = K;"
+  in
+  check Alcotest.bool "chained declaration" true (chained <> direct);
+  let transformed src =
+    let prog = Uc.Parser.parse_program src in
+    ignore (Uc.Sema.check prog);
+    Uc.Transform.apply prog
+  in
+  check Alcotest.bool "diagonal schedule" true
+    (Astring.String.is_infix ~affix:"__diag"
+       (Uc.Pretty.program_to_string (transformed chained)));
+  let code src = (Uc.Compile.compile_source src).Uc.Codegen.prog.code in
+  check Alcotest.bool "same program as a direct alias" true
+    (code chained = code direct)
+
 let test_cse_reduces_router_gets () =
   (* the O(N^2) shortest path evaluates d[i][k]+d[k][j] in both the
      predicate and the body; CSE must fetch each operand once *)
@@ -292,6 +313,8 @@ let () =
             test_scheduled_solve_equals_fixpoint;
           Alcotest.test_case "early return rejected" `Quick
             test_transform_early_return_rejected;
+          Alcotest.test_case "chained alias scheduled" `Quick
+            test_chained_alias_scheduled;
         ] );
       ( "cse",
         [ Alcotest.test_case "fewer router gets" `Quick test_cse_reduces_router_gets ] );
