@@ -9,7 +9,11 @@
     {!all_active} are O(1): execution engines use [all_active] to select
     branch-free loops over fully-active VP sets.  Frames are preallocated
     and reused, so {!push}, {!pop} and {!reset} allocate nothing once the
-    stack has reached its deepest nesting. *)
+    stack has reached its deepest nesting.
+
+    A frame also caches its runs of active positions ({!active_runs}),
+    so a masked kernel can run its all-active loop once per run; every
+    change to a frame's flags drops its cache. *)
 
 type t
 
@@ -48,6 +52,33 @@ val land_ints : t -> int array -> unit
     into the current flags without allocating an intermediate mask.
     @raise Invalid_argument on size mismatch. *)
 val land_floats : t -> float array -> unit
+
+(** [active_runs c] is the number of maximal runs of active positions
+    in the current flags, or [-1] when there are more than [size c / 16]
+    of them (a fragmented mask).  The runs are cached per frame: the
+    first call after a change to the flags finds them, in one scan that
+    stops once the runs hold every active position; later calls are
+    O(1).  Allocates only the frame slot's run buffer, once. *)
+val active_runs : t -> int
+
+(** The current frame's runs after {!active_runs} returned [k >= 0]:
+    run [i < k] is the positions [b.(2i) <= p < b.(2i + 1)], in
+    ascending order.  Not a copy; valid until the next stack operation. *)
+val run_bounds : t -> int array
+
+(** A precomputed activity mask: the flags, count and runs that
+    {!land_ints} of an int field leaves on an all-active frame. *)
+type mask
+
+(** [mask_of_ints a] computes the mask of [a.(i) <> 0]. *)
+val mask_of_ints : int array -> mask
+
+(** [install c t] sets the current flags, count and runs to [t]'s: on an
+    all-active frame this is [land_ints] of the mask's source, without
+    the per-element AND or a later scan for runs.
+    @raise Invalid_argument on size mismatch or a frame that is not all
+    active. *)
+val install : t -> mask -> unit
 
 (** Pop the top flags, restoring the previous context.
     @raise Failure if only the base context remains. *)

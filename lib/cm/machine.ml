@@ -52,6 +52,11 @@ type t = {
   regions : (string, float ref) Hashtbl.t;  (* region -> elapsed ns *)
   mutable kernels : (unit -> unit) array option;  (* decoded, lazy *)
   mutable icount : int;  (* executed instruction serial, both engines *)
+  (* The field and serial of the last [Ptable] whose next instruction is
+     a [Cand] of that field (-1: none).  Anything else that writes a
+     field outside the kernels clears it. *)
+  mutable tbl_field : int;
+  mutable tbl_icount : int;
   fstate : fstate option;
   mutable fault_log : string list;  (* reversed, like output *)
   (* Telemetry scope (Obs.null by default).  Strictly an observer: the
@@ -130,6 +135,8 @@ let create ?(cost = Cost.cm2_16k) ?(seed = 12345) ?(fuel = 50_000_000)
     regions;
     kernels = None;
     icount = 0;
+    tbl_field = -1;
+    tbl_icount = 0;
     fstate = Option.map (fstate_of_plan ~from:0) faults;
     fault_log = [];
     obs;
@@ -197,6 +204,7 @@ let field_floats m f =
   | FInt _ -> error "field f%d is an int field" f
 
 let set_field_ints m f data =
+  m.tbl_field <- -1;
   match field_data m f with
   | FInt a ->
       if Array.length data <> Array.length a then
@@ -205,6 +213,7 @@ let set_field_ints m f data =
   | FFloat _ -> error "field f%d is a float field" f
 
 let set_field_floats m f data =
+  m.tbl_field <- -1;
   match field_data m f with
   | FFloat a ->
       if Array.length data <> Array.length a then
@@ -546,6 +555,7 @@ let exec_cand m fld =
 (* Memory bit flips resolve raw plan coordinates modulo the actual
    field/element/bit counts, so any integers address something real. *)
 let apply_flip m ~field ~element ~bit =
+  m.tbl_field <- -1;
   let nf = Array.length m.fields in
   if nf > 0 then begin
     let f = ((field mod nf) + nf) mod nf in
@@ -763,12 +773,14 @@ let exec_instr m instr =
 (* [compile] translates the program once into an array of closures, one
    per instruction.  Only the instructions with a specialised loop or
    fast path get a kernel of their own: Pmov, Pbin, Punop, Psel, Pcoord,
-   Ptable, Prand, Pnews (no mask when every VP is active), Preduce,
-   Preduce_axis, Cand and Cread, with operand shapes, field kinds, VP-set
-   ids and geometry constants resolved at decode time.  Every other
-   instruction (front end, jumps, router, scans, Pcount, the context
-   stack) decodes to [exec_instr], the reference engine's one
-   implementation.
+   Ptable, Prand, Pnews (no mask when every VP is active, run pieces
+   under a runny mask), Preduce, Preduce_axis, Pget (affine addresses
+   on an all-active set), Cand (a table's cached mask right after its
+   Ptable) and Cread, with operand shapes, field kinds, VP-set ids and
+   geometry constants resolved at decode time.  Every other instruction
+   (front end, jumps, Psend, scans, Pcount, the context stack) decodes
+   to [exec_instr], the reference engine's one implementation, and so
+   does every case a kernel's fast path refuses.
 
    The invariant (enforced by test/test_engine.ml and test_kernels) is
    that a kernel is bit-identical to [exec_instr] on its instruction:
@@ -808,13 +820,18 @@ let[@inline] fget r p =
    the generic float loop, which matches the operand shape per
    element.
 
+   Masks: [sweep] runs a masked instruction's all-active loop once per
+   run of active positions (Context caches the runs per frame), and the
+   masked loop only on a fragmented mask, of more than nv / 16 runs.
+
    Index safety: every loop below runs p over [lo, hi) with 0 <= lo <=
    hi <= nv where nv is the VP-set size.  Decode only admits field
    arrays of exactly that length, and the activity flags of a VP set
-   have that length too, so the unchecked accesses are in bounds by
-   construction.  An instruction's kernel sweeps the whole range
-   [0, nv); a per-axis reduction folds one sub-range per outer
-   position. *)
+   have that length too, as do the runs of its context, so the
+   unchecked accesses are in bounds by construction.  An instruction's
+   kernel sweeps the whole range [0, nv) or the runs in it; a per-axis
+   reduction folds one sub-range per outer position.  The affine get
+   loads unchecked only after every address was found in range. *)
 
 let b2i = Bool.to_int
 
@@ -974,25 +991,30 @@ let sel_float (o : float array) rc ra rb all (m : bool array) lo hi =
       for%kernel p = lo to hi - 1 do o.%(p) <- (if c.%(p) <> 0 then j else k) done
   | _ -> sel_float_generic o rc ra rb all m lo hi
 
-(* Ranged coordinate fill (Pcoord's loop body): [p / stride mod extent]
-   is constant on each run of [stride] positions, so the loop fills runs
-   and steps the coordinate between them.  On the last axis (stride 1)
-   every run is one position: the coordinate counts up from
-   [lo mod extent] and wraps at [extent]. *)
+(* Ranged coordinate fill on the last axis (stride 1): the coordinate
+   of [p] is [p - row] on the row of [extent] positions that starts at
+   [row], so each row's piece [s, e) is one loop storing [p - row], and
+   no element compares against [extent].  The piece loop is a function
+   of its own: inside the row loop, with its division, ocamlopt keeps
+   the flags in a stack slot and reloads them per element group. *)
+let coord_piece (o : int array) row all (m : bool array) s e =
+  for%kernel p = s to e - 1 do o.%(p) <- p - row done
+
+let coord_rows (o : int array) extent all (m : bool array) lo hi =
+  let s = ref lo in
+  while !s < hi do
+    let row = !s - (!s mod extent) in
+    let e = Int.min hi (row + extent) in
+    coord_piece o row all m !s e;
+    s := e
+  done
+
+(* Ranged coordinate fill (Pcoord's loop body).  On an outer axis
+   [p / stride mod extent] is constant on each run of [stride]
+   positions, so the loop fills runs and steps the coordinate between
+   them. *)
 let coord_loop (o : int array) ~stride ~extent all (m : bool array) lo hi =
-  if stride = 1 then begin
-    let c = ref (lo mod extent) in
-    if all then
-      for%unroll p = lo to hi - 1 do
-        o.%(p) <- !c;
-        c := if !c + 1 = extent then 0 else !c + 1
-      done
-    else
-      for%unroll p = lo to hi - 1 do
-        if m.%(p) then o.%(p) <- !c;
-        c := if !c + 1 = extent then 0 else !c + 1
-      done
-  end
+  if stride = 1 then coord_rows o extent all m lo hi
   else begin
     let c = ref (lo / stride mod extent) in
     let s = ref lo in
@@ -1010,24 +1032,63 @@ let cread_loop (o : int array) all (m : bool array) lo hi =
   else
     for%unroll p = lo to hi - 1 do o.%(p) <- b2i m.%(p) done
 
-(* Masked folds of [a.(lo .. hi - 1)] starting from [acc], for every
-   operator with an identity: a sequential left fold, as the operator
-   table's closure would compute it. *)
-let ired all (m : bool array) lo hi op acc (a : int array) =
-  let acc = ref acc in
+(* Masked folds of [a.(lo .. hi - 1)] into the accumulator [out.(i)],
+   for every operator with an identity: a sequential left fold, as the
+   operator table's closure would compute it.  The accumulator lives in
+   an array, so a fold over several ranges (a mask's runs, an axis
+   segment's pieces) chains without boxing a float; the range comes
+   last, so a partial application is a loop body for [sweep]. *)
+let ired op (a : int array) (out : int array) i all (m : bool array) lo hi =
+  let acc = ref out.%(i) in
   (match%table op with
   | int_op -> for%kernel p = lo to hi - 1 do acc := op !acc a.%(p) done
   | _ -> assert false);
-  !acc
+  out.%(i) <- !acc
 
-(* The float fold stores its result into [out.(i)]: a returned float
-   would be boxed, once per call. *)
-let fred all (m : bool array) lo hi op acc (a : float array) (out : float array) i =
-  let acc = ref acc in
+let fred op (a : float array) (out : float array) i all (m : bool array) lo hi =
+  let acc = ref out.%(i) in
   (match%table op with
   | float_op | float_call -> for%kernel p = lo to hi - 1 do acc := op !acc a.%(p) done
   | _ -> assert false);
   out.%(i) <- !acc
+
+(* [sweep nv ctx body] runs an instruction's loop [body all m lo hi]
+   over a VP set's elements under its context: once over [0, nv) with
+   the all-active loop when every VP is active, and with the masked
+   loop when the mask is fragmented; otherwise the all-active loop once
+   per run of active positions.  The runs are ascending and hold only
+   active positions, so the active elements are visited in ascending
+   order either way: a faulting element leaves the same writes before
+   it, and a fold makes the same steps. *)
+let sweep nv ctx body =
+  let m = Context.active ctx in
+  if Context.all_active ctx then body true m 0 nv
+  else
+    let k = Context.active_runs ctx in
+    if k < 0 then body false m 0 nv
+    else
+      let r = Context.run_bounds ctx in
+      for i = 0 to k - 1 do
+        body true m r.%(2 * i) r.%((2 * i) + 1)
+      done
+
+(* [sweep] restricted to [lo, hi), for one segment of an axis
+   reduction: [k] is the context's run count ([-1] fragmented, unused
+   when [all]), and [j] the first run that can meet this segment or a
+   later one, which it returns for the next. *)
+let sweep_segment all (m : bool array) (r : int array) k j lo hi body =
+  if all then begin body true m lo hi; j end
+  else if k < 0 then begin body false m lo hi; j end
+  else begin
+    let j = ref j in
+    while !j < k && r.%((2 * !j) + 1) <= lo do incr j done;
+    let i = ref !j in
+    while !i < k && r.%(2 * !i) < hi do
+      body true m (Int.max lo r.%(2 * !i)) (Int.min hi r.%((2 * !i) + 1));
+      incr i
+    done;
+    !j
+  end
 
 (* [Any]: the first active element, or the identity when none is. *)
 let iany (m : bool array) nv (a : int array) =
@@ -1039,6 +1100,132 @@ let fany (m : bool array) nv (a : float array) =
   let p = ref 0 in
   while !p < nv && not m.%(!p) do incr p done;
   if !p < nv then a.%(!p) else infinity
+
+(* ---- affine gets ----
+
+   A get whose address field is an affine function of the coordinates,
+   [addr.(p) = c0 + sum_k c_k * coord_k(p)], under an all-active
+   context, has closed-form router statistics: every VP sends one
+   message, and when the coefficients address distinct elements the
+   fan-in of every address it reads is the product of the extents of
+   the axes with [c_k = 0].  [affine_fanin] finds the coefficients from
+   the addresses of the origin and of its unit neighbours, verifies
+   every address against them and returns that fan-in, or 0 when any
+   step fails (an address that is not affine, out of [0, len), or a
+   non-injective form); the caller then runs the counting executor, so
+   errors and the element they name stay the reference's.  The
+   geometry and the scratch arrays are decoded once. *)
+
+type affine = {
+  dims : int array;
+  strides : int array;
+  coef : int array;  (* c_k; 0 on an extent-1 axis *)
+  odo : int array;  (* the outer axes' coordinates of a row *)
+  sorted : int array;  (* the nonzero |c_k|, ascending ... *)
+  sorted_dim : int array;  (* ... and their extents *)
+}
+
+let affine_of g =
+  let r = Geometry.rank g in
+  {
+    dims = Array.init r (Geometry.dim g);
+    strides = Array.copy (Geometry.strides g);
+    coef = Array.make r 0;
+    odo = Array.make r 0;
+    sorted = Array.make r 0;
+    sorted_dim = Array.make r 0;
+  }
+
+(* Every address against the form, one row of the last axis at a time:
+   on a row starting at [p0] with address [base], [addr.(p) - p * cl]
+   must be [base - p0 * cl], so a row ORs the differences and stops the
+   pass at the first row that has one.  (The arithmetic wraps, but the
+   form's true values were checked to lie in [0, len), so a zero
+   difference is an equal address.)  An odometer over the outer axes
+   steps [base] between rows.  The row loop is a function of its own,
+   so that the odometer does not push its arrays into stack slots. *)
+let affine_row (addr : int array) cl off lo hi =
+  let bad = ref 0 in
+  for%unroll p = lo to hi - 1 do
+    bad := !bad lor (addr.%(p) - (p * cl) - off)
+  done;
+  !bad
+
+let affine_verify af (addr : int array) nv c0 =
+  let r = Array.length af.dims in
+  let dl = af.dims.(r - 1) and cl = af.coef.(r - 1) in
+  let odo = af.odo in
+  for k = 0 to r - 1 do odo.(k) <- 0 done;
+  let base = ref c0 and p0 = ref 0 and ok = ref true in
+  while !ok && !p0 < nv do
+    ok := affine_row addr cl (!base - (!p0 * cl)) !p0 (!p0 + dl) = 0;
+    p0 := !p0 + dl;
+    let k = ref (r - 2) in
+    while !k >= 0 do
+      let a = !k in
+      odo.(a) <- odo.(a) + 1;
+      base := !base + af.coef.(a);
+      if odo.(a) = af.dims.(a) then begin
+        odo.(a) <- 0;
+        base := !base - (af.coef.(a) * af.dims.(a));
+        k := a - 1
+      end
+      else k := -1
+    done
+  done;
+  !ok
+
+let affine_fanin af (addr : int array) nv len =
+  let r = Array.length af.dims in
+  let c0 = addr.%(0) in
+  if c0 < 0 || c0 >= len then 0
+  else begin
+    (* the coefficients; |c_k| < len keeps every sum below exact *)
+    let ok = ref true and lo = ref c0 and hi = ref c0 in
+    for k = 0 to r - 1 do
+      let d = af.dims.(k) in
+      let c = if d > 1 then addr.%(af.strides.(k)) - c0 else 0 in
+      if c <= -len || c >= len then ok := false
+      else begin
+        af.coef.(k) <- c;
+        if c < 0 then lo := !lo + (c * (d - 1)) else hi := !hi + (c * (d - 1))
+      end
+    done;
+    if not (!ok && !lo >= 0 && !hi < len && affine_verify af addr nv c0) then 0
+    else begin
+      (* injective iff, by ascending |c_k|, each exceeds the span of
+         the ones before it; the zero axes make the fan-in *)
+      let n = ref 0 and fanin = ref 1 in
+      for k = 0 to r - 1 do
+        let c = abs af.coef.(k) and d = af.dims.(k) in
+        if c = 0 then fanin := !fanin * d
+        else begin
+          let i = ref !n in
+          while !i > 0 && af.sorted.(!i - 1) > c do
+            af.sorted.(!i) <- af.sorted.(!i - 1);
+            af.sorted_dim.(!i) <- af.sorted_dim.(!i - 1);
+            decr i
+          done;
+          af.sorted.(!i) <- c;
+          af.sorted_dim.(!i) <- d;
+          incr n
+        end
+      done;
+      let span = ref 0 in
+      for i = 0 to !n - 1 do
+        if af.sorted.(i) <= !span then ok := false;
+        span := !span + (af.sorted.(i) * (af.sorted_dim.(i) - 1))
+      done;
+      if !ok then !fanin else 0
+    end
+  end
+
+(* The gather of a verified get: every address is in range. *)
+let gather_int (d : int array) (s : int array) (addr : int array) nv =
+  for%unroll p = 0 to nv - 1 do d.%(p) <- s.%(addr.%(p)) done
+
+let gather_float (d : float array) (s : float array) (addr : int array) nv =
+  for%unroll p = 0 to nv - 1 do d.%(p) <- s.%(addr.%(p)) done
 
 (* Resolvers for parallel operands.  Decode-time facts (field identity,
    kind, VP set) are burned in; register contents are read per execution.
@@ -1102,17 +1289,16 @@ let kpfield m f =
   let vp = field_vpset m f in
   (vp, Geometry.size m.prog.geoms.(vp), m.contexts.(vp), field_data m f)
 
-(* Decode one instruction into its kernel, or into [exec_instr] where
-   there is no loop to specialise.  Elementwise kernels resolve
-   operands and take their checks, charges and faults in the reference's
-   order, then run their write loop once over the VP set's whole element
-   range, in ascending order, so a faulting element leaves exactly the
-   writes before it. *)
-let decode m instr : unit -> unit =
+(* Decode instruction [i] of [code] into its kernel, or into
+   [exec_instr] where there is no loop to specialise.  Elementwise
+   kernels resolve operands and take their checks, charges and faults
+   in the reference's order, then run their write loop over the VP
+   set's element range (or the runs in it), in ascending order, so a
+   faulting element leaves exactly the writes before it. *)
+let decode m code i : unit -> unit =
+  let instr = code.(i) in
   let meter = m.meter in
   let check_cur vp what f = kcheck_cur m vp what f in
-  (* [body all mask 0 nv], the context read once *)
-  let sweep nv ctx body = body (Context.all_active ctx) (Context.active ctx) 0 nv in
   let pfield f = kpfield m f in
   (* An elementwise instruction writing [dst]: the reference's VP-set
      check and charge, then [body ()] resolves the operands (raising
@@ -1210,12 +1396,21 @@ let decode m instr : unit -> unit =
   | Ptable (dst, table) ->
       let vp, nv, _, fd = pfield dst in
       let len_ok = Array.length table = nv in
+      (* a [Cand] of this field next may install the table's mask *)
+      let witness =
+        i + 1 < Array.length code && match code.(i + 1) with Cand f -> f = dst | _ -> false
+      in
       fun () -> (
         check_cur vp "ptable" dst;
         if not len_ok then error "ptable: table length does not match the VP set";
         Cost.charge_pe meter ~size:nv;
         match fd with
-        | FInt out -> for%unroll p = 0 to nv - 1 do out.%(p) <- table.%(p) done
+        | FInt out ->
+            for%unroll p = 0 to nv - 1 do out.%(p) <- table.%(p) done;
+            if witness then begin
+              m.tbl_field <- dst;
+              m.tbl_icount <- m.icount
+            end
         | FFloat _ -> error "ptable into a float field")
   | Prand (dst, modulus) ->
       let vp, nv, ctx, fd = pfield dst in
@@ -1255,12 +1450,17 @@ let decode m instr : unit -> unit =
       let vp_src = field_vpset m src in
       let fd_src = field_data m src in
       let g = m.prog.geoms.(vp) in
+      (* a mask's runs cut the shift's segments into pieces of active
+         positions; a fragmented mask takes the masked loop *)
       let shift : type a. a elt -> a array -> a array -> unit =
        fun k s d ->
-        let mask =
-          if Context.all_active ctx then None else Some (Context.active ctx)
-        in
-        ignore (News.shift k ?mask g ~axis ~delta s d)
+        if Context.all_active ctx then ignore (News.shift k g ~axis ~delta s d)
+        else
+          let nruns = Context.active_runs ctx in
+          if nruns < 0 then ignore (News.shift k ~mask:(Context.active ctx) g ~axis ~delta s d)
+          else
+            let runs = Context.run_bounds ctx in
+            ignore (News.shift_runs k g ~axis ~delta ~runs ~nruns s d)
       in
       fun () ->
         check_cur vp "pnews" dst;
@@ -1290,13 +1490,15 @@ let decode m instr : unit -> unit =
                (right-to-left application), so keep that fault order *)
             let lident = lazy (to_int (identity op KInt)) in
             let lop = lazy (int_binop op) in
+            let cell = [| 0 |] in
             fun () ->
               check_cur vp "preduce" fld;
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
               let (_ : int -> int -> int) = Lazy.force lop in
-              let all = Context.all_active ctx and mask = Context.active ctx in
-              m.regs.(r) <- SInt (ired all mask 0 nv op ident a)
+              cell.(0) <- ident;
+              sweep nv ctx (ired op a cell 0);
+              m.regs.(r) <- SInt cell.(0)
       | FFloat a ->
           if op = Any then
             fun () ->
@@ -1314,8 +1516,8 @@ let decode m instr : unit -> unit =
               check_cur vp "preduce" fld;
               Cost.charge_reduce meter ~size:nv;
               let ident = Lazy.force lident in
-              let all = Context.all_active ctx and mask = Context.active ctx in
-              fred all mask 0 nv op ident a cell 0;
+              cell.(0) <- ident;
+              sweep nv ctx (fred op a cell 0);
               m.regs.(r) <- SFloat cell.(0))
   | Preduce_axis (op, dst, src) ->
       let vp, nv, ctx, fd_src = pfield src in
@@ -1327,41 +1529,68 @@ let decode m instr : unit -> unit =
       let inner = nv / outer_size in
       let lident_i = lazy (to_int (identity op KInt)) in
       let lident_f = lazy (to_float (identity op KFloat)) in
+      let icell = [| 0 |] and fcell = [| 0.0 |] in
       fun () ->
         check_cur vp "preduce-axis" src;
         if not prefix_ok then
           error "preduce-axis: geometry of f%d is not a prefix of the current set"
             dst;
-        let mask = Context.active ctx in
+        let all = Context.all_active ctx and mask = Context.active ctx in
+        let k = if all then 0 else Context.active_runs ctx in
+        let runs = Context.run_bounds ctx in
         Cost.charge_reduce meter ~size:nv;
-        (* one masked fold per outer position, written straight into the
-           destination (Scan.reduce_trailing_axes's order and results) *)
+        (* one fold per outer position, written straight into the
+           destination (Scan.reduce_trailing_axes's order and results),
+           over the segment's pieces of the mask's runs *)
         (try
            match fd_dst, fd_src with
            | FInt d, FInt s ->
                let ident = Lazy.force lident_i in
                (* 'any' faults here, after the identity, as in the reference *)
                let (_ : int -> int -> int) = int_binop op in
+               let body = ired op s icell 0 and j = ref 0 in
                for o = 0 to outer_size - 1 do
-                 d.(o) <- ired false mask (o * inner) ((o + 1) * inner) op ident s
+                 icell.(0) <- ident;
+                 j := sweep_segment all mask runs k !j (o * inner) ((o + 1) * inner) body;
+                 d.(o) <- icell.(0)
                done
            | FFloat d, FFloat s ->
                let ident = Lazy.force lident_f in
                let (_ : float -> float -> float) = float_binop op in
+               let body = fred op s fcell 0 and j = ref 0 in
                for o = 0 to outer_size - 1 do
-                 fred false mask (o * inner) ((o + 1) * inner) op ident s d o
+                 fcell.(0) <- ident;
+                 j := sweep_segment all mask runs k !j (o * inner) ((o + 1) * inner) body;
+                 d.(o) <- fcell.(0)
                done
            | _ -> error "preduce-axis: kind mismatch between f%d and f%d" dst src
          with Invalid_argument msg -> error "preduce-axis: %s" msg)
   | Cand fld -> (
       let vp, nv, ctx, fd = pfield fld in
-      match fd with
-      | FInt a ->
+      let table =
+        if i > 0 then match code.(i - 1) with Ptable (f, t) when f = fld -> Some t | _ -> None
+        else None
+      in
+      match fd, table with
+      | FInt a, Some t ->
+          (* Right after its [Ptable] (the witness: nothing wrote the
+             field since), the field holds the table, so on an
+             all-active frame the AND is the table's mask, computed on
+             first use. *)
+          let tmask = lazy (Context.mask_of_ints t) in
+          fun () ->
+            check_cur vp "cand" fld;
+            Cost.charge_context meter ~size:nv;
+            if m.tbl_field = fld && m.tbl_icount = m.icount - 1 && m.fstate = None
+               && Context.all_active ctx
+            then Context.install ctx (Lazy.force tmask)
+            else Context.land_ints ctx a
+      | FInt a, None ->
           fun () ->
             check_cur vp "cand" fld;
             Cost.charge_context meter ~size:nv;
             Context.land_ints ctx a
-      | FFloat a ->
+      | FFloat a, _ ->
           fun () ->
             check_cur vp "cand" fld;
             Cost.charge_context meter ~size:nv;
@@ -1372,10 +1601,38 @@ let decode m instr : unit -> unit =
         check_cur vp "cread" fld;
         Cost.charge_context meter ~size:nv;
         match fd with
-        | FInt out -> sweep nv ctx (cread_loop out)
+        | FInt out -> cread_loop out (Context.all_active ctx) (Context.active ctx) 0 nv
         | FFloat _ -> error "cread into a float field")
+  | Pget (dst, src, addr) -> (
+      (* The affine kernel needs an all-active set, an int address field
+         on the current set and a source apart from the destination;
+         anything else, and any address [affine_fanin] refuses, runs the
+         counting executor. *)
+      let nf = Array.length m.fields in
+      let known f = f >= 0 && f < nf in
+      let fallback () = exec_pget m dst src addr in
+      if not (known dst && known src && known addr) || dst = src then fallback
+      else
+        let vp, nv, ctx, fd = pfield dst in
+        let af = affine_of m.prog.geoms.(vp) in
+        let kernel a len gather () =
+          let fanin =
+            if m.cur = vp && Context.all_active ctx then affine_fanin af a nv len else 0
+          in
+          if fanin = 0 then fallback ()
+          else begin
+            gather ();
+            Cost.charge_router meter ~size:nv ~messages:nv ~max_fanin:fanin
+          end
+        in
+        match fd, field_data m src, field_data m addr with
+        | FInt d, FInt s, FInt a when field_vpset m addr = vp ->
+            kernel a (Array.length s) (fun () -> gather_int d s a nv)
+        | FFloat d, FFloat s, FInt a when field_vpset m addr = vp ->
+            kernel a (Array.length s) (fun () -> gather_float d s a nv)
+        | _ -> fallback)
   | Label _ | Comment _ | Region _ | Fprint _ | Halt | Fmov _ | Fbin _ | Funop _
-  | Frand _ | Fread _ | Fwrite _ | Jmp _ | Jz _ | Jnz _ | Pget _ | Psend _
+  | Frand _ | Fread _ | Fwrite _ | Jmp _ | Jz _ | Jnz _ | Psend _
   | Pcount _ | Pscan _ | Cwith _ | Cpush | Cpop | Creset ->
       fun () -> exec_instr m instr
 
@@ -1392,12 +1649,12 @@ let kernels m =
         | `Reference -> Array.map (fun instr () -> exec_instr m instr) code
         | `Fast | `Native | `Sharded _ ->
             Obs.with_span m.obs "cm.decode" (fun () ->
-                Array.map
-                  (fun instr ->
+                Array.mapi
+                  (fun i _ ->
                     (* a decode-time fault (e.g. an out-of-range field id
                        in a malformed program) becomes a kernel that
                        re-raises it when that instruction is reached *)
-                    try decode m instr with e -> fun () -> raise e)
+                    try decode m code i with e -> fun () -> raise e)
                   code)
       in
       m.kernels <- Some k;
@@ -1619,6 +1876,8 @@ let restore ?(engine = `Fast) ?faults ?(obs = Obs.null) prog data =
     regions;
     kernels = None;
     icount = ck.ck_icount;
+    tbl_field = -1;
+    tbl_icount = 0;
     fstate;
     fault_log = ck.ck_log;
     obs;

@@ -11,11 +11,13 @@
     - [`Fast] (the default) pre-decodes the program once ({!compile}).
       The instructions it has a specialised loop or fast path for —
       [Pmov], [Pbin], [Punop], [Psel], [Pcoord], [Ptable], [Prand],
-      [Pnews], [Preduce], [Preduce_axis], [Cand] and [Cread] — become
-      kernels with operand shapes, field kinds, VP-set checks and
-      geometry constants resolved at decode time, each running
-      monomorphic int/float loops over its VP set's whole element
-      range.  Every other instruction runs the reference executor.
+      [Pnews], [Preduce], [Preduce_axis], [Pget], [Cand] and [Cread] —
+      become kernels with operand shapes, field kinds, VP-set checks
+      and geometry constants resolved at decode time, each running
+      monomorphic int/float loops over its VP set's element range, run
+      by run under a mask of few active runs.  Every other instruction,
+      and every case a kernel's fast path refuses, runs the reference
+      executor.
     - [`Reference] is the per-instruction tree-walking interpreter,
       kept as the semantic baseline for the kernels.
 

@@ -23,3 +23,20 @@ val shift :
   'a array ->
   'a array ->
   int
+
+(** [shift_runs k g ~axis ~delta ~runs ~nruns src dst] is [shift k ~mask
+    g ~axis ~delta src dst] for the mask whose active positions are the
+    [nruns] ascending runs [runs.(2i) <= p < runs.(2i + 1)] (see
+    {!Context.run_bounds}): the same writes in the same order, copied
+    one run piece at a time.
+    @raise Invalid_argument on size/axis errors or a bad run count. *)
+val shift_runs :
+  'a Paris.elt ->
+  Geometry.t ->
+  axis:int ->
+  delta:int ->
+  runs:int array ->
+  nruns:int ->
+  'a array ->
+  'a array ->
+  int

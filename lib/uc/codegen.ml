@@ -275,7 +275,13 @@ let rec sub_evaluator ctx e : (int array -> int) option =
   | Ebin (Div, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x / y) a b
   | Ebin (Mod, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x mod y) a b
   | Ecall ("power2", [ a ]) ->
-      Option.map (fun fa c -> 1 lsl (fa c land 30)) (sub_evaluator ctx a)
+      (* as Paris [Shl] computes it, with an out-of-range shift read as 0
+         like a division by zero above *)
+      Option.map
+        (fun fa c ->
+          let x = fa c in
+          if x >= 0 && x < Sys.int_size then 1 lsl x else 0)
+        (sub_evaluator ctx a)
   | Ecall ("abs", [ a ]) -> Option.map (fun fa c -> abs (fa c)) (sub_evaluator ctx a)
   | Ecall ("min", [ a; b ]) -> lift2 Int.min a b
   | Ecall ("max", [ a; b ]) -> lift2 Int.max a b

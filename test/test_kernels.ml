@@ -1,32 +1,39 @@
 (* Kernel differential grid and allocation bound for the Machine's
    instruction kernels.
 
-   The grid runs every elementwise, NEWS, router, reduction and
-   coordinate operator on every operand shape (field/field, field/imm,
-   imm/field, register, imm/imm) and field kind, once on a fully active
-   VP set and once under each of two context masks, on `Reference and
-   `Fast.  The kernels' element loops run four elements per trip and
-   then a remainder of up to three, so the VP counts run from 1 to 9
-   and beyond, and between them the whole ranges have lengths at every
-   residue mod 4 (checked below); one geometry has 2173 VPs.  The
-   masked runs use two masks: an irregular one,
-   and one whose inactive element moves through every lane position of
-   the four-element groups.
+   The grid runs every elementwise, NEWS, router, reduction (axis
+   reductions too) and coordinate operator on every operand shape
+   (field/field, field/imm, imm/field, register, imm/imm) and field
+   kind, once on a fully active VP set and once under each of eight
+   context masks, on `Reference and `Fast.  The kernels' element loops
+   run four elements per trip and then a remainder of up to three, so
+   the VP counts run from 1 to 9 and beyond, and between them the whole
+   ranges have lengths at every residue mod 4 (checked below); one
+   geometry has 2173 VPs, one an extent-1 axis.  Two masks are
+   fragmented (an irregular one, and one whose inactive element moves
+   through every lane position of the four-element groups), so the
+   fast engine runs its masked loops under them; the other six have at
+   most one run per 16 VPs on the larger sets (checked below), so it
+   runs its all-active loops once per run.
    Inputs include NaN (three payloads, two of one sign), +-0.0,
    +-infinity, subnormals, max_int/min_int wraparound and float
    division by zero; the faulting int cases (division and modulo by
    zero, an out-of-range shift) run as programs of their own, one of
-   them faulting on the third element of an unrolled group.  Every case writes its own destination
-   field (or register), so a divergence names the case; every field,
-   register, the output, the meter and the error must be bit-identical
-   to the reference.  The router cases (pget, psend) have no kernel:
-   both engines run the one reference executor, so their destinations
-   are also checked against an in-test loop over the address field, the
-   mask and the combine.
+   them faulting on the third element of an unrolled group and one
+   inside the second run of a mask.  Every case writes its own
+   destination field (or register), so a divergence names the case;
+   every field, register, the output, the meter and the error must be
+   bit-identical to the reference.  The router cases (pget, psend) are
+   also checked against an in-test loop over the address field, the
+   mask and the combine, which also gives the messages and fan-in the
+   meter must have charged.  The gets include affine addresses, which
+   the fast engine reads in closed form, near misses, and addresses
+   that must fail at the reference's element.
 
-   The allocation test runs heat and stencil at two sizes on `Fast and
-   requires the words allocated per run to stay the same
-   up to a small constant: the kernels allocate nothing per element. *)
+   The allocation test runs heat, stencil and shortest_path_n2 at two
+   sizes on `Fast and requires the words allocated per run to stay the
+   same up to a small constant: the kernels allocate nothing per
+   element. *)
 
 open Cm.Paris
 
@@ -65,11 +72,14 @@ type sec = {
   vp : int;
   nv : int;
   rank : int;
+  dims : int list;
   mutable inits : (int * [ `I of int array | `F of float array ]) list;
   mutable labels : (string * string) list;  (* "f12"/"r3" -> case *)
   mutable code : instr list;  (* reversed *)
   mutable oracles : (int * [ `I of int array | `F of float array ]) list;
       (* field -> its expected contents *)
+  mutable stats : (int * (int * int)) list;
+      (* router destination -> the messages and fan-in its op charges *)
   (* inputs *)
   ia : int;
   ib : int;
@@ -78,7 +88,7 @@ type sec = {
   iaddr : int;  (* addresses with fan-in *)
   iperm : int;  (* a permutation *)
   imask : int;
-  ilanes : int;  (* inactive on lane g mod 4 of group g *)
+  masks : (string * int) list;  (* the context masks every case runs under *)
   izero : int;  (* nonzero but for element 6: lane 2 of the second group *)
   fa : int;
   fb : int;
@@ -103,6 +113,67 @@ let new_field s kind =
     :: s.inits;
   f
 
+(* The active runs of a mask, as (lo, hi) pairs in ascending order. *)
+let runs_of (m : int array) =
+  let runs = ref [] and lo = ref (-1) in
+  Array.iteri
+    (fun p v ->
+      if v <> 0 && !lo < 0 then lo := p
+      else if v = 0 && !lo >= 0 then begin
+        runs := (!lo, p) :: !runs;
+        lo := -1
+      end)
+    m;
+  if !lo >= 0 then runs := (!lo, Array.length m) :: !runs;
+  List.rev !runs
+
+(* [k] runs of two positions each, spread over the range: the fast
+   engine runs a mask of at most [nv / 16] runs run by run, and one of
+   more with its masked loops. *)
+let k_runs nv k p =
+  let step = if k = 0 then nv + 1 else nv / k in
+  if step >= 3 && p / step < k && (p mod step = 1 || p mod step = 2) then 1 else 0
+
+(* Active runs of lengths 1-9 behind gaps of 10-14, so that on the
+   largest geometry the runs start and end on every residue mod 4 and
+   stay under [nv / 16] of them (checked below). *)
+let stripes nv =
+  let a = Array.make nv 0 and p = ref 0 and i = ref 0 in
+  while !p < nv do
+    let len = 1 + (!i mod 9) in
+    for q = !p to Int.min nv (!p + len) - 1 do a.(q) <- 1 done;
+    p := !p + len + 10 + (!i mod 5);
+    incr i
+  done;
+  a
+
+(* The context masks, by name: two fragmented ones (an irregular mask,
+   and one whose inactive element walks through the lanes of the
+   four-element groups), then masks whose runs the fast engine visits:
+   an interior box, stripes, exactly [nv / 16] runs and one more, no
+   active element, and the last element alone (a run that ends at the
+   end of the set). *)
+let mask_data dims =
+  let g = Cm.Geometry.create dims in
+  let nv = Cm.Geometry.size g in
+  let interior p =
+    let c = Cm.Geometry.coords g p in
+    let ok = ref true in
+    List.iteri (fun k d -> if c.(k) < 1 || c.(k) > d - 2 then ok := false) dims;
+    !ok
+  in
+  let ints f = Array.init nv f in
+  [
+    (" masked", ints (fun p -> if p mod 3 = 1 || p mod 7 = 5 then 0 else 1));
+    (" lane-masked", ints (fun p -> if p mod 4 = p / 4 mod 4 then 0 else 1));
+    (" box", ints (fun p -> Bool.to_int (interior p)));
+    (" stripes", stripes nv);
+    (" n/16 runs", ints (k_runs nv (nv / 16)));
+    (" n/16+1 runs", ints (k_runs nv ((nv / 16) + 1)));
+    (" empty", ints (fun _ -> 0));
+    (" last", ints (fun p -> Bool.to_int (p = nv - 1)));
+  ]
+
 let section name dims =
   let b = Builder.create name in
   let g = Cm.Geometry.create dims in
@@ -110,9 +181,10 @@ let section name dims =
   let nv = Cm.Geometry.size g in
   let s0 =
     {
-      b; vp; nv; rank = List.length dims; inits = []; labels = []; code = []; oracles = [];
+      b; vp; nv; rank = List.length dims; dims; inits = []; labels = []; code = [];
+      oracles = []; stats = [];
       ia = 0; ib = 0; inz = 0; ish = 0; iaddr = 0; iperm = 0; imask = 0;
-      ilanes = 0; izero = 0; fa = 0; fb = 0; ri = 0; rnz = 0; rsh = 0; rf = 0; rn = 0;
+      masks = []; izero = 0; fa = 0; fb = 0; ri = 0; rnz = 0; rsh = 0; rf = 0; rn = 0;
     }
   in
   let inp kind data =
@@ -128,8 +200,8 @@ let section name dims =
   let ish = ints (fun p -> p * 5 mod 63) in
   let iaddr = ints (fun p -> p * p mod nv) in
   let iperm = ints (fun p -> nv - 1 - p) in
-  let imask = ints (fun p -> if p mod 3 = 1 || p mod 7 = 5 then 0 else 1) in
-  let ilanes = ints (fun p -> if p mod 4 = p / 4 mod 4 then 0 else 1) in
+  let masks = List.map (fun (tag, m) -> (tag, inp KInt (`I m))) (mask_data dims) in
+  let imask = List.assoc " masked" masks in
   let izero = ints (fun p -> if p = 6 then 0 else cycle nonzero p) in
   let fa = floats (cycle float_vals) in
   let fb = floats (fun p -> cycle float_vals2 (p + 2)) in
@@ -144,11 +216,17 @@ let section name dims =
   let rsh = reg (SInt 3) in
   let rf = reg (SFloat (-0.0)) in
   let rn = reg (SFloat nan) in
-  { s0 with ia; ib; inz; ish; iaddr; iperm; imask; ilanes; izero; fa; fb; ri; rnz;
+  { s0 with ia; ib; inz; ish; iaddr; iperm; imask; masks; izero; fa; fb; ri; rnz;
     rsh; rf; rn }
 
+(* An input field of the section. *)
+let input_field s kind data =
+  let f = Builder.field s.b ~vpset:s.vp kind in
+  s.inits <- (f, data) :: s.inits;
+  f
+
 (* Each case runs dense and under each mask. *)
-let masks s = [ (" dense", None); (" masked", Some s.imask); (" lane-masked", Some s.ilanes) ]
+let masks s = (" dense", None) :: List.map (fun (tag, f) -> (tag, Some f)) s.masks
 
 let under mask is =
   match mask with None -> is | Some f -> [ Cpush; Cand f ] @ is @ [ Cpop ]
@@ -163,15 +241,19 @@ let active s = function
   | Some f -> Array.map (fun v -> v <> 0) (as_ints (input s f))
 
 (* One case: [mk d] writes destination [d].  [expect act prior], when
-   given, is the destination's contents after the case from its
-   contents before and the activity flags. *)
+   given, is a router case's oracle: the destination's contents after
+   the case from its contents before and the activity flags, and the
+   messages and fan-in the router op charges. *)
 let case ?expect s label kind mk =
   List.iter
     (fun (tag, mask) ->
       let d = new_field s kind in
       s.labels <- (Printf.sprintf "f%d" d, label ^ tag) :: s.labels;
       Option.iter
-        (fun f -> s.oracles <- (d, f (active s mask) (input s d)) :: s.oracles)
+        (fun f ->
+          let contents, stats = f (active s mask) (input s d) in
+          s.oracles <- (d, contents) :: s.oracles;
+          s.stats <- (d, stats) :: s.stats)
         expect;
       emit s (under mask (mk d)))
     (masks s)
@@ -287,12 +369,28 @@ let unop_mov_sel s =
 (* The router oracles: the active positions in ascending order; a get
    reads [src] at each one's address, a send delivers to it, where the
    first value to reach a destination overwrites it and later ones
-   merge with the combine.  In place, [src] is [dst]. *)
+   merge with the combine.  In place, [src] is [dst].  Each also
+   returns the messages (one per active position) and the largest
+   number of them that meet at one address (at least 1). *)
+let fanin len act addr =
+  let hits = Array.make len 0 and top = ref 1 and messages = ref 0 in
+  Array.iteri
+    (fun p a ->
+      if act.(p) then begin
+        incr messages;
+        hits.(a) <- hits.(a) + 1;
+        top := Int.max !top hits.(a)
+      end)
+    addr;
+  (!messages, !top)
+
 let get_oracle act addr src dst =
+  let stats = fanin (Array.length src) act addr in
   Array.iteri (fun p a -> if act.(p) then dst.(p) <- src.(a)) addr;
-  dst
+  (dst, stats)
 
 let send_oracle combine act addr src dst =
+  let stats = fanin (Array.length dst) act addr in
   let seen = Array.make (Array.length dst) false in
   Array.iteri
     (fun p a ->
@@ -301,7 +399,13 @@ let send_oracle combine act addr src dst =
         seen.(a) <- true
       end)
     addr;
-  dst
+  (dst, stats)
+
+(* A combining send merges in the network and is charged a fan-in of
+   1; the checking send pays its destination fan-in. *)
+let charged c (dst, (messages, fanin)) = (dst, (messages, if c = Ccheck then fanin else 1))
+let ints_of (d, st) = (`I d, st)
+let floats_of (d, st) = (`F d, st)
 
 (* The checking combine only ever meets distinct destinations here
    (its sends use a permutation). *)
@@ -321,6 +425,30 @@ let float_combine = function
   | Cmax -> Float.max
   | Cor | Cand | Cxor -> invalid_arg "float_combine"
 
+(* Address fields affine in the coordinates, by name: broadcasts of a
+   row and of a column (fan-in: the other extents), a transpose (the
+   coordinates reversed), a reversal (negative coefficients), [i + j]
+   (not injective beyond rank 1) and a transpose whose last address
+   alone breaks the form. *)
+let affine_addresses dims =
+  let g = Cm.Geometry.create dims in
+  let nv = Cm.Geometry.size g and d = Array.of_list dims in
+  let last = Array.length d - 1 in
+  let c p = Cm.Geometry.coords g p in
+  let transpose p =
+    let c = c p and acc = ref 0 in
+    for k = last downto 0 do acc := (!acc * d.(k)) + c.(k) done;
+    !acc
+  in
+  [
+    ("row broadcast", fun p -> p - (c p).(last));
+    ("column broadcast", fun p -> (c p).(last));
+    ("transpose", transpose);
+    ("reversal", fun p -> nv - 1 - p);
+    ("i + j", fun p -> Array.fold_left ( + ) 0 (c p));
+    ("transpose but the last", fun p -> if p = nv - 1 && nv > 1 then transpose 0 else transpose p);
+  ]
+
 let comm s =
   for axis = 0 to s.rank - 1 do
     List.iter
@@ -336,33 +464,50 @@ let comm s =
       [ -1; 1; -2; -5 ]
   done;
   let ia = as_ints (input s s.ia) and fa = as_floats (input s s.fa) in
-  let addr = as_ints (input s s.iaddr) in
+  let gets label addr_field =
+    let addr = as_ints (input s addr_field) in
+    case s ("pget int " ^ label) KInt
+      (fun d -> [ Pget (d, s.ia, addr_field) ])
+      ~expect:(fun act d -> ints_of (get_oracle act addr ia (as_ints d)));
+    case s ("pget float " ^ label) KFloat
+      (fun d -> [ Pget (d, s.fa, addr_field) ])
+      ~expect:(fun act d -> floats_of (get_oracle act addr fa (as_floats d)));
+    case s ("pget int in place " ^ label) KInt
+      (fun d -> [ Pmov (d, Fld s.ia); Pget (d, d, addr_field) ])
+      ~expect:(fun act d ->
+        let d = as_ints d in
+        Array.iteri (fun p a -> if a then d.(p) <- ia.(p)) act;
+        ints_of (get_oracle act addr d d));
+    (* the address field is the destination *)
+    case s ("pget int into its address " ^ label) KInt
+      (fun d -> [ Pmov (d, Fld addr_field); Pget (d, s.ia, d) ])
+      ~expect:(fun act d ->
+        let d = as_ints d in
+        Array.iteri (fun p a -> if a then d.(p) <- addr.(p)) act;
+        ints_of (get_oracle act d ia d))
+  in
+  gets "fan-in" s.iaddr;
+  (* Affine addresses, which the fast engine gets in closed form on an
+     all-active set, and near misses it must refuse. *)
+  List.iter
+    (fun (label, f) -> gets label (input_field s KInt (`I (Array.init s.nv f))))
+    (affine_addresses s.dims);
   let send_addr c = if c = Ccheck then s.iperm else s.iaddr in
-  case s "pget int" KInt
-    (fun d -> [ Pget (d, s.ia, s.iaddr) ])
-    ~expect:(fun act d -> `I (get_oracle act addr ia (as_ints d)));
-  case s "pget float" KFloat
-    (fun d -> [ Pget (d, s.fa, s.iaddr) ])
-    ~expect:(fun act d -> `F (get_oracle act addr fa (as_floats d)));
-  case s "pget int in place" KInt
-    (fun d -> [ Pmov (d, Fld s.ia); Pget (d, d, s.iaddr) ])
-    ~expect:(fun act d ->
-      let d = as_ints d in
-      Array.iteri (fun p a -> if a then d.(p) <- ia.(p)) act;
-      `I (get_oracle act addr d d));
   List.iter
     (fun c ->
       let addr = as_ints (input s (send_addr c)) in
       case s ("psend int " ^ combine_name c) KInt
         (fun d -> [ Psend (d, s.ia, send_addr c, c) ])
-        ~expect:(fun act d -> `I (send_oracle (int_combine c) act addr ia (as_ints d))))
+        ~expect:(fun act d ->
+          ints_of (charged c (send_oracle (int_combine c) act addr ia (as_ints d)))))
     [ Ccheck; Cover; Cadd; Cmin; Cmax; Cor; Cand; Cxor ];
   List.iter
     (fun c ->
       let addr = as_ints (input s (send_addr c)) in
       case s ("psend float " ^ combine_name c) KFloat
         (fun d -> [ Psend (d, s.fa, send_addr c, c) ])
-        ~expect:(fun act d -> `F (send_oracle (float_combine c) act addr fa (as_floats d))))
+        ~expect:(fun act d ->
+          floats_of (charged c (send_oracle (float_combine c) act addr fa (as_floats d)))))
     [ Ccheck; Cover; Cadd; Cmin; Cmax ]
 
 let reduce_coord s =
@@ -383,6 +528,40 @@ let reduce_coord s =
             (fun r -> [ Preduce (op, r, f) ]))
         (List.filter (reducible KFloat) binops))
     [ ("fa", s.fa); ("fb", s.fb) ];
+  (* axis reductions into each proper prefix of the geometry (a
+     rank-1 set reduces into itself) *)
+  let prefixes =
+    if s.rank = 1 then [ s.dims ]
+    else List.init (s.rank - 1) (fun k -> List.filteri (fun i _ -> i <= k) s.dims)
+  in
+  List.iter
+    (fun outer ->
+      let g = Cm.Geometry.create outer in
+      let ovp = Builder.vpset s.b g and n = Cm.Geometry.size g in
+      let tag = String.concat "x" (List.map string_of_int outer) in
+      List.iter
+        (fun (kind, src, sname) ->
+          List.iter
+            (fun op ->
+              List.iter
+                (fun (mtag, mask) ->
+                  let d = Builder.field s.b ~vpset:ovp kind in
+                  s.inits <-
+                    (d,
+                     match kind with
+                     | KInt -> `I (Array.init n (fun p -> 1000 + p))
+                     | KFloat -> `F (Array.init n (fun p -> 1000.5 +. float_of_int p)))
+                    :: s.inits;
+                  s.labels <-
+                    ( Printf.sprintf "f%d" d,
+                      Printf.sprintf "preduce-axis %s %s into %s%s" (binop_name op) sname tag
+                        mtag )
+                    :: s.labels;
+                  emit s (under mask [ Preduce_axis (op, d, src) ]))
+                (masks s))
+            (List.filter (fun op -> op <> Any && reducible kind op) binops))
+        [ (KInt, s.ia, "int"); (KFloat, s.fa, "fa"); (KFloat, s.fb, "fb") ])
+    prefixes;
   for axis = 0 to s.rank - 1 do
     case s (Printf.sprintf "pcoord axis %d" axis) KInt (fun d -> [ Pcoord (d, axis) ])
   done;
@@ -407,7 +586,8 @@ let finish s =
 
 let engines : (string * Cm.Machine.engine) list = [ ("fast", `Fast) ]
 
-let run engine s prog =
+(* A run one instruction at a time, calling [step] after each. *)
+let run ?(step = ignore) engine s prog =
   let m = Cm.Machine.create ~seed:11 ~engine prog in
   List.iter
     (fun (f, data) ->
@@ -415,12 +595,45 @@ let run engine s prog =
       | `I a -> Cm.Machine.set_field_ints m f a
       | `F a -> Cm.Machine.set_field_floats m f a)
     s.inits;
+  let rec go () =
+    let more = Cm.Machine.run_slice m ~fuel_slice:1 in
+    step m;
+    if more = `More then go ()
+  in
   let status =
-    match Cm.Machine.run m with
+    match go () with
     | () -> "finished"
     | exception Cm.Machine.Error msg -> "error: " ^ msg
   in
   (status, m)
+
+(* After each instruction of a section (straight-line code, so the
+   instruction is [code.(icount - 1)]): a router op with an oracle must
+   have charged its messages and fan-in, seen as the growth of
+   [router_messages] and of [router_collisions] (which grows by the
+   fan-in less one), and [router_max_fanin] must be the largest fan-in
+   charged so far. *)
+let router_meter s (prog : program) ename =
+  let messages = ref 0 and collisions = ref 0 and top = ref 0 in
+  fun m ->
+    let mt = Cm.Machine.meter m in
+    (match prog.code.(Cm.Machine.icount m - 1) with
+    | Pget (d, _, _) | Psend (d, _, _, _) -> (
+        match List.assoc_opt d s.stats with
+        | None -> ()
+        | Some (msgs, fan) ->
+            top := Int.max !top fan;
+            let got_m = mt.Cm.Cost.router_messages - !messages
+            and got_f = mt.Cm.Cost.router_collisions - !collisions + 1 in
+            if got_m <> msgs || got_f <> fan || mt.Cm.Cost.router_max_fanin <> !top then
+              Alcotest.failf
+                "%s: %s, %s (f%d): %d messages, fan-in %d, max fan-in %d; the oracle %d, %d, %d"
+                prog.name ename
+                (List.assoc (Printf.sprintf "f%d" d) s.labels)
+                d got_m got_f mt.Cm.Cost.router_max_fanin msgs fan !top)
+    | _ -> ());
+    messages := mt.Cm.Cost.router_messages;
+    collisions := mt.Cm.Cost.router_collisions
 
 let bits f = Int64.bits_of_float f
 let hex f = if Float.is_nan f then Printf.sprintf "nan/%Lx" (bits f) else Printf.sprintf "%h" f
@@ -496,19 +709,21 @@ let check_oracles s prog ename (_, m) =
 
 let check_section s =
   let prog = finish s in
-  let ref_run = run `Reference s prog in
+  let ref_run = run ~step:(router_meter s prog "reference") `Reference s prog in
   check_oracles s prog "reference" ref_run;
   List.iter
     (fun (ename, engine) ->
-      let run = run engine s prog in
+      let run = run ~step:(router_meter s prog ename) engine s prog in
       check_oracles s prog ename run;
       match diff s prog ref_run run with
       | None -> ()
       | Some msg -> Alcotest.failf "%s: %s differs from reference: %s" prog.name ename msg)
     engines
 
+(* Rank 3 with an extent-1 axis, and a mid-sized set whose masks have
+   a few runs per row. *)
 let geometries =
-  List.init 9 (fun n -> [ n + 1 ]) @ [ [ 11 ]; [ 4; 5 ]; [ 41; 53 ] ]
+  List.init 9 (fun n -> [ n + 1 ]) @ [ [ 11 ]; [ 4; 5 ]; [ 3; 1; 7 ]; [ 6; 11 ]; [ 41; 53 ] ]
 
 (* The whole ranges the grid's kernels sweep have lengths at every
    residue mod 4, so every unrolled loop runs with every remainder. *)
@@ -519,6 +734,35 @@ let chunk_coverage () =
     geometries;
   if not (Array.for_all Fun.id lengths) then
     Alcotest.fail "the grid's ranges miss a residue mod 4"
+
+(* On the largest geometry every runny mask takes the runs path (at most
+   [nv / 16] runs, one more for the mask meant to exceed it), and the
+   stripes' runs start and end on every residue mod 4. *)
+let mask_coverage () =
+  let dims = [ 41; 53 ] in
+  let nv = 41 * 53 in
+  List.iter
+    (fun (tag, m) ->
+      let k = List.length (runs_of m) in
+      let want =
+        match tag with
+        | " masked" | " lane-masked" -> None
+        | " n/16+1 runs" -> Some (k = (nv / 16) + 1)
+        | " n/16 runs" -> Some (k = nv / 16)
+        | _ -> Some (k <= nv / 16)
+      in
+      if want = Some false then Alcotest.failf "mask%s has %d runs on %d VPs" tag k nv;
+      if tag = " stripes" then begin
+        let starts = Array.make 4 false and ends = Array.make 4 false in
+        List.iter
+          (fun (lo, hi) ->
+            starts.(lo mod 4) <- true;
+            ends.(hi mod 4) <- true)
+          (runs_of m);
+        if not (Array.for_all Fun.id starts && Array.for_all Fun.id ends) then
+          Alcotest.fail "the stripes miss a residue mod 4"
+      end)
+    (mask_data dims)
 
 (* The [for%unroll] rewrite itself, on every range length from empty to
    12 at every start residue: it visits the indices a plain loop visits,
@@ -582,6 +826,163 @@ let fault_test (label, mk) =
             engines)
         [ ([ 11 ], false); ([ 4; 5 ], false); ([ 4; 5 ], true) ])
 
+(* Programs that must stop at an error, compared with the reference. *)
+let must_fail label s prog =
+  let ref_run = run `Reference s prog in
+  let st = fst ref_run in
+  if not (String.length st > 6 && String.sub st 0 6 = "error:") then
+    Alcotest.failf "%s: expected an error, got %s" label st;
+  List.iter
+    (fun (ename, engine) ->
+      match diff s prog ref_run (run engine s prog) with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s: %s differs: %s" label ename msg)
+    engines
+
+(* A get on an all-active set whose addresses leave the source, or
+   whose coefficients would overflow the closed form: the fast engine
+   must refuse the form and fail at the reference's element. *)
+let pget_faults =
+  [
+    ("shifted past the end", fun _ p -> p + 1);
+    ("origin below zero", fun _ p -> p - 1);
+    ("coefficient max_int", fun _ p -> p * max_int);
+    ("coefficient min_int", fun _ p -> p * min_int);
+    ("neighbour wraps", fun nv p -> nv - 1 + (p * max_int));
+    ("last address max_int", fun nv p -> if p = nv - 1 then max_int else p);
+  ]
+
+let pget_fault_test (label, addr) =
+  Alcotest.test_case ("pget " ^ label) `Quick (fun () ->
+      List.iter
+        (fun dims ->
+          let s = section label dims in
+          let a = input_field s KInt (`I (Array.init s.nv (addr s.nv))) in
+          let d = new_field s KInt and e = new_field s KFloat in
+          s.labels <- [ (Printf.sprintf "f%d" d, label ^ " int"); (Printf.sprintf "f%d" e, label ^ " float") ];
+          emit s [ Pget (d, s.ia, a) ];
+          emit s [ Pget (e, s.fa, a) ];
+          must_fail label s (finish s))
+        [ [ 11 ]; [ 4; 5 ]; [ 3; 1; 7 ]; [ 6; 11 ]; [ 41; 53 ] ])
+
+(* A division by zero inside the second run of a runny mask: the fast
+   engine's run-by-run loop must stop there, after the first run's
+   writes and those before it in the second. *)
+let second_run_fault () =
+  List.iter
+    (fun (dims, tag) ->
+      let label = "pbin.div by zero in the second run of" ^ tag in
+      let s = section label dims in
+      let m = List.assoc tag s.masks in
+      let lo, hi = List.nth (runs_of (as_ints (input s m))) 1 in
+      let z = (lo + hi) / 2 in
+      let divisor =
+        input_field s KInt (`I (Array.init s.nv (fun p -> if p = z then 0 else cycle nonzero p)))
+      in
+      let d = new_field s KInt in
+      s.labels <- [ (Printf.sprintf "f%d" d, label) ];
+      emit s (under (Some m) [ Pbin (Div, d, Fld s.ia, Fld divisor) ]);
+      must_fail label s (finish s))
+    [ ([ 41; 53 ], " box"); ([ 41; 53 ], " stripes"); ([ 6; 11 ], " box") ]
+
+(* Context sequences around the cached runs and table masks, run three
+   times by a front-end loop so that the second and later executions
+   reuse what the first cached: a table mask installed on an all-active
+   frame, a second table ANDed in (no install: the frame is no longer
+   all active), a nested frame and the pop back to a frame whose runs
+   were cached, and full, empty and fragmented tables. *)
+let context_test () =
+  List.iter
+    (fun dims ->
+      let s = section "context sequences" dims in
+      let nv = s.nv in
+      let mask tag = as_ints (input s (List.assoc tag s.masks)) in
+      let table = Array.map (fun v -> if v <> 0 then (v * 7) - 3 else 0) in
+      let tables =
+        [
+          ("box", table (mask " box"));
+          ("stripes", table (mask " stripes"));
+          ("full", Array.make nv 5);
+          ("empty", Array.make nv 0);
+          ("fragmented", table (mask " masked"));
+        ]
+      in
+      let counter = Builder.reg s.b and more = Builder.reg s.b in
+      let top = Builder.label s.b in
+      emit s [ Fmov (counter, Imm (SInt 0)); Label top ];
+      let acc label =
+        let d = new_field s KInt in
+        s.labels <- (Printf.sprintf "f%d" d, label) :: s.labels;
+        emit s [ Pbin (Add, d, Fld d, Fld s.ia) ]
+      in
+      List.iter
+        (fun (t1, a) ->
+          List.iter
+            (fun (t2, b) ->
+              let tag = Printf.sprintf "%s then %s" t1 t2 in
+              let f1 = new_field s KInt and f2 = new_field s KInt in
+              emit s [ Creset; Ptable (f1, a); Cand f1 ];
+              acc (tag ^ ": after the first table");
+              emit s [ Ptable (f2, b); Cand f2 ];
+              acc (tag ^ ": after the second table");
+              let n = new_field s KInt in
+              s.labels <- (Printf.sprintf "f%d" n, tag ^ ": news") :: s.labels;
+              emit s [ Pnews (n, s.ia, 0, 1) ];
+              emit s [ Cpush; Cand s.imask ];
+              acc (tag ^ ": nested");
+              emit s [ Cpop ];
+              acc (tag ^ ": popped");
+              emit s [ Cpush; Ptable (f1, a); Cand f1 ];
+              acc (tag ^ ": table under a pushed frame");
+              emit s [ Cpop; Creset ])
+            tables)
+        tables;
+      emit s
+        [
+          Fbin (Add, counter, Reg counter, Imm (SInt 1));
+          Fbin (Lt, more, Reg counter, Imm (SInt 3));
+          Jnz (Reg more, top);
+        ];
+      let prog = finish s in
+      let ref_run = run `Reference s prog in
+      List.iter
+        (fun (ename, engine) ->
+          match diff s prog ref_run (run engine s prog) with
+          | None -> ()
+          | Some msg -> Alcotest.failf "%s: %s differs: %s" prog.name ename msg)
+        engines)
+    [ [ 9 ]; [ 6; 11 ]; [ 41; 53 ] ]
+
+(* The witness that lets a [Cand] install its table's mask: a run
+   stopped between the [Ptable] and the [Cand], whose field is then
+   rewritten from outside, must AND the new contents. *)
+let witness_test () =
+  let s = section "table witness" [ 41; 53 ] in
+  let t = new_field s KInt and d = new_field s KInt in
+  s.labels <- [ (Printf.sprintf "f%d" d, "masked by the rewritten table") ];
+  emit s [ Creset; Ptable (t, Array.init s.nv (fun p -> p mod 3)); Cand t; Pmov (d, Fld s.ia) ];
+  let prog = finish s in
+  let icount_after_ptable =
+    let rec find k = match prog.code.(k) with Ptable _ -> k + 1 | _ -> find (k + 1) in
+    find 0
+  in
+  let go engine =
+    let m = Cm.Machine.create ~seed:11 ~engine prog in
+    List.iter
+      (fun (f, data) ->
+        match data with
+        | `I a -> Cm.Machine.set_field_ints m f a
+        | `F a -> Cm.Machine.set_field_floats m f a)
+      s.inits;
+    ignore (Cm.Machine.run_slice m ~fuel_slice:icount_after_ptable);
+    Cm.Machine.set_field_ints m t (Array.init s.nv (fun p -> p mod 5));
+    Cm.Machine.run m;
+    ("finished", m)
+  in
+  match diff s prog (go `Reference) (go `Fast) with
+  | None -> ()
+  | Some msg -> Alcotest.failf "table witness: fast differs: %s" msg
+
 (* ---- allocation does not grow with the VP count ---- *)
 
 (* Words allocated by one run, decode excluded: minor allocations plus
@@ -612,6 +1013,8 @@ let alloc_test () =
     [
       ("heat", P.heat ~steps:20 ~n:48 (), P.heat ~steps:20 ~n:64 ());
       ("stencil", P.stencil ~n:2048 ~steps:40 (), P.stencil ~n:4096 ~steps:40 ());
+      (* its gets take the affine kernel *)
+      ("shortest_path_n2", P.shortest_path_n2 ~n:32 (), P.shortest_path_n2 ~n:48 ());
     ]
   in
   List.iter
@@ -641,6 +1044,15 @@ let () =
           Alcotest.test_case "rewrite keeps order and partial effects" `Quick unroll_test;
           Alcotest.test_case "grid chunks cover every residue mod 4" `Quick chunk_coverage;
         ] );
-      ("faults", List.map fault_test faulting);
+      ( "faults",
+        List.map fault_test faulting
+        @ [ Alcotest.test_case "pbin.div by zero in a second run" `Quick second_run_fault ]
+        @ List.map pget_fault_test pget_faults );
+      ( "context",
+        [
+          Alcotest.test_case "table masks and cached runs" `Quick context_test;
+          Alcotest.test_case "table witness" `Quick witness_test;
+          Alcotest.test_case "masks reach the runs path" `Quick mask_coverage;
+        ] );
       ("allocation", [ Alcotest.test_case "independent of VP count" `Quick alloc_test ]);
     ]

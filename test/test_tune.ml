@@ -104,6 +104,41 @@ let test_unconditional_return () =
   check_against_meter "unconditional return" p (measure src);
   Alcotest.(check int) "no news predicted" 0 p.p_news_ops
 
+(* A [power2] subscript evaluates as Paris [Shl] computes it.  The seq
+   element stands for its first value, j = 1, so i = 5 reads a[5 - 2];
+   an evaluator that cleared bit 0 of the shift read a[4]. *)
+let test_power2_subscript () =
+  let src =
+    {|
+#define N 8
+index-set I:i = {0..N-1}, J:j = {1..2};
+int a[N], b[N];
+
+void main() {
+  par (I) {
+    a[i] = i;
+    b[i] = 0;
+  }
+  par (I)
+    seq (J) st (i - power2(j) >= 0)
+      b[i] = b[i] + a[i - power2(j)];
+}
+|}
+  in
+  let r = Uc.Codegen.record (Uc.Compile.prepare (Uc.Compile.parse_source src)) in
+  let evals =
+    List.filter_map
+      (function
+        | Uc.Codegen.Access
+            { aname = "a"; arw = `Read; asubs = [ Uc.Codegen.Sopaque (Some f) ]; _ } ->
+            Some f
+        | _ -> None)
+      r.Uc.Codegen.events
+  in
+  match evals with
+  | [ f ] -> Alcotest.(check int) "i = 5 reads a[3]" 3 (f [| 5 |])
+  | l -> Alcotest.failf "expected one opaque read of a, got %d" (List.length l)
+
 (* ---------------- layout search quality ---------------- *)
 
 (* the a1 mapping ablation (bench/main.ml): at n=4096, steps=32 the
@@ -516,6 +551,7 @@ let () =
             test_unconditional_return;
           Alcotest.test_case "fan-in at the size edges" `Quick
             test_fanin_sizes;
+          Alcotest.test_case "power2 subscript" `Quick test_power2_subscript;
           fuzz_fanin_oracle;
         ] );
       ( "layoutsel",
