@@ -254,14 +254,54 @@ let affine_sub ctx sub : (int * int) option =
       Option.map (fun ax -> (ax, -c)) (elem_axis v)
   | _ -> None
 
-(* a pure index subscript as a function of the space coordinates, for
-   fan-in estimation; a seq element stands for its first value *)
-let rec sub_evaluator ctx e : (int array -> int) option =
-  let lift2 f a b =
-    match sub_evaluator ctx a, sub_evaluator ctx b with
-    | Some fa, Some fb -> Some (fun c -> f (fa c) (fb c))
+(* The access plan: how a parallel read reaches an array with [layout]
+   and logical dims [adims] from a space of dims [aspace] whose axes
+   take the values [avalues], at subscripts that are [Some (axis,
+   offset)] where affine on a space axis.  The lowering ([access_plan])
+   and Commpat's re-classification under candidate layouts both ask it.
+   An array on the space's shape, each subscript on its own axis, is
+   [`Aligned] when every offset vanishes under the layout; one plain
+   ±1/±2 axis delta is a NEWS shift, prefilled when some source is out
+   of range (its destination keeps a default; correct programs guard
+   such elements away, exactly as they must guard the access itself);
+   a cyclic (Shifted) layout wraps and NEWS does not.  Anything else
+   goes through the router. *)
+let plan ~news_opt layout ~adims ~aspace ~avalues affs =
+  let delta k = function
+    | Some (ax, off) when ax = k -> Some (off - Mapping.axis_offset layout k)
     | _ -> None
   in
+  let deltas = List.mapi delta affs in
+  let aligned_candidate =
+    (match layout with Mapping.Default | Mapping.Shifted _ -> true | _ -> false)
+    && adims = aspace
+    && List.compare_lengths affs aspace = 0
+    && List.for_all Option.is_some deltas
+  in
+  if not aligned_candidate then `General
+  else
+    let moved = List.mapi (fun k d -> (k, Option.get d)) deltas in
+    match List.filter (fun (_, d) -> d <> 0) moved with
+    | [] -> `Aligned
+    | [ (axis, d) ] when news_opt && abs d <= 2 && layout = Mapping.Default ->
+        let extent = List.nth adims axis in
+        if Array.for_all (fun v -> v + d >= 0 && v + d < extent) (List.nth avalues axis)
+        then `News (axis, d)
+        else `News_prefill (axis, d)
+    | _ -> `General
+
+(* the plan of a read of [m] at [subs] from the current space *)
+let access_plan ctx loc m subs =
+  let sp = Option.get ctx.space in
+  if List.compare_lengths subs m.adims <> 0 then err loc "wrong number of subscripts";
+  plan ~news_opt:ctx.opts.news_opt m.alayout ~adims:m.adims ~aspace:sp.dims
+    ~avalues:(List.map snd sp.axes) (List.map (affine_sub ctx) subs)
+
+(* a pure index subscript as a function of the space coordinates, for
+   fan-in estimation; a seq element stands for its first value.  The
+   arithmetic is the machine's, with a fault read as 0. *)
+let rec sub_evaluator ctx e : (int array -> int) option =
+  let machine f c = try f c with P.Program_error _ -> 0 in
   match e.e with
   | Eint k -> Some (fun _ -> k)
   | Evar v -> (
@@ -269,22 +309,18 @@ let rec sub_evaluator ctx e : (int array -> int) option =
       | Some (Belem_axis ax) -> Some (fun coords -> coords.(ax))
       | Some (Belem_reg (_, first)) -> Some (fun _ -> first)
       | _ -> None)
-  | Ebin (Add, a, b) -> lift2 ( + ) a b
-  | Ebin (Sub, a, b) -> lift2 ( - ) a b
-  | Ebin (Mul, a, b) -> lift2 ( * ) a b
-  | Ebin (Div, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x / y) a b
-  | Ebin (Mod, a, b) -> lift2 (fun x y -> if y = 0 then 0 else x mod y) a b
-  | Ecall ("power2", [ a ]) ->
-      (* as Paris [Shl] computes it, with an out-of-range shift read as 0
-         like a division by zero above *)
-      Option.map
-        (fun fa c ->
-          let x = fa c in
-          if x >= 0 && x < Sys.int_size then 1 lsl x else 0)
-        (sub_evaluator ctx a)
-  | Ecall ("abs", [ a ]) -> Option.map (fun fa c -> abs (fa c)) (sub_evaluator ctx a)
-  | Ecall ("min", [ a; b ]) -> lift2 Int.min a b
-  | Ecall ("max", [ a; b ]) -> lift2 Int.max a b
+  | Ebin (((Add | Sub | Mul | Div | Mod) as op), a, b) -> (
+      let f = P.int_binop (Builtins.paris_binop op) in
+      match sub_evaluator ctx a, sub_evaluator ctx b with
+      | Some fa, Some fb -> Some (machine (fun c -> f (fa c) (fb c)))
+      | _ -> None)
+  | Ecall ((("power2" | "abs" | "min" | "max") as f), args) -> (
+      let fs = List.filter_map (sub_evaluator ctx) args in
+      if List.compare_lengths fs args <> 0 then None
+      else
+        Some
+          (machine (fun c ->
+               Option.get (Builtins.int_value f (List.map (fun g -> g c) fs)))))
   | _ -> None
 
 (* an access to array [name] at [subs] from the current space *)
@@ -314,56 +350,16 @@ let access_of ctx loc name (m : array_meta) subs rw : access =
    Safe sub-expressions of && / || / ?: may be evaluated flat (a single
    select) instead of under a narrowed context. *)
 
-let is_identity_access ctx base subs =
+(* an access the plan keeps off the router on the default layout: a
+   local field or a (prefilled) NEWS shift, hence total and safe *)
+let is_plain_access ctx base subs =
   match ctx.space, base.e with
-  | Some sp, Evar name -> (
+  | Some _, Evar name -> (
       match List.assoc_opt name ctx.env with
       | Some (Barray m) ->
           m.alayout = Mapping.Default
-          && m.adims = sp.dims
-          && List.length subs = List.length sp.dims
-          && List.for_all2
-               (fun sub axis ->
-                 match sub.e with
-                 | Evar v -> (
-                     match List.assoc_opt v ctx.env with
-                     | Some (Belem_axis ax) -> ax = axis
-                     | _ -> false)
-                 | _ -> false)
-               subs
-               (List.init (List.length sp.dims) Fun.id)
-      | _ -> false)
-  | _ -> false
-
-(* single-axis small-offset affine access on the current space with the
-   default layout: lowered as (prefilled) NEWS, hence total and safe *)
-let is_news_access ctx base subs =
-  ctx.opts.news_opt
-  &&
-  match ctx.space, base.e with
-  | Some sp, Evar name -> (
-      match List.assoc_opt name ctx.env with
-      | Some (Barray m) ->
-          m.alayout = Mapping.Default
-          && m.adims = sp.dims
-          && List.length subs = List.length sp.dims
-          && (let deltas =
-                List.mapi
-                  (fun axis sub ->
-                    match affine_sub ctx sub with
-                    | Some (ax, d) when ax = axis -> Some d
-                    | _ -> None)
-                  subs
-              in
-              List.for_all (function Some _ -> true | None -> false) deltas
-              &&
-              let nz =
-                List.filter (function Some d -> d <> 0 | None -> false) deltas
-              in
-              match nz with
-              | [] -> true
-              | [ Some d ] -> abs d <= 2
-              | _ -> false)
+          && List.compare_lengths subs m.adims = 0
+          && access_plan ctx base.eloc m subs <> `General
       | _ -> false)
   | _ -> false
 
@@ -376,13 +372,14 @@ let rec safe_expr ctx e =
       | Some (Bscalar _ | Belem_axis _ | Belem_reg _ | Bparlocal _) -> true
       | _ -> false)
   | Eindex (base, subs) ->
-      (is_identity_access ctx base subs || is_news_access ctx base subs)
+      is_plain_access ctx base subs
       && List.for_all (safe_expr ctx) subs
-  | Ebin ((Div | Mod), _, _) -> false
-  | Ebin (_, a, b) -> safe_expr ctx a && safe_expr ctx b
+  | Ebin (op, a, b) ->
+      Builtins.total_binop op b && safe_expr ctx a && safe_expr ctx b
   | Eun (_, a) -> safe_expr ctx a
   | Econd (c, a, b) -> safe_expr ctx c && safe_expr ctx a && safe_expr ctx b
-  | Ecall (f, args) when Builtins.pure f -> List.for_all (safe_expr ctx) args
+  | Ecall (f, args) when Builtins.pure f ->
+      Builtins.total f args && List.for_all (safe_expr ctx) args
   | Ecall _ -> false
   | Ereduce _ -> false
 
@@ -559,14 +556,6 @@ let not_field ctx (op : P.operand) : int =
   emit ctx (P.Punop (P.Lnot, t, op));
   t
 
-let paris_binop = function
-  | Add -> P.Add | Sub -> P.Sub | Mul -> P.Mul | Div -> P.Div | Mod -> P.Mod
-  | Eq -> P.Eq | Ne -> P.Ne | Lt -> P.Lt | Le -> P.Le | Gt -> P.Gt | Ge -> P.Ge
-  | Land -> P.Land | Lor -> P.Lor
-  | Band -> P.Band | Bor -> P.Bor | Bxor -> P.Bxor | Shl -> P.Shl | Shr -> P.Shr
-
-let paris_unop = function Neg -> P.Neg | Lnot -> P.Lnot | Bnot -> P.Bnot
-
 (* evaluate [e] at [place]; on the PEs, pure expressions already computed
    under an enclosing mask are reused (the paper's common sub-expression
    detection) *)
@@ -649,15 +638,15 @@ and lower_expr ctx place e : P.operand =
           let vb = eval ctx Pe b in
           emit ctx (P.Pbin (P.Ne, t, vb, imm 0)));
       let r = temp ctx P.KInt in
-      emit ctx (P.Pbin (paris_binop op, r, va, P.Fld t));
+      emit ctx (P.Pbin (Builtins.paris_binop op, r, va, P.Fld t));
       P.Fld r
   | Ebin (op, a, b), _ ->
       let va = eval ctx place a in
       let vb = eval ctx place b in
-      compute ctx place e (Bin (paris_binop op, va, vb))
+      compute ctx place e (Bin (Builtins.paris_binop op, va, vb))
   | Eun (op, a), _ ->
       let va = eval ctx place a in
-      compute ctx place e (Un (paris_unop op, va))
+      compute ctx place e (Un (Builtins.paris_unop op, va))
   | Econd (c, a, b), Fe ->
       let r = P.Builder.reg ctx.b in
       let lelse = P.Builder.label ctx.b and lend = P.Builder.label ctx.b in
@@ -706,61 +695,6 @@ and lower_expr ctx place e : P.operand =
   | Ereduce r, _ -> gen_reduce ctx e.eloc r
 
 (* ---------------- array addressing ---------------- *)
-
-(* Decide how to access array [m] at logical subscripts [subs] from the
-   current space. *)
-and access_plan ctx loc m subs =
-  let sp = Option.get ctx.space in
-  let n_subs = List.length subs in
-  if n_subs <> List.length m.adims then err loc "wrong number of subscripts";
-  let affs = List.map (affine_sub ctx) subs in
-  (* identity / news candidates need the array to live on the space's
-     shape and every subscript affine on the matching axis *)
-  let aligned_candidate =
-    (m.alayout = Mapping.Default || (match m.alayout with Mapping.Shifted _ -> true | _ -> false))
-    && m.adims = sp.dims
-    && List.length affs = List.length sp.dims
-    && List.for_all2
-         (fun aff axis -> match aff with Some (ax, _) -> ax = axis | None -> false)
-         affs
-         (List.init (List.length sp.dims) Fun.id)
-  in
-  if aligned_candidate then begin
-    let deltas =
-      List.mapi
-        (fun k aff ->
-          let _, off = Option.get aff in
-          off - Mapping.axis_offset m.alayout k)
-        affs
-    in
-    if List.for_all (fun d -> d = 0) deltas then `Aligned
-    else begin
-      (* NEWS is sound only when every element's source is statically in
-         range (out-of-range NEWS destinations keep stale data) *)
-      let nonzero = List.filteri (fun k _ -> List.nth deltas k <> 0) deltas in
-      let axis_of_nonzero =
-        List.filteri (fun k _ -> List.nth deltas k <> 0) (List.init n_subs Fun.id)
-      in
-      match nonzero, axis_of_nonzero with
-      | [ d ], [ axis ] when ctx.opts.news_opt && abs d <= 2 ->
-          let _, values = List.nth sp.axes axis in
-          let extent = List.nth m.adims axis in
-          let all_in_range =
-            Array.for_all (fun v -> v + d >= 0 && v + d < extent) values
-          in
-          (* a cyclic (Shifted) layout wraps, NEWS does not *)
-          let plain_layout = m.alayout = Mapping.Default in
-          if not plain_layout then `General
-          else if all_in_range then `News (axis, d)
-          else
-            (* out-of-range destinations keep a prefilled default; correct
-               programs guard such elements away, exactly as they must
-               guard the access itself *)
-            `News_prefill (axis, d)
-      | _ -> `General
-    end
-  end
-  else `General
 
 (* the physical flat address of [m] at logical [subs], honouring the
    layout; a Copied array's copy is chosen by the caller.  The front end
@@ -1313,7 +1247,7 @@ let try_histogram ctx loc lhs rhs : bool =
 
 (* ---------------- trip counts ---------------- *)
 
-let const_of e = try Some (Sema.const_eval e) with _ -> None
+let const_of e = try Some (Sema.const_eval e) with Loc.Error _ -> None
 
 (* static trip count of a canonical counted for-loop *)
 let for_trips init cond step body =

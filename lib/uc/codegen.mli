@@ -92,6 +92,26 @@ type event =
       fetrips : int;
     }  (** front-end element transfer; writes replicate under [Copied] *)
 
+(** [plan ~news_opt layout ~adims ~aspace ~avalues affs] is the access
+    plan, the one decision of how a parallel read reaches an array with
+    [layout] and logical dims [adims] from a space of dims [aspace]
+    whose axes take the values [avalues]; [affs] has, per subscript,
+    [Some (axis, offset)] when it is a space element plus a constant.
+    [`Aligned]: an array on the space's shape whose offsets all vanish
+    under the layout (a local field access).  [`News (axis, delta)]:
+    one ±1/±2 delta on the [Default] layout with [news_opt], every
+    source in range; [`News_prefill] the same with some source out of
+    range (its destination reads 0).  [`General]: the router.  The
+    lowering and {!Commpat.classify} both ask it. *)
+val plan :
+  news_opt:bool ->
+  Mapping.layout ->
+  adims:int list ->
+  aspace:int list ->
+  avalues:int array list ->
+  (int * int) option list ->
+  [ `Aligned | `News of int * int | `News_prefill of int * int | `General ]
+
 type recording = {
   events : event list;                (** in emission order *)
   arrays : (string * int list) list;  (** global arrays and their dims *)

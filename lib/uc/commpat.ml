@@ -43,50 +43,17 @@ type summary = {
 
 (* ---------------- classification ---------------- *)
 
-let axis_offset = Mapping.axis_offset
-
-(* mirror of Codegen.access_plan, parametrized by the layout *)
+(* Codegen's access plan under the candidate layout: NEWS, prefilled or
+   not, is one NEWS op *)
 let classify ~news_opt (a : access) (layout : Mapping.layout) : pat =
-  let layout = Mapping.normalize layout in
-  let aligned_candidate =
-    (match layout with
-    | Mapping.Default | Mapping.Shifted _ -> true
-    | _ -> false)
-    && a.adims = a.aspace
-    && List.length a.asubs = List.length a.aspace
-    && List.for_all2
-         (fun sub axis ->
-           match sub with Saffine (ax, _) -> ax = axis | Sopaque _ -> false)
-         a.asubs
-         (List.init (List.length a.aspace) Fun.id)
-  in
-  if not aligned_candidate then Router
-  else begin
-    let deltas =
-      List.mapi
-        (fun k sub ->
-          match sub with
-          | Saffine (_, off) -> off - axis_offset layout k
-          | Sopaque _ -> assert false)
-        a.asubs
-    in
-    if List.for_all (fun d -> d = 0) deltas then Local
-    else
-      let nonzero =
-        List.filteri (fun k _ -> List.nth deltas k <> 0) deltas
-      in
-      let axes =
-        List.filteri
-          (fun k _ -> List.nth deltas k <> 0)
-          (List.init (List.length deltas) Fun.id)
-      in
-      match nonzero, axes with
-      | [ d ], [ axis ] when news_opt && abs d <= 2 ->
-          (* a cyclic (Shifted) layout wraps, NEWS does not; writes are
-             handled by the caller (they never use NEWS) *)
-          if layout <> Mapping.Default then Router else News (axis, d)
-      | _ -> Router
-  end
+  let aff = function Saffine (ax, off) -> Some (ax, off) | Sopaque _ -> None in
+  match
+    Codegen.plan ~news_opt (Mapping.normalize layout) ~adims:a.adims
+      ~aspace:a.aspace ~avalues:a.avalues (List.map aff a.asubs)
+  with
+  | `Aligned -> Local
+  | `News (axis, d) | `News_prefill (axis, d) -> News (axis, d)
+  | `General -> Router
 
 (* a write is local exactly when the access is fully aligned; every
    other plan sends through the router (Codegen.gen_target) *)

@@ -47,9 +47,10 @@ type summary = {
   base_layouts : Mapping.table;        (** table the walk ran under *)
 }
 
-(** Re-classify a {b read} access under a candidate layout; mirrors
-    Codegen's access planner (NEWS needs the plain layout, a single
-    unit-or-double offset and [news_opt]). *)
+(** Re-classify a {b read} access under a candidate layout: the
+    result of {!Codegen.plan}, the access plan the lowering itself uses
+    (NEWS needs the plain layout, a single unit-or-double offset and
+    [news_opt]), as [Local], [News] (prefilled or not) or [Router]. *)
 val classify : news_opt:bool -> access -> Mapping.layout -> pat
 
 (** Writes never use NEWS: [Local] exactly when fully aligned,

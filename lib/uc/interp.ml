@@ -18,6 +18,13 @@ let to_float = function Vint i -> float_of_int i | Vfloat f -> f
 let truthy = function Vint i -> i <> 0 | Vfloat f -> f <> 0.0
 let of_bool b = Vint (if b then 1 else 0)
 
+(* a shift amount (of << and >>, and power2's argument) outside
+   0..int_size-1 is a fault, as on the machine *)
+let shift_amount k =
+  if k < 0 || k >= Sys.int_size then
+    error "shift amount %d is out of range (0..%d)" k (Sys.int_size - 1);
+  k
+
 let coerce ty v =
   match ty, v with
   | Tint, Vint _ -> v
@@ -201,8 +208,8 @@ let rec eval ctx scopes e =
       | Band -> Vint (to_int va land to_int vb)
       | Bor -> Vint (to_int va lor to_int vb)
       | Bxor -> Vint (to_int va lxor to_int vb)
-      | Shl -> Vint (to_int va lsl to_int vb)
-      | Shr -> Vint (to_int va asr to_int vb)
+      | Shl -> Vint (to_int va lsl shift_amount (to_int vb))
+      | Shr -> Vint (to_int va asr shift_amount (to_int vb))
       | Land | Lor -> assert false)
   | Eun (Neg, a) -> (
       match eval ctx scopes a with
@@ -225,7 +232,7 @@ and eval_array ctx scopes base =
 
 and eval_call ctx scopes name args =
   match name, args with
-  | "power2", [ a ] -> Vint (1 lsl to_int (eval ctx scopes a))
+  | "power2", [ a ] -> Vint (1 lsl shift_amount (to_int (eval ctx scopes a)))
   | "abs", [ a ] -> (
       match eval ctx scopes a with
       | Vint i -> Vint (abs i)

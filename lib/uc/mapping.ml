@@ -119,7 +119,7 @@ let of_program prog =
                 | [] -> None
                 | dims -> (
                     try Some (d.dname, List.map Sema.const_eval dims)
-                    with _ -> None))
+                    with Loc.Error _ -> None))
               ds
         | _ -> [])
       prog

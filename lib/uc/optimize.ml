@@ -1,23 +1,22 @@
 open Ast
 
-(* purity: safe to delete if its value is unused (no rand, no calls that
-   could be impure once inlining has run; user calls are conservatively
-   impure) *)
+(* purity: safe to delete if its value is unused (no rand, no operation
+   that could fault, no calls that could be impure once inlining has
+   run; user calls are conservatively impure) *)
 let rec pure e =
   match e.e with
   | Eint _ | Efloat _ | Einf | Evar _ -> true
   | Estr _ -> false
   | Eindex (b, subs) -> pure b && List.for_all pure subs
-  | Ebin (_, a, b) -> pure a && pure b
+  | Ebin (op, a, b) -> pure a && pure b && Builtins.total_binop op b
   | Eun (_, a) -> pure a
   | Econd (c, a, b) -> pure c && pure a && pure b
-  | Ecall (f, args) when Builtins.pure f -> List.for_all pure args
+  | Ecall (f, args) when Builtins.pure f ->
+      List.for_all pure args && Builtins.total f args
   | Ecall _ -> false
   | Ereduce _ -> false
 
 let int_of e = match e.e with Eint i -> Some i | _ -> None
-
-let is_int k e = match e.e with Eint i -> i = k | _ -> false
 
 let mk d loc = { e = d; eloc = loc }
 
@@ -29,10 +28,8 @@ let rec fold_expr e =
   | Eun (op, a) -> (
       let a = fold_expr a in
       match op, a.e with
-      | Neg, Eint i -> mk (Eint (-i)) loc
+      | _, Eint i -> mk (Eint (Cm.Paris.int_unop (Builtins.paris_unop op) i)) loc
       | Neg, Efloat f -> mk (Efloat (-.f)) loc
-      | Lnot, Eint i -> mk (Eint (if i = 0 then 1 else 0)) loc
-      | Bnot, Eint i -> mk (Eint (lnot i)) loc
       (* !!x is not simply x (0/1 normalisation), but !!!x = !x *)
       | Lnot, Eun (Lnot, { e = Eun (Lnot, inner); _ }) ->
           mk (Eun (Lnot, inner)) loc
@@ -47,14 +44,15 @@ let rec fold_expr e =
       | None -> mk (Econd (c, a, b)) loc)
   | Ecall (f, args) -> (
       let args = List.map fold_expr args in
-      let ints = List.map int_of args in
-      match f, ints with
-      | "power2", [ Some n ] when n >= 0 && n < 30 -> mk (Eint (1 lsl n)) loc
-      | "abs", [ Some n ] -> mk (Eint (abs n)) loc
-      | "min", [ Some x; Some y ] -> mk (Eint (min x y)) loc
-      | "max", [ Some x; Some y ] -> mk (Eint (max x y)) loc
-      | "toint", [ Some x ] -> mk (Eint x) loc
-      | _ -> mk (Ecall (f, args)) loc)
+      let ints = List.filter_map int_of args in
+      (* folded with the machine's arithmetic where it cannot fault *)
+      match
+        if List.compare_lengths ints args = 0 && Builtins.total f args then
+          Builtins.int_value f ints
+        else None
+      with
+      | Some v -> mk (Eint v) loc
+      | None -> mk (Ecall (f, args)) loc)
   | Ereduce r ->
       mk
         (Ereduce
@@ -72,22 +70,8 @@ let rec fold_expr e =
       let b = fold_expr b in
       let redo d = mk d loc in
       match op, int_of a, int_of b with
-      | Add, Some x, Some y -> redo (Eint (x + y))
-      | Sub, Some x, Some y -> redo (Eint (x - y))
-      | Mul, Some x, Some y -> redo (Eint (x * y))
-      | Div, Some x, Some y when y <> 0 -> redo (Eint (x / y))
-      | Mod, Some x, Some y when y <> 0 -> redo (Eint (x mod y))
-      | Shl, Some x, Some y when y >= 0 && y < 62 -> redo (Eint (x lsl y))
-      | Shr, Some x, Some y when y >= 0 && y < 62 -> redo (Eint (x asr y))
-      | Band, Some x, Some y -> redo (Eint (x land y))
-      | Bor, Some x, Some y -> redo (Eint (x lor y))
-      | Bxor, Some x, Some y -> redo (Eint (x lxor y))
-      | Eq, Some x, Some y -> redo (Eint (if x = y then 1 else 0))
-      | Ne, Some x, Some y -> redo (Eint (if x <> y then 1 else 0))
-      | Lt, Some x, Some y -> redo (Eint (if x < y then 1 else 0))
-      | Le, Some x, Some y -> redo (Eint (if x <= y then 1 else 0))
-      | Gt, Some x, Some y -> redo (Eint (if x > y then 1 else 0))
-      | Ge, Some x, Some y -> redo (Eint (if x >= y then 1 else 0))
+      | _, Some x, Some y when Builtins.total_binop op b ->
+          redo (Eint (Cm.Paris.int_binop (Builtins.paris_binop op) x y))
       | Land, Some 0, _ -> redo (Eint 0)
       | Land, Some _, _ -> redo (Ebin (Ne, b, mk (Eint 0) loc))
       | Lor, Some 0, _ -> redo (Ebin (Ne, b, mk (Eint 0) loc))

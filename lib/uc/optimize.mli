@@ -7,8 +7,10 @@
     processor optimization lives there too. *)
 
 (** [fold_program p] folds constant sub-expressions ([2 * 8 - 1] becomes
-    [15]) and applies safe algebraic identities ([x + 0], [x * 1],
-    [x * 0] when [x] is pure, [!!x] on predicates, constant selections of
+    [15]) with the machine's arithmetic ({!Builtins}, through
+    {!Cm.Paris}), keeping any operation the machine would fault on, and
+    applies safe algebraic identities ([x + 0], [x * 1], [x * 0] when
+    [x] is pure and cannot fault, [!!x] on predicates, constant selections of
     [?:] and short-circuit operators with constant left sides). *)
 val fold_program : Ast.program -> Ast.program
 

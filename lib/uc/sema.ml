@@ -11,47 +11,38 @@ type info = {
 
 (* ---------------- constant expressions ---------------- *)
 
+(* the machine's own arithmetic ([Builtins], through [Cm.Paris]); where
+   the machine would fault, the constant is a located error *)
 let rec const_eval e =
+  let machine f =
+    try f ()
+    with Cm.Paris.Program_error msg ->
+      Loc.error e.eloc "%s in constant expression" msg
+  in
+  let not_constant () =
+    Loc.error e.eloc
+      "expression is not a compile-time constant (index-set bounds and \
+       array dimensions must be constant)"
+  in
   match e.e with
   | Eint i -> i
   | Einf -> Cm.Paris.inf_int
-  | Eun (Neg, a) -> -const_eval a
-  | Eun (Bnot, a) -> lnot (const_eval a)
-  | Eun (Lnot, a) -> if const_eval a = 0 then 1 else 0
+  | Eun (op, a) -> Cm.Paris.int_unop (Builtins.paris_unop op) (const_eval a)
   | Ebin (op, a, b) -> (
-      let x = const_eval a and y = const_eval b in
-      match op with
-      | Add -> x + y
-      | Sub -> x - y
-      | Mul -> x * y
-      | Div ->
-          if y = 0 then Loc.error e.eloc "division by zero in constant expression"
-          else x / y
-      | Mod ->
-          if y = 0 then Loc.error e.eloc "modulo by zero in constant expression"
-          else x mod y
-      | Shl -> x lsl y
-      | Shr -> x asr y
-      | Band -> x land y
-      | Bor -> x lor y
-      | Bxor -> x lxor y
-      | Eq -> if x = y then 1 else 0
-      | Ne -> if x <> y then 1 else 0
-      | Lt -> if x < y then 1 else 0
-      | Le -> if x <= y then 1 else 0
-      | Gt -> if x > y then 1 else 0
-      | Ge -> if x >= y then 1 else 0
-      | Land -> if x <> 0 && y <> 0 then 1 else 0
-      | Lor -> if x <> 0 || y <> 0 then 1 else 0)
+      (* && and || short-circuit, as the front end's branches do *)
+      match op, const_eval a with
+      | Land, 0 -> 0
+      | Lor, x when x <> 0 -> 1
+      | _, x ->
+          let y = const_eval b in
+          machine (fun () -> Cm.Paris.int_binop (Builtins.paris_binop op) x y))
   | Econd (c, a, b) -> if const_eval c <> 0 then const_eval a else const_eval b
-  | Ecall ("power2", [ a ]) -> 1 lsl const_eval a
-  | Ecall ("abs", [ a ]) -> abs (const_eval a)
-  | Ecall ("min", [ a; b ]) -> min (const_eval a) (const_eval b)
-  | Ecall ("max", [ a; b ]) -> max (const_eval a) (const_eval b)
-  | _ ->
-      Loc.error e.eloc
-        "expression is not a compile-time constant (index-set bounds and \
-         array dimensions must be constant)"
+  | Ecall (f, args) -> (
+      let vs = List.map const_eval args in
+      match machine (fun () -> Builtins.int_value f vs) with
+      | Some v -> v
+      | None -> not_constant ())
+  | _ -> not_constant ()
 
 (* the values of index set [def]; [alias] gives the values of the set
    an alias names *)

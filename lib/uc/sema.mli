@@ -32,8 +32,11 @@ type info = {
     @raise Loc.Error with a source location on the first violation. *)
 val check : ?eof:Loc.t -> Ast.program -> info
 
-(** [const_eval e] evaluates a compile-time constant integer expression.
-    @raise Loc.Error if the expression is not constant. *)
+(** [const_eval e] evaluates a compile-time constant integer expression
+    with the machine's arithmetic ({!Builtins}, through {!Cm.Paris});
+    [&&], [||] and [?:] evaluate only the operands the front end would.
+    @raise Loc.Error if the expression is not constant, or where the
+    machine would fault ("division by zero in constant expression"). *)
 val const_eval : Ast.expr -> int
 
 (** [set_values alias def] evaluates an index-set definition: the values

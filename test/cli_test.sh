@@ -54,6 +54,18 @@ if $UCC batch nomain_manifest.txt --cache-dir none > nomain.jsonl 2>/dev/null; t
   exit 1
 fi
 grep -q '"error":"3:1: program has no main function"' nomain.jsonl
+# a constant the machine would fault on is one located error:, exit 1
+printf 'index-set I:i = {0..1 << 64};\nint a[4];\nvoid main() { par (I) a[i] = i; }\n' > bigset.uc
+rc=0; $UCC check bigset.uc >out.txt 2>err.txt || rc=$?
+[ "$rc" = 1 ]
+[ "$(cat out.txt err.txt)" = "bigset.uc:1:21: error: shift amount 64 is out of range (0..62) in constant expression" ]
+# a shift amount out of range faults on the machine and on the oracle
+printf 'int x, k;\nvoid main() { k = 70; x = 1 << k; }\n' > shl70.uc
+for sub in run interp; do
+  rc=0; $UCC $sub shl70.uc >out.txt 2>err.txt || rc=$?
+  [ "$rc" = 1 ]
+  grep -q "shift amount 70 is out of range (0..62)" err.txt
+done
 if $UCC run ../examples/uc/quickstart.uc --arrays nosuch 2>err.txt; then exit 1; fi
 grep -q "error" err.txt
 if grep -q "uncaught exception" err.txt; then exit 1; fi

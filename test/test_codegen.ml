@@ -202,6 +202,33 @@ let test_elapsed_time_positive () =
   let mr = machine_run (matmul ~n:6) in
   check Alcotest.bool "time advanced" true (Uc.Compile.elapsed_seconds mr > 0.0)
 
+(* a shift amount outside 0..int_size-1 is a fault with the same message
+   on the oracle and on the machine, on the front end and on the PEs *)
+let test_shift_faults_agree () =
+  let fault name body =
+    let src =
+      Printf.sprintf
+        "index-set I:i = {0..7};\nint x, k, b[8];\nvoid main() { %s; }\n" body
+    in
+    let interp =
+      match interp_run src with
+      | _ -> "no fault"
+      | exception Uc.Interp.Runtime_error m -> m
+    in
+    let machine =
+      match machine_run src with
+      | _ -> "no fault"
+      | exception Cm.Paris.Program_error m -> m
+    in
+    check Alcotest.string (name ^ ": interp") interp machine;
+    check Alcotest.bool (name ^ ": faults") true (interp <> "no fault")
+  in
+  fault "1 << 70" "k = 70; x = 1 << k";
+  fault "1 >> -1" "k = -1; x = 1 >> k";
+  fault "power2(70)" "k = 70; x = power2(k)";
+  fault "power2(-1) on the PEs" "k = -1; par (I) b[i] = power2(i + k)";
+  fault "<< 63 on the PEs" "par (I) b[i] = 1 << (i + 60)"
+
 (* ---------------- optimization effects on cost ---------------- *)
 
 let router_ops options src =
@@ -432,6 +459,17 @@ let () =
           case "quickstart output" test_quickstart_output;
           case "conflict detected" test_conflict_detected;
           case "elapsed positive" test_elapsed_time_positive;
+          case "shift faults agree" test_shift_faults_agree;
+          (* the shift would fault where the guard is false: it must not
+             be evaluated flat there *)
+          case "guarded shift"
+            (differential ~arrays:[ "b"; "c" ]
+               "index-set I:i = {0..7};\n\
+                int b[8], c[8];\n\
+                void main() {\n\
+               \  par (I) b[i] = (i < 3) ? (1 << (i + 60)) : 0;\n\
+               \  par (I) c[i] = (i > 4) && power2(70 - i * 2) > 0;\n\
+                }\n");
         ] );
       ( "heat",
         [

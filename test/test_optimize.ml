@@ -38,36 +38,68 @@ let test_fold_preserves_div_by_zero () =
   check Alcotest.string "div kept" "1 / 0" (fold_str "1 / 0");
   check Alcotest.string "mod kept" "1 % 0" (fold_str "1 % 0")
 
-(* random constant expressions: folding must agree with evaluation *)
+(* random constant expressions over every UC operator and every value
+   builtin with an int result, with edge operands: shift amounts and
+   power2 arguments -1..70, zero divisors *)
 let const_expr_gen =
   QCheck2.Gen.(
+    let binops =
+      [ "+"; "-"; "*"; "/"; "%"; "<<"; ">>"; "&"; "|"; "^";
+        "=="; "!="; "<"; "<="; ">"; ">="; "&&"; "||" ]
+    in
+    let edge = map (Printf.sprintf "(%d)") (int_range (-1) 70) in
+    let bin op a b = Printf.sprintf "(%s %s %s)" a op b in
     sized @@ fix (fun self n ->
-        if n <= 0 then map string_of_int (int_range 0 9)
+        let leaf = map string_of_int (int_range 0 20) in
+        if n <= 0 then oneof [ leaf; edge ]
         else
           let sub = self (n / 2) in
           oneof
             [
-              map string_of_int (int_range 0 20);
-              map2 (fun a b -> Printf.sprintf "(%s + %s)" a b) sub sub;
-              map2 (fun a b -> Printf.sprintf "(%s - %s)" a b) sub sub;
-              map2 (fun a b -> Printf.sprintf "(%s * %s)" a b) sub sub;
-              map2 (fun a b -> Printf.sprintf "(%s < %s)" a b) sub sub;
-              map2 (fun a b -> Printf.sprintf "min(%s, %s)" a b) sub sub;
-              map2 (fun a b -> Printf.sprintf "max(%s, %s)" a b) sub sub;
-              map (fun a -> Printf.sprintf "(-%s)" a) sub;
-              map3
-                (fun c a b -> Printf.sprintf "(%s ? %s : %s)" c a b)
-                sub sub sub;
+              leaf;
+              map3 bin (oneofl binops) sub sub;
+              map3 bin (oneofl [ "<<"; ">>" ]) sub edge;
+              map3 bin (oneofl [ "/"; "%" ]) sub (oneofl [ "0"; "(0 * 5)" ]);
+              map2 (Printf.sprintf "(%s%s)") (oneofl [ "-"; "!"; "~" ]) sub;
+              map3 (Printf.sprintf "(%s ? %s : %s)") sub sub sub;
+              map (Printf.sprintf "power2(%s)") (oneof [ sub; edge ]);
+              map (Printf.sprintf "abs(%s)") sub;
+              map2 (Printf.sprintf "min(%s, %s)") sub sub;
+              map2 (Printf.sprintf "max(%s, %s)") sub sub;
+              map (Printf.sprintf "toint(%s)") sub;
             ]))
 
+(* [r = expr] compiled without the source-level fold and run: the
+   machine's value, or its fault *)
+let compiled_value expr_src =
+  let src = Printf.sprintf "int r;\nvoid main() { r = %s; }" expr_src in
+  let prog = Uc.Parser.parse_program src in
+  ignore (Uc.Sema.check prog);
+  let compiled = Uc.Codegen.compile (Uc.Transform.apply prog) in
+  let m = Cm.Machine.create compiled.Uc.Codegen.prog in
+  match Cm.Machine.run m with
+  | exception Cm.Paris.Program_error msg -> Error msg
+  | () -> (
+      let r = List.assoc "r" compiled.Uc.Codegen.cscalars in
+      match Cm.Machine.reg m r.Uc.Codegen.sreg with
+      | Cm.Paris.SInt v -> Ok v
+      | Cm.Paris.SFloat _ -> Error "float result")
+
 let fold_evaluates_constants =
-  qtest "fold: random constant expressions become literals" const_expr_gen
-    (fun s ->
+  qtest ~count:500
+    "fold: random constant expressions agree with const_eval and the machine"
+    const_expr_gen (fun s ->
       let e = Uc.Parser.parse_expr s in
-      let folded = Uc.Optimize.fold_expr e in
-      match folded.Uc.Ast.e with
-      | Uc.Ast.Eint v -> v = Uc.Sema.const_eval e
-      | _ -> false)
+      let folded = (Uc.Optimize.fold_expr e).Uc.Ast.e in
+      match compiled_value s with
+      | Ok v -> folded = Uc.Ast.Eint v && Uc.Sema.const_eval e = v
+      | Error msg -> (
+          (match folded with Uc.Ast.Eint _ -> false | _ -> true)
+          &&
+          match Uc.Sema.const_eval e with
+          | _ -> false
+          | exception Uc.Loc.Error (loc, m) ->
+              loc.Uc.Loc.line = 1 && m = msg ^ " in constant expression"))
 
 (* random expressions over a variable: folding must not change results *)
 let var_expr_gen =
@@ -89,6 +121,8 @@ let var_expr_gen =
               map (fun a -> Printf.sprintf "abs(%s)" a) sub;
             ]))
 
+(* the interpreter's value, or its fault: a shift by a negative amount
+   faults, and folding must keep that fault *)
 let eval_with_x expr_src x =
   let src =
     Printf.sprintf "int r;\nvoid main() { int x; x = %d; r = %s; }" x expr_src
@@ -96,8 +130,9 @@ let eval_with_x expr_src x =
   let prog = Uc.Parser.parse_program src in
   ignore (Uc.Sema.check prog);
   match Uc.Interp.scalar (Uc.Interp.run prog) "r" with
-  | Uc.Interp.Vint v -> v
-  | Uc.Interp.Vfloat f -> int_of_float f
+  | Uc.Interp.Vint v -> Ok v
+  | Uc.Interp.Vfloat f -> Ok (int_of_float f)
+  | exception Uc.Interp.Runtime_error msg -> Error msg
 
 let fold_preserves_semantics =
   qtest ~count:200 "fold: random expressions keep their value"

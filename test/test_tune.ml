@@ -139,6 +139,79 @@ void main() {
   | [ f ] -> Alcotest.(check int) "i = 5 reads a[3]" 3 (f [| 5 |])
   | l -> Alcotest.failf "expected one opaque read of a, got %d" (List.length l)
 
+(* The access plan's boundaries, seen from both of its callers: what the
+   lowering emits for one read of [a] (no communication, a NEWS shift
+   with or without its zero prefill, or a router get) and what
+   Commpat.classify makes of the access the walk recorded. *)
+let plan_seen ?(layout = Uc.Mapping.Default) ?(set = "{2..5}") ?(decls = "")
+    read =
+  let src =
+    Printf.sprintf
+      "index-set I:i = %s, J:j = {0..7};\nint a[8], b[8];\n%s\nvoid main() { %s; }\n"
+      set decls read
+  in
+  let prog = Uc.Compile.prepare (Uc.Compile.parse_source src) in
+  let layouts = [ ("a", layout) ] in
+  let compiled = Uc.Codegen.compile ~layouts prog in
+  let fa = (List.assoc "a" compiled.Uc.Codegen.carrays).Uc.Codegen.afield in
+  let code = compiled.Uc.Codegen.prog.Cm.Paris.code in
+  let prefilled k t =
+    k > 0 && code.(k - 1) = Cm.Paris.Pmov (t, Cm.Paris.Imm (Cm.Paris.SInt 0))
+  in
+  let emitted = ref [] in
+  Array.iteri
+    (fun k ins ->
+      match ins with
+      | Cm.Paris.Pnews (t, s, ax, d) when s = fa ->
+          emitted :=
+            Printf.sprintf "pnews axis %d %+d%s" ax d
+              (if prefilled k t then " prefilled" else "")
+            :: !emitted
+      | Cm.Paris.Pget (_, s, _) when s = fa -> emitted := "pget" :: !emitted
+      | _ -> ())
+    code;
+  let reads =
+    List.filter_map
+      (function
+        | Uc.Codegen.Access ({ aname = "a"; arw = `Read; _ } as acc) -> Some acc
+        | _ -> None)
+      (Uc.Codegen.record ~layouts prog).Uc.Codegen.events
+  in
+  match reads with
+  | [ acc ] ->
+      ( String.concat "; " (List.rev !emitted),
+        Uc.Commpat.pat_to_string (Uc.Commpat.classify ~news_opt:true acc layout) )
+  | l -> Alcotest.failf "%s: %d recorded reads of a" read (List.length l)
+
+let test_plan_boundaries () =
+  let expect label (emitted, classified) got =
+    Alcotest.(check (pair string string)) label (emitted, classified) got
+  in
+  let par sub = Printf.sprintf "par (I) b[i] = a[%s]" sub in
+  (* the set {2..5} keeps every source of a +-3 offset inside a[8] *)
+  List.iter
+    (fun d ->
+      let sub = Printf.sprintf "i %s %d" (if d < 0 then "-" else "+") (abs d) in
+      let want =
+        if abs d <= 2 then (Printf.sprintf "pnews axis 0 %+d" d,
+                            Printf.sprintf "news(axis 0, %+d)" d)
+        else ("pget", "router")
+      in
+      expect ("default " ^ sub) want (plan_seen (par sub)))
+    [ 1; -1; 2; -2; 3; -3 ];
+  expect "default i" ("", "local") (plan_seen (par "i"));
+  (* i + 2 leaves a[8] at i = 6, 7: NEWS, with a zero prefill *)
+  expect "out-of-range source" ("pnews axis 0 +2 prefilled", "news(axis 0, +2)")
+    (plan_seen ~set:"{0..7}" (par "i + 2"));
+  (* a Shifted layout absorbs its own offset and wraps the rest *)
+  let shifted = Uc.Mapping.Shifted [| 1 |] in
+  expect "shifted, own offset" ("", "local") (plan_seen ~layout:shifted (par "i + 1"));
+  expect "shifted, other offset" ("pget", "router")
+    (plan_seen ~layout:shifted (par "i + 2"));
+  expect "opaque subscript" ("pget", "router") (plan_seen (par "7 - i"));
+  expect "rank mismatch" ("pget", "router")
+    (plan_seen ~set:"{0..7}" ~decls:"int c[8][8];" "par (I, J) c[i][j] = a[i]")
+
 (* ---------------- layout search quality ---------------- *)
 
 (* the a1 mapping ablation (bench/main.ml): at n=4096, steps=32 the
@@ -552,6 +625,7 @@ let () =
           Alcotest.test_case "fan-in at the size edges" `Quick
             test_fanin_sizes;
           Alcotest.test_case "power2 subscript" `Quick test_power2_subscript;
+          Alcotest.test_case "access plan boundaries" `Quick test_plan_boundaries;
           fuzz_fanin_oracle;
         ] );
       ( "layoutsel",
